@@ -52,7 +52,14 @@ from .hermitian import (
     herm_sectional,
 )
 from .lagrangian import GraphLagrangian, TangentFunction, build
-from .torus import PeriodicGrid, ScalarField, TrigPolynomial, TrigTerm, sample
+from .torus import (
+    PeriodicGrid,
+    ScalarField,
+    TrigPolynomial,
+    TrigTerm,
+    check_band_limit,
+    sample,
+)
 from .validation import SuiteConfig, run_suite
 
 SCHEMA_TAG = "laglab/report-v1"
@@ -89,7 +96,8 @@ def _require(cfg: dict, key: str, kind=None):
     return value
 
 
-def parse_trig_terms(raw, where: str) -> TrigPolynomial:
+def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
+    """Parse a list of trig terms and check it against the grid's band limit."""
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a list of trig terms")
     terms = []
@@ -105,22 +113,12 @@ def parse_trig_terms(raw, where: str) -> TrigPolynomial:
         if phase not in ("cos", "sin"):
             raise ConfigError(f"{where}: term {i} has invalid phase {phase!r}")
         terms.append(TrigTerm(coeff, wave, phase))
-    return TrigPolynomial(tuple(terms))
-
-
-def _check_band_limit(poly: TrigPolynomial, grid: PeriodicGrid, where: str):
-    limit = grid.points // 4
-    for i, t in enumerate(poly.terms):
-        if len(t.wavevector) != grid.n:
-            raise ConfigError(
-                f"{where}: term {i} wavevector {t.wavevector} has wrong dimension "
-                f"for n = {grid.n}"
-            )
-        if max(abs(k) for k in t.wavevector) > limit:
-            raise ConfigError(
-                f"{where}: term {i} wavevector {t.wavevector} exceeds the "
-                f"band limit N/4 = {limit}"
-            )
+    poly = TrigPolynomial(tuple(terms))
+    try:
+        check_band_limit(poly, grid)
+    except BandLimitExceeded as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return poly
 
 
 class ExperimentConfig:
@@ -169,16 +167,13 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid grid: {exc}") from exc
 
-        self.potential = parse_trig_terms(raw.get("potential", []), "potential")
-        _check_band_limit(self.potential, self.grid, "potential")
+        self.potential = parse_trig_terms(raw.get("potential", []), "potential", self.grid)
 
         functions_raw = raw.get("functions", {})
         if not isinstance(functions_raw, dict):
             raise ConfigError("'functions' must map names to term lists")
         for name, terms in functions_raw.items():
-            poly = parse_trig_terms(terms, f"functions[{name}]")
-            _check_band_limit(poly, self.grid, f"functions[{name}]")
-            self.functions[name] = poly
+            self.functions[name] = parse_trig_terms(terms, f"functions[{name}]", self.grid)
 
     def resolve(self, key: str, required: bool = True) -> str | None:
         name = self.params.get(key)

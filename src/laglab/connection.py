@@ -11,6 +11,14 @@ the twist density e^{g(z)}, Cramer's rule on the top-form components gives
 
     w_a = -Re( E * det(B with column a replaced by -i grad h) ) / Re(E det B).
 
+Expanding that determinant along the replaced column a gives the cofactors
+of column a of B, i.e. row a of the adjugate:
+
+    det(B with column a replaced by v) = sum_b adj(B)_ab v_b = (adj B . v)_a,
+
+so all n determinants are one contraction with adj B, which every
+GraphLagrangian caches.
+
 The coordinate covariant derivative D_{h}k along a fiberwise Hamiltonian
 family is the same contraction with the horizontal vector (grad h, 0) and
 the imaginary part; both reduce to -tan(theta) <grad h, grad k> wherever the
@@ -102,10 +110,10 @@ LagrangianPath = HamiltonianFamily | SampledPath
 # ---------------------------------------------------------------------------
 
 
-def _replace_column_det(B: np.ndarray, col: int, vec: np.ndarray) -> np.ndarray:
-    M = B.copy()
-    M[..., :, col] = vec
-    return np.linalg.det(M)
+def _cramer_values(gamma: GraphLagrangian, vec: np.ndarray) -> np.ndarray:
+    """E * det(B with column a replaced by vec) for every a, as E * adj(B) vec."""
+    cols = np.einsum("...ab,...b->...a", gamma._adj_B, vec)
+    return gamma._twist_density[..., None] * cols
 
 
 def _re_density(gamma: GraphLagrangian, tolerance: float) -> np.ndarray:
@@ -120,19 +128,20 @@ def _re_density(gamma: GraphLagrangian, tolerance: float) -> np.ndarray:
 
 
 def w_field_values(
-    gamma: GraphLagrangian, h_values: np.ndarray, tolerance: float = 1e-12
+    gamma: GraphLagrangian,
+    h_values: np.ndarray,
+    tolerance: float = 1e-12,
+    *,
+    grad_h: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Components of the w-field, shape ``grid.shape + (n,)``."""
+    """Components of the w-field, shape ``grid.shape + (n,)``.
+
+    ``grad_h`` is the gradient of ``h_values`` when the caller already has it.
+    """
     density = _re_density(gamma, tolerance)
-    grad_h = gradient_values(gamma.grid, h_values)
-    E = gamma._twist_density
-    B = gamma._holo_frame
-    n = gamma.grid.n
-    w = np.empty(gamma.grid.shape + (n,))
-    vertical = -1j * grad_h
-    for a in range(n):
-        w[..., a] = -np.real(E * _replace_column_det(B, a, vertical)) / density
-    return w
+    if grad_h is None:
+        grad_h = gradient_values(gamma.grid, h_values)
+    return -np.real(_cramer_values(gamma, -1j * grad_h)) / density[..., None]
 
 
 def w_field(
@@ -176,14 +185,8 @@ def cov_deriv_pair_values(
     density = _re_density(gamma, tolerance)
     grad_j = gradient_values(gamma.grid, hj_values)
     grad_k = gradient_values(gamma.grid, hk_values)
-    E = gamma._twist_density
-    B = gamma._holo_frame
-    out = np.zeros(gamma.grid.shape)
-    horizontal = grad_j.astype(complex)
-    for a in range(gamma.grid.n):
-        comp = np.imag(E * _replace_column_det(B, a, horizontal))
-        out -= grad_k[..., a] * comp
-    return out / density
+    comp = np.imag(_cramer_values(gamma, grad_j))
+    return -np.einsum("...a,...a->...", grad_k, comp) / density
 
 
 def cov_deriv_coordinate(
@@ -292,8 +295,9 @@ def geodesic_shoot(
 
     def accel(phi_vals: np.ndarray, psi_vals: np.ndarray, t: float) -> np.ndarray:
         gamma = gamma_at(phi_vals, t)
-        w = w_field_values(gamma, psi_vals)
-        return -_directional_derivative(gamma, w, psi_vals)
+        grad_psi = gradient_values(grid, psi_vals)
+        w = w_field_values(gamma, psi_vals, grad_h=grad_psi)
+        return -np.einsum("...a,...a->...", w, grad_psi)
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
     psi = gamma0.normalize_values(h0.values)

@@ -30,8 +30,10 @@ from .errors import GammaMismatch, NotPositive
 from .torus import (
     ScalarField,
     TensorField,
+    adjugate,
+    det,
+    grad_hess,
     gradient_values,
-    hessian_values,
     integrate_values,
     partial_values,
 )
@@ -58,19 +60,21 @@ class GraphLagrangian:
         self.phi = phi
         n = grid.n
 
-        self.grad_phi = gradient_values(grid, phi.values)
-        self.hess_phi = hessian_values(grid, phi.values)
+        self.grad_phi, self.hess_phi = grad_hess(grid, phi.values)
 
+        # g = I + H^2 is symmetric positive definite with det g >= 1, so the
+        # closed-form inverse adj(g) / det g is well conditioned.
         eye = np.eye(n)
-        self.metric = eye + np.einsum("...ab,...bc->...ac", self.hess_phi, self.hess_phi)
-        self.inverse_metric = np.linalg.inv(self.metric)
-        self.det_metric = np.linalg.det(self.metric)
+        self.metric = eye + self.hess_phi @ self.hess_phi
+        self.det_metric = det(self.metric)
+        self.inverse_metric = adjugate(self.metric) / self.det_metric[..., None, None]
         self.sqrt_det_metric = np.sqrt(self.det_metric)
 
-        # Pullback of Omega along x -> (x, grad phi).
-        B = eye.astype(complex) - 1j * self.hess_phi
-        self._holo_frame = B
-        self._det_B = np.linalg.det(B)
+        # Pullback of Omega along x -> (x, grad phi).  adj(B) turns the
+        # connection's Cramer determinants into contractions.
+        B = eye - 1j * self.hess_phi
+        self._adj_B = adjugate(B)
+        self._det_B = det(B)
         self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi)
         self.pullback_density = self._twist_density * self._det_B
 
@@ -113,11 +117,10 @@ class GraphLagrangian:
         for Gamma^c_{ab}, computed spectrally from g = I + (Hess phi)^2."""
         grid, n = self.grid, self.grid.n
         dg = np.empty(grid.shape + (n, n, n))
-        for d in range(n):
-            for a in range(n):
-                for b in range(a, n):
-                    dg[..., d, a, b] = partial_values(grid, self.metric[..., a, b], d)
-                    dg[..., d, b, a] = dg[..., d, a, b]
+        for a in range(n):
+            for b in range(a, n):
+                dg[..., :, a, b] = gradient_values(grid, self.metric[..., a, b])
+                dg[..., :, b, a] = dg[..., :, a, b]
         # bracket[..., a, b, d] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
         bracket = (
             np.einsum("...adb->...abd", dg)
@@ -183,8 +186,7 @@ class GraphLagrangian:
     def covariant_hessian(self, h: ScalarField) -> TensorField:
         """Hess h(a, b) = d_a d_b h - Gamma^c_{ab} d_c h (symmetric)."""
         grid = self.grid
-        hess = hessian_values(grid, h.values)
-        grad = gradient_values(grid, h.values)
+        grad, hess = grad_hess(grid, h.values)
         vals = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
         return TensorField(grid, 2, vals, symmetric=True)
 

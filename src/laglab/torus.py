@@ -4,6 +4,15 @@ All fields live on an isotropic grid (same point count and period per axis,
 n in {1,2,3}).  Differentiation is a Fourier multiplier, quadrature is the
 trapezoidal rule (exact for band-limited integrands), and test inputs are
 real trigonometric polynomials with integer wavevectors.
+
+Fields are real, so derivatives use the real FFT: one ``rfftn`` of a field
+gives its spectrum, and every derivative of it is one ``irfftn`` of that
+spectrum times the multipliers i*k.  The Nyquist mode k = N/2 is zeroed on
+every axis, since its sample-based derivative is ambiguous; band-limited
+inputs never populate it, and a pure Nyquist-mode field differentiates to 0.
+
+The pointwise n x n algebra of the graph geometry (n <= 3) uses the
+closed-form determinant and adjugate below instead of batched LAPACK calls.
 """
 
 from __future__ import annotations
@@ -70,17 +79,20 @@ class PeriodicGrid:
 
     @cached_property
     def _derivative_multipliers(self) -> list[np.ndarray]:
-        # i*k Fourier multiplier per axis, broadcastable over the grid.
-        # Nyquist mode is zeroed: its sample-based derivative is ambiguous,
-        # and band-limited inputs never populate it.
-        k = np.fft.fftfreq(self.points, d=1.0 / self.points)
-        k[self.points // 2] = 0.0
-        k = k * (2.0 * np.pi / self.period)
+        # i*k Fourier multiplier per axis, broadcastable over the rfftn
+        # spectrum (the last axis keeps only k >= 0).  The Nyquist mode is
+        # zeroed on every axis.
+        scale = 2.0 * np.pi / self.period
+        k_full = np.fft.fftfreq(self.points, d=1.0 / self.points)
+        k_full[self.points // 2] = 0.0
+        k_half = np.fft.rfftfreq(self.points, d=1.0 / self.points)
+        k_half[-1] = 0.0
         mult = []
         for axis in range(self.n):
+            k = k_half if axis == self.n - 1 else k_full
             shape = [1] * self.n
-            shape[axis] = self.points
-            mult.append((1j * k).reshape(shape))
+            shape[axis] = k.size
+            mult.append((1j * scale * k).reshape(shape))
         return mult
 
 
@@ -223,15 +235,15 @@ class TrigPolynomial:
         )
 
 
-def sample(poly: TrigPolynomial, grid: PeriodicGrid) -> ScalarField:
-    """Evaluate a trig polynomial on the grid.
+def check_band_limit(poly: TrigPolynomial, grid: PeriodicGrid) -> None:
+    """Check that a trig polynomial is resolved on the grid.
 
     Raises
     ------
     BandLimitExceeded
         If any wavevector component exceeds N/4 in magnitude (products of
         such inputs then stay fully resolved on the grid) or its dimension
-        does not match the grid.
+        does not match the grid.  The message names the offending term.
     """
     limit = grid.points // 4
     for i, t in enumerate(poly.terms):
@@ -244,18 +256,35 @@ def sample(poly: TrigPolynomial, grid: PeriodicGrid) -> ScalarField:
             raise BandLimitExceeded(
                 f"term {i}: wavevector {t.wavevector} exceeds band limit N/4 = {limit}"
             )
+
+
+def sample(poly: TrigPolynomial, grid: PeriodicGrid) -> ScalarField:
+    """Evaluate a trig polynomial on the grid.
+
+    Raises
+    ------
+    BandLimitExceeded
+        If the polynomial fails ``check_band_limit``.
+    """
+    check_band_limit(poly, grid)
     if not poly.terms:
         return ScalarField(grid, np.zeros(grid.shape))
     return ScalarField(grid, poly.evaluate(grid.coords, grid.period))
+
+
+def _spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    return np.fft.rfftn(values, axes=tuple(range(grid.n)))
+
+
+def _from_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
+    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
 
 
 def partial_values(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndarray:
     """Spectral partial derivative of a raw sample array along one axis."""
     if not 0 <= axis < grid.n:
         raise ValueError(f"axis {axis} out of range for dimension {grid.n}")
-    spec = np.fft.fftn(values)
-    spec *= grid._derivative_multipliers[axis]
-    return np.fft.ifftn(spec).real
+    return _from_spectrum(grid, _spectrum(grid, values) * grid._derivative_multipliers[axis])
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:
@@ -263,21 +292,38 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, partial_values(f.grid, f.values, axis))
 
 
-def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """All first derivatives, shape ``grid.shape + (n,)``."""
-    return np.stack([partial_values(grid, values, a) for a in range(grid.n)], axis=-1)
+def _gradient_of_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
+    mult = grid._derivative_multipliers
+    grad = np.empty(grid.shape + (grid.n,))
+    for a in range(grid.n):
+        grad[..., a] = _from_spectrum(grid, spec * mult[a])
+    return grad
 
 
-def hessian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """All second derivatives, shape ``grid.shape + (n, n)``, symmetrized."""
-    n = grid.n
-    grad = gradient_values(grid, values)
+def _hessian_of_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
+    n, mult = grid.n, grid._derivative_multipliers
     hess = np.empty(grid.shape + (n, n))
     for a in range(n):
         for b in range(a, n):
-            hess[..., a, b] = partial_values(grid, grad[..., b], a)
+            hess[..., a, b] = _from_spectrum(grid, spec * (mult[a] * mult[b]))
             hess[..., b, a] = hess[..., a, b]
     return hess
+
+
+def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """All first derivatives, shape ``grid.shape + (n,)``."""
+    return _gradient_of_spectrum(grid, _spectrum(grid, values))
+
+
+def hessian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """All second derivatives, shape ``grid.shape + (n, n)``, exactly symmetric."""
+    return _hessian_of_spectrum(grid, _spectrum(grid, values))
+
+
+def grad_hess(grid: PeriodicGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of one field from a single forward transform."""
+    spec = _spectrum(grid, values)
+    return _gradient_of_spectrum(grid, spec), _hessian_of_spectrum(grid, spec)
 
 
 def integrate(f: ScalarField) -> float:
@@ -296,3 +342,52 @@ def constant_field(grid: PeriodicGrid, value: float = 0.0) -> ScalarField:
 def field_from_function(grid: PeriodicGrid, fn: Callable[[np.ndarray], np.ndarray]) -> ScalarField:
     """Sample ``fn(coords)`` where coords has shape ``shape + (n,)``."""
     return ScalarField(grid, np.asarray(fn(grid.coords), dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form pointwise linear algebra for batches of n x n matrices, n <= 3
+# ---------------------------------------------------------------------------
+
+
+def _check_square(m: np.ndarray) -> int:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] not in (1, 2, 3):
+        raise ValueError(f"expected a batch of n x n matrices with n <= 3, got shape {m.shape}")
+    return m.shape[-1]
+
+
+def det(m: np.ndarray) -> np.ndarray:
+    """Determinant of every matrix in a real or complex batch ``(..., n, n)``."""
+    n = _check_square(m)
+    if n == 1:
+        return m[..., 0, 0].copy()
+    if n == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    # Laplace expansion along the first row.
+    return (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+        + m[..., 0, 1] * (m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+    )
+
+
+def adjugate(m: np.ndarray) -> np.ndarray:
+    """Adjugate (transposed cofactor matrix) of every matrix in a batch, so
+    that ``m @ adjugate(m) = det(m) * I``."""
+    n = _check_square(m)
+    adj = np.empty_like(m)
+    if n == 1:
+        adj[...] = 1.0
+        return adj
+    if n == 2:
+        adj[..., 0, 0] = m[..., 1, 1]
+        adj[..., 0, 1] = -m[..., 0, 1]
+        adj[..., 1, 0] = -m[..., 1, 0]
+        adj[..., 1, 1] = m[..., 0, 0]
+        return adj
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            # Cyclic index order makes the cofactor sign implicit.
+            adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
+    return adj

@@ -12,6 +12,7 @@ from laglab.connection import (
     w_field,
     w_field_values,
 )
+from laglab.ambient import AlmostCYModel
 from laglab.errors import (
     InsufficientSamples,
     PositivityLost,
@@ -19,7 +20,13 @@ from laglab.errors import (
     StepRejected,
 )
 from laglab.lagrangian import build
-from laglab.torus import ScalarField, constant_field, field_from_function, gradient_values
+from laglab.torus import (
+    PeriodicGrid,
+    ScalarField,
+    constant_field,
+    field_from_function,
+    gradient_values,
+)
 
 
 @pytest.fixture
@@ -109,6 +116,43 @@ def test_cov_deriv_equals_w_contraction(twisted_generic, grid64, h_field, k_fiel
         "...a,...a->...", w, gradient_values(grid64, k_field.values)
     )
     assert np.abs(djk - contraction).max() < 1e-13
+
+
+def _cramer_by_column_replacement(gamma, vec):
+    """E * det(B with column a replaced by vec) for each a, by LAPACK."""
+    n = gamma.grid.n
+    B = np.eye(n) - 1j * gamma.hess_phi
+    dets = []
+    for a in range(n):
+        M = B.copy()
+        M[..., :, a] = vec
+        dets.append(np.linalg.det(M))
+    return gamma._twist_density[..., None] * np.stack(dets, axis=-1)
+
+
+def test_adjugate_cramer_matches_column_replacement_n3():
+    grid = PeriodicGrid(3, 32)
+    model = AlmostCYModel(3, twist_amplitude=0.1, twist_mode=1)
+    gamma = build(model, field_from_function(
+        grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1]) + 0.1 * np.cos(c[..., 1] + c[..., 2])
+    ))
+    h = field_from_function(
+        grid, lambda c: np.cos(c[..., 0]) + 0.5 * np.sin(c[..., 1] - c[..., 2])
+    )
+    k = field_from_function(grid, lambda c: np.sin(c[..., 2]) + 0.3 * np.cos(2 * c[..., 0]))
+    density = np.real(gamma.pullback_density)
+    grad_h = gradient_values(grid, h.values)
+    grad_k = gradient_values(grid, k.values)
+
+    w_ref = -np.real(_cramer_by_column_replacement(gamma, -1j * grad_h)) / density[..., None]
+    w = w_field_values(gamma, h.values)
+    assert np.abs(w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+    assert np.array_equal(w_field_values(gamma, h.values, grad_h=grad_h), w)
+
+    comp = np.imag(_cramer_by_column_replacement(gamma, grad_h.astype(complex)))
+    cov_ref = -np.einsum("...a,...a->...", grad_k, comp) / density
+    cov = cov_deriv_pair_values(gamma, h.values, k.values)
+    assert np.abs(cov - cov_ref).max() <= 1e-13 * np.abs(cov_ref).max()
 
 
 def test_family_parameter_count(flat_model, grid64, h_field):

@@ -8,8 +8,13 @@ from laglab.torus import (
     TensorField,
     TrigPolynomial,
     TrigTerm,
+    adjugate,
     constant_field,
+    det,
     field_from_function,
+    grad_hess,
+    gradient_values,
+    hessian_values,
     integrate,
     partial,
     sample,
@@ -176,3 +181,83 @@ def test_trig_polynomial_helpers():
     assert scaled.terms[0].coefficient == 1.0
     pts = np.zeros((1, 2))
     assert poly.evaluate(pts)[0] == pytest.approx(2.0)
+
+
+def _exact_derivatives(poly, grid):
+    """Gradient and Hessian of a trig polynomial, term by term."""
+    freq = 2.0 * np.pi / grid.period
+    grad = np.zeros(grid.shape + (grid.n,))
+    hess = np.zeros(grid.shape + (grid.n, grid.n))
+    for t in poly.terms:
+        k = freq * np.asarray(t.wavevector, dtype=float)
+        arg = grid.coords @ k
+        even, odd = (np.cos(arg), np.sin(arg)) if t.phase == "cos" else (np.sin(arg), -np.cos(arg))
+        grad -= t.coefficient * odd[..., None] * k
+        hess -= t.coefficient * even[..., None, None] * np.multiply.outer(k, k)
+    return grad, hess
+
+
+@pytest.mark.parametrize(
+    "n, points, period", [(1, 32, 2 * np.pi), (2, 64, 2 * np.pi), (2, 32, 3.0), (3, 16, 2 * np.pi)]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_spectral_derivatives_exact(n, points, period, seed):
+    grid = PeriodicGrid(n, points, period)
+    poly = _random_poly(np.random.default_rng(300 + seed), n, max_mode=points // 4)
+    f = sample(poly, grid).values
+    grad_exact, hess_exact = _exact_derivatives(poly, grid)
+    grad, hess = gradient_values(grid, f), hessian_values(grid, f)
+    assert np.abs(grad - grad_exact).max() <= 1e-12 * max(np.abs(grad_exact).max(), 1.0)
+    assert np.abs(hess - hess_exact).max() <= 1e-12 * max(np.abs(hess_exact).max(), 1.0)
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+    both = grad_hess(grid, f)
+    assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
+    for a in range(n):
+        assert np.array_equal(partial(ScalarField(grid, f), a).values, grad[..., a])
+
+
+@pytest.mark.parametrize("n, points", [(1, 16), (2, 16), (3, 8)])
+def test_nyquist_mode_differentiates_to_zero(n, points):
+    grid = PeriodicGrid(n, points)
+    for axis in range(n):
+        f = np.cos(points // 2 * grid.coords[..., axis])
+        assert np.abs(gradient_values(grid, f)).max() < 1e-12
+        assert np.abs(hessian_values(grid, f)).max() < 1e-12
+
+
+def _random_symmetric(rng, n, batch=2000, scale=0.6):
+    h = rng.normal(scale=scale, size=(batch, n, n))
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+def _max_rel(a, ref):
+    """Largest error per batch member, relative to that member's size."""
+    axes = tuple(range(1, ref.ndim))
+    err = np.abs(a - ref).max(axis=axes) if axes else np.abs(a - ref)
+    size = np.abs(ref).max(axis=axes) if axes else np.abs(ref)
+    return float((err / size).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_linear_algebra_matches_lapack(n):
+    rng = np.random.default_rng(40 + n)
+    hess = _random_symmetric(rng, n)
+    eye = np.eye(n)
+    # The two batches the graph geometry uses: real SPD g and complex B.
+    for m in (eye + hess @ hess, eye - 1j * hess):
+        d, adj = det(m), adjugate(m)
+        ref_det, ref_inv = np.linalg.det(m), np.linalg.inv(m)
+        assert _max_rel(d, ref_det) <= 1e-14
+        assert _max_rel(adj / d[:, None, None], ref_inv) <= 1e-14
+        assert _max_rel(adj, ref_det[:, None, None] * ref_inv) <= 1e-14
+        assert adj.dtype == m.dtype
+
+
+def test_closed_form_linear_algebra_shapes():
+    m = np.arange(1.0, 10.0).reshape(3, 3) ** 2
+    assert det(m) == pytest.approx(np.linalg.det(m), rel=1e-14)
+    assert np.allclose(m @ adjugate(m), det(m) * np.eye(3), rtol=0, atol=1e-9)
+    with pytest.raises(ValueError):
+        det(np.zeros((5, 4, 4)))
+    with pytest.raises(ValueError):
+        adjugate(np.zeros((5, 2, 3)))
