@@ -27,6 +27,7 @@ from .curvature import (
     riemann_field,
     riemann_quad,
     sectional,
+    sectional_matrix,
 )
 from .hermitian import (
     HermBase,
@@ -91,5 +92,6 @@ __all__ = [
     "run_suite",
     "sample",
     "sectional",
+    "sectional_matrix",
     "w_field",
 ]

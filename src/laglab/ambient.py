@@ -177,12 +177,16 @@ class AlmostCYModel:
             If the frame evaluation of the defining relation comes out
             non-positive (or non-real), which signals a convention bug.
         """
+        return self.rho_from_density(self.holomorphic_density(x, y))
+
+    def rho_from_density(self, c: np.ndarray) -> np.ndarray:
+        """``rho`` given the holomorphic density c = e^{g(z)} at the same points,
+        for callers that already hold it; raises as ``rho`` does."""
         ratio = _frame_ratio(self.n)
         if abs(ratio.imag) > 1e-14 * max(abs(ratio.real), 1.0):
             raise NonPositiveDensity(
                 f"defining relation evaluated to non-real ratio {ratio}"
             )
-        c = self.holomorphic_density(x, y)
         rho_n = ratio.real * np.abs(c) ** 2
         if np.any(rho_n <= 0):
             raise NonPositiveDensity(

@@ -8,7 +8,7 @@ Subcommands
 ``laglab mirror config.json``    run a matrix-model job directly
 
 Exit codes: 0 success, 2 configuration error, 3 positivity lost,
-4 check failure.  ``LAGLAB_THREADS`` caps parallelism inside scans.
+4 check failure.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,13 @@ import numpy as np
 from . import __version__
 from .ambient import CONVENTIONS, AlmostCYModel
 from .connection import geodesic_shoot
-from .curvature import mean_zero_residual, riemann_field, riemann_quad, sectional
+from .curvature import (
+    mean_zero_residual,
+    riemann_field,
+    riemann_quad,
+    sectional,
+    sectional_matrix,
+)
 from .errors import (
     BandLimitExceeded,
     ConfigError,
@@ -185,6 +189,25 @@ class ExperimentConfig:
             raise ConfigError(f"params.{key} = {name!r} does not name a function")
         return name
 
+    def scan_pairs(self) -> list[tuple[str, str]]:
+        """The (h, k) name pairs of a scan: every pair of sorted names under
+        ``params.all_pairs``, otherwise the validated ``params.pairs``."""
+        if self.params.get("all_pairs"):
+            names = sorted(self.functions)
+            return [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+        raw_pairs = self.params.get("pairs")
+        if not isinstance(raw_pairs, list) or not raw_pairs:
+            raise ConfigError("scan requires params.pairs or params.all_pairs")
+        pairs = []
+        for i, pair in enumerate(raw_pairs):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ConfigError(f"params.pairs[{i}] must be a [h, k] pair")
+            for name in pair:
+                if name not in self.functions:
+                    raise ConfigError(f"params.pairs[{i}]: unknown function {name!r}")
+            pairs.append((pair[0], pair[1]))
+        return pairs
+
     def build_gamma(self) -> GraphLagrangian:
         return build(self.model, sample(self.potential, self.grid))
 
@@ -282,43 +305,22 @@ def _job_curvature(cfg: ExperimentConfig) -> dict:
 
 
 def _job_scan(cfg: ExperimentConfig, csv_path: Path | None) -> dict:
+    pairs = cfg.scan_pairs()
     gamma = cfg.build_gamma()
-    if cfg.params.get("all_pairs"):
-        names = sorted(cfg.functions)
-        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    else:
-        raw_pairs = cfg.params.get("pairs")
-        if not isinstance(raw_pairs, list) or not raw_pairs:
-            raise ConfigError("scan requires params.pairs or params.all_pairs")
-        pairs = []
-        for i, pair in enumerate(raw_pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"params.pairs[{i}] must be a [h, k] pair")
-            for name in pair:
-                if name not in cfg.functions:
-                    raise ConfigError(f"params.pairs[{i}]: unknown function {name!r}")
-            pairs.append((pair[0], pair[1]))
+    names = list(dict.fromkeys(name for pair in pairs for name in pair))
+    index = {name: i for i, name in enumerate(names)}
+    matrices = sectional_matrix(
+        gamma, [cfg.tangent(gamma, name).values for name in names]
+    )
 
-    tangents = {name: cfg.tangent(gamma, name) for name in cfg.functions}
-
-    def one(pair):
-        h_name, k_name = pair
+    rows = []
+    for pair_id, (h_name, k_name) in enumerate(pairs):
+        row = {"pair_id": pair_id, "h_name": h_name, "k_name": k_name, "margin": gamma.margin}
         try:
-            value = sectional(gamma, tangents[h_name], tangents[k_name])
-            return {"h_name": h_name, "k_name": k_name, "sectional": value,
-                    "margin": gamma.margin}
+            row["sectional"] = matrices.sectional(index[h_name], index[k_name])
         except DegeneratePlane as exc:
-            return {"h_name": h_name, "k_name": k_name, "sectional": None,
-                    "margin": gamma.margin, "note": str(exc)}
-
-    threads = _thread_count()
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, pairs))
-    else:
-        rows = [one(p) for p in pairs]
-    for i, row in enumerate(rows):
-        row["pair_id"] = i
+            row.update(sectional=None, note=str(exc))
+        rows.append(row)
 
     if csv_path is not None:
         with open(csv_path, "w", newline="") as stream:
@@ -475,16 +477,6 @@ def write_report(report: dict, path: Path):
     path.write_bytes(payload)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LAGLAB_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"LAGLAB_THREADS must be an integer, got {raw!r}")
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -541,19 +533,7 @@ def cmd_describe(args) -> int:
         lines.append(f"plan: curvature field R({names[0]},{names[1]}){names[2]}"
                      + (f" paired with {m_name}" if m_name else ""))
     elif cfg.job == "scan":
-        if cfg.params.get("all_pairs"):
-            count = len(cfg.functions) * (len(cfg.functions) - 1) // 2
-        else:
-            pairs = cfg.params.get("pairs")
-            if not isinstance(pairs, list) or not pairs:
-                raise ConfigError("scan requires params.pairs or params.all_pairs")
-            for i, pair in enumerate(pairs):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ConfigError(f"params.pairs[{i}] must be a [h, k] pair")
-                for name in pair:
-                    if name not in cfg.functions:
-                        raise ConfigError(f"params.pairs[{i}]: unknown function {name!r}")
-            count = len(pairs)
+        count = len(cfg.scan_pairs())
         lines.append(f"plan: sectional scan over {count} pair(s), CSV + JSON output")
     elif cfg.job == "geodesic":
         lines.append(

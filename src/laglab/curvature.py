@@ -18,7 +18,7 @@ Cauchy-Schwarz inequality of its integrand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,6 +166,92 @@ def riemann_quad(
     )
 
 
+class SectionalMatrix(NamedTuple):
+    """Quadruple-form numerators and metric Gram matrix of F tangent functions.
+
+    ``numerator[i, j]`` is (R(h_i, h_j) h_j, h_i) and ``gram[i, j]`` is
+    (h_i, h_j); both are exactly symmetric.
+    """
+
+    numerator: np.ndarray
+    gram: np.ndarray
+
+    def sectional(self, i: int, j: int) -> float:
+        """K(h_i, h_j) = (R(h_i,h_j)h_j, h_i) / ((h_i,h_i)(h_j,h_j) - (h_i,h_j)^2).
+
+        Raises
+        ------
+        DegeneratePlane
+            If the Gram determinant falls below the degeneracy threshold times
+            (h_i,h_i)(h_j,h_j).
+        """
+        hh, kk, hk = self.gram[i, i], self.gram[j, j], self.gram[i, j]
+        det = hh * kk - hk * hk
+        if det <= DEGENERACY_THRESHOLD * hh * kk:
+            raise DegeneratePlane(
+                f"Gram determinant {det:.3e} below threshold for (h,h)(k,k) = {hh * kk:.3e}"
+            )
+        return float(self.numerator[i, j] / det)
+
+
+def _dot(grads: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """sum_a grads[..., a, :] * up[a, :] for component-major gradients."""
+    out = grads[..., 0, :] * up[0]
+    for a in range(1, up.shape[0]):
+        out += grads[..., a, :] * up[a]
+    return out
+
+
+def sectional_matrix(
+    gamma: GraphLagrangian,
+    values: Sequence[np.ndarray],
+    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
+) -> SectionalMatrix:
+    """Numerators (R(h_i,h_j)h_j, h_i) and Gram matrix (h_i, h_j) of F functions.
+
+    The quadruple form gives the numerator as
+    -integral sec(theta) (|dh_i|^2 |dh_j|^2 - <dh_i,dh_j>^2) rho^{n/2} vol,
+    which depends on the functions only through the pointwise Gram matrix
+    P_ij = <dh_i, dh_j>_g.  So F functions take F spectral gradients.  Rows
+    are formed one at a time from the stored gradients and diagonals P_ii,
+    so memory stays O(F n N^n); each entry is reduced on its own, so its
+    value does not depend on which other functions are in the batch.
+    """
+    _require_margin(gamma, margin_threshold)
+    grid = gamma.grid
+    n, size, count = grid.n, grid.size, len(values)
+    flat = np.empty((count, size))
+    grads = np.empty((count, n, size))
+    for i, v in enumerate(values):
+        flat[i] = np.reshape(v, size)
+        grads[i] = gradient_values(grid, v).reshape(size, n).T
+    ginv = np.ascontiguousarray(gamma.inverse_metric.reshape(size, n, n).transpose(1, 2, 0))
+    sec_weight = (gamma._rho_half * gamma.sqrt_det_metric / gamma.cos_theta).reshape(size)
+    re_omega = gamma.re_omega.reshape(size)
+
+    def raised(i: int) -> np.ndarray:
+        return _dot(ginv, grads[i])
+
+    diag = np.empty((count, size))
+    for i in range(count):
+        diag[i] = _dot(grads[i], raised(i))
+
+    scale = grid.period**n / size
+    numerator = np.zeros((count, count))
+    gram = np.zeros((count, count))
+    for i in range(count):
+        cross = _dot(grads[i:], raised(i))
+        cross *= cross
+        bracket = diag[i] * diag[i:]
+        bracket -= cross
+        bracket *= sec_weight
+        numerator[i, i:] = -bracket.sum(axis=1) * scale
+        gram[i, i:] = (flat[i] * flat[i:] * re_omega).sum(axis=1) * scale
+        numerator[i:, i] = numerator[i, i:]
+        gram[i:, i] = gram[i, i:]
+    return SectionalMatrix(numerator, gram)
+
+
 def sectional(
     gamma: GraphLagrangian,
     h: TangentFunction,
@@ -174,6 +260,8 @@ def sectional(
 ) -> float:
     """Sectional curvature K(h, k); non-positive up to quadrature error.
 
+    The 2x2 case of ``sectional_matrix``.
+
     Raises
     ------
     DegeneratePlane
@@ -181,18 +269,7 @@ def sectional(
         (h,h)(k,k).
     """
     require_same_gamma(h, k)
-    hh = gamma.inner_values(h.values, h.values)
-    kk = gamma.inner_values(k.values, k.values)
-    hk = gamma.inner_values(h.values, k.values)
-    gram = hh * kk - hk * hk
-    if gram <= DEGENERACY_THRESHOLD * hh * kk:
-        raise DegeneratePlane(
-            f"Gram determinant {gram:.3e} below threshold for (h,h)(k,k) = {hh * kk:.3e}"
-        )
-    numerator = riemann_quad_values(
-        gamma, h.values, k.values, k.values, h.values, margin_threshold
-    )
-    return numerator / gram
+    return sectional_matrix(gamma, (h.values, k.values), margin_threshold).sectional(0, 1)
 
 
 @dataclass(frozen=True)
@@ -222,13 +299,13 @@ def flat_family_check(
         gamma.normalize(ScalarField(gamma.grid, np.asarray(a(l.values), dtype=float)))
         for a in reparams
     ]
+    matrices = sectional_matrix(gamma, [m.values for m in members], margin_threshold)
     sectionals: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int, str]] = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             try:
-                val = sectional(gamma, members[i], members[j], margin_threshold)
-                sectionals.append((i, j, val))
+                sectionals.append((i, j, matrices.sectional(i, j)))
             except DegeneratePlane as exc:
                 skipped.append((i, j, str(exc)))
     max_abs = max((abs(v) for _, _, v in sectionals), default=0.0)

@@ -78,7 +78,7 @@ class GraphLagrangian:
         self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi)
         self.pullback_density = self._twist_density * self._det_B
 
-        self.rho = model.rho(grid.coords, self.grad_phi)
+        self.rho = model.rho_from_density(self._twist_density)
         rho_half = self.rho ** (n / 2.0)
         self.theta = np.angle(self.pullback_density / (rho_half * self.sqrt_det_metric))
         self.cos_theta = np.cos(self.theta)

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from laglab.cli import main, report_bytes
+import laglab.curvature
+import laglab.lagrangian
+from laglab.cli import load_config, main, report_bytes
+from laglab.curvature import sectional
+from laglab.errors import DegeneratePlane
 
 SECTIONAL_SPOT = -0.025330295910584444
 
@@ -197,6 +201,105 @@ def test_scan_requires_pairs(tmp_path, capsys):
         },
     )
     assert main(["run", str(cfg)]) == 2
+
+
+def test_scan_degenerate_pair_note(tmp_path):
+    functions = dict(FUNCTIONS, h2=[{"coefficient": 2.0, "wavevector": [1, 0], "phase": "cos"}])
+    cfg = write_config(
+        tmp_path,
+        "scan_degenerate.json",
+        {
+            "model": {"n": 2, "twist_amplitude": 0.1},
+            "grid": 32,
+            "functions": functions,
+            "job": "scan",
+            "params": {"pairs": [["h", "k"], ["h", "h2"], ["hk", "h"]]},
+        },
+    )
+    out = tmp_path / "scan_degenerate_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    rows = load_report(out)["results"]["pairs"]
+    assert [(r["h_name"], r["k_name"]) for r in rows] == [("h", "k"), ("h", "h2"), ("hk", "h")]
+
+    config = load_config(str(cfg))
+    gamma = config.build_gamma()
+    h, h2 = config.tangent(gamma, "h"), config.tangent(gamma, "h2")
+    with pytest.raises(DegeneratePlane) as exc:
+        sectional(gamma, h, h2)
+    assert rows[1]["sectional"] is None
+    assert rows[1]["note"] == str(exc.value)
+    assert rows[1]["margin"] == gamma.margin
+    assert rows[2]["sectional"] == pytest.approx(
+        sectional(gamma, config.tangent(gamma, "hk"), h), rel=1e-14)
+    csv_lines = out.with_suffix(".csv").read_text().strip().splitlines()
+    assert csv_lines[2].split(",")[3] == ""
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"all_pairs": True},
+        {"pairs": [["h", "k"], ["k", "hk"], ["h", "k"]]},
+        {"pairs": [["h", "nope"]]},
+        {"pairs": [["h"]]},
+        {"pairs": []},
+    ],
+)
+def test_describe_and_run_agree_on_scan_pairs(tmp_path, capsys, params):
+    cfg = write_config(
+        tmp_path,
+        "scan_pairs.json",
+        {
+            "model": MODEL_FLAT,
+            "grid": 32,
+            "functions": FUNCTIONS,
+            "job": "scan",
+            "params": params,
+        },
+    )
+    out = tmp_path / "scan_pairs_report.json"
+    described = main(["describe", str(cfg)])
+    described_text = capsys.readouterr()
+    ran = main(["run", str(cfg), "-o", str(out)])
+    ran_text = capsys.readouterr()
+    assert described == ran
+    if ran == 0:
+        count = len(load_report(out)["results"]["pairs"])
+        assert f"sectional scan over {count} pair(s)" in described_text.out
+    else:
+        assert ran == 2
+        assert described_text.err == ran_text.err
+
+
+def test_scan_takes_one_gradient_per_function(tmp_path, monkeypatch):
+    """A scan over F functions takes F spectral gradients, not 8 per pair."""
+    calls = []
+
+    def counting(original):
+        def gradient_values(grid, values):
+            calls.append(1)
+            return original(grid, values)
+        return gradient_values
+
+    for module in (laglab.curvature, laglab.lagrangian):
+        monkeypatch.setattr(module, "gradient_values", counting(module.gradient_values))
+    functions = dict(FUNCTIONS, s=[{"coefficient": 0.3, "wavevector": [1, 1], "phase": "sin"}])
+    cfg = write_config(
+        tmp_path,
+        "scan_count.json",
+        {
+            "model": {"n": 2, "twist_amplitude": 0.1},
+            "grid": 32,
+            "potential": [{"coefficient": 0.2, "wavevector": [1, 1], "phase": "cos"}],
+            "functions": functions,
+            "job": "scan",
+            "params": {"all_pairs": True},
+        },
+    )
+    out = tmp_path / "scan_count_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    assert len(load_report(out)["results"]["pairs"]) == 6
+    assert len(calls) == len(functions)
 
 
 def test_geodesic_job(tmp_path):

@@ -11,10 +11,11 @@ from laglab.curvature import (
     riemann_quad,
     riemann_quad_values,
     sectional,
+    sectional_matrix,
 )
 from laglab.errors import DegeneratePlane, GammaMismatch, MarginTooSmall
 from laglab.lagrangian import build
-from laglab.torus import PeriodicGrid, field_from_function
+from laglab.torus import PeriodicGrid, field_from_function, integrate_values
 from laglab.validation import random_trig_polynomial
 from laglab.torus import sample
 
@@ -203,3 +204,77 @@ def test_curvature_report(twisted_generic, grid64):
     assert rep.quad_r3 == pytest.approx(rep.quad_r4, rel=1e-8)
     assert rep.sectional is not None and rep.sectional <= 0.0
     assert rep.diagnostics["positivity_margin"] == twisted_generic.margin
+
+
+def _twisted_generic(n, points):
+    """The twisted generic graph of dimension n (0.2 cos(x1 + x2) + 0.1 cos(x2 + x3))."""
+    def potential(c):
+        out = 0.2 * np.cos(c[..., 0] + c[..., min(1, n - 1)])
+        if n == 3:
+            out += 0.1 * np.cos(c[..., 1] + c[..., 2])
+        return out
+
+    grid = PeriodicGrid(n, points)
+    return build(AlmostCYModel(n, twist_amplitude=0.1), field_from_function(grid, potential))
+
+
+@pytest.mark.parametrize("n,points", [(1, 64), (2, 64), (3, 32)])
+def test_sectional_matrix_matches_per_pair_route(n, points):
+    gamma = _twisted_generic(n, points)
+    rng = np.random.default_rng(41)
+    f = [gamma.normalize_values(sample(random_trig_polynomial(rng, n), gamma.grid).values)
+         for _ in range(5)]
+    numerator, gram = sectional_matrix(gamma, f)
+    weight = gamma._rho_half * gamma.sqrt_det_metric / gamma.cos_theta
+    for i in range(len(f)):
+        for j in range(len(f)):
+            num_ref = riemann_quad_values(gamma, f[i], f[j], f[j], f[i])
+            # Cauchy-Schwarz bound of the numerator: the size of the terms
+            # whose difference it is (at n = 1 they cancel to roundoff).
+            bound = integrate_values(gamma.grid, weight * gamma.grad_inner_values(f[i], f[i])
+                                     * gamma.grad_inner_values(f[j], f[j]))
+            assert abs(numerator[i, j] - num_ref) <= 1e-14 * bound
+            gram_ref = gamma.inner_values(f[i], f[j])
+            assert abs(gram[i, j] - gram_ref) <= 1e-14 * np.sqrt(gram[i, i] * gram[j, j])
+            if n > 1 and i != j:
+                det_ref = (gamma.inner_values(f[i], f[i]) * gamma.inner_values(f[j], f[j])
+                           - gram_ref**2)
+                k_ref = num_ref / det_ref
+                k_new = numerator[i, j] / (gram[i, i] * gram[j, j] - gram[i, j] ** 2)
+                assert abs(k_new - k_ref) <= 1e-14 * abs(k_ref)
+
+
+def test_sectional_matrix_symmetric_with_zero_diagonal(twisted_generic, grid64):
+    rng = np.random.default_rng(43)
+    f = [sample(random_trig_polynomial(rng, 2), grid64).values for _ in range(6)]
+    numerator, gram = sectional_matrix(twisted_generic, f)
+    assert numerator.shape == gram.shape == (6, 6)
+    assert np.array_equal(numerator, numerator.T)
+    assert np.array_equal(gram, gram.T)
+    assert np.all(np.diag(numerator) == 0.0)
+
+
+def test_sectional_matrix_entries_do_not_depend_on_the_batch(twisted_generic, grid64):
+    rng = np.random.default_rng(47)
+    f = [sample(random_trig_polynomial(rng, 2), grid64).values for _ in range(5)]
+    whole = sectional_matrix(twisted_generic, f)
+    part = sectional_matrix(twisted_generic, [f[3], f[1]])
+    assert np.array_equal(part.gram, whole.gram[np.ix_([3, 1], [3, 1])])
+    assert part.sectional(0, 1) == pytest.approx(whole.sectional(3, 1), rel=1e-14)
+
+
+def test_sectional_matrix_margin_threshold(twisted_generic, grid64):
+    h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
+    k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
+    with pytest.raises(MarginTooSmall):
+        sectional_matrix(twisted_generic, [h.values, k.values], margin_threshold=0.95)
+    with pytest.raises(MarginTooSmall):
+        sectional(twisted_generic, h, k, margin_threshold=0.95)
+    numerator, gram = sectional_matrix(twisted_generic, [h.values, k.values],
+                                       margin_threshold=0.5)
+    assert numerator.shape == (2, 2)
+
+
+def test_sectional_matrix_empty(flat_zero, grid64):
+    numerator, gram = sectional_matrix(flat_zero, [])
+    assert numerator.shape == gram.shape == (0, 0)

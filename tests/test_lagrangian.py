@@ -235,3 +235,21 @@ def test_build_rejects_mismatched_grid(flat_model):
     grid = PeriodicGrid(1, 64)
     with pytest.raises(ValueError):
         build(flat_model, constant_field(grid))
+
+
+def test_rho_from_the_build_density(twisted_generic, grid64):
+    expected = twisted_generic.model.rho(grid64.coords, twisted_generic.grad_phi)
+    assert np.array_equal(twisted_generic.rho, expected)
+
+
+def test_build_evaluates_the_twist_density_once(twisted_model, generic_potential, monkeypatch):
+    calls = []
+    original = AlmostCYModel.holomorphic_density
+
+    def counting(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(AlmostCYModel, "holomorphic_density", counting)
+    build(twisted_model, generic_potential)
+    assert len(calls) == 1
