@@ -218,9 +218,6 @@ class AlmostCYModel:
             J[j, n + j] = 1.0
         return J
 
-    def flat(self) -> bool:
-        return self.twist_amplitude == 0.0
-
 
 # -- single-point wrappers over AmbientPoint --------------------------------
 

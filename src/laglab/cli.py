@@ -58,7 +58,6 @@ from .hermitian import (
 from .lagrangian import GraphLagrangian, TangentFunction, build
 from .torus import (
     PeriodicGrid,
-    ScalarField,
     TrigPolynomial,
     TrigTerm,
     check_band_limit,
@@ -354,14 +353,7 @@ def _job_geodesic(cfg: ExperimentConfig) -> dict:
         "final_potential_sup": float(np.abs(path.potentials[-1].values).max()),
     }
     if cfg.params.get("reverse", False):
-        gamma_T = build(cfg.model, path.potentials[-1])
-        h_back = gamma_T.normalize(
-            ScalarField(cfg.grid, -path.velocities[-1].values)
-        )
-        back = geodesic_shoot(gamma_T, h_back, total_time, steps)
-        ret = back.potentials[-1].values - back.potentials[-1].values.mean()
-        start = path.potentials[0].values - path.potentials[0].values.mean()
-        out["reversal_error_sup"] = float(np.abs(ret - start).max())
+        out["reversal_error_sup"] = path.reversal_error(total_time)
     return out
 
 
@@ -389,8 +381,8 @@ def _suite_config_from_params(params: dict) -> SuiteConfig:
     tolerances = params.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("params.tolerances must be an object")
-    kwargs["tolerances"] = {k: float(v) for k, v in tolerances.items()}
     try:
+        kwargs["tolerances"] = {k: float(v) for k, v in tolerances.items()}
         return SuiteConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid validation config: {exc}") from exc

@@ -102,9 +102,6 @@ class SampledPath:
         object.__setattr__(self, "times", times)
 
 
-LagrangianPath = HamiltonianFamily | SampledPath
-
-
 # ---------------------------------------------------------------------------
 # Pointwise contraction cores
 # ---------------------------------------------------------------------------
@@ -168,13 +165,6 @@ def w_field(
     return tuple(ScalarField(gamma.grid, vals[..., a]) for a in range(gamma.grid.n))
 
 
-def _directional_derivative(
-    gamma: GraphLagrangian, w: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    grad = gradient_values(gamma.grid, values)
-    return np.einsum("...a,...a->...", w, grad)
-
-
 def cov_deriv_pair_values(
     gamma: GraphLagrangian,
     hj_values: np.ndarray,
@@ -235,7 +225,8 @@ def cov_deriv_along_path(
         ) / (2.0 * dt)
     gamma = build(path.model, path.potentials[index])
     w = w_field_values(gamma, phi_dot, tolerance)
-    vals = dh_dt + _directional_derivative(gamma, w, h_samples[index].values)
+    grad = gradient_values(gamma.grid, h_samples[index].values)
+    vals = dh_dt + np.einsum("...a,...a->...", w, grad)
     return ScalarField(gamma.grid, vals)
 
 
@@ -261,6 +252,16 @@ class GeodesicPath:
     def energy_drift(self) -> float:
         e0 = self.energies[0]
         return float(np.abs(self.energies - e0).max() / abs(e0)) if e0 != 0 else 0.0
+
+    def reversal_error(self, time: float) -> float:
+        """Sup distance from the start to where shooting back from the end with
+        the negated velocity lands after the forward ``time`` and step count."""
+        gamma_T = build(self.model, self.potentials[-1])
+        h_back = gamma_T.normalize(ScalarField(gamma_T.grid, -self.velocities[-1].values))
+        back = geodesic_shoot(gamma_T, h_back, time, len(self.times) - 1)
+        ret = back.potentials[-1].values - back.potentials[-1].values.mean()
+        start = self.potentials[0].values - self.potentials[0].values.mean()
+        return float(np.abs(ret - start).max())
 
 
 def geodesic_shoot(

@@ -113,11 +113,14 @@ def _weighted_trace(H: HermPoint, products: np.ndarray) -> float:
     return float(np.real(np.sum(H.base.weights * traces)))
 
 
-def herm_inner(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
-    """Metric sum_p w_p tr(H^{-1} xi H^{-1} eta)."""
-    a, b = _aligned(H, xi, eta)
+def _metric_raw(H: HermPoint, a: np.ndarray, b: np.ndarray) -> float:
     Hi = H.inverses()
     return _weighted_trace(H, Hi @ a @ Hi @ b)
+
+
+def herm_inner(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
+    """Metric sum_p w_p tr(H^{-1} xi H^{-1} eta)."""
+    return _metric_raw(H, *_aligned(H, xi, eta))
 
 
 def herm_curvature_quad(
@@ -208,11 +211,6 @@ def _shifted_point(H: HermPoint, direction: np.ndarray, amount: float) -> HermPo
             f"(min eigenvalue {eigs.min():.3e})"
         )
     return HermPoint(H.base, shifted)
-
-
-def _metric_raw(H: HermPoint, a: np.ndarray, b: np.ndarray) -> float:
-    Hi = H.inverses()
-    return _weighted_trace(H, Hi @ a @ Hi @ b)
 
 
 def herm_fd_riemann(

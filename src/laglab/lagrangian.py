@@ -129,24 +129,6 @@ class GraphLagrangian:
         )
         return 0.5 * np.einsum("...cd,...abd->...abc", self.inverse_metric, bracket)
 
-    # -- field views ----------------------------------------------------------
-
-    @property
-    def theta_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.theta)
-
-    @property
-    def rho_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.rho)
-
-    @property
-    def hessian_field(self) -> TensorField:
-        return TensorField(self.grid, 2, self.hess_phi, symmetric=True)
-
-    @property
-    def metric_field(self) -> TensorField:
-        return TensorField(self.grid, 2, self.metric, symmetric=True)
-
     # -- metric operations on raw value arrays --------------------------------
 
     def inner_values(self, a: np.ndarray, b: np.ndarray) -> float:

@@ -13,8 +13,8 @@ mutually rigid, so a sign flip that fixes one check breaks others loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field as dataclass_field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .connection import (
     w_field_values,
 )
 from .curvature import (
+    _drift_laplacian,
     flat_family_check,
     riemann_field_values,
     riemann_quad_values,
@@ -103,15 +104,7 @@ class CheckResult:
         return self.error_abs if self.measure == "abs" else self.error_rel
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "error_abs": self.error_abs,
-            "error_rel": self.error_rel,
-            "tolerance": self.tolerance,
-            "measure": self.measure,
-            "passed": self.passed,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def _result(
@@ -132,6 +125,15 @@ def _result(
         measure=measure,
         passed=bool(governing <= tolerance) and extra_ok,
         params=params,
+    )
+
+
+def _worst(trials: Sequence[CheckResult], extra_ok: bool = True, **params) -> CheckResult:
+    """The trial with the largest governing error, passing only if all trials did."""
+    worst = max(trials, key=lambda r: r.error)
+    return _result(
+        worst.name, worst.error_abs, worst.error_rel, worst.tolerance, worst.measure,
+        {**worst.params, **params}, extra_ok and all(r.passed for r in trials),
     )
 
 
@@ -197,6 +199,11 @@ def standard_base_points(
     ]
 
 
+def _cos_mode(grid: PeriodicGrid, wavevector: tuple[int, ...]) -> ScalarField:
+    """The unit-coefficient cosine mode with this wavevector."""
+    return sample(TrigPolynomial((TrigTerm(1.0, wavevector),)), grid)
+
+
 def _require_zero_section(gamma: GraphLagrangian, check: str):
     if np.abs(gamma.grad_phi).max() > 1e-13:
         raise ValueError(f"{check} requires a zero-section base point")
@@ -207,18 +214,19 @@ def _require_zero_section(gamma: GraphLagrangian, check: str):
 # ---------------------------------------------------------------------------
 
 
-def _dtheta_error(gamma: GraphLagrangian, h: ScalarField, delta: float) -> float:
-    model, grid = gamma.model, gamma.grid
-    theta_plus = build(model, ScalarField(grid, delta * h.values)).theta
-    theta_minus = build(model, ScalarField(grid, -delta * h.values)).theta
-    fd = (theta_plus - theta_minus) / (2.0 * delta)
-    lap = gamma.laplace_beltrami(h).values
-    grad_h = gradient_values(grid, h.values)
-    pairing = np.einsum(
-        "...ab,...a,...b->...", gamma.inverse_metric, gamma.grad_rho, grad_h
-    )
-    closed = lap - (grid.n / 2.0) * pairing / gamma.rho
-    return float(np.abs(fd - closed).max())
+def _richardson(
+    err_at: Callable[[float], float], delta: float, params: dict
+) -> tuple[float, bool]:
+    """Error at ``delta`` and whether halving the step cuts it about fourfold;
+    records ``error_half_delta`` and, above the roundoff floor, the ratio."""
+    err = err_at(delta)
+    err_half = err_at(delta / 2.0)
+    params["error_half_delta"] = err_half
+    if err_half <= RICHARDSON_FLOOR:
+        return err, True
+    ratio = err / err_half
+    params["richardson_ratio"] = ratio
+    return err, RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]
 
 
 def check_dtheta(
@@ -226,52 +234,37 @@ def check_dtheta(
     h: ScalarField,
     delta: float = 1e-4,
     tolerance: float = DEFAULT_TOLERANCES["dtheta"],
-    richardson: bool = True,
     label: str = "dtheta",
 ) -> CheckResult:
     """Angle derivative along the vertical flow vs its closed form.
 
-    Valid only at zero sections, where the vertical graph flow realizes the
-    parametrization hypothesis of the closed form (perpendicular fibers).
+    The closed form is the drift Laplacian the curvature field uses; the
+    oracle differentiates the angle of rebuilt graphs.  Valid only at zero
+    sections, where the vertical graph flow realizes the parametrization
+    hypothesis of the closed form (perpendicular fibers).
     """
     _require_zero_section(gamma, "check_dtheta")
-    err = _dtheta_error(gamma, h, delta)
-    grad_h = gradient_values(gamma.grid, h.values)
+    model, grid = gamma.model, gamma.grid
+    closed = _drift_laplacian(gamma, h.values)
+
+    def err_at(d: float) -> float:
+        theta_plus = build(model, ScalarField(grid, d * h.values)).theta
+        theta_minus = build(model, ScalarField(grid, -d * h.values)).theta
+        fd = (theta_plus - theta_minus) / (2.0 * d)
+        return float(np.abs(fd - closed).max())
+
+    grad_h = gradient_values(grid, h.values)
     rho_term = np.einsum(
         "...ab,...a,...b->...", gamma.inverse_metric, gamma.grad_rho, grad_h
-    ) * (gamma.grid.n / 2.0) / gamma.rho
+    ) * (grid.n / 2.0) / gamma.rho
     params = {
         "delta": delta,
-        "model_eps": gamma.model.twist_amplitude,
+        "model_eps": model.twist_amplitude,
         "rho_term_sup": float(np.abs(rho_term).max()),
     }
-    ratio_ok = True
-    if richardson:
-        err_half = _dtheta_error(gamma, h, delta / 2.0)
-        params["error_half_delta"] = err_half
-        if err_half > RICHARDSON_FLOOR:
-            ratio = err / err_half
-            params["richardson_ratio"] = ratio
-            ratio_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]
+    err, ratio_ok = _richardson(err_at, delta, params)
     theta_scale = max(np.abs(gamma.theta).max(), 1.0)
     return _result(label, err, err / theta_scale, tolerance, "abs", params, ratio_ok)
-
-
-def _metric_compat_error(
-    family: HamiltonianFamily, h: ScalarField, k: ScalarField, delta: float
-) -> float:
-    gamma_plus = family.gamma_at([delta])
-    gamma_minus = family.gamma_at([-delta])
-    fd = (
-        gamma_plus.inner_values(h.values, k.values)
-        - gamma_minus.inner_values(h.values, k.values)
-    ) / (2.0 * delta)
-    gamma0 = family.gamma_at([0.0])
-    w = w_field_values(gamma0, family.generators[0].values)
-    wh = np.einsum("...a,...a->...", w, gradient_values(gamma0.grid, h.values))
-    wk = np.einsum("...a,...a->...", w, gradient_values(gamma0.grid, k.values))
-    covariant = gamma0.inner_values(wh, k.values) + gamma0.inner_values(h.values, wk)
-    return abs(fd - covariant)
 
 
 def check_metric_compat(
@@ -280,23 +273,26 @@ def check_metric_compat(
     k: ScalarField,
     delta: float = 1e-3,
     tolerance: float = DEFAULT_TOLERANCES["metric_compat"],
-    richardson: bool = True,
     label: str = "metric_compat",
 ) -> CheckResult:
     """d/dt (h,k) against the covariant product rule, by central differences."""
     if len(family.generators) != 1:
         raise ValueError("metric compatibility check expects a one-parameter family")
-    err = _metric_compat_error(family, h, k, delta)
-    params = {"delta": delta, "model_eps": family.model.twist_amplitude}
-    ratio_ok = True
-    if richardson:
-        err_half = _metric_compat_error(family, h, k, delta / 2.0)
-        params["error_half_delta"] = err_half
-        if err_half > RICHARDSON_FLOOR:
-            ratio = err / err_half
-            params["richardson_ratio"] = ratio
-            ratio_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]
     gamma0 = family.gamma_at([0.0])
+    w = w_field_values(gamma0, family.generators[0].values)
+    wh = np.einsum("...a,...a->...", w, gradient_values(gamma0.grid, h.values))
+    wk = np.einsum("...a,...a->...", w, gradient_values(gamma0.grid, k.values))
+    covariant = gamma0.inner_values(wh, k.values) + gamma0.inner_values(h.values, wk)
+
+    def err_at(d: float) -> float:
+        fd = (
+            family.gamma_at([d]).inner_values(h.values, k.values)
+            - family.gamma_at([-d]).inner_values(h.values, k.values)
+        ) / (2.0 * d)
+        return abs(fd - covariant)
+
+    params = {"delta": delta, "model_eps": family.model.twist_amplitude}
+    err, ratio_ok = _richardson(err_at, delta, params)
     scale = max(abs(gamma0.inner_values(h.values, k.values)), 1.0)
     return _result(label, err, err / scale, tolerance, "abs", params, ratio_ok)
 
@@ -342,18 +338,6 @@ def _second_cov_deriv_fd(
     return fd + advect
 
 
-def _riemann_fd_values(
-    gamma: GraphLagrangian,
-    h: np.ndarray,
-    k: np.ndarray,
-    l: np.ndarray,
-    delta: float,
-) -> np.ndarray:
-    return _second_cov_deriv_fd(gamma, h, k, l, delta) - _second_cov_deriv_fd(
-        gamma, k, h, l, delta
-    )
-
-
 def check_r3_vs_fd(
     gamma: GraphLagrangian,
     h: ScalarField,
@@ -361,7 +345,6 @@ def check_r3_vs_fd(
     l: ScalarField,
     delta: float = 1e-3,
     tolerance: float = DEFAULT_TOLERANCES["r3_vs_fd"],
-    richardson: bool = True,
     label: str = "r3_vs_fd",
 ) -> CheckResult:
     """Curvature field against nested finite differences of the connection.
@@ -374,19 +357,12 @@ def check_r3_vs_fd(
     scale = max(1.0, float(np.abs(closed).max()))
 
     def err_at(d: float) -> float:
-        fd = _riemann_fd_values(gamma, h.values, k.values, l.values, d)
-        return float(np.abs(fd - closed).max()) / scale
+        d_hk = _second_cov_deriv_fd(gamma, h.values, k.values, l.values, d)
+        d_kh = _second_cov_deriv_fd(gamma, k.values, h.values, l.values, d)
+        return float(np.abs(d_hk - d_kh - closed).max()) / scale
 
-    err = err_at(delta)
     params = {"delta": delta, "model_eps": gamma.model.twist_amplitude, "scale": scale}
-    ratio_ok = True
-    if richardson:
-        err_half = err_at(delta / 2.0)
-        params["error_half_delta"] = err_half
-        if err_half > RICHARDSON_FLOOR:
-            ratio = err / err_half
-            params["richardson_ratio"] = ratio
-            ratio_ok = RICHARDSON_WINDOW[0] <= ratio <= RICHARDSON_WINDOW[1]
+    err, ratio_ok = _richardson(err_at, delta, params)
     return _result(label, err, err, tolerance, "abs", params, ratio_ok)
 
 
@@ -481,6 +457,27 @@ class SuiteConfig:
     geodesic_steps: int = 100
     tolerances: dict = dataclass_field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("quadruples", "fd_triples", "sectional_samples", "mirror_samples",
+                     "rho_points", "geodesic_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.geodesic_time > 0:
+            raise ValueError(f"geodesic_time must be positive, got {self.geodesic_time}")
+        try:
+            PeriodicGrid(2, self.grid_points, self.period)
+        except ValueError as exc:
+            raise ValueError(f"grid_points: {exc}") from exc
+        AlmostCYModel(2, self.period, self.twist_amplitude, self.twist_mode)
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(
+                f"unknown tolerance name {unknown[0]!r}; known names: "
+                + ", ".join(DEFAULT_TOLERANCES)
+            )
+
     def tolerance(self, name: str) -> float:
         if name in self.tolerances:
             return float(self.tolerances[name])
@@ -506,8 +503,8 @@ class SuiteReport:
 def _suite_sectional_spot(cfg: SuiteConfig, bases: dict) -> CheckResult:
     gamma = bases["flat_zero"]
     grid = gamma.grid
-    h = gamma.normalize(sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid))
-    k = gamma.normalize(sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid))
+    h = gamma.normalize(_cos_mode(grid, (1, 0)))
+    k = gamma.normalize(_cos_mode(grid, (0, 1)))
     value = sectional(gamma, h, k)
     expected = -1.0 / (4.0 * np.pi**2)
     err_abs = abs(value - expected)
@@ -525,24 +522,17 @@ def _suite_sectional_spot(cfg: SuiteConfig, bases: dict) -> CheckResult:
 def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     out = []
     for name, gamma in bases.items():
-        worst = None
+        trials = []
         for trial in range(cfg.quadruples):
             fields = [
                 gamma.normalize_values(_random_field(rng, gamma.grid).values)
                 for _ in range(4)
             ]
-            res = check_r3_r4_pairing(
+            trials.append(check_r3_r4_pairing(
                 gamma, *fields, tolerance=cfg.tolerance("r3_r4_pairing"),
                 label=f"r3_r4_pairing[{name}]",
-            )
-            if worst is None or res.error_rel > worst.error_rel:
-                worst = res
-        params = dict(worst.params)
-        params["quadruples"] = cfg.quadruples
-        out.append(
-            _result(worst.name, worst.error_abs, worst.error_rel, worst.tolerance,
-                    "rel", params)
-        )
+            ))
+        out.append(_worst(trials, quadruples=cfg.quadruples))
     return out
 
 
@@ -563,22 +553,15 @@ def _suite_fd_curvature(cfg: SuiteConfig, bases: dict, rng: np.random.Generator)
             trials.append(res)
             if "richardson_ratio" in res.params:
                 ratios.append(res.params["richardson_ratio"])
-        worst = max(trials, key=lambda r: r.error_abs)
-        params = dict(worst.params)
-        params["triples"] = cfg.fd_triples
-        if ratios:
-            params["richardson_ratio_range"] = [min(ratios), max(ratios)]
-        out.append(
-            _result(worst.name, worst.error_abs, worst.error_rel, worst.tolerance,
-                    "abs", params, all(r.passed for r in trials))
-        )
+        extra = {"richardson_ratio_range": [min(ratios), max(ratios)]} if ratios else {}
+        out.append(_worst(trials, triples=cfg.fd_triples, **extra))
     return out
 
 
 def _suite_dtheta(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     out = []
     grid = bases["flat_zero"].grid
-    h_main = sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid)
+    h_main = _cos_mode(grid, (1, 0))
     for name in ("flat_zero", "twisted_zero"):
         gamma = bases[name]
         results = [
@@ -587,54 +570,39 @@ def _suite_dtheta(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
             check_dtheta(gamma, _random_field(rng, grid), cfg.delta_dtheta,
                          cfg.tolerance("dtheta"), label=f"dtheta[{name}]"),
         ]
-        worst = max(results, key=lambda r: r.error_abs)
-        params = dict(worst.params)
         # The twist term must be genuinely exercised for the x1 mode.
-        params["rho_term_sup"] = results[0].params["rho_term_sup"]
-        extra_ok = all(r.passed for r in results)
-        if name == "twisted_zero":
-            extra_ok = extra_ok and params["rho_term_sup"] >= 1e-3
-        out.append(
-            _result(worst.name, worst.error_abs, worst.error_rel, worst.tolerance,
-                    "abs", params, extra_ok)
-        )
+        rho_term_sup = results[0].params["rho_term_sup"]
+        exercised = name != "twisted_zero" or rho_term_sup >= 1e-3
+        out.append(_worst(results, exercised, rho_term_sup=rho_term_sup))
     return out
 
 
-def _suite_levi_civita(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckResult]:
-    grid = PeriodicGrid(2, cfg.grid_points, cfg.period)
-    flat = AlmostCYModel(2, cfg.period)
-    twisted = AlmostCYModel(2, cfg.period, cfg.twist_amplitude, cfg.twist_mode)
-    zero = constant_field(grid)
-    generic = sample(GENERIC_POTENTIAL, grid)
-    cos1 = sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid)
-    cos2 = sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid)
+def _suite_levi_civita(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
+    flat_zero, twisted_generic = bases["flat_zero"], bases["twisted_generic"]
+    grid = flat_zero.grid
+    cos2 = _cos_mode(grid, (0, 1))
 
     compat = []
     compat.append(
         check_metric_compat(
-            HamiltonianFamily(flat, zero, (cos1,)), cos2, cos2,
+            HamiltonianFamily(flat_zero.model, flat_zero.phi, (_cos_mode(grid, (1, 0)),)),
+            cos2, cos2,
             cfg.delta_fd, cfg.tolerance("metric_compat"), label="metric_compat[flat]",
         )
     )
     gen_dir = _random_field(rng, grid)
     compat.append(
         check_metric_compat(
-            HamiltonianFamily(twisted, generic, (gen_dir,)),
+            HamiltonianFamily(twisted_generic.model, twisted_generic.phi, (gen_dir,)),
             _random_field(rng, grid), _random_field(rng, grid),
             cfg.delta_fd, cfg.tolerance("metric_compat"), label="metric_compat[twisted]",
         )
     )
 
     torsion = []
-    for label, model, base in (
-        ("flat_zero", flat, zero),
-        ("twisted_zero", twisted, zero),
-        ("flat_generic", flat, generic),
-        ("twisted_generic", twisted, generic),
-    ):
+    for label, gamma in bases.items():
         family = HamiltonianFamily(
-            model, base, (_random_field(rng, grid), _random_field(rng, grid))
+            gamma.model, gamma.phi, (_random_field(rng, grid), _random_field(rng, grid))
         )
         torsion.append(
             check_torsion_free(family, (0.0, 0.0),
@@ -649,28 +617,38 @@ def _suite_levi_civita(cfg: SuiteConfig, rng: np.random.Generator) -> list[Check
     return compat + torsion
 
 
-def _suite_sectional_nonpositive(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> CheckResult:
-    gammas = list(bases.values())
+def _nonpositive(
+    cfg: SuiteConfig, name: str, samples: int, draw: Callable[[int], float]
+) -> CheckResult:
+    """Largest of ``samples`` sectional curvatures ``draw(i)``, i = 0, 1, ...;
+    a degenerate plane is redrawn, within 10 * ``samples`` attempts."""
     max_val = -np.inf
     drawn = 0
     attempts = 0
-    while drawn < cfg.sectional_samples and attempts < 10 * cfg.sectional_samples:
+    while drawn < samples and attempts < 10 * samples:
         attempts += 1
-        gamma = gammas[drawn % len(gammas)]
-        h = gamma.normalize(_random_field(rng, gamma.grid))
-        k = gamma.normalize(_random_field(rng, gamma.grid))
         try:
-            val = sectional(gamma, h, k)
+            max_val = max(max_val, draw(drawn))
         except DegeneratePlane:
             continue
-        max_val = max(max_val, val)
         drawn += 1
-    tol = cfg.tolerance("sectional_nonpositive")
     err = max(max_val, 0.0)
     return _result(
-        "sectional_nonpositive", err, err, tol, "abs",
+        name, err, err, cfg.tolerance(name), "abs",
         {"samples": drawn, "max_sectional": max_val},
     )
+
+
+def _suite_sectional_nonpositive(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> CheckResult:
+    gammas = list(bases.values())
+
+    def draw(i: int) -> float:
+        gamma = gammas[i % len(gammas)]
+        h = gamma.normalize(_random_field(rng, gamma.grid))
+        k = gamma.normalize(_random_field(rng, gamma.grid))
+        return sectional(gamma, h, k)
+
+    return _nonpositive(cfg, "sectional_nonpositive", cfg.sectional_samples, draw)
 
 
 def _suite_flat_families(cfg: SuiteConfig, bases: dict) -> list[CheckResult]:
@@ -722,20 +700,12 @@ def _suite_dimension_one(cfg: SuiteConfig, rng: np.random.Generator) -> CheckRes
     )
 
 
-def _suite_geodesic(cfg: SuiteConfig) -> list[CheckResult]:
-    grid = PeriodicGrid(2, cfg.grid_points, cfg.period)
-    flat = AlmostCYModel(2, cfg.period)
-    gamma0 = build(flat, constant_field(grid))
-    h0 = gamma0.normalize(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), grid))
+def _suite_geodesic(cfg: SuiteConfig, bases: dict) -> list[CheckResult]:
+    gamma0 = bases["flat_zero"]
+    h0 = gamma0.normalize(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), gamma0.grid))
     forward = geodesic_shoot(gamma0, h0, cfg.geodesic_time, cfg.geodesic_steps)
     drift = forward.energy_drift()
-
-    gamma_T = build(flat, forward.potentials[-1])
-    h_back = gamma_T.normalize(ScalarField(grid, -forward.velocities[-1].values))
-    backward = geodesic_shoot(gamma_T, h_back, cfg.geodesic_time, cfg.geodesic_steps)
-    ret = backward.potentials[-1].values - backward.potentials[-1].values.mean()
-    start = forward.potentials[0].values - forward.potentials[0].values.mean()
-    reversal = float(np.abs(ret - start).max())
+    reversal = forward.reversal_error(cfg.geodesic_time)
 
     return [
         _result("geodesic_energy", drift, drift,
@@ -821,26 +791,16 @@ def _suite_mirror(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckResul
     )
 
     # Non-positivity across random pairs.
-    max_k = -np.inf
-    drawn = 0
-    while drawn < cfg.mirror_samples:
+    def draw(i: int) -> float:
         dim = int(rng.integers(2, 4))
         npts = int(rng.integers(1, 5))
         base = HermBase(rng.uniform(0.5, 2.0, size=npts))
         H = random_point(rng, base, dim)
         xi = random_tangent(rng, base, dim)
         eta = random_tangent(rng, base, dim)
-        try:
-            max_k = max(max_k, herm_sectional(H, xi, eta))
-        except DegeneratePlane:
-            continue
-        drawn += 1
-    err = max(max_k, 0.0)
-    out.append(
-        _result("mirror_nonpositive", err, err,
-                cfg.tolerance("mirror_nonpositive"), "abs",
-                {"samples": drawn, "max_sectional": max_k}),
-    )
+        return herm_sectional(H, xi, eta)
+
+    out.append(_nonpositive(cfg, "mirror_nonpositive", cfg.mirror_samples, draw))
 
     # Pauli plane at the identity: closed form vs the FD oracle.
     base = HermBase(np.array([1.0]))
@@ -904,14 +864,14 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     results.extend(_suite_pairing(cfg, bases, rng))
     results.extend(_suite_fd_curvature(cfg, bases, rng))
     results.extend(_suite_dtheta(cfg, bases, rng))
-    results.extend(_suite_levi_civita(cfg, rng))
+    results.extend(_suite_levi_civita(cfg, bases, rng))
     grid = bases["flat_zero"].grid
     results.append(
         check_dijk_zero_section(
             bases["flat_zero"],
-            sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid),
-            sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid),
-            sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid),
+            _cos_mode(grid, (1, 0)),
+            _cos_mode(grid, (0, 1)),
+            _cos_mode(grid, (0, 1)),
             delta=cfg.delta_fd,
             tolerance=cfg.tolerance("dijk_zero_section"),
         )
@@ -919,7 +879,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     results.append(_suite_sectional_nonpositive(cfg, bases, rng))
     results.extend(_suite_flat_families(cfg, bases))
     results.append(_suite_dimension_one(cfg, rng))
-    results.extend(_suite_geodesic(cfg))
+    results.extend(_suite_geodesic(cfg, bases))
     results.extend(_suite_model_consistency(cfg, bases, rng))
     results.extend(_suite_tensor_structure(cfg, bases, rng))
     results.extend(_suite_mirror(cfg, rng))

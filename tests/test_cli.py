@@ -381,6 +381,57 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
 
 
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        ({"quadruples": 0}, "quadruples"),
+        ({"fd_triples": 0}, "fd_triples"),
+        ({"sectional_samples": 0}, "sectional_samples"),
+        ({"geodesic_steps": 0}, "geodesic_steps"),
+        ({"geodesic_time": 0}, "geodesic_time"),
+        ({"grid": 12}, "grid_points"),
+        ({"seed": -1}, "seed"),
+        ({"twist_amplitude": 1.5}, "twist amplitude"),
+        ({"tolerances": {"bogus_check": 1.0}}, "bogus_check"),
+        ({"tolerances": {"dtheta": "tight"}}, "tight"),
+    ],
+)
+def test_validate_bad_params_exit_2(tmp_path, capsys, command, params, named):
+    cfg = write_config(tmp_path, "bad_val.json", {"job": "validate", "params": params})
+    out = tmp_path / "bad_val_report.json"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not out.exists()
+
+
+def test_validate_unknown_tolerance_lists_known_names(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "tol.json", {"job": "validate", "params": {"tolerances": {"bogus_check": 1.0}}}
+    )
+    assert main(["describe", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "r3_vs_fd" in err and "mirror_sign_consistency" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--grid", "12"], "grid_points"),
+        (["--grid", "4"], "grid_points"),
+        (["--grid", "0"], "grid_points"),
+        (["--seed", "-1"], "seed"),
+    ],
+)
+def test_validate_subcommand_bad_flags_exit_2(tmp_path, capsys, flags, named):
+    out = tmp_path / "v.json"
+    assert main(["validate", *flags, "-o", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mirror_job(tmp_path):
     sigma_x = [[0, 1], [1, 0]]
     sigma_y = [[0, [0, -1]], [[0, 1], 0]]

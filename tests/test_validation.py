@@ -6,7 +6,11 @@ import pytest
 from laglab.connection import HamiltonianFamily
 from laglab.torus import field_from_function, sample
 from laglab.validation import (
+    RICHARDSON_FLOOR,
     SuiteConfig,
+    _richardson,
+    _result,
+    _worst,
     check_dijk_zero_section,
     check_dtheta,
     check_metric_compat,
@@ -168,3 +172,107 @@ def test_suite_report_serializable():
 
     payload = json.dumps(doc)
     assert "all_passed" in json.loads(payload)
+
+
+BASES = ("flat_zero", "twisted_zero", "flat_generic", "twisted_generic")
+
+BATTERY = [
+    "sectional_spot",
+    *(f"r3_r4_pairing[{b}]" for b in BASES),
+    *(f"r3_vs_fd[{b}]" for b in BASES),
+    "dtheta[flat_zero]",
+    "dtheta[twisted_zero]",
+    "metric_compat[flat]",
+    "metric_compat[twisted]",
+    *(name for b in BASES for name in (f"torsion_free[{b}]", f"torsion_free[{b},t!=0]")),
+    "dijk_zero_section",
+    "sectional_nonpositive",
+    "flat_family[flat_zero]",
+    "flat_family[twisted_zero]",
+    "dimension_one",
+    "geodesic_energy",
+    "geodesic_reversal",
+    "rho_consistency",
+    "lagang_identity",
+    "mean_zero_residual",
+    "bianchi",
+    "mirror_commuting",
+    "mirror_nonpositive",
+    "mirror_pauli_fd",
+    "mirror_sign_consistency",
+]
+
+
+def test_battery_shape():
+    """The battery runs every check, in order, with its aggregate parameters."""
+    report = run_suite(SMALL)
+    assert len(BATTERY) == 36
+    assert [r.name for r in report.results] == BATTERY
+    params = {r.name: r.params for r in report.results}
+    for base in BASES:
+        assert params[f"r3_r4_pairing[{base}]"]["quadruples"] == SMALL.quadruples
+        fd = params[f"r3_vs_fd[{base}]"]
+        assert fd["triples"] == SMALL.fd_triples
+        low, high = fd["richardson_ratio_range"]
+        assert low <= fd["richardson_ratio"] <= high
+    assert params["dtheta[twisted_zero]"]["rho_term_sup"] >= 1e-3
+    assert "rho_term_sup" in params["dtheta[flat_zero]"]
+
+
+def test_richardson_second_order_passes():
+    params = {}
+    err, ok = _richardson(lambda d: d**2, 1e-2, params)
+    assert ok
+    assert err == pytest.approx(1e-4)
+    assert params["error_half_delta"] == pytest.approx(2.5e-5)
+    assert params["richardson_ratio"] == pytest.approx(4.0)
+
+
+def test_richardson_first_order_fails():
+    params = {}
+    err, ok = _richardson(lambda d: d, 1e-2, params)
+    assert not ok
+    assert err == pytest.approx(1e-2)
+    assert params["richardson_ratio"] == pytest.approx(2.0)
+
+
+def test_richardson_below_floor_is_not_judged():
+    params = {}
+    # First order, so the ratio would fail if it were judged.
+    err, ok = _richardson(lambda d: RICHARDSON_FLOOR * d, 1.0, params)
+    assert ok
+    assert err == pytest.approx(RICHARDSON_FLOOR)
+    assert params["error_half_delta"] == pytest.approx(0.5 * RICHARDSON_FLOOR)
+    assert "richardson_ratio" not in params
+
+
+def test_worst_fails_when_a_milder_trial_failed():
+    largest = _result("check", 1e-3, 1e-3, 1e-2, "abs", {"trial": 0})
+    failed = _result("check", 1e-4, 1e-4, 1e-2, "abs", {"trial": 1}, extra_ok=False)
+    assert largest.passed and not failed.passed
+    agg = _worst([largest, failed], count=2)
+    assert agg.error_abs == 1e-3
+    assert agg.params == {"trial": 0, "count": 2}
+    assert not agg.passed
+    assert _worst([largest, largest]).passed
+    assert not _worst([largest], extra_ok=False).passed
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"quadruples": 0}, "quadruples"),
+        ({"fd_triples": 0}, "fd_triples"),
+        ({"sectional_samples": 0}, "sectional_samples"),
+        ({"mirror_samples": 0}, "mirror_samples"),
+        ({"rho_points": 0}, "rho_points"),
+        ({"geodesic_steps": 0}, "geodesic_steps"),
+        ({"grid_points": 12}, "grid_points"),
+        ({"seed": -1}, "seed"),
+        ({"geodesic_time": 0.0}, "geodesic_time"),
+        ({"tolerances": {"bogus_check": 1.0}}, "bogus_check"),
+    ],
+)
+def test_suite_config_rejects(change, named):
+    with pytest.raises(ValueError, match=named):
+        dataclasses.replace(SMALL, **change)
