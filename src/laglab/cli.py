@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,13 +26,7 @@ import numpy as np
 from . import __version__
 from .ambient import CONVENTIONS, AlmostCYModel
 from .connection import geodesic_shoot
-from .curvature import (
-    mean_zero_residual,
-    riemann_field,
-    riemann_quad,
-    sectional,
-    sectional_matrix,
-)
+from .curvature import curvature_report, sectional, sectional_matrix
 from .errors import (
     BandLimitExceeded,
     ConfigError,
@@ -99,6 +94,25 @@ def _require(cfg: dict, key: str, kind=None):
     return value
 
 
+def _integer(value, where: str) -> int:
+    """A config integer: a JSON integer or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _number(value, where: str) -> float:
+    """A config number: a finite JSON number, not a boolean."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
     """Parse a list of trig terms and check it against the grid's band limit."""
     if not isinstance(raw, list):
@@ -108,9 +122,9 @@ def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: term {i} is not an object")
         try:
-            coeff = float(item["coefficient"])
-            wave = tuple(int(v) for v in item["wavevector"])
-        except (KeyError, TypeError, ValueError) as exc:
+            coeff = _number(item["coefficient"], f"{where}: term {i} coefficient")
+            wave = tuple(_integer(v, f"{where}: term {i} wavevector") for v in item["wavevector"])
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"{where}: term {i} malformed: {exc}") from exc
         phase = item.get("phase", "cos")
         if phase not in ("cos", "sin"):
@@ -148,25 +162,22 @@ class ExperimentConfig:
 
     def _parse_geometry(self, raw: dict):
         model_raw = _require(raw, "model", dict)
+        n = _integer(model_raw.get("n", 2), "model.n")
+        period = _number(model_raw.get("period", 2.0 * np.pi), "model.period")
+        twist_amplitude = _number(model_raw.get("twist_amplitude", 0.0), "model.twist_amplitude")
+        twist_mode = _integer(model_raw.get("twist_mode", 1), "model.twist_mode")
         try:
-            self.model = AlmostCYModel(
-                n=int(model_raw.get("n", 2)),
-                period=float(model_raw.get("period", 2.0 * np.pi)),
-                twist_amplitude=float(model_raw.get("twist_amplitude", 0.0)),
-                twist_mode=int(model_raw.get("twist_mode", 1)),
-            )
+            self.model = AlmostCYModel(n, period, twist_amplitude, twist_mode)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
 
         grid_raw = raw.get("grid", {"points": 64})
-        if isinstance(grid_raw, int):
-            points = grid_raw
-        elif isinstance(grid_raw, dict):
-            points = grid_raw.get("points", 64)
+        if isinstance(grid_raw, dict):
+            points = _integer(grid_raw.get("points", 64), "grid.points")
         else:
-            raise ConfigError("'grid' must be an integer or an object with 'points'")
+            points = _integer(grid_raw, "grid")
         try:
-            self.grid = PeriodicGrid(self.model.n, int(points), self.model.period)
+            self.grid = PeriodicGrid(self.model.n, points, self.model.period)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid grid: {exc}") from exc
 
@@ -184,7 +195,7 @@ class ExperimentConfig:
             if required:
                 raise ConfigError(f"job {self.job!r} requires params.{key}")
             return None
-        if name not in self.functions:
+        if not isinstance(name, str) or name not in self.functions:
             raise ConfigError(f"params.{key} = {name!r} does not name a function")
         return name
 
@@ -285,21 +296,21 @@ def _job_curvature(cfg: ExperimentConfig) -> dict:
     k = cfg.tangent(gamma, cfg.resolve("k"))
     l = cfg.tangent(gamma, cfg.resolve("l"))
     m_name = cfg.resolve("m", required=False)
-    r = riemann_field(gamma, h, k, l)
-    residual, scale = mean_zero_residual(r)
+    m = cfg.tangent(gamma, m_name) if m_name is not None else None
+    report = curvature_report(gamma, h, k, l, m)
+    r = report.r_field.values
     out = {
         "margin": gamma.margin,
-        "mean_zero_residual": residual,
-        "mean_zero_scale": scale,
-        "riemann_sup": float(np.abs(r.values).max()),
+        "mean_zero_residual": report.diagnostics["mean_zero_residual"],
+        "mean_zero_scale": report.diagnostics["mean_zero_scale"],
+        "riemann_sup": float(np.abs(r).max()),
     }
-    if m_name is not None:
-        m = cfg.tangent(gamma, m_name)
-        out["quad_r3"] = gamma.inner_values(r.values, m.values)
-        out["quad_r4"] = riemann_quad(gamma, h, k, l, m)
+    if m is not None:
+        out["quad_r3"] = report.quad_r3
+        out["quad_r4"] = report.quad_r4
     if cfg.params.get("include_field", True):
-        out["riemann_field"] = [float(v) for v in r.values.ravel()]
-        out["field_shape"] = list(r.values.shape)
+        out["riemann_field"] = [float(v) for v in r.ravel()]
+        out["field_shape"] = list(r.shape)
     return out
 
 
@@ -338,12 +349,20 @@ def _job_scan(cfg: ExperimentConfig, csv_path: Path | None) -> dict:
     return {"pairs": rows, "csv": str(csv_path) if csv_path else None}
 
 
+def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int]:
+    """The initial velocity's name, the time and the step count of a geodesic job."""
+    h0_name = cfg.resolve("h0")
+    total_time = _number(cfg.params.get("time", 0.1), "params.time")
+    steps = _integer(cfg.params.get("steps", 100), "params.steps")
+    if steps < 1:
+        raise ConfigError(f"params.steps must be at least 1, got {steps}")
+    return h0_name, total_time, steps
+
+
 def _job_geodesic(cfg: ExperimentConfig) -> dict:
+    h0_name, total_time, steps = _geodesic_params(cfg)
     gamma = cfg.build_gamma()
-    h0 = cfg.tangent(gamma, cfg.resolve("h0"))
-    total_time = float(cfg.params.get("time", 0.1))
-    steps = int(cfg.params.get("steps", 100))
-    path = geodesic_shoot(gamma, h0, total_time, steps)
+    path = geodesic_shoot(gamma, cfg.tangent(gamma, h0_name), total_time, steps)
     out = {
         "time": total_time,
         "steps": steps,
@@ -360,29 +379,25 @@ def _job_geodesic(cfg: ExperimentConfig) -> dict:
 def _suite_config_from_params(params: dict) -> SuiteConfig:
     kwargs = {}
     mapping = {
-        "seed": int,
-        "grid": int,
-        "quadruples": int,
-        "fd_triples": int,
-        "sectional_samples": int,
-        "mirror_samples": int,
-        "rho_points": int,
-        "twist_amplitude": float,
-        "geodesic_steps": int,
-        "geodesic_time": float,
+        "seed": _integer,
+        "grid": _integer,
+        "quadruples": _integer,
+        "fd_triples": _integer,
+        "sectional_samples": _integer,
+        "mirror_samples": _integer,
+        "rho_points": _integer,
+        "twist_amplitude": _number,
+        "geodesic_steps": _integer,
+        "geodesic_time": _number,
     }
     for key, conv in mapping.items():
         if key in params:
-            target = "grid_points" if key == "grid" else key
-            try:
-                kwargs[target] = conv(params[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"params.{key}: {exc}") from exc
+            kwargs["grid_points" if key == "grid" else key] = conv(params[key], f"params.{key}")
     tolerances = params.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("params.tolerances must be an object")
+    kwargs["tolerances"] = {k: _number(v, f"params.tolerances.{k}") for k, v in tolerances.items()}
     try:
-        kwargs["tolerances"] = {k: float(v) for k, v in tolerances.items()}
         return SuiteConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid validation config: {exc}") from exc
@@ -400,23 +415,38 @@ def _job_validate(params: dict) -> tuple[dict, bool]:
     return payload, report.all_passed
 
 
-def _job_mirror(params: dict) -> tuple[dict, bool]:
+def _mirror_inputs(params: dict) -> tuple:
+    """(H, xi, eta, zeta, lambda, delta, tolerance) of a mirror job; zeta
+    defaults to eta and lambda to xi."""
     weights = params.get("weights", [1.0])
     if not isinstance(weights, list) or not weights:
         raise ConfigError("params.weights must be a nonempty list")
-    base = HermBase(np.asarray([float(w) for w in weights]))
-    H = HermPoint(base, parse_matrix_family(_require(params, "H"), "params.H"))
-    xi = HermTangent(base, parse_matrix_family(_require(params, "xi"), "params.xi"))
-    eta = HermTangent(base, parse_matrix_family(_require(params, "eta"), "params.eta"))
-    zeta = eta
-    lam = xi
-    if "zeta" in params:
-        zeta = HermTangent(base, parse_matrix_family(params["zeta"], "params.zeta"))
-    if "lambda" in params:
-        lam = HermTangent(base, parse_matrix_family(params["lambda"], "params.lambda"))
-    delta = float(params.get("delta", 1e-3))
-    tolerance = float(params.get("tolerance", 1e-4))
+    values = [_number(w, f"params.weights[{i}]") for i, w in enumerate(weights)]
+    try:
+        base = HermBase(np.asarray(values))
+    except ValueError as exc:
+        raise ConfigError(f"params.weights: {exc}") from exc
 
+    def family(kind, key: str):
+        try:
+            return kind(base, parse_matrix_family(_require(params, key), f"params.{key}"))
+        except ValueError as exc:
+            raise ConfigError(f"params.{key}: {exc}") from exc
+
+    H, xi, eta = family(HermPoint, "H"), family(HermTangent, "xi"), family(HermTangent, "eta")
+    zeta = family(HermTangent, "zeta") if "zeta" in params else eta
+    lam = family(HermTangent, "lambda") if "lambda" in params else xi
+    delta = _number(params.get("delta", 1e-3), "params.delta")
+    if delta <= 0:
+        raise ConfigError(f"params.delta must be positive, got {delta}")
+    tolerance = _number(params.get("tolerance", 1e-4), "params.tolerance")
+    if tolerance < 0:
+        raise ConfigError(f"params.tolerance must be non-negative, got {tolerance}")
+    return H, xi, eta, zeta, lam, delta, tolerance
+
+
+def _job_mirror(params: dict) -> tuple[dict, bool]:
+    H, xi, eta, zeta, lam, delta, tolerance = _mirror_inputs(params)
     corrected = herm_curvature_quad(H, xi, eta, zeta, lam)
     literal = herm_curvature_quad(H, xi, eta, zeta, lam, literal=True)
     fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta)
@@ -528,18 +558,14 @@ def cmd_describe(args) -> int:
         count = len(cfg.scan_pairs())
         lines.append(f"plan: sectional scan over {count} pair(s), CSV + JSON output")
     elif cfg.job == "geodesic":
-        lines.append(
-            f"plan: shoot from {cfg.resolve('h0')} for T={cfg.params.get('time', 0.1)} "
-            f"in {cfg.params.get('steps', 100)} steps"
-        )
+        h0_name, total_time, steps = _geodesic_params(cfg)
+        lines.append(f"plan: shoot from {h0_name} for T={total_time} in {steps} steps")
     elif cfg.job == "validate":
         suite_cfg = _suite_config_from_params(cfg.params)
         lines.append(f"plan: validation battery, seed={suite_cfg.seed}, "
                      f"grid={suite_cfg.grid_points}")
     elif cfg.job == "mirror":
-        _require(cfg.params, "H")
-        _require(cfg.params, "xi")
-        _require(cfg.params, "eta")
+        _mirror_inputs(cfg.params)
         lines.append("plan: matrix-model curvature with finite-difference oracle")
     print("\n".join(lines))
     return 0

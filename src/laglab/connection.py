@@ -9,7 +9,8 @@ where Omega~ is the pullback of Omega to the graph.  Writing B for the
 holomorphic frame matrix (columns dz(df e_a) = delta - i Hess phi) and E for
 the twist density e^{g(z)}, Cramer's rule on the top-form components gives
 
-    w_a = -Re( E * det(B with column a replaced by -i grad h) ) / Re(E det B).
+    w_a = -Re( E * det(B with column a replaced by -i grad h) ) / Re(E det B)
+        = -Im( E * det(B with column a replaced by grad h) ) / Re(E det B).
 
 Expanding that determinant along the replaced column a gives the cofactors
 of column a of B, i.e. row a of the adjugate:
@@ -20,9 +21,10 @@ so all n determinants are one contraction with adj B, which every
 GraphLagrangian caches.
 
 The coordinate covariant derivative D_{h}k along a fiberwise Hamiltonian
-family is the same contraction with the horizontal vector (grad h, 0) and
-the imaginary part; both reduce to -tan(theta) <grad h, grad k> wherever the
-fibers meet the Lagrangian perpendicularly (any zero section).
+family contracts grad k with the same numerator Im(E adj(B) grad h), so
+the w-field and the covariant derivative share one implementation of it.
+Both reduce to -tan(theta) <grad h, grad k> wherever the fibers meet the
+Lagrangian perpendicularly (any zero section).
 
 Geodesics solve phi_tt = -w(phi, phi_t) . grad(phi_t) and are integrated
 with a classical fourth-order one-step method; velocities are renormalized
@@ -107,10 +109,12 @@ class SampledPath:
 # ---------------------------------------------------------------------------
 
 
-def _cramer_values(gamma: GraphLagrangian, vec: np.ndarray) -> np.ndarray:
-    """E * det(B with column a replaced by vec) for every a, as E * adj(B) vec."""
-    cols = np.einsum("...ab,...b->...a", gamma._adj_B, vec)
-    return gamma._twist_density[..., None] * cols
+def _cramer_numerator(gamma: GraphLagrangian, vec: np.ndarray) -> np.ndarray:
+    """Im(E * det(B with column a replaced by vec)) for every a, as
+    Im(E * adj(B) vec), for a real vector field ``vec``."""
+    # Cast first: a complex-by-real einsum takes over twice as long (64^2 grid).
+    cols = np.einsum("...ab,...b->...a", gamma._adj_B, vec.astype(complex))
+    return np.imag(gamma._twist_density[..., None] * cols)
 
 
 def _re_density(gamma: GraphLagrangian, tolerance: float) -> np.ndarray:
@@ -138,7 +142,7 @@ def w_field_values(
     density = _re_density(gamma, tolerance)
     if grad_h is None:
         grad_h = gradient_values(gamma.grid, h_values)
-    return -np.real(_cramer_values(gamma, -1j * grad_h)) / density[..., None]
+    return -_cramer_numerator(gamma, grad_h) / density[..., None]
 
 
 def w_field(
@@ -175,7 +179,7 @@ def cov_deriv_pair_values(
     density = _re_density(gamma, tolerance)
     grad_j = gradient_values(gamma.grid, hj_values)
     grad_k = gradient_values(gamma.grid, hk_values)
-    comp = np.imag(_cramer_values(gamma, grad_j))
+    comp = _cramer_numerator(gamma, grad_j)
     return -np.einsum("...a,...a->...", grad_k, comp) / density
 
 
@@ -245,9 +249,6 @@ class GeodesicPath:
     potentials: tuple[ScalarField, ...]
     velocities: tuple[ScalarField, ...]
     energies: np.ndarray
-
-    def as_sampled_path(self) -> SampledPath:
-        return SampledPath(self.model, self.times, self.potentials, self.velocities)
 
     def energy_drift(self) -> float:
         e0 = self.energies[0]

@@ -46,14 +46,10 @@ def _require_margin(gamma: GraphLagrangian, threshold: float):
         )
 
 
-def _drift_laplacian(gamma: GraphLagrangian, values: np.ndarray) -> np.ndarray:
-    """Lap h - (n / 2 rho) <dh, d rho> (nonnegative-Laplacian convention)."""
-    lap = gamma.laplace_beltrami(ScalarField(gamma.grid, values)).values
-    grad_h = gradient_values(gamma.grid, values)
-    pairing = np.einsum(
-        "...ab,...a,...b->...", gamma.inverse_metric, grad_h, gamma.grad_rho
-    )
-    return lap - (gamma.grid.n / 2.0) * pairing / gamma.rho
+def _drift_laplacian(gamma: GraphLagrangian, grad: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """Lap h - (n / 2 rho) <dh, d rho> from the gradient and Laplacian of h
+    (nonnegative-Laplacian convention)."""
+    return lap - (gamma.grid.n / 2.0) * gamma.metric_pair(grad, gamma.grad_rho) / gamma.rho
 
 
 def riemann_field_values(
@@ -65,37 +61,33 @@ def riemann_field_values(
 ) -> np.ndarray:
     """Pointwise curvature field R(h,k)l on raw sample arrays."""
     _require_margin(gamma, margin_threshold)
-    grid = gamma.grid
     ginv = gamma.inverse_metric
 
-    grad_h = gradient_values(grid, h)
-    grad_k = gradient_values(grid, k)
-    grad_l = gradient_values(grid, l)
+    grad_h, hess_h, lap_h = gamma.derivatives(h)
+    grad_k, hess_k, lap_k = gamma.derivatives(k)
+    grad_l = gradient_values(gamma.grid, l)
 
-    def pair(ga, gb):
-        return np.einsum("...ab,...a,...b->...", ginv, ga, gb)
-
-    kl = pair(grad_k, grad_l)
-    hl = pair(grad_h, grad_l)
+    kl = gamma.metric_pair(grad_k, grad_l)
+    hl = gamma.metric_pair(grad_h, grad_l)
 
     sec2 = 1.0 / gamma.cos_theta**2
     tan = np.tan(gamma.theta)
 
-    term1 = -sec2 * (_drift_laplacian(gamma, h) * kl - _drift_laplacian(gamma, k) * hl)
+    term1 = -sec2 * (
+        _drift_laplacian(gamma, grad_h, lap_h) * kl - _drift_laplacian(gamma, grad_k, lap_k) * hl
+    )
 
     # <grad_x grad y, grad l> = Hess y(grad x, grad l) with raised gradients.
     up_h = np.einsum("...ab,...b->...a", ginv, grad_h)
     up_k = np.einsum("...ab,...b->...a", ginv, grad_k)
     up_l = np.einsum("...ab,...b->...a", ginv, grad_l)
-    hess_k = gamma.covariant_hessian(ScalarField(grid, k)).values
-    hess_h = gamma.covariant_hessian(ScalarField(grid, h)).values
     term2 = sec2 * (
-        np.einsum("...ab,...a,...b->...", hess_k, up_h, up_l)
-        - np.einsum("...ab,...a,...b->...", hess_h, up_k, up_l)
+        np.einsum("...ab,...a,...b->...", hess_k.values, up_h, up_l)
+        - np.einsum("...ab,...a,...b->...", hess_h.values, up_k, up_l)
     )
 
-    h_theta = pair(grad_h, gamma.grad_theta)
-    k_theta = pair(grad_k, gamma.grad_theta)
+    h_theta = gamma.metric_pair(grad_h, gamma.grad_theta)
+    k_theta = gamma.metric_pair(grad_k, gamma.grad_theta)
     term3 = tan * sec2 * (h_theta * kl - k_theta * hl)
 
     return term1 + term2 + term3
@@ -127,6 +119,22 @@ def mean_zero_residual(r: TangentFunction) -> tuple[float, float]:
     return abs(raw), scale
 
 
+def quad_products(gamma: GraphLagrangian, grads: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The pointwise products <dh,dm><dk,dl> and <dh,dl><dk,dm> of the
+    quadruple form, from the gradients of (h, k, l, m)."""
+    grad_h, grad_k, grad_l, grad_m = grads
+    return (
+        gamma.metric_pair(grad_h, grad_m) * gamma.metric_pair(grad_k, grad_l),
+        gamma.metric_pair(grad_h, grad_l) * gamma.metric_pair(grad_k, grad_m),
+    )
+
+
+def sec_integral(gamma: GraphLagrangian, bracket: np.ndarray) -> float:
+    """Integral of ``bracket`` sec(theta) rho^{n/2} sqrt(det g) dx, the quadruple-form weight."""
+    weighted = bracket / gamma.cos_theta * gamma._rho_half * gamma.sqrt_det_metric
+    return integrate_values(gamma.grid, weighted)
+
+
 def riemann_quad_values(
     gamma: GraphLagrangian,
     h: np.ndarray,
@@ -136,18 +144,8 @@ def riemann_quad_values(
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> float:
     _require_margin(gamma, margin_threshold)
-    grid = gamma.grid
-    hm = gamma.grad_inner_values(h, m)
-    kl = gamma.grad_inner_values(k, l)
-    hl = gamma.grad_inner_values(h, l)
-    km = gamma.grad_inner_values(k, m)
-    integrand = (
-        (hm * kl - hl * km)
-        / gamma.cos_theta
-        * gamma._rho_half
-        * gamma.sqrt_det_metric
-    )
-    return -integrate_values(grid, integrand)
+    first, second = quad_products(gamma, [gradient_values(gamma.grid, v) for v in (h, k, l, m)])
+    return -sec_integral(gamma, first - second)
 
 
 def riemann_quad(

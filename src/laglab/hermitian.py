@@ -203,14 +203,12 @@ def _family_basis(base: HermBase, matrix_dim: int) -> list[np.ndarray]:
 
 
 def _shifted_point(H: HermPoint, direction: np.ndarray, amount: float) -> HermPoint:
-    shifted = H.matrices + amount * direction
-    eigs = np.linalg.eigvalsh(shifted)
-    if eigs.min() <= 0:
+    try:
+        return HermPoint(H.base, H.matrices + amount * direction)
+    except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
-            f"finite-difference shift of size {amount:.1e} left the positive cone "
-            f"(min eigenvalue {eigs.min():.3e})"
-        )
-    return HermPoint(H.base, shifted)
+            f"finite-difference shift of size {amount:.1e} left the positive cone ({exc})"
+        ) from exc
 
 
 def herm_fd_riemann(

@@ -16,6 +16,10 @@ branch globally valid, so no unwrapping is needed.
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
 is (h, k) = integral of h*k*cos(theta)*rho^{n/2}*sqrt(det g).
+
+``GraphLagrangian.derivatives`` is the one method that gives a function's
+gradient, covariant Hessian and divergence-form Laplacian, all from one
+forward transform; ``laplace_beltrami`` and ``covariant_hessian`` read it.
 """
 
 from __future__ import annotations
@@ -136,8 +140,10 @@ class GraphLagrangian:
 
     def grad_inner_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pointwise <da, db> with respect to the induced metric."""
-        ga = gradient_values(self.grid, a)
-        gb = gradient_values(self.grid, b)
+        return self.metric_pair(gradient_values(self.grid, a), gradient_values(self.grid, b))
+
+    def metric_pair(self, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        """Pointwise <ga, gb> of two gradient fields in the induced metric."""
         return np.einsum("...ab,...a,...b->...", self.inverse_metric, ga, gb)
 
     def normalize_values(self, values: np.ndarray) -> np.ndarray:
@@ -152,25 +158,29 @@ class GraphLagrangian:
             raise ValueError("field lives on a different grid")
         return TangentFunction(self, ScalarField(self.grid, self.normalize_values(f.values)))
 
-    def laplace_beltrami(self, h: ScalarField) -> ScalarField:
-        """Nonnegative Laplacian of the induced metric:
-        Lap h = -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h )."""
+    def derivatives(self, values: np.ndarray) -> tuple[np.ndarray, TensorField, np.ndarray]:
+        """(grad h, Hess h, Lap h) from one transform of h: the covariant
+        Hessian d_a d_b h - Gamma^c_{ab} d_c h and the nonnegative Laplacian
+        -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h ).  The divergence form
+        integrates by parts exactly, which the r3/r4 pairing relies on."""
         grid = self.grid
-        grad = gradient_values(grid, h.values)
+        grad, hess = grad_hess(grid, values)
+        hess = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
         flux = self.sqrt_det_metric[..., None] * np.einsum(
             "...ab,...b->...a", self.inverse_metric, grad
         )
         div = np.zeros(grid.shape)
         for a in range(grid.n):
             div += partial_values(grid, flux[..., a], a)
-        return ScalarField(grid, -div / self.sqrt_det_metric)
+        return grad, TensorField(grid, 2, hess, symmetric=True), -div / self.sqrt_det_metric
+
+    def laplace_beltrami(self, h: ScalarField) -> ScalarField:
+        """Nonnegative Laplacian of the induced metric (see ``derivatives``)."""
+        return ScalarField(self.grid, self.derivatives(h.values)[2])
 
     def covariant_hessian(self, h: ScalarField) -> TensorField:
         """Hess h(a, b) = d_a d_b h - Gamma^c_{ab} d_c h (symmetric)."""
-        grid = self.grid
-        grad, hess = grad_hess(grid, h.values)
-        vals = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
-        return TensorField(grid, 2, vals, symmetric=True)
+        return self.derivatives(h.values)[1]
 
     def __repr__(self):
         return (

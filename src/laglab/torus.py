@@ -111,7 +111,8 @@ class ScalarField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    # Pointwise algebra, used heavily when assembling curvature integrands.
+    # Pointwise algebra for callers that work with fields; the library itself
+    # assembles its integrands on raw value arrays.
     def __add__(self, other):
         return ScalarField(self.grid, self.values + self._coerce(other))
 

@@ -28,8 +28,12 @@ from .connection import (
 from .curvature import (
     _drift_laplacian,
     flat_family_check,
+    mean_zero_residual,
+    quad_products,
+    riemann_field,
     riemann_field_values,
-    riemann_quad_values,
+    riemann_quad,
+    sec_integral,
     sectional,
 )
 from .errors import DegeneratePlane
@@ -245,7 +249,8 @@ def check_dtheta(
     """
     _require_zero_section(gamma, "check_dtheta")
     model, grid = gamma.model, gamma.grid
-    closed = _drift_laplacian(gamma, h.values)
+    grad_h, _, lap_h = gamma.derivatives(h.values)
+    closed = _drift_laplacian(gamma, grad_h, lap_h)
 
     def err_at(d: float) -> float:
         theta_plus = build(model, ScalarField(grid, d * h.values)).theta
@@ -253,10 +258,7 @@ def check_dtheta(
         fd = (theta_plus - theta_minus) / (2.0 * d)
         return float(np.abs(fd - closed).max())
 
-    grad_h = gradient_values(grid, h.values)
-    rho_term = np.einsum(
-        "...ab,...a,...b->...", gamma.inverse_metric, gamma.grad_rho, grad_h
-    ) * (grid.n / 2.0) / gamma.rho
+    rho_term = gamma.metric_pair(gamma.grad_rho, grad_h) * (grid.n / 2.0) / gamma.rho
     params = {
         "delta": delta,
         "model_eps": model.twist_amplitude,
@@ -385,10 +387,9 @@ def check_dijk_zero_section(
     fd = _second_cov_deriv_fd(gamma, hi.values, hj.values, hk.values, delta)
     grad_j = gradient_values(grid, hj.values)
     grad_k = gradient_values(grid, hk.values)
-    lap_i = gamma.laplace_beltrami(hi).values
-    hess_i = gamma.covariant_hessian(hi).values
+    _, hess_i, lap_i = gamma.derivatives(hi.values)
     closed = -np.einsum("...a,...a->...", grad_k, grad_j) * lap_i - np.einsum(
-        "...ab,...a,...b->...", hess_i, grad_j, grad_k
+        "...ab,...a,...b->...", hess_i.values, grad_j, grad_k
     )
     err = float(np.abs(fd - closed).max())
     scale = max(np.abs(closed).max(), 1.0)
@@ -412,14 +413,10 @@ def check_r3_r4_pairing(
     """
     r_vals = riemann_field_values(gamma, h, k, l)
     lhs = gamma.inner_values(r_vals, m)
-    rhs = riemann_quad_values(gamma, h, k, l, m)
+    first, second = quad_products(gamma, [gradient_values(gamma.grid, v) for v in (h, k, l, m)])
+    rhs = -sec_integral(gamma, first - second)
     # L1 size of the quadrature integrand, the natural scale of the identity.
-    hm = np.abs(gamma.grad_inner_values(h, m) * gamma.grad_inner_values(k, l))
-    hl = np.abs(gamma.grad_inner_values(h, l) * gamma.grad_inner_values(k, m))
-    scale = float(
-        np.mean((hm + hl) / gamma.cos_theta * gamma._rho_half * gamma.sqrt_det_metric)
-        * gamma.grid.period**gamma.grid.n
-    )
+    scale = sec_integral(gamma, np.abs(first) + np.abs(second))
     err_abs = abs(lhs - rhs)
     denom = max(abs(rhs), 1e-3 * scale, 1e-300)
     err_rel = err_abs / denom
@@ -745,19 +742,15 @@ def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Gener
 
 def _suite_tensor_structure(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma = bases["twisted_generic"]
-    fields = [gamma.normalize_values(_random_field(rng, gamma.grid).values) for _ in range(4)]
-    h, k, l, m = fields
-    r = riemann_field_values(gamma, h, k, l)
-    residual = abs(np.mean(r * gamma.re_omega) * gamma.grid.period**2)
-    scale = float(np.mean(np.abs(r) * gamma.re_omega) * gamma.grid.period**2)
-    res_rel = residual / scale
+    h, k, l, m = [gamma.normalize(_random_field(rng, gamma.grid)) for _ in range(4)]
+    residual, scale = mean_zero_residual(riemann_field(gamma, h, k, l))
     out = [
-        _result("mean_zero_residual", residual, res_rel,
+        _result("mean_zero_residual", residual, residual / scale,
                 cfg.tolerance("mean_zero_residual"), "rel", {"scale": scale}),
     ]
-    q = lambda a, b, c, d: riemann_quad_values(gamma, a, b, c, d)
-    bianchi = abs(q(h, k, l, m) + q(k, l, h, m) + q(l, h, k, m))
-    bscale = max(abs(q(h, k, l, m)), abs(q(k, l, h, m)), abs(q(l, h, k, m)), 1e-300)
+    cyclic = [riemann_quad(gamma, a, b, c, m) for a, b, c in ((h, k, l), (k, l, h), (l, h, k))]
+    bianchi = abs(sum(cyclic))
+    bscale = max(*(abs(q) for q in cyclic), 1e-300)
     out.append(
         _result("bianchi", bianchi, bianchi / bscale,
                 cfg.tolerance("bianchi"), "rel", {"scale": bscale}),

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import laglab.torus
 from laglab.ambient import AlmostCYModel
 from laglab.lagrangian import build
 from laglab.torus import PeriodicGrid, constant_field, field_from_function
@@ -44,3 +47,31 @@ def flat_generic(flat_model, generic_potential):
 @pytest.fixture(scope="session")
 def twisted_generic(twisted_model, generic_potential):
     return build(twisted_model, generic_potential)
+
+
+@pytest.fixture
+def warm_twisted_generic(twisted_generic):
+    """``twisted_generic`` with its lazily cached fields filled; request it
+    before ``transform_calls`` so the count sees only per-call work."""
+    twisted_generic.grad_rho, twisted_generic.grad_theta, twisted_generic.christoffels
+    return twisted_generic
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Names of the ``torus.gradient_values`` and ``torus.grad_hess`` calls made
+    while the test runs, one per forward transform of a differentiated
+    function.  Every loaded ``laglab`` module that imported either function by
+    name is patched, so no caller escapes the count."""
+    calls = []
+    for name in ("gradient_values", "grad_hess"):
+        original = getattr(laglab.torus, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "laglab" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls

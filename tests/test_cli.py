@@ -483,3 +483,54 @@ def test_mirror_bad_matrix_entry(tmp_path, capsys):
         },
     )
     assert main(["run", str(cfg)]) == 2
+
+
+GEODESIC = {"model": MODEL_FLAT, "grid": 32, "functions": FUNCTIONS, "job": "geodesic"}
+MIRROR_PARAMS = {
+    "H": [[[1, 0], [0, 1]]],
+    "xi": [[[0, 1], [1, 0]]],
+    "eta": [[[0, [0, -1]], [[0, 1], 0]]],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (dict(GEODESIC, params={"h0": "h", "steps": 0}), "params.steps"),
+        (dict(GEODESIC, params={"h0": "h", "steps": "abc"}), "params.steps"),
+        (dict(GEODESIC, params={"h0": "h", "steps": 2.7}), "params.steps"),
+        (dict(GEODESIC, params={"h0": "h", "steps": True}), "params.steps"),
+        (dict(GEODESIC, params={"h0": "h", "time": "x"}), "params.time"),
+        (dict(GEODESIC, params={"h0": ["h"]}), "params.h0"),
+        (dict(GEODESIC, model=dict(MODEL_FLAT, n=2.5), params={"h0": "h"}), "model.n"),
+        (dict(GEODESIC, grid={"points": 32.5}, params={"h0": "h"}), "grid.points"),
+        ({"job": "mirror", "params": dict(MIRROR_PARAMS, delta="x")}, "params.delta"),
+        ({"job": "mirror", "params": dict(MIRROR_PARAMS, delta=0)}, "params.delta"),
+        ({"job": "mirror", "params": dict(MIRROR_PARAMS, weights=[-1.0])}, "params.weights"),
+        ({"job": "mirror", "params": dict(MIRROR_PARAMS, weights=["a"])}, "params.weights"),
+        ({"job": "mirror", "params": dict(MIRROR_PARAMS, xi=[[[0, 1], [0, 0]]])}, "params.xi"),
+        ({"job": "validate", "params": {"seed": 7.9}}, "params.seed"),
+        ({"job": "validate", "params": {"quadruples": 2.5}}, "params.quadruples"),
+    ],
+)
+def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):
+    cfg = write_config(tmp_path, "bad.json", config)
+    out = tmp_path / "bad_report.json"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not out.exists()
+
+
+def test_integral_float_params_are_integers(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "geo_float.json",
+        dict(GEODESIC, grid={"points": 32.0}, params={"h0": "h", "time": 0.01, "steps": 2.0}),
+    )
+    assert main(["describe", str(cfg)]) == 0
+    assert "grid: 32^2 points" in capsys.readouterr().out
+    out = tmp_path / "geo_float_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    assert load_report(out)["results"]["steps"] == 2

@@ -278,3 +278,15 @@ def test_sectional_matrix_margin_threshold(twisted_generic, grid64):
 def test_sectional_matrix_empty(flat_zero, grid64):
     numerator, gram = sectional_matrix(flat_zero, [])
     assert numerator.shape == gram.shape == (0, 0)
+
+
+def test_riemann_field_differentiates_each_function_once(warm_twisted_generic, transform_calls):
+    x = warm_twisted_generic.grid.coords
+    riemann_field_values(warm_twisted_generic, *(np.cos(x[..., 0] + i) for i in range(3)))
+    assert sorted(transform_calls) == ["grad_hess", "grad_hess", "gradient_values"]
+
+
+def test_riemann_quad_takes_one_gradient_per_function(warm_twisted_generic, transform_calls):
+    x = warm_twisted_generic.grid.coords
+    riemann_quad_values(warm_twisted_generic, *(np.sin(x[..., 1] * (i + 1)) for i in range(4)))
+    assert transform_calls == ["gradient_values"] * 4

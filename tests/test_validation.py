@@ -10,6 +10,7 @@ from laglab.validation import (
     SuiteConfig,
     _richardson,
     _result,
+    _suite_tensor_structure,
     _worst,
     check_dijk_zero_section,
     check_dtheta,
@@ -276,3 +277,23 @@ def test_worst_fails_when_a_milder_trial_failed():
 def test_suite_config_rejects(change, named):
     with pytest.raises(ValueError, match=named):
         dataclasses.replace(SMALL, **change)
+
+
+def test_pairing_check_transform_count(warm_twisted_generic, transform_calls):
+    """Three for the curvature field and one gradient per function for the
+    quadruple form, shared by its value and its L1 scale."""
+    x = warm_twisted_generic.grid.coords
+    f = [np.cos(x[..., 0] + 2 * x[..., 1] * i) for i in range(4)]
+    assert check_r3_r4_pairing(warm_twisted_generic, *f).passed
+    assert len(transform_calls) == 7
+
+
+def test_tensor_structure_transform_count(warm_twisted_generic, transform_calls):
+    """Three for the mean-zero field and four for each of the three cyclic
+    quadruple forms of the Bianchi check, each evaluated once."""
+    results = _suite_tensor_structure(
+        SuiteConfig(), {"twisted_generic": warm_twisted_generic}, np.random.default_rng(5)
+    )
+    assert [r.name for r in results] == ["mean_zero_residual", "bianchi"]
+    assert all(r.passed for r in results)
+    assert len(transform_calls) == 3 + 12
