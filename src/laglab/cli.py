@@ -113,6 +113,13 @@ def _number(value, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
+def _flag(value, where: str) -> bool:
+    """A config flag: a JSON boolean."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be true or false, got {value!r}")
+
+
 def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
     """Parse a list of trig terms and check it against the grid's band limit."""
     if not isinstance(raw, list):
@@ -202,7 +209,7 @@ class ExperimentConfig:
     def scan_pairs(self) -> list[tuple[str, str]]:
         """The (h, k) name pairs of a scan: every pair of sorted names under
         ``params.all_pairs``, otherwise the validated ``params.pairs``."""
-        if self.params.get("all_pairs"):
+        if _flag(self.params.get("all_pairs", False), "params.all_pairs"):
             names = sorted(self.functions)
             return [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
         raw_pairs = self.params.get("pairs")
@@ -290,12 +297,19 @@ def _job_sectional(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _job_curvature(cfg: ExperimentConfig) -> dict:
-    gamma = cfg.build_gamma()
-    h = cfg.tangent(gamma, cfg.resolve("h"))
-    k = cfg.tangent(gamma, cfg.resolve("k"))
-    l = cfg.tangent(gamma, cfg.resolve("l"))
+def _curvature_params(cfg: ExperimentConfig) -> tuple[list[str], str | None, bool]:
+    """The h, k, l names, the optional m name and ``include_field`` of a
+    curvature job."""
+    names = [cfg.resolve("h"), cfg.resolve("k"), cfg.resolve("l")]
     m_name = cfg.resolve("m", required=False)
+    include_field = _flag(cfg.params.get("include_field", True), "params.include_field")
+    return names, m_name, include_field
+
+
+def _job_curvature(cfg: ExperimentConfig) -> dict:
+    names, m_name, include_field = _curvature_params(cfg)
+    gamma = cfg.build_gamma()
+    h, k, l = (cfg.tangent(gamma, name) for name in names)
     m = cfg.tangent(gamma, m_name) if m_name is not None else None
     report = curvature_report(gamma, h, k, l, m)
     r = report.r_field.values
@@ -308,14 +322,21 @@ def _job_curvature(cfg: ExperimentConfig) -> dict:
     if m is not None:
         out["quad_r3"] = report.quad_r3
         out["quad_r4"] = report.quad_r4
-    if cfg.params.get("include_field", True):
+    if include_field:
         out["riemann_field"] = [float(v) for v in r.ravel()]
         out["field_shape"] = list(r.shape)
     return out
 
 
-def _job_scan(cfg: ExperimentConfig, csv_path: Path | None) -> dict:
-    pairs = cfg.scan_pairs()
+def _scan_params(cfg: ExperimentConfig) -> tuple[list[tuple[str, str]], str | None]:
+    """The (h, k) name pairs of a scan and its ``params.csv`` path, if given."""
+    csv_name = cfg.params.get("csv")
+    if "csv" in cfg.params and not (isinstance(csv_name, str) and csv_name):
+        raise ConfigError(f"params.csv must be a nonempty path string, got {csv_name!r}")
+    return cfg.scan_pairs(), csv_name
+
+
+def _job_scan(cfg: ExperimentConfig, pairs: list[tuple[str, str]], csv_path: Path | None) -> dict:
     gamma = cfg.build_gamma()
     names = list(dict.fromkeys(name for pair in pairs for name in pair))
     index = {name: i for i, name in enumerate(names)}
@@ -349,18 +370,20 @@ def _job_scan(cfg: ExperimentConfig, csv_path: Path | None) -> dict:
     return {"pairs": rows, "csv": str(csv_path) if csv_path else None}
 
 
-def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int]:
-    """The initial velocity's name, the time and the step count of a geodesic job."""
+def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int, bool]:
+    """The initial velocity's name, the time, the step count and ``reverse``
+    of a geodesic job."""
     h0_name = cfg.resolve("h0")
     total_time = _number(cfg.params.get("time", 0.1), "params.time")
     steps = _integer(cfg.params.get("steps", 100), "params.steps")
     if steps < 1:
         raise ConfigError(f"params.steps must be at least 1, got {steps}")
-    return h0_name, total_time, steps
+    reverse = _flag(cfg.params.get("reverse", False), "params.reverse")
+    return h0_name, total_time, steps, reverse
 
 
 def _job_geodesic(cfg: ExperimentConfig) -> dict:
-    h0_name, total_time, steps = _geodesic_params(cfg)
+    h0_name, total_time, steps, reverse = _geodesic_params(cfg)
     gamma = cfg.build_gamma()
     path = geodesic_shoot(gamma, cfg.tangent(gamma, h0_name), total_time, steps)
     out = {
@@ -371,7 +394,7 @@ def _job_geodesic(cfg: ExperimentConfig) -> dict:
         "energy_drift": path.energy_drift(),
         "final_potential_sup": float(np.abs(path.potentials[-1].values).max()),
     }
-    if cfg.params.get("reverse", False):
+    if reverse:
         out["reversal_error_sup"] = path.reversal_error(total_time)
     return out
 
@@ -513,9 +536,10 @@ def cmd_run(args) -> int:
     elif cfg.job == "curvature":
         results = _job_curvature(cfg)
     elif cfg.job == "scan":
+        pairs, csv_name = _scan_params(cfg)
         out_path = Path(args.output or cfg.output or "scan_report.json")
-        csv_path = Path(cfg.params["csv"]) if "csv" in cfg.params else out_path.with_suffix(".csv")
-        results = _job_scan(cfg, csv_path)
+        csv_path = Path(csv_name) if csv_name is not None else out_path.with_suffix(".csv")
+        results = _job_scan(cfg, pairs, csv_path)
     elif cfg.job == "geodesic":
         results = _job_geodesic(cfg)
     elif cfg.job == "validate":
@@ -550,15 +574,14 @@ def cmd_describe(args) -> int:
     if cfg.job == "sectional":
         lines.append(f"plan: sectional curvature of ({cfg.resolve('h')}, {cfg.resolve('k')})")
     elif cfg.job == "curvature":
-        names = [cfg.resolve("h"), cfg.resolve("k"), cfg.resolve("l")]
-        m_name = cfg.resolve("m", required=False)
+        names, m_name, _ = _curvature_params(cfg)
         lines.append(f"plan: curvature field R({names[0]},{names[1]}){names[2]}"
                      + (f" paired with {m_name}" if m_name else ""))
     elif cfg.job == "scan":
-        count = len(cfg.scan_pairs())
+        count = len(_scan_params(cfg)[0])
         lines.append(f"plan: sectional scan over {count} pair(s), CSV + JSON output")
     elif cfg.job == "geodesic":
-        h0_name, total_time, steps = _geodesic_params(cfg)
+        h0_name, total_time, steps, _ = _geodesic_params(cfg)
         lines.append(f"plan: shoot from {h0_name} for T={total_time} in {steps} steps")
     elif cfg.job == "validate":
         suite_cfg = _suite_config_from_params(cfg.params)

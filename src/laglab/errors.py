@@ -16,7 +16,7 @@ class NonPositiveDensity(LaglabError):
 
 
 class NotPositive(LaglabError):
-    """A graph Lagrangian left the positive locus: cos(theta) <= 0 somewhere.
+    """A graph Lagrangian left the positive locus: Re Omega~ <= 0 somewhere.
 
     Attributes
     ----------

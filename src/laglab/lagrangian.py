@@ -10,8 +10,11 @@ embedding x -> (x, grad phi) induces
     pullback    Omega|_Gamma = e^{g(z(x))} det(I - i Hess phi) dx,  z = x - i grad phi
 
 and the Lagrangian angle theta is the phase of the pullback density divided
-by rho^{n/2} sqrt(det g).  Positivity (cos theta > 0) makes the principal
-branch globally valid, so no unwrapping is needed.
+by rho^{n/2} sqrt(det g).  Positivity (Re Omega|_Gamma > 0, equivalently
+cos theta > 0) makes the principal branch globally valid, so no unwrapping
+is needed.  ``GraphLagrangian`` builds the pullback at construction, since
+the positivity check and the geodesic right-hand side read nothing else,
+and computes the metric side (g, rho, theta, Re Omega) on first read.
 
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
@@ -44,13 +47,22 @@ from .torus import (
 
 
 class GraphLagrangian:
-    """The graph of d(phi) with all induced geometry cached.
+    """The graph of d(phi): the pulled-back form built eagerly, the induced
+    metric side on first read.
+
+    Eager: ``grad_phi``, ``hess_phi``, B = I - i Hess phi with its adjugate
+    and determinant, the twist density E and ``pullback_density`` = E det B.
+    That is all a geodesic stage reads.  Every other field (``metric``,
+    ``det_metric``, ``inverse_metric``, ``sqrt_det_metric``, ``rho``,
+    ``theta``, ``cos_theta``, ``margin``, ``re_omega``, ``total_weight``,
+    ``lagang_residual`` and the derivative fields below) is computed on
+    first read and then cached.
 
     Raises
     ------
     NotPositive
-        If cos(theta) <= 0 at any grid point (the graph leaves the positive
-        locus); the error reports the worst point and margin.
+        If Re Omega~ <= 0 at any grid point (the graph leaves the positive
+        locus); the error reports min cos(theta) and its point.
     """
 
     def __init__(self, model: AlmostCYModel, phi: ScalarField):
@@ -62,50 +74,86 @@ class GraphLagrangian:
         self.model = model
         self.grid = grid
         self.phi = phi
-        n = grid.n
 
         self.grad_phi, self.hess_phi = grad_hess(grid, phi.values)
 
-        # g = I + H^2 is symmetric positive definite with det g >= 1, so the
-        # closed-form inverse adj(g) / det g is well conditioned.
-        eye = np.eye(n)
-        self.metric = eye + self.hess_phi @ self.hess_phi
-        self.det_metric = det(self.metric)
-        self.inverse_metric = adjugate(self.metric) / self.det_metric[..., None, None]
-        self.sqrt_det_metric = np.sqrt(self.det_metric)
-
         # Pullback of Omega along x -> (x, grad phi).  adj(B) turns the
-        # connection's Cramer determinants into contractions.
-        B = eye - 1j * self.hess_phi
+        # connection's Cramer determinants into contractions.  Filling the
+        # parts gives the bits of I - 1j * H in half the time; 0.0 - H, not
+        # -H, keeps its signed zeros.
+        B = np.empty(self.hess_phi.shape, dtype=complex)
+        B.real = np.eye(grid.n)
+        np.subtract(0.0, self.hess_phi, out=B.imag)
         self._adj_B = adjugate(B)
         self._det_B = det(B)
         self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi)
         self.pullback_density = self._twist_density * self._det_B
 
-        self.rho = model.rho_from_density(self._twist_density)
-        rho_half = self.rho ** (n / 2.0)
-        self.theta = np.angle(self.pullback_density / (rho_half * self.sqrt_det_metric))
-        self.cos_theta = np.cos(self.theta)
-
-        self.margin = float(self.cos_theta.min())
-        if self.margin <= 0.0:
+        # Positivity is Re Omega~ > 0 at every point.
+        if np.real(self.pullback_density).min() <= 0.0:
             worst = np.unravel_index(np.argmin(self.cos_theta), grid.shape)
             point = tuple(float(grid.axis[i]) for i in worst)
             raise NotPositive(self.margin, point)
 
-        # Density of Re(Omega) pulled back, in the dx volume.
-        self.re_omega = self.cos_theta * rho_half * self.sqrt_det_metric
-        self.total_weight = integrate_values(grid, self.re_omega)
+    # -- metric side, computed on first read -----------------------------------
 
-        # Pointwise defect of the phase/volume decomposition; by construction
-        # only the modulus can drift, and only by roundoff.
-        recon = np.exp(1j * self.theta) * rho_half * self.sqrt_det_metric
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """g = I + H^2."""
+        return np.eye(self.grid.n) + self.hess_phi @ self.hess_phi
+
+    @cached_property
+    def det_metric(self) -> np.ndarray:
+        return det(self.metric)
+
+    @cached_property
+    def inverse_metric(self) -> np.ndarray:
+        # g is symmetric positive definite with det g >= 1, so the closed-form
+        # inverse adj(g) / det g is well conditioned.
+        return adjugate(self.metric) / self.det_metric[..., None, None]
+
+    @cached_property
+    def sqrt_det_metric(self) -> np.ndarray:
+        return np.sqrt(self.det_metric)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.model.rho_from_density(self._twist_density)
+
+    @cached_property
+    def _rho_half(self) -> np.ndarray:
+        return self.rho ** (self.grid.n / 2.0)
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return np.angle(self.pullback_density / (self._rho_half * self.sqrt_det_metric))
+
+    @cached_property
+    def cos_theta(self) -> np.ndarray:
+        return np.cos(self.theta)
+
+    @cached_property
+    def margin(self) -> float:
+        return float(self.cos_theta.min())
+
+    @cached_property
+    def re_omega(self) -> np.ndarray:
+        """Density of Re(Omega) pulled back, in the dx volume."""
+        return self.cos_theta * self._rho_half * self.sqrt_det_metric
+
+    @cached_property
+    def total_weight(self) -> float:
+        return integrate_values(self.grid, self.re_omega)
+
+    @cached_property
+    def lagang_residual(self) -> float:
+        """Pointwise defect of the phase/volume decomposition; by construction
+        only the modulus can drift, and only by roundoff."""
+        recon = np.exp(1j * self.theta) * self._rho_half * self.sqrt_det_metric
         scale = np.abs(self.pullback_density).max()
-        self.lagang_residual = float(np.abs(self.pullback_density - recon).max() / scale)
+        return float(np.abs(self.pullback_density - recon).max() / scale)
 
-        self._rho_half = rho_half
-
-    # -- lazy derived fields -------------------------------------------------
+    # -- derivative fields, computed on first read -----------------------------
 
     @cached_property
     def grad_theta(self) -> np.ndarray:
@@ -216,7 +264,8 @@ class TangentFunction:
 
 
 def build(model: AlmostCYModel, phi: ScalarField) -> GraphLagrangian:
-    """Construct the graph of d(phi) with all cached geometry."""
+    """Construct the graph of d(phi); see ``GraphLagrangian`` for which
+    fields are built at once and which on first read."""
     return GraphLagrangian(model, phi)
 
 

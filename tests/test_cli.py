@@ -534,3 +534,54 @@ def test_integral_float_params_are_integers(tmp_path, capsys):
     out = tmp_path / "geo_float_report.json"
     assert main(["run", str(cfg), "-o", str(out)]) == 0
     assert load_report(out)["results"]["steps"] == 2
+
+
+CURVATURE = dict(GEODESIC, job="curvature")
+SCAN = dict(GEODESIC, job="scan")
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (dict(GEODESIC, params={"h0": "h", "steps": 2, "reverse": "no"}), "params.reverse"),
+        (dict(GEODESIC, params={"h0": "h", "steps": 2, "reverse": 1}), "params.reverse"),
+        (dict(SCAN, params={"all_pairs": "false", "pairs": [["h", "k"]]}), "params.all_pairs"),
+        (dict(SCAN, params={"all_pairs": None, "pairs": [["h", "k"]]}), "params.all_pairs"),
+        (dict(CURVATURE, params={"h": "h", "k": "k", "l": "k", "include_field": "yes"}),
+         "params.include_field"),
+        (dict(CURVATURE, params={"h": "h", "k": "k", "l": "k", "include_field": 0}),
+         "params.include_field"),
+        (dict(SCAN, params={"all_pairs": True, "csv": 5}), "params.csv"),
+        (dict(SCAN, params={"all_pairs": True, "csv": ""}), "params.csv"),
+    ],
+)
+def test_non_boolean_flags_and_bad_csv_exit_2(tmp_path, capsys, command, config, named):
+    cfg = write_config(tmp_path, "bad.json", config)
+    out = tmp_path / "bad_report.json"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_false_flags_turn_off(tmp_path):
+    cfg = write_config(
+        tmp_path, "geo_forward.json",
+        dict(GEODESIC, params={"h0": "h", "time": 0.01, "steps": 2, "reverse": False}),
+    )
+    out = tmp_path / "geo_forward_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    assert "reversal_error_sup" not in load_report(out)["results"]
+
+    csv_path = tmp_path / "listed.csv"
+    cfg = write_config(
+        tmp_path, "scan_listed.json",
+        dict(SCAN, params={"all_pairs": False, "pairs": [["h", "k"]], "csv": str(csv_path)}),
+    )
+    out = tmp_path / "scan_listed_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    assert len(load_report(out)["results"]["pairs"]) == 1
+    assert len(csv_path.read_text().strip().splitlines()) == 2

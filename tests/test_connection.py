@@ -15,6 +15,7 @@ from laglab.connection import (
 from laglab.ambient import AlmostCYModel
 from laglab.errors import (
     InsufficientSamples,
+    NotPositive,
     PositivityLost,
     SingularDensity,
     StepRejected,
@@ -242,6 +243,37 @@ def test_geodesic_step_rejection(flat_zero, grid64):
     )
     with pytest.raises(StepRejected):
         geodesic_shoot(flat_zero, h0, 0.1, 10, step_energy_tol=0.0)
+
+
+def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64):
+    h0 = flat_zero.normalize(
+        field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1])))
+    )
+    time, steps = 1.0, 50
+    dt = time / steps
+    with pytest.raises(PositivityLost) as excinfo:
+        geodesic_shoot(flat_zero, h0, time, steps, step_energy_tol=np.inf)
+    lost = excinfo.value.time
+    # RK4 builds at t, t + dt/2 and t + dt, so the failure sits on that lattice.
+    assert lost / (0.5 * dt) == pytest.approx(round(lost / (0.5 * dt)), abs=1e-9)
+    assert isinstance(excinfo.value.__cause__, NotPositive)
+    # Every step before the failing one completes on the same time grid.
+    done = int(np.ceil(lost / dt - 1e-9)) - 1
+    assert done >= 1
+    geodesic_shoot(flat_zero, h0, done * dt, done, step_energy_tol=np.inf)
+
+
+def test_geodesic_step_rejection_on_a_curved_path(twisted_generic, h_field):
+    """Two coarse steps on the twisted generic graph change the energy by
+    2.7e-9 and 5.5e-9 of its start, far above roundoff: the rejection does not
+    hinge on last-bit noise."""
+    h0 = twisted_generic.normalize(h_field)
+    with pytest.raises(StepRejected) as excinfo:
+        geodesic_shoot(twisted_generic, h0, 0.2, 2, step_energy_tol=1e-9)
+    assert excinfo.value.time == pytest.approx(0.1)
+    assert 1e-9 < excinfo.value.drift < 1e-8
+    path = geodesic_shoot(twisted_generic, h0, 0.2, 2, step_energy_tol=1e-8)
+    assert 1e-9 < path.energy_drift() < 1e-8
 
 
 def test_geodesic_velocity_stays_normalized(flat_zero, grid64):

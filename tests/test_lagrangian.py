@@ -3,14 +3,19 @@ import pytest
 from scipy.integrate import quad
 
 from laglab.ambient import AlmostCYModel
+from laglab.connection import w_field_values
 from laglab.errors import GammaMismatch, NotPositive
 from laglab.lagrangian import build, grad_inner, inner
 from laglab.torus import (
     PeriodicGrid,
     ScalarField,
+    adjugate,
     constant_field,
+    det,
     field_from_function,
+    grad_hess,
     integrate,
+    integrate_values,
 )
 
 # Frozen from the quadrature oracle below (exp(0.1 cos t) cos(0.1 sin t) weight):
@@ -253,3 +258,83 @@ def test_build_evaluates_the_twist_density_once(twisted_model, generic_potential
     monkeypatch.setattr(AlmostCYModel, "holomorphic_density", counting)
     build(twisted_model, generic_potential)
     assert len(calls) == 1
+
+
+def test_positivity_fails_at_one_grid_point():
+    """Flat n = 2: Re Omega~ = 1 - det Hess phi.  This potential has
+    det Hess phi = 1.02 at the origin and below 1 at every other grid point."""
+    grid = PeriodicGrid(2, 16)
+    a, c = 0.8, 0.11875
+
+    def potential(x):
+        return a * (np.cos(x[..., 0]) + np.cos(x[..., 1])) + c * np.cos(2 * x[..., 0])
+
+    x1, x2 = grid.coords[..., 0], grid.coords[..., 1]
+    det_hess = (a * np.cos(x1) + 4 * c * np.cos(2 * x1)) * a * np.cos(x2)
+    assert np.argwhere(1.0 - det_hess <= 0.0).tolist() == [[0, 0]]
+
+    with pytest.raises(NotPositive) as excinfo:
+        build(AlmostCYModel(2), field_from_function(grid, potential))
+    assert excinfo.value.margin <= 0.0
+    assert excinfo.value.worst_point == (0.0, 0.0)
+
+
+METRIC_SIDE = (
+    "metric", "inverse_metric", "sqrt_det_metric", "rho", "theta", "re_omega", "lagang_residual",
+)
+
+
+def test_geodesic_stage_build_never_forms_the_metric_side(twisted_model, generic_potential, grid64):
+    gamma = build(twisted_model, generic_potential)
+    h = field_from_function(grid64, lambda c: np.cos(c[..., 0]) + 0.5 * np.sin(c[..., 1]))
+    w_field_values(gamma, h.values)
+    assert [name for name in METRIC_SIDE if name in vars(gamma)] == []
+
+
+def eager_fields(model, phi):
+    """Every field as the fully eager constructor computed it."""
+    grid, n = phi.grid, phi.grid.n
+    grad_phi, hess_phi = grad_hess(grid, phi.values)
+    eye = np.eye(n)
+    metric = eye + hess_phi @ hess_phi
+    det_metric = det(metric)
+    sqrt_det_metric = np.sqrt(det_metric)
+    B = eye - 1j * hess_phi
+    twist_density = model.holomorphic_density(grid.coords, grad_phi)
+    pullback_density = twist_density * det(B)
+    rho = model.rho_from_density(twist_density)
+    rho_half = rho ** (n / 2.0)
+    theta = np.angle(pullback_density / (rho_half * sqrt_det_metric))
+    cos_theta = np.cos(theta)
+    re_omega = cos_theta * rho_half * sqrt_det_metric
+    recon = np.exp(1j * theta) * rho_half * sqrt_det_metric
+    scale = np.abs(pullback_density).max()
+    return {
+        "_adj_B": adjugate(B),
+        "_det_B": det(B),
+        "pullback_density": pullback_density,
+        "metric": metric,
+        "det_metric": det_metric,
+        "inverse_metric": adjugate(metric) / det_metric[..., None, None],
+        "sqrt_det_metric": sqrt_det_metric,
+        "rho": rho,
+        "_rho_half": rho_half,
+        "theta": theta,
+        "cos_theta": cos_theta,
+        "margin": float(cos_theta.min()),
+        "re_omega": re_omega,
+        "total_weight": integrate_values(grid, re_omega),
+        "lagang_residual": float(np.abs(pullback_density - recon).max() / scale),
+    }
+
+
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])
+def test_lazy_fields_equal_the_eager_formulas(n, points):
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
+    phi = field_from_function(
+        grid, lambda c: 0.2 * np.cos(c.sum(axis=-1)) + 0.1 * np.sin(c[..., -1] - c[..., 0])
+    )
+    gamma = build(model, phi)
+    for name, expected in eager_fields(model, phi).items():
+        assert np.array_equal(getattr(gamma, name), expected), name
