@@ -14,6 +14,12 @@ The conformal factor rho is evaluated from its defining relation
 
 by explicit exterior algebra on the coordinate frame; the closed form
 exp(2 Re g / n) is kept separate as an independent cross-check.
+
+The density e^{g} is evaluated in real arithmetic: writing
+g = a + ib = eps e^{kappa y_1} (cos kappa x_1 + i sin kappa x_1), it is
+e^a (cos b + i sin b), exactly 1 in the flat model (eps = 0).  ``twist``
+keeps the complex formula eps e^{i kappa z_1} as the oracle it is checked
+against, so ``rho`` and ``rho_closed_form`` compare two independent routes.
 """
 
 from __future__ import annotations
@@ -158,15 +164,28 @@ class AlmostCYModel:
     # -- pointwise evaluators (x, y arrays of shape (..., n)) ---------------
 
     def twist(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """g(z) = eps * e^{i kappa z_1} with z_1 = x_1 - i y_1."""
+        """g(z) = eps * e^{i kappa z_1} with z_1 = x_1 - i y_1, in complex
+        arithmetic: the oracle formula, independent of the real form in
+        ``holomorphic_density``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z1 = x[..., 0] - 1j * y[..., 0]
         return self.twist_amplitude * np.exp(1j * self.kappa * z1)
 
     def holomorphic_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Scalar c with Omega = c * dz_1 ^ ... ^ dz_n, i.e. c = e^{g(z)}."""
-        return np.exp(self.twist(x, y))
+        """Scalar c with Omega = c * dz_1 ^ ... ^ dz_n, i.e. c = e^{g(z)},
+        as e^a (cos b + i sin b) with g = a + ib (see the module docstring);
+        exactly 1 in the flat model."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        phase = self.kappa * x[..., 0]
+        radius = self.twist_amplitude * np.exp(self.kappa * y[..., 0])
+        b = radius * np.sin(phase)
+        modulus = np.exp(radius * np.cos(phase))
+        c = np.empty(phase.shape, dtype=complex)
+        np.multiply(modulus, np.cos(b), out=c.real)
+        np.multiply(modulus, np.sin(b), out=c.imag)
+        return c
 
     def rho(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Conformal factor from the volume-form defining relation.

@@ -17,8 +17,15 @@ of column a of B, i.e. row a of the adjugate:
 
     det(B with column a replaced by v) = sum_b adj(B)_ab v_b = (adj B . v)_a,
 
-so all n determinants are one contraction with adj B, which every
-GraphLagrangian caches.
+so all n determinants are one contraction with adj B.  B itself is never
+formed: with H = Hess phi, adj B = (I - adj3 H) - i (tr H I - H) (adj3 H is
+adj H at n = 3 and 0 otherwise), so for a real vector v
+
+    Im(E adj(B) v) = Re E (H v - tr H v) + Im E (v - adj3 H v),
+
+a loop over the n <= 3 components on the real arrays every GraphLagrangian
+keeps (tr H, adj H at n = 3, Re E, Im E), and the denominator is its stored
+Re(E det B).
 
 The coordinate covariant derivative D_{h}k along a fiberwise Hamiltonian
 family contracts grad k with the same numerator Im(E adj(B) grad h), so
@@ -48,7 +55,7 @@ from .errors import (
     StepRejected,
 )
 from .lagrangian import GraphLagrangian, TangentFunction, build
-from .torus import ScalarField, gradient_values
+from .torus import ScalarField, gradient_values, vector_dot
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,8 @@ class SampledPath:
             raise ValueError("time grid and potential samples disagree in length")
         if len(times) >= 2:
             dt = np.diff(times)
+            if dt[0] == 0.0:
+                raise ValueError(f"time step must be nonzero, got {dt[0]}")
             if np.abs(dt - dt[0]).max() > 1e-12 * abs(dt[0]):
                 raise ValueError("time grid must be uniform")
         object.__setattr__(self, "times", times)
@@ -111,14 +120,21 @@ class SampledPath:
 
 def _cramer_numerator(gamma: GraphLagrangian, vec: np.ndarray) -> np.ndarray:
     """Im(E * det(B with column a replaced by vec)) for every a, as
-    Im(E * adj(B) vec), for a real vector field ``vec``."""
-    # Cast first: a complex-by-real einsum takes over twice as long (64^2 grid).
-    cols = np.einsum("...ab,...b->...a", gamma._adj_B, vec.astype(complex))
-    return np.imag(gamma._twist_density[..., None] * cols)
+    Im(E adj(B) vec) in real arithmetic (module docstring), for a real
+    vector field ``vec``."""
+    H, adj3 = gamma.hess_phi, gamma._adj_hess
+    out = np.empty(vec.shape)
+    for a in range(gamma.grid.n):
+        real_part = vector_dot(H[..., a, :], vec) - gamma._trace_hess * vec[..., a]
+        imag_part = vec[..., a]
+        if adj3 is not None:
+            imag_part = imag_part - vector_dot(adj3[..., a, :], vec)
+        out[..., a] = gamma._re_twist * real_part + gamma._im_twist * imag_part
+    return out
 
 
 def _re_density(gamma: GraphLagrangian, tolerance: float) -> np.ndarray:
-    density = np.real(gamma.pullback_density)
+    density = gamma._re_pullback
     worst = np.abs(density).min()
     if worst < tolerance:
         raise SingularDensity(
@@ -174,13 +190,22 @@ def cov_deriv_pair_values(
     hj_values: np.ndarray,
     hk_values: np.ndarray,
     tolerance: float = 1e-12,
+    *,
+    grad_j: np.ndarray | None = None,
+    grad_k: np.ndarray | None = None,
 ) -> np.ndarray:
-    """D_{h^j} h^k at one graph: -(d h^k ^ pullback i_{grad H^j} Im Omega)/Re Omega~."""
+    """D_{h^j} h^k at one graph: -(d h^k ^ pullback i_{grad H^j} Im Omega)/Re Omega~.
+
+    ``grad_j`` and ``grad_k`` are the gradients of ``hj_values`` and
+    ``hk_values`` when the caller already has them.
+    """
     density = _re_density(gamma, tolerance)
-    grad_j = gradient_values(gamma.grid, hj_values)
-    grad_k = gradient_values(gamma.grid, hk_values)
+    if grad_j is None:
+        grad_j = gradient_values(gamma.grid, hj_values)
+    if grad_k is None:
+        grad_k = gradient_values(gamma.grid, hk_values)
     comp = _cramer_numerator(gamma, grad_j)
-    return -np.einsum("...a,...a->...", grad_k, comp) / density
+    return -vector_dot(grad_k, comp) / density
 
 
 def cov_deriv_coordinate(
@@ -230,7 +255,7 @@ def cov_deriv_along_path(
     gamma = build(path.model, path.potentials[index])
     w = w_field_values(gamma, phi_dot, tolerance)
     grad = gradient_values(gamma.grid, h_samples[index].values)
-    vals = dh_dt + np.einsum("...a,...a->...", w, grad)
+    vals = dh_dt + vector_dot(w, grad)
     return ScalarField(gamma.grid, vals)
 
 
@@ -299,7 +324,7 @@ def geodesic_shoot(
         gamma = gamma_at(phi_vals, t)
         grad_psi = gradient_values(grid, psi_vals)
         w = w_field_values(gamma, psi_vals, grad_h=grad_psi)
-        return -np.einsum("...a,...a->...", w, grad_psi)
+        return -vector_dot(w, grad_psi)
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
     psi = gamma0.normalize_values(h0.values)

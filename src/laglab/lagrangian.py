@@ -16,6 +16,17 @@ is needed.  ``GraphLagrangian`` builds the pullback at construction, since
 the positivity check and the geodesic right-hand side read nothing else,
 and computes the metric side (g, rho, theta, Re Omega) on first read.
 
+B = I - i H (H = Hess phi) is never formed.  Its determinant and adjugate
+are real polynomials in the invariants s1 = tr H, s2 = tr adj H (det H at
+n = 2, 0 at n = 1) and s3 = det H (n = 3 only):
+
+    det B = (1 - s2) - i (s1 - s3),      adj B = (I - adj3 H) - i (s1 I - H),
+
+with adj3 H = adj H at n = 3 and 0 otherwise.  So with E = Re E + i Im E the
+build keeps only real arrays: Re Omega~ = Re E Re det B - Im E Im det B,
+which the positivity check and the w-field read, and the complex det B and
+Omega~ are assembled from the parts on first read.
+
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
 is (h, k) = integral of h*k*cos(theta)*rho^{n/2}*sqrt(det g).
@@ -43,6 +54,7 @@ from .torus import (
     gradient_values,
     integrate_values,
     partial_values,
+    vector_dot,
 )
 
 
@@ -50,13 +62,14 @@ class GraphLagrangian:
     """The graph of d(phi): the pulled-back form built eagerly, the induced
     metric side on first read.
 
-    Eager: ``grad_phi``, ``hess_phi``, B = I - i Hess phi with its adjugate
-    and determinant, the twist density E and ``pullback_density`` = E det B.
-    That is all a geodesic stage reads.  Every other field (``metric``,
-    ``det_metric``, ``inverse_metric``, ``sqrt_det_metric``, ``rho``,
-    ``theta``, ``cos_theta``, ``margin``, ``re_omega``, ``total_weight``,
-    ``lagang_residual`` and the derivative fields below) is computed on
-    first read and then cached.
+    Eager: ``grad_phi``, ``hess_phi``, tr H and adj H (n = 3 only), the
+    twist density E with contiguous Re E and Im E, the real and imaginary
+    parts of det B (B = I - i Hess phi) and Re Omega~ = Re(E det B).  That is
+    all a geodesic stage reads.  Every other field (``_det_B``,
+    ``pullback_density``, ``metric``, ``det_metric``, ``inverse_metric``,
+    ``sqrt_det_metric``, ``rho``, ``theta``, ``cos_theta``, ``margin``,
+    ``re_omega``, ``total_weight``, ``lagang_residual`` and the derivative
+    fields below) is computed on first read and then cached.
 
     Raises
     ------
@@ -77,30 +90,63 @@ class GraphLagrangian:
 
         self.grad_phi, self.hess_phi = grad_hess(grid, phi.values)
 
-        # Pullback of Omega along x -> (x, grad phi).  adj(B) turns the
-        # connection's Cramer determinants into contractions.  Filling the
-        # parts gives the bits of I - 1j * H in half the time; 0.0 - H, not
-        # -H, keeps its signed zeros.
-        B = np.empty(self.hess_phi.shape, dtype=complex)
-        B.real = np.eye(grid.n)
-        np.subtract(0.0, self.hess_phi, out=B.imag)
-        self._adj_B = adjugate(B)
-        self._det_B = det(B)
+        # Pullback of Omega along x -> (x, grad phi) from the invariants of H
+        # (module docstring): det B = (1 - s2) - i (s1 - s3).
+        H, n = self.hess_phi, grid.n
+        self._trace_hess = H[..., 0, 0].copy()
+        for a in range(1, n):
+            self._trace_hess += H[..., a, a]
+        self._adj_hess = adjugate(H) if n == 3 else None
+        if n == 1:
+            self._re_det_B = np.ones(grid.shape)
+            self._im_det_B = 0.0 - self._trace_hess
+        elif n == 2:
+            self._re_det_B = 1.0 - det(H)
+            self._im_det_B = 0.0 - self._trace_hess
+        else:
+            adj = self._adj_hess
+            self._re_det_B = 1.0 - (adj[..., 0, 0] + adj[..., 1, 1] + adj[..., 2, 2])
+            self._im_det_B = det(H) - self._trace_hess
         self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi)
-        self.pullback_density = self._twist_density * self._det_B
+        self._re_twist = np.ascontiguousarray(self._twist_density.real)
+        self._im_twist = np.ascontiguousarray(self._twist_density.imag)
+        self._re_pullback = self._re_twist * self._re_det_B - self._im_twist * self._im_det_B
 
         # Positivity is Re Omega~ > 0 at every point.
-        if np.real(self.pullback_density).min() <= 0.0:
+        if self._re_pullback.min() <= 0.0:
             worst = np.unravel_index(np.argmin(self.cos_theta), grid.shape)
             point = tuple(float(grid.axis[i]) for i in worst)
             raise NotPositive(self.margin, point)
+
+    # -- complex pullback, assembled from the real parts on first read ---------
+
+    @cached_property
+    def _det_B(self) -> np.ndarray:
+        """det(I - i Hess phi)."""
+        det_B = np.empty(self.grid.shape, dtype=complex)
+        det_B.real, det_B.imag = self._re_det_B, self._im_det_B
+        return det_B
+
+    @cached_property
+    def pullback_density(self) -> np.ndarray:
+        """Omega~ = E det(I - i Hess phi), the pulled-back form in the dx volume."""
+        omega = np.empty(self.grid.shape, dtype=complex)
+        omega.real = self._re_pullback
+        omega.imag = self._re_twist * self._im_det_B + self._im_twist * self._re_det_B
+        return omega
 
     # -- metric side, computed on first read -----------------------------------
 
     @cached_property
     def metric(self) -> np.ndarray:
-        """g = I + H^2."""
-        return np.eye(self.grid.n) + self.hess_phi @ self.hess_phi
+        """g = I + H^2, written out (H is symmetric)."""
+        H, n = self.hess_phi, self.grid.n
+        g = np.empty(H.shape)
+        for a in range(n):
+            g[..., a, a] = vector_dot(H[..., a, :], H[..., :, a]) + 1.0
+            for b in range(a + 1, n):
+                g[..., a, b] = g[..., b, a] = vector_dot(H[..., a, :], H[..., :, b])
+        return g
 
     @cached_property
     def det_metric(self) -> np.ndarray:
@@ -192,7 +238,11 @@ class GraphLagrangian:
 
     def metric_pair(self, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
         """Pointwise <ga, gb> of two gradient fields in the induced metric."""
-        return np.einsum("...ab,...a,...b->...", self.inverse_metric, ga, gb)
+        ginv = self.inverse_metric
+        out = np.zeros(self.grid.shape)
+        for a in range(self.grid.n):
+            out += ga[..., a] * vector_dot(ginv[..., a, :], gb)
+        return out
 
     def normalize_values(self, values: np.ndarray) -> np.ndarray:
         shift = integrate_values(self.grid, values * self.re_omega) / self.total_weight

@@ -298,3 +298,12 @@ def test_sampled_path_validation(flat_model, grid64):
             np.array([0.0, 0.1, 0.35]),
             tuple(constant_field(grid64) for _ in range(3)),
         )
+
+
+def test_sampled_path_rejects_a_zero_time_step(flat_model, grid64, h_field):
+    potentials = tuple(constant_field(grid64) for _ in range(3))
+    with pytest.raises(ValueError, match="step must be nonzero"):
+        SampledPath(flat_model, np.zeros(3), potentials)
+    # A decreasing grid is uniform with a negative step, and stays valid.
+    path = SampledPath(flat_model, np.array([0.2, 0.1, 0.0]), potentials)
+    assert cov_deriv_along_path(path, [h_field] * 3, 1).sup_norm() < 1e-13

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from laglab.ambient import AlmostCYModel
-from laglab.connection import w_field_values
+from laglab.connection import _cramer_numerator, w_field_values
 from laglab.errors import GammaMismatch, NotPositive
 from laglab.lagrangian import build, grad_inner, inner
 from laglab.torus import (
@@ -14,6 +14,7 @@ from laglab.torus import (
     det,
     field_from_function,
     grad_hess,
+    gradient_values,
     integrate,
     integrate_values,
 )
@@ -292,16 +293,27 @@ def test_geodesic_stage_build_never_forms_the_metric_side(twisted_model, generic
 
 
 def eager_fields(model, phi):
-    """Every field as the fully eager constructor computed it."""
+    """Every field as the fully eager constructor computed it, with the
+    pullback from the invariants s1 = tr H, s2 = tr adj H, s3 = det H of
+    H = Hess phi: det(I - iH) = (1 - s2) - i (s1 - s3)."""
     grid, n = phi.grid, phi.grid.n
     grad_phi, hess_phi = grad_hess(grid, phi.values)
-    eye = np.eye(n)
-    metric = eye + hess_phi @ hess_phi
+    trace = np.trace(hess_phi, axis1=-2, axis2=-1)
+    s2 = {1: 0.0, 2: det(hess_phi), 3: np.trace(adjugate(hess_phi), axis1=-2, axis2=-1)}[n]
+    s3 = det(hess_phi) if n == 3 else 0.0
+    re_det_B, im_det_B = 1.0 - s2, s3 - trace
+    metric = np.empty(hess_phi.shape)
+    for a in range(n):
+        for b in range(n):
+            metric[..., a, b] = sum(hess_phi[..., a, c] * hess_phi[..., c, b] for c in range(n))
+        metric[..., a, a] += 1.0
     det_metric = det(metric)
     sqrt_det_metric = np.sqrt(det_metric)
-    B = eye - 1j * hess_phi
     twist_density = model.holomorphic_density(grid.coords, grad_phi)
-    pullback_density = twist_density * det(B)
+    re_E, im_E = twist_density.real, twist_density.imag
+    pullback_density = (re_E * re_det_B - im_E * im_det_B) + 1j * (
+        re_E * im_det_B + im_E * re_det_B
+    )
     rho = model.rho_from_density(twist_density)
     rho_half = rho ** (n / 2.0)
     theta = np.angle(pullback_density / (rho_half * sqrt_det_metric))
@@ -310,9 +322,9 @@ def eager_fields(model, phi):
     recon = np.exp(1j * theta) * rho_half * sqrt_det_metric
     scale = np.abs(pullback_density).max()
     return {
-        "_adj_B": adjugate(B),
-        "_det_B": det(B),
+        "_det_B": re_det_B + 1j * im_det_B,
         "pullback_density": pullback_density,
+        "_re_pullback": np.real(pullback_density),
         "metric": metric,
         "det_metric": det_metric,
         "inverse_metric": adjugate(metric) / det_metric[..., None, None],
@@ -338,3 +350,50 @@ def test_lazy_fields_equal_the_eager_formulas(n, points):
     gamma = build(model, phi)
     for name, expected in eager_fields(model, phi).items():
         assert np.array_equal(getattr(gamma, name), expected), name
+
+
+def relative_error(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])
+def test_real_invariant_forms_match_complex_linear_algebra(n, points):
+    """The pullback, Cramer numerator and metric built from the real invariants
+    of Hess phi against B = I - iH by LAPACK, the complex adjugate and einsum."""
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
+    phi = field_from_function(
+        grid, lambda c: 0.2 * np.cos(c.sum(axis=-1)) + 0.1 * np.sin(c[..., -1] - c[..., 0])
+    )
+    gamma = build(model, phi)
+    H = gamma.hess_phi
+    B = np.eye(n) - 1j * H
+    det_B = np.linalg.det(B)
+    adj_B = det_B[..., None, None] * np.linalg.inv(B)
+    E = np.exp(model.twist(grid.coords, gamma.grad_phi))
+    assert relative_error(gamma._det_B, det_B) <= 1e-14
+    assert relative_error(gamma.pullback_density, E * det_B) <= 1e-14
+    assert relative_error(gamma._re_pullback, np.real(E * det_B)) <= 1e-14
+
+    vec = gradient_values(grid, np.cos(grid.coords[..., 0]) + 0.5 * np.sin(grid.coords.sum(axis=-1)))
+    cramer = np.imag(E[..., None] * np.einsum("...ab,...b->...a", adj_B, vec))
+    assert relative_error(_cramer_numerator(gamma, vec), cramer) <= 1e-14
+
+    metric = np.eye(n) + np.einsum("...ac,...cb->...ab", H, H)
+    assert relative_error(gamma.metric, metric) <= 1e-14
+    other = gradient_values(grid, np.sin(grid.coords[..., -1]))
+    pair = np.einsum("...ab,...a,...b->...", np.linalg.inv(metric), vec, other)
+    assert relative_error(gamma.metric_pair(vec, other), pair) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_holomorphic_density_matches_the_complex_exponential(n):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(200, n))
+    y = rng.uniform(-1.0, 1.0, size=(200, n))
+    twisted = AlmostCYModel(n, twist_amplitude=0.3, twist_mode=2)
+    oracle = np.exp(twisted.twist(x, y))
+    assert relative_error(twisted.holomorphic_density(x, y), oracle) <= 1e-15
+    flat = AlmostCYModel(n)
+    assert np.array_equal(flat.holomorphic_density(x, y), np.exp(flat.twist(x, y)))
+    assert np.array_equal(flat.holomorphic_density(x, y), np.ones(200))

@@ -3,13 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from laglab.connection import HamiltonianFamily
-from laglab.torus import field_from_function, sample
+import laglab.torus
+from laglab.connection import HamiltonianFamily, cov_deriv_pair_values, w_field_values
+from laglab.lagrangian import build
+from laglab.torus import ScalarField, field_from_function, gradient_values, sample
 from laglab.validation import (
     RICHARDSON_FLOOR,
     SuiteConfig,
     _richardson,
     _result,
+    _second_cov_deriv_fd,
     _suite_tensor_structure,
     _worst,
     check_dijk_zero_section,
@@ -297,3 +300,45 @@ def test_tensor_structure_transform_count(warm_twisted_generic, transform_calls)
     assert [r.name for r in results] == ["mean_zero_residual", "bianchi"]
     assert all(r.passed for r in results)
     assert len(transform_calls) == 3 + 12
+
+
+def second_cov_deriv_per_delta(gamma, hi, hj, hk, delta):
+    """D_{h^i} D_{h^j} h^k with every term recomputed at this delta."""
+    model, grid, phi = gamma.model, gamma.grid, gamma.phi.values
+    plus = cov_deriv_pair_values(build(model, ScalarField(grid, phi + delta * hi)), hj, hk)
+    minus = cov_deriv_pair_values(build(model, ScalarField(grid, phi - delta * hi)), hj, hk)
+    center = cov_deriv_pair_values(gamma, hj, hk)
+    w = w_field_values(gamma, hi)
+    advect = np.einsum("...a,...a->...", w, gradient_values(grid, center))
+    return (plus - minus) / (2.0 * delta) + advect
+
+
+@pytest.mark.parametrize("name", ["flat_zero", "twisted_zero", "flat_generic", "twisted_generic"])
+def test_second_cov_deriv_fd_reuses_only_delta_free_terms(name):
+    gamma = dict(standard_base_points(32))[name]
+    rng = np.random.default_rng(8)
+    hi, hj, hk = (sample(random_trig_polynomial(rng, 2), gamma.grid).values for _ in range(3))
+    at = _second_cov_deriv_fd(gamma, hi, hj, hk)
+    for delta in (1e-3, 5e-4):
+        assert np.array_equal(at(delta), second_cov_deriv_per_delta(gamma, hi, hj, hk, delta))
+
+
+def test_r3_vs_fd_transform_count(warm_twisted_generic, grid64, monkeypatch):
+    """At 64^2: 7 forward and 16 inverse transforms for the curvature field;
+    for each of the two Richardson steps, one gradient-and-Hessian build
+    (1 forward, 5 inverse) of each of the 4 graphs at phi +- delta h^i; and
+    once per ordering of (h, k), four gradients (1 forward, 2 inverse each):
+    h^j, h^k, h^i for the w-field, and the centre D_{h^j} h^k."""
+    counts = {"forward": 0, "inverse": 0}
+    for kind, name in (("forward", "_spectrum"), ("inverse", "_from_spectrum")):
+        original = getattr(laglab.torus, name)
+
+        def counting(*args, _kind=kind, _original=original):
+            counts[_kind] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(laglab.torus, name, counting)
+    rng = np.random.default_rng(5)
+    h, k, l = (sample(random_trig_polynomial(rng, 2), grid64) for _ in range(3))
+    assert check_r3_vs_fd(warm_twisted_generic, h, k, l).passed
+    assert counts == {"forward": 23, "inverse": 72}
