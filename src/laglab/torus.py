@@ -97,8 +97,7 @@ class PeriodicGrid:
 
     @cached_property
     def _hessian_multipliers(self) -> dict[tuple[int, int], np.ndarray]:
-        # (i k_a)(i k_b) for a <= b, the same products the Hessian formed per
-        # call, so cached second derivatives keep their bits.
+        # (i k_a)(i k_b) for a <= b, formed once per grid.
         mult = self._derivative_multipliers
         return {(a, b): mult[a] * mult[b] for a in range(self.n) for b in range(a, self.n)}
 

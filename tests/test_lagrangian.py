@@ -375,13 +375,14 @@ def test_real_invariant_forms_match_complex_linear_algebra(n, points):
     assert relative_error(gamma.pullback_density, E * det_B) <= 1e-14
     assert relative_error(gamma._re_pullback, np.real(E * det_B)) <= 1e-14
 
-    vec = gradient_values(grid, np.cos(grid.coords[..., 0]) + 0.5 * np.sin(grid.coords.sum(axis=-1)))
+    x = grid.coords
+    vec = gradient_values(grid, np.cos(x[..., 0]) + 0.5 * np.sin(x.sum(axis=-1)))
     cramer = np.imag(E[..., None] * np.einsum("...ab,...b->...a", adj_B, vec))
     assert relative_error(_cramer_numerator(gamma, vec), cramer) <= 1e-14
 
     metric = np.eye(n) + np.einsum("...ac,...cb->...ab", H, H)
     assert relative_error(gamma.metric, metric) <= 1e-14
-    other = gradient_values(grid, np.sin(grid.coords[..., -1]))
+    other = gradient_values(grid, np.sin(x[..., -1]))
     pair = np.einsum("...ab,...a,...b->...", np.linalg.inv(metric), vec, other)
     assert relative_error(gamma.metric_pair(vec, other), pair) <= 1e-14
 
