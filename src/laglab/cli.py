@@ -7,6 +7,12 @@ Subcommands
 ``laglab validate``              run the full validation battery
 ``laglab mirror config.json``    run a matrix-model job directly
 
+Every job is one row of the ``JOBS`` table: whether it reads a model, grid
+and functions, its parameter read, its ``describe`` plan line and its
+computation.  ``ExperimentConfig`` runs the job's read and the top-level
+``output`` read before any computation, so every subcommand sees the same
+reads and the same configuration errors.
+
 Exit codes: 0 success, 2 configuration error, 3 positivity lost,
 4 check failure.
 """
@@ -20,6 +26,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .hermitian import (
     HermBase,
     HermPoint,
     HermTangent,
+    _aligned,
     herm_curvature_quad,
     herm_fd_riemann,
     herm_inner,
@@ -61,8 +69,6 @@ from .torus import (
 from .validation import SuiteConfig, run_suite
 
 SCHEMA_TAG = "laglab/report-v1"
-
-JOBS = ("curvature", "sectional", "scan", "geodesic", "validate", "mirror")
 
 _CONFIG_EXIT = (
     ConfigError,
@@ -120,6 +126,13 @@ def _flag(value, where: str) -> bool:
     raise ConfigError(f"{where} must be true or false, got {value!r}")
 
 
+def _path(value, where: str) -> str:
+    """A config path: a nonempty string."""
+    if isinstance(value, str) and value:
+        return value
+    raise ConfigError(f"{where} must be a nonempty path string, got {value!r}")
+
+
 def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
     """Parse a list of trig terms and check it against the grid's band limit."""
     if not isinstance(raw, list):
@@ -146,7 +159,8 @@ def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
 
 
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description; ``inputs`` is the job's parameter
+    read, done here so that no job starts computing on a malformed config."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -154,18 +168,19 @@ class ExperimentConfig:
         self.raw = raw
         self.job = _require(raw, "job", str)
         if self.job not in JOBS:
-            raise ConfigError(f"unknown job {self.job!r}; expected one of {JOBS}")
+            raise ConfigError(f"unknown job {self.job!r}; expected one of {tuple(JOBS)}")
         self.params = raw.get("params", {})
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
-        self.output = raw.get("output")
+        self.output = _path(raw["output"], "output") if "output" in raw else None
 
         self.model = None
         self.grid = None
         self.potential = TrigPolynomial(())
         self.functions: dict[str, TrigPolynomial] = {}
-        if self.job in ("curvature", "sectional", "scan", "geodesic"):
+        if JOBS[self.job].geometry:
             self._parse_geometry(raw)
+        self.inputs = JOBS[self.job].read(self)
 
     def _parse_geometry(self, raw: dict):
         model_raw = _require(raw, "model", dict)
@@ -206,25 +221,6 @@ class ExperimentConfig:
             raise ConfigError(f"params.{key} = {name!r} does not name a function")
         return name
 
-    def scan_pairs(self) -> list[tuple[str, str]]:
-        """The (h, k) name pairs of a scan: every pair of sorted names under
-        ``params.all_pairs``, otherwise the validated ``params.pairs``."""
-        if _flag(self.params.get("all_pairs", False), "params.all_pairs"):
-            names = sorted(self.functions)
-            return [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-        raw_pairs = self.params.get("pairs")
-        if not isinstance(raw_pairs, list) or not raw_pairs:
-            raise ConfigError("scan requires params.pairs or params.all_pairs")
-        pairs = []
-        for i, pair in enumerate(raw_pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError(f"params.pairs[{i}] must be a [h, k] pair")
-            for name in pair:
-                if name not in self.functions:
-                    raise ConfigError(f"params.pairs[{i}]: unknown function {name!r}")
-            pairs.append((pair[0], pair[1]))
-        return pairs
-
     def build_gamma(self) -> GraphLagrangian:
         return build(self.model, sample(self.potential, self.grid))
 
@@ -243,20 +239,13 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(raw)
 
 
-# ---------------------------------------------------------------------------
-# Matrix-model input parsing
-# ---------------------------------------------------------------------------
-
-
 def _parse_complex_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2:
-        try:
-            return complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: matrix entry {entry!r} malformed") from exc
-    raise ConfigError(f"{where}: matrix entry must be a number or [re, im]")
+    """A finite number, or an ``[re, im]`` pair of finite numbers."""
+    if not isinstance(entry, list):
+        return complex(_number(entry, where))
+    if len(entry) != 2:
+        raise ConfigError(f"{where}: matrix entry must be a number or [re, im]")
+    return complex(_number(entry[0], where), _number(entry[1], where))
 
 
 def parse_matrix_family(raw, where: str) -> np.ndarray:
@@ -283,18 +272,16 @@ def parse_matrix_family(raw, where: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _job_sectional(cfg: ExperimentConfig) -> dict:
+def _job_sectional(cfg: ExperimentConfig, _report: Path, h_name: str, k_name: str):
     gamma = cfg.build_gamma()
-    h = cfg.tangent(gamma, cfg.resolve("h"))
-    k = cfg.tangent(gamma, cfg.resolve("k"))
-    value = sectional(gamma, h, k)
+    h, k = cfg.tangent(gamma, h_name), cfg.tangent(gamma, k_name)
     return {
-        "sectional": value,
+        "sectional": sectional(gamma, h, k),
         "margin": gamma.margin,
         "inner_hh": gamma.inner_values(h.values, h.values),
         "inner_kk": gamma.inner_values(k.values, k.values),
         "inner_hk": gamma.inner_values(h.values, k.values),
-    }
+    }, True
 
 
 def _curvature_params(cfg: ExperimentConfig) -> tuple[list[str], str | None, bool]:
@@ -306,8 +293,8 @@ def _curvature_params(cfg: ExperimentConfig) -> tuple[list[str], str | None, boo
     return names, m_name, include_field
 
 
-def _job_curvature(cfg: ExperimentConfig) -> dict:
-    names, m_name, include_field = _curvature_params(cfg)
+def _job_curvature(cfg: ExperimentConfig, _report: Path, names: list[str],
+                   m_name: str | None, include_field: bool):
     gamma = cfg.build_gamma()
     h, k, l = (cfg.tangent(gamma, name) for name in names)
     m = cfg.tangent(gamma, m_name) if m_name is not None else None
@@ -325,24 +312,36 @@ def _job_curvature(cfg: ExperimentConfig) -> dict:
     if include_field:
         out["riemann_field"] = [float(v) for v in r.ravel()]
         out["field_shape"] = list(r.shape)
-    return out
+    return out, True
 
 
 def _scan_params(cfg: ExperimentConfig) -> tuple[list[tuple[str, str]], str | None]:
-    """The (h, k) name pairs of a scan and its ``params.csv`` path, if given."""
-    csv_name = cfg.params.get("csv")
-    if "csv" in cfg.params and not (isinstance(csv_name, str) and csv_name):
-        raise ConfigError(f"params.csv must be a nonempty path string, got {csv_name!r}")
-    return cfg.scan_pairs(), csv_name
+    """The (h, k) name pairs of a scan, every pair of sorted names under
+    ``params.all_pairs`` or else the validated ``params.pairs``, and its
+    ``params.csv`` path, if given."""
+    csv_name = _path(cfg.params["csv"], "params.csv") if "csv" in cfg.params else None
+    if _flag(cfg.params.get("all_pairs", False), "params.all_pairs"):
+        names = sorted(cfg.functions)
+        return [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]], csv_name
+    raw_pairs = cfg.params.get("pairs")
+    if not isinstance(raw_pairs, list) or not raw_pairs:
+        raise ConfigError("scan requires params.pairs or params.all_pairs")
+    for i, pair in enumerate(raw_pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"params.pairs[{i}] must be a [h, k] pair")
+        for name in pair:
+            if not isinstance(name, str) or name not in cfg.functions:
+                raise ConfigError(f"params.pairs[{i}]: unknown function {name!r}")
+    return [(h, k) for h, k in raw_pairs], csv_name
 
 
-def _job_scan(cfg: ExperimentConfig, pairs: list[tuple[str, str]], csv_path: Path | None) -> dict:
+def _job_scan(cfg: ExperimentConfig, report: Path, pairs: list[tuple[str, str]],
+              csv_name: str | None):
+    csv_path = Path(csv_name) if csv_name is not None else report.with_suffix(".csv")
     gamma = cfg.build_gamma()
     names = list(dict.fromkeys(name for pair in pairs for name in pair))
     index = {name: i for i, name in enumerate(names)}
-    matrices = sectional_matrix(
-        gamma, [cfg.tangent(gamma, name).values for name in names]
-    )
+    matrices = sectional_matrix(gamma, [cfg.tangent(gamma, name).values for name in names])
 
     rows = []
     for pair_id, (h_name, k_name) in enumerate(pairs):
@@ -353,21 +352,15 @@ def _job_scan(cfg: ExperimentConfig, pairs: list[tuple[str, str]], csv_path: Pat
             row.update(sectional=None, note=str(exc))
         rows.append(row)
 
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as stream:
-            writer = csv.writer(stream)
-            writer.writerow(["pair_id", "h_name", "k_name", "sectional", "margin"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["pair_id"],
-                        row["h_name"],
-                        row["k_name"],
-                        "" if row["sectional"] is None else f"{row['sectional']:.17g}",
-                        f"{row['margin']:.17g}",
-                    ]
-                )
-    return {"pairs": rows, "csv": str(csv_path) if csv_path else None}
+    with open(csv_path, "w", newline="") as stream:
+        writer = csv.writer(stream)
+        writer.writerow(["pair_id", "h_name", "k_name", "sectional", "margin"])
+        for row in rows:
+            value = "" if row["sectional"] is None else f"{row['sectional']:.17g}"
+            writer.writerow(
+                [row["pair_id"], row["h_name"], row["k_name"], value, f"{row['margin']:.17g}"]
+            )
+    return {"pairs": rows, "csv": str(csv_path)}, True
 
 
 def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int, bool]:
@@ -382,8 +375,8 @@ def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int, bool]:
     return h0_name, total_time, steps, reverse
 
 
-def _job_geodesic(cfg: ExperimentConfig) -> dict:
-    h0_name, total_time, steps, reverse = _geodesic_params(cfg)
+def _job_geodesic(cfg: ExperimentConfig, _report: Path, h0_name: str, total_time: float,
+                  steps: int, reverse: bool):
     gamma = cfg.build_gamma()
     path = geodesic_shoot(gamma, cfg.tangent(gamma, h0_name), total_time, steps)
     out = {
@@ -396,22 +389,18 @@ def _job_geodesic(cfg: ExperimentConfig) -> dict:
     }
     if reverse:
         out["reversal_error_sup"] = path.reversal_error(total_time)
-    return out
+    return out, True
 
 
-def _suite_config_from_params(params: dict) -> SuiteConfig:
+def _validate_params(cfg: ExperimentConfig) -> tuple[SuiteConfig]:
+    """The battery's ``SuiteConfig``: params override its seed, grid, counts
+    and tolerances."""
+    params = cfg.params
     kwargs = {}
     mapping = {
-        "seed": _integer,
-        "grid": _integer,
-        "quadruples": _integer,
-        "fd_triples": _integer,
-        "sectional_samples": _integer,
-        "mirror_samples": _integer,
-        "rho_points": _integer,
-        "twist_amplitude": _number,
-        "geodesic_steps": _integer,
-        "geodesic_time": _number,
+        "seed": _integer, "grid": _integer, "quadruples": _integer, "fd_triples": _integer,
+        "sectional_samples": _integer, "mirror_samples": _integer, "rho_points": _integer,
+        "twist_amplitude": _number, "geodesic_steps": _integer, "geodesic_time": _number,
     }
     for key, conv in mapping.items():
         if key in params:
@@ -421,13 +410,12 @@ def _suite_config_from_params(params: dict) -> SuiteConfig:
         raise ConfigError("params.tolerances must be an object")
     kwargs["tolerances"] = {k: _number(v, f"params.tolerances.{k}") for k, v in tolerances.items()}
     try:
-        return SuiteConfig(**kwargs)
+        return (SuiteConfig(**kwargs),)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid validation config: {exc}") from exc
 
 
-def _job_validate(params: dict) -> tuple[dict, bool]:
-    suite_cfg = _suite_config_from_params(params)
+def _job_validate(_cfg: ExperimentConfig, _report: Path, suite_cfg: SuiteConfig):
     report = run_suite(suite_cfg)
     payload = {
         "seed": suite_cfg.seed,
@@ -438,9 +426,10 @@ def _job_validate(params: dict) -> tuple[dict, bool]:
     return payload, report.all_passed
 
 
-def _mirror_inputs(params: dict) -> tuple:
+def _mirror_params(cfg: ExperimentConfig) -> tuple:
     """(H, xi, eta, zeta, lambda, delta, tolerance) of a mirror job; zeta
     defaults to eta and lambda to xi."""
+    params = cfg.params
     weights = params.get("weights", [1.0])
     if not isinstance(weights, list) or not weights:
         raise ConfigError("params.weights must be a nonempty list")
@@ -450,15 +439,19 @@ def _mirror_inputs(params: dict) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"params.weights: {exc}") from exc
 
-    def family(kind, key: str):
+    def family(kind, key: str, point: HermPoint | None = None):
         try:
-            return kind(base, parse_matrix_family(_require(params, key), f"params.{key}"))
-        except ValueError as exc:
+            value = kind(base, parse_matrix_family(_require(params, key), f"params.{key}"))
+            if point is not None:
+                _aligned(point, value)
+            return value
+        except (ValueError, ShapeMismatch) as exc:
             raise ConfigError(f"params.{key}: {exc}") from exc
 
-    H, xi, eta = family(HermPoint, "H"), family(HermTangent, "xi"), family(HermTangent, "eta")
-    zeta = family(HermTangent, "zeta") if "zeta" in params else eta
-    lam = family(HermTangent, "lambda") if "lambda" in params else xi
+    H = family(HermPoint, "H")
+    xi, eta = family(HermTangent, "xi", H), family(HermTangent, "eta", H)
+    zeta = family(HermTangent, "zeta", H) if "zeta" in params else eta
+    lam = family(HermTangent, "lambda", H) if "lambda" in params else xi
     delta = _number(params.get("delta", 1e-3), "params.delta")
     if delta <= 0:
         raise ConfigError(f"params.delta must be positive, got {delta}")
@@ -468,8 +461,8 @@ def _mirror_inputs(params: dict) -> tuple:
     return H, xi, eta, zeta, lam, delta, tolerance
 
 
-def _job_mirror(params: dict) -> tuple[dict, bool]:
-    H, xi, eta, zeta, lam, delta, tolerance = _mirror_inputs(params)
+def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam, delta: float,
+                tolerance: float):
     corrected = herm_curvature_quad(H, xi, eta, zeta, lam)
     literal = herm_curvature_quad(H, xi, eta, zeta, lam, literal=True)
     fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta)
@@ -489,6 +482,48 @@ def _job_mirror(params: dict) -> tuple[dict, bool]:
         out["sectional_note"] = str(exc)
     ok = agreement <= tolerance * max(1.0, abs(fd))
     return out, ok
+
+
+class Job(NamedTuple):
+    """A row of ``JOBS``.  ``read(cfg)`` returns the job's parameters as a
+    tuple, ``plan(*params)`` its ``describe`` line and
+    ``run(cfg, report_path, *params)`` its ``(results, ok)``."""
+
+    geometry: bool  # reads model, grid, potential and functions
+    read: Callable[[ExperimentConfig], tuple]
+    plan: Callable[..., str]
+    run: Callable[..., tuple[dict, bool]]
+
+
+JOBS = {
+    "curvature": Job(
+        True, _curvature_params,
+        lambda names, m_name, _: f"curvature field R({names[0]},{names[1]}){names[2]}"
+        + (f" paired with {m_name}" if m_name else ""),
+        _job_curvature,
+    ),
+    "sectional": Job(
+        True, lambda cfg: (cfg.resolve("h"), cfg.resolve("k")),
+        lambda h, k: f"sectional curvature of ({h}, {k})", _job_sectional,
+    ),
+    "scan": Job(
+        True, _scan_params,
+        lambda pairs, _: f"sectional scan over {len(pairs)} pair(s), CSV + JSON output", _job_scan,
+    ),
+    "geodesic": Job(
+        True, _geodesic_params,
+        lambda h0, total_time, steps, _: f"shoot from {h0} for T={total_time} in {steps} steps",
+        _job_geodesic,
+    ),
+    "validate": Job(
+        False, _validate_params,
+        lambda s: f"validation battery, seed={s.seed}, grid={s.grid_points}", _job_validate,
+    ),
+    "mirror": Job(
+        False, _mirror_params,
+        lambda *_: "matrix-model curvature with finite-difference oracle", _job_mirror,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -527,34 +562,22 @@ def write_report(report: dict, path: Path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def _execute(cfg: ExperimentConfig, out_path: Path) -> tuple[dict, bool, float]:
+    """Run the job, write its report to ``out_path`` and return the results,
+    whether its checks passed and the elapsed seconds."""
     started = time.perf_counter()
-    check_ok = True
-    if cfg.job == "sectional":
-        results = _job_sectional(cfg)
-    elif cfg.job == "curvature":
-        results = _job_curvature(cfg)
-    elif cfg.job == "scan":
-        pairs, csv_name = _scan_params(cfg)
-        out_path = Path(args.output or cfg.output or "scan_report.json")
-        csv_path = Path(csv_name) if csv_name is not None else out_path.with_suffix(".csv")
-        results = _job_scan(cfg, pairs, csv_path)
-    elif cfg.job == "geodesic":
-        results = _job_geodesic(cfg)
-    elif cfg.job == "validate":
-        results, check_ok = _job_validate(cfg.params)
-    elif cfg.job == "mirror":
-        results, check_ok = _job_mirror(cfg.params)
-    else:  # pragma: no cover - guarded in ExperimentConfig
-        raise ConfigError(f"unhandled job {cfg.job!r}")
+    results, ok = JOBS[cfg.job].run(cfg, out_path, *cfg.inputs)
     elapsed = time.perf_counter() - started
+    write_report(make_report(cfg.raw, cfg.job, results, elapsed), out_path)
+    return results, ok, elapsed
 
-    report = make_report(cfg.raw, cfg.job, results, elapsed)
+
+def cmd_run(args, cfg: ExperimentConfig | None = None) -> int:
+    cfg = cfg or load_config(args.config)
     out_path = Path(args.output or cfg.output or f"{cfg.job}_report.json")
-    write_report(report, out_path)
+    _, ok, _ = _execute(cfg, out_path)
     print(f"{cfg.job}: report written to {out_path}")
-    if not check_ok:
+    if not ok:
         print("one or more checks failed", file=sys.stderr)
         return 4
     return 0
@@ -571,41 +594,17 @@ def cmd_describe(args) -> int:
         lines.append(f"grid: {cfg.grid.points}^{cfg.grid.n} points")
         lines.append(f"potential: {len(cfg.potential.terms)} term(s)")
         lines.append(f"functions: {', '.join(sorted(cfg.functions)) or '(none)'}")
-    if cfg.job == "sectional":
-        lines.append(f"plan: sectional curvature of ({cfg.resolve('h')}, {cfg.resolve('k')})")
-    elif cfg.job == "curvature":
-        names, m_name, _ = _curvature_params(cfg)
-        lines.append(f"plan: curvature field R({names[0]},{names[1]}){names[2]}"
-                     + (f" paired with {m_name}" if m_name else ""))
-    elif cfg.job == "scan":
-        count = len(_scan_params(cfg)[0])
-        lines.append(f"plan: sectional scan over {count} pair(s), CSV + JSON output")
-    elif cfg.job == "geodesic":
-        h0_name, total_time, steps, _ = _geodesic_params(cfg)
-        lines.append(f"plan: shoot from {h0_name} for T={total_time} in {steps} steps")
-    elif cfg.job == "validate":
-        suite_cfg = _suite_config_from_params(cfg.params)
-        lines.append(f"plan: validation battery, seed={suite_cfg.seed}, "
-                     f"grid={suite_cfg.grid_points}")
-    elif cfg.job == "mirror":
-        _mirror_inputs(cfg.params)
-        lines.append("plan: matrix-model curvature with finite-difference oracle")
+    lines.append(f"plan: {JOBS[cfg.job].plan(*cfg.inputs)}")
     print("\n".join(lines))
     return 0
 
 
 def cmd_validate(args) -> int:
-    params = {}
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.grid is not None:
-        params["grid"] = args.grid
-    started = time.perf_counter()
-    results, ok = _job_validate(params)
-    elapsed = time.perf_counter() - started
-    report = make_report({"job": "validate", "params": params}, "validate", results, elapsed)
+    flags = {"seed": args.seed, "grid": args.grid}
+    params = {key: value for key, value in flags.items() if value is not None}
+    cfg = ExperimentConfig({"job": "validate", "params": params})
     out_path = Path(args.output or "validation_report.json")
-    write_report(report, out_path)
+    results, ok, elapsed = _execute(cfg, out_path)
     for check in results["checks"]:
         flag = "PASS" if check["passed"] else "FAIL"
         print(f"{flag}  {check['name']:40s} error={check['error_' + check['measure']]:.3e} "
@@ -618,7 +617,7 @@ def cmd_mirror(args) -> int:
     cfg = load_config(args.config)
     if cfg.job != "mirror":
         raise ConfigError(f"mirror subcommand requires job='mirror', got {cfg.job!r}")
-    return cmd_run(args)
+    return cmd_run(args, cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

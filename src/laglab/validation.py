@@ -327,18 +327,21 @@ def _second_cov_deriv_fd(
     hi: np.ndarray,
     hj: np.ndarray,
     hk: np.ndarray,
+    grads: Sequence[np.ndarray] | None = None,
 ) -> Callable[[float], np.ndarray]:
     """D_{h^i} D_{h^j} h^k by differencing the coordinate derivative along i,
     as a function of the step delta.  The terms that do not depend on delta
-    (the gradients of h^j and h^k and the advection w(h^i) . grad D_{h^j} h^k
-    at the centre) are computed once; only the graphs at phi +- delta h^i are
-    built per step."""
+    (the gradients of h^i, h^j and h^k and the advection
+    w(h^i) . grad D_{h^j} h^k at the centre) are computed once; only the
+    graphs at phi +- delta h^i are built per step.  ``grads`` holds the
+    gradients of h^i, h^j and h^k when the caller already has them."""
     model, grid = gamma.model, gamma.grid
     phi = gamma.phi.values
-    grad_j = gradient_values(grid, hj)
-    grad_k = gradient_values(grid, hk)
+    if grads is None:
+        grads = [gradient_values(grid, h) for h in (hi, hj, hk)]
+    grad_i, grad_j, grad_k = grads
     center = cov_deriv_pair_values(gamma, hj, hk, grad_j=grad_j, grad_k=grad_k)
-    advect = vector_dot(w_field_values(gamma, hi), gradient_values(grid, center))
+    advect = vector_dot(w_field_values(gamma, hi, grad_h=grad_i), gradient_values(grid, center))
 
     def pair_at(potential: np.ndarray) -> np.ndarray:
         gamma_t = build(model, ScalarField(grid, potential))
@@ -369,8 +372,9 @@ def check_r3_vs_fd(
     closed = riemann_field_values(gamma, h.values, k.values, l.values)
     scale = max(1.0, float(np.abs(closed).max()))
 
-    d_hk = _second_cov_deriv_fd(gamma, h.values, k.values, l.values)
-    d_kh = _second_cov_deriv_fd(gamma, k.values, h.values, l.values)
+    grad_h, grad_k, grad_l = (gradient_values(gamma.grid, f.values) for f in (h, k, l))
+    d_hk = _second_cov_deriv_fd(gamma, h.values, k.values, l.values, (grad_h, grad_k, grad_l))
+    d_kh = _second_cov_deriv_fd(gamma, k.values, h.values, l.values, (grad_k, grad_h, grad_l))
 
     def err_at(d: float) -> float:
         return float(np.abs(d_hk(d) - d_kh(d) - closed).max()) / scale

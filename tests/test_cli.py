@@ -242,6 +242,7 @@ def test_scan_degenerate_pair_note(tmp_path):
         {"pairs": [["h", "nope"]]},
         {"pairs": [["h"]]},
         {"pairs": []},
+        {"pairs": [[["h"], "k"]]},
     ],
 )
 def test_describe_and_run_agree_on_scan_pairs(tmp_path, capsys, params):
@@ -490,6 +491,29 @@ MIRROR_PARAMS = {
     "xi": [[[0, 1], [1, 0]]],
     "eta": [[[0, [0, -1]], [[0, 1], 0]]],
 }
+NOT_POSITIVE = [  # Re Omega~ = 1 - 4 cos x1 cos x2 < 0 at the origin
+    {"coefficient": 2.0, "wavevector": [1, 0]},
+    {"coefficient": 2.0, "wavevector": [0, 1]},
+]
+# Each read fails before any computation: a config error (exit 2) comes
+# before a positivity error (exit 3), and no input turns into a traceback.
+READ_BEFORE_COMPUTE = [
+    (dict(GEODESIC, job="sectional", potential=NOT_POSITIVE, params={"h": "zz", "k": "k"}),
+     "params.h"),
+    (dict(GEODESIC, params={"h0": "h"}, output=5), "output"),
+    ({"job": "validate", "params": {"seed": 3}, "output": ["a"]}, "output"),
+    ({"job": "mirror", "params": MIRROR_PARAMS, "output": ""}, "output"),
+    (dict(GEODESIC, job="scan", params={"pairs": [[["h"], "k"]]}), "params.pairs[0]"),
+    ({"job": "mirror", "params": dict(MIRROR_PARAMS, H=[[[["2", "0"], 0], [0, 1]]])},
+     "params.H[0][0]"),
+    ({"job": "mirror", "params": dict(MIRROR_PARAMS, H=[[[[True, False], 0], [0, 1]]])},
+     "params.H[0][0]"),
+    ({"job": "mirror", "params": dict(MIRROR_PARAMS, H=[[[float("nan"), 0], [0, 1]]])},
+     "params.H[0][0]"),
+    ({"job": "mirror", "params": dict(MIRROR_PARAMS, H=[[[float("inf"), 0], [0, 1]]])},
+     "params.H[0][0]"),
+    ({"job": "mirror", "params": dict(MIRROR_PARAMS, xi=[[[1]]])}, "params.xi"),
+]
 
 
 @pytest.mark.parametrize("command", ["run", "describe"])
@@ -511,6 +535,7 @@ MIRROR_PARAMS = {
         ({"job": "mirror", "params": dict(MIRROR_PARAMS, xi=[[[0, 1], [0, 0]]])}, "params.xi"),
         ({"job": "validate", "params": {"seed": 7.9}}, "params.seed"),
         ({"job": "validate", "params": {"quadruples": 2.5}}, "params.quadruples"),
+        *READ_BEFORE_COMPUTE,
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):
@@ -521,6 +546,18 @@ def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, named", READ_BEFORE_COMPUTE)
+def test_describe_and_run_fail_alike(tmp_path, capsys, config, named):
+    cfg = write_config(tmp_path, "bad.json", config)
+    out = tmp_path / "bad_report.json"
+    assert main(["describe", str(cfg)]) == 2
+    described = capsys.readouterr()
+    assert main(["run", str(cfg), "-o", str(out)]) == 2
+    ran = capsys.readouterr()
+    assert named in ran.err and described.err == ran.err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_integral_float_params_are_integers(tmp_path, capsys):
