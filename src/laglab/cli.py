@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .ambient import CONVENTIONS, AlmostCYModel
-from .connection import geodesic_shoot
+from .connection import MAX_STEPS, geodesic_shoot
 from .curvature import curvature_report, sectional, sectional_matrix
 from .errors import (
     BandLimitExceeded,
@@ -369,8 +369,8 @@ def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int, bool]:
     h0_name = cfg.resolve("h0")
     total_time = _number(cfg.params.get("time", 0.1), "params.time")
     steps = _integer(cfg.params.get("steps", 100), "params.steps")
-    if steps < 1:
-        raise ConfigError(f"params.steps must be at least 1, got {steps}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ConfigError(f"params.steps must be between 1 and {MAX_STEPS}, got {steps}")
     reverse = _flag(cfg.params.get("reverse", False), "params.reverse")
     return h0_name, total_time, steps, reverse
 

@@ -57,6 +57,11 @@ from .errors import (
 from .lagrangian import GraphLagrangian, TangentFunction, build
 from .torus import ScalarField, gradient_values, vector_dot
 
+# The largest step count ``geodesic_shoot`` accepts: each step keeps a
+# potential, a velocity and an energy, so an unbounded count is unbounded
+# memory and time.
+MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class VerticalDeformation:
@@ -306,11 +311,13 @@ def geodesic_shoot(
     StepRejected
         If the relative energy jump across one step exceeds
         ``step_energy_tol``.
+    ValueError
+        If ``steps`` is not between 1 and ``MAX_STEPS``.
     """
     if h0.gamma is not gamma0:
         raise ValueError("initial velocity attached to a different Lagrangian")
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
     model, grid = gamma0.model, gamma0.grid
     dt = float(time) / steps
 

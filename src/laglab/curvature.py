@@ -12,7 +12,10 @@ Two independent routes to the same tensor:
 Pairing the first against the metric must reproduce the second; the
 validation suite enforces this at every base point, and the sectional
 curvature built from the quadruple form is non-positive by the pointwise
-Cauchy-Schwarz inequality of its integrand.
+Cauchy-Schwarz inequality of its integrand.  ``sectional_matrix`` is that
+quadruple form at (h_i, h_j, h_j, h_i) for every pair of F functions, built
+from the same primitives: spectral gradients, ``raise_index``,
+``vector_dot`` and ``sec_integral``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .lagrangian import (
     TangentFunction,
     require_same_gamma,
 )
-from .torus import ScalarField, gradient_values, integrate_values
+from .torus import ScalarField, gradient_values, integrate_values, vector_dot
 
 # Below this worst-case cos(theta) the sec^2 factors are considered too
 # ill-conditioned for curvature evaluation.
@@ -61,14 +64,14 @@ def riemann_field_values(
 ) -> np.ndarray:
     """Pointwise curvature field R(h,k)l on raw sample arrays."""
     _require_margin(gamma, margin_threshold)
-    ginv = gamma.inverse_metric
 
     grad_h, hess_h, lap_h = gamma.derivatives(h)
     grad_k, hess_k, lap_k = gamma.derivatives(k)
     grad_l = gradient_values(gamma.grid, l)
+    up_h, up_k, up_l = (gamma.raise_index(g) for g in (grad_h, grad_k, grad_l))
 
-    kl = gamma.metric_pair(grad_k, grad_l)
-    hl = gamma.metric_pair(grad_h, grad_l)
+    kl = vector_dot(grad_k, up_l)
+    hl = vector_dot(grad_h, up_l)
 
     sec2 = 1.0 / gamma.cos_theta**2
     tan = np.tan(gamma.theta)
@@ -78,9 +81,6 @@ def riemann_field_values(
     )
 
     # <grad_x grad y, grad l> = Hess y(grad x, grad l) with raised gradients.
-    up_h = np.einsum("...ab,...b->...a", ginv, grad_h)
-    up_k = np.einsum("...ab,...b->...a", ginv, grad_k)
-    up_l = np.einsum("...ab,...b->...a", ginv, grad_l)
     term2 = sec2 * (
         np.einsum("...ab,...a,...b->...", hess_k.values, up_h, up_l)
         - np.einsum("...ab,...a,...b->...", hess_h.values, up_k, up_l)
@@ -123,9 +123,10 @@ def quad_products(gamma: GraphLagrangian, grads: Sequence[np.ndarray]) -> tuple[
     """The pointwise products <dh,dm><dk,dl> and <dh,dl><dk,dm> of the
     quadruple form, from the gradients of (h, k, l, m)."""
     grad_h, grad_k, grad_l, grad_m = grads
+    up_l, up_m = gamma.raise_index(grad_l), gamma.raise_index(grad_m)
     return (
-        gamma.metric_pair(grad_h, grad_m) * gamma.metric_pair(grad_k, grad_l),
-        gamma.metric_pair(grad_h, grad_l) * gamma.metric_pair(grad_k, grad_m),
+        vector_dot(grad_h, up_m) * vector_dot(grad_k, up_l),
+        vector_dot(grad_h, up_l) * vector_dot(grad_k, up_m),
     )
 
 
@@ -192,14 +193,6 @@ class SectionalMatrix(NamedTuple):
         return float(self.numerator[i, j] / det)
 
 
-def _dot(grads: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """sum_a grads[..., a, :] * up[a, :] for component-major gradients."""
-    out = grads[..., 0, :] * up[0]
-    for a in range(1, up.shape[0]):
-        out += grads[..., a, :] * up[a]
-    return out
-
-
 def sectional_matrix(
     gamma: GraphLagrangian,
     values: Sequence[np.ndarray],
@@ -207,46 +200,27 @@ def sectional_matrix(
 ) -> SectionalMatrix:
     """Numerators (R(h_i,h_j)h_j, h_i) and Gram matrix (h_i, h_j) of F functions.
 
-    The quadruple form gives the numerator as
-    -integral sec(theta) (|dh_i|^2 |dh_j|^2 - <dh_i,dh_j>^2) rho^{n/2} vol,
-    which depends on the functions only through the pointwise Gram matrix
-    P_ij = <dh_i, dh_j>_g.  So F functions take F spectral gradients.  Rows
-    are formed one at a time from the stored gradients and diagonals P_ii,
-    so memory stays O(F n N^n); each entry is reduced on its own, so its
-    value does not depend on which other functions are in the batch.
+    The numerator is the quadruple form at (h_i, h_j, h_j, h_i),
+    -integral sec(theta) (P_ii P_jj - P_ij^2) rho^{n/2} vol, which depends on
+    the functions only through the pointwise Gram matrix P_ij = <dh_i, dh_j>_g
+    (so ``numerator[i, i]`` is 0).  So F functions take F spectral gradients
+    and F index raises.  Each entry is reduced on its own, so its value does
+    not depend on which other functions are in the batch.
     """
     _require_margin(gamma, margin_threshold)
-    grid = gamma.grid
-    n, size, count = grid.n, grid.size, len(values)
-    flat = np.empty((count, size))
-    grads = np.empty((count, n, size))
-    for i, v in enumerate(values):
-        flat[i] = np.reshape(v, size)
-        grads[i] = gradient_values(grid, v).reshape(size, n).T
-    ginv = np.ascontiguousarray(gamma.inverse_metric.reshape(size, n, n).transpose(1, 2, 0))
-    sec_weight = (gamma._rho_half * gamma.sqrt_det_metric / gamma.cos_theta).reshape(size)
-    re_omega = gamma.re_omega.reshape(size)
-
-    def raised(i: int) -> np.ndarray:
-        return _dot(ginv, grads[i])
-
-    diag = np.empty((count, size))
-    for i in range(count):
-        diag[i] = _dot(grads[i], raised(i))
-
-    scale = grid.period**n / size
+    grads = [gradient_values(gamma.grid, v) for v in values]
+    ups = [gamma.raise_index(g) for g in grads]
+    diag = [vector_dot(g, up) for g, up in zip(grads, ups)]
+    count = len(values)
     numerator = np.zeros((count, count))
     gram = np.zeros((count, count))
     for i in range(count):
-        cross = _dot(grads[i:], raised(i))
-        cross *= cross
-        bracket = diag[i] * diag[i:]
-        bracket -= cross
-        bracket *= sec_weight
-        numerator[i, i:] = -bracket.sum(axis=1) * scale
-        gram[i, i:] = (flat[i] * flat[i:] * re_omega).sum(axis=1) * scale
-        numerator[i:, i] = numerator[i, i:]
-        gram[i:, i] = gram[i, i:]
+        gram[i, i] = gamma.inner_values(values[i], values[i])
+        for j in range(i + 1, count):
+            cross = vector_dot(grads[j], ups[i])
+            bracket = diag[i] * diag[j] - cross * cross
+            numerator[i, j] = numerator[j, i] = -sec_integral(gamma, bracket)
+            gram[i, j] = gram[j, i] = gamma.inner_values(values[i], values[j])
     return SectionalMatrix(numerator, gram)
 
 

@@ -34,6 +34,9 @@ is (h, k) = integral of h*k*cos(theta)*rho^{n/2}*sqrt(det g).
 ``GraphLagrangian.derivatives`` is the one method that gives a function's
 gradient, covariant Hessian and divergence-form Laplacian, all from one
 forward transform; ``laplace_beltrami`` and ``covariant_hessian`` read it.
+``GraphLagrangian.raise_index`` is the one application of g^{-1}: the
+metric pairing, the Laplacian's flux and the curvature routes all go
+through it.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ from .torus import (
     TensorField,
     adjugate,
     det,
+    divergence_values,
     grad_hess,
     gradient_values,
     integrate_values,
-    partial_values,
+    symmetric_gradient_values,
     vector_dot,
 )
 
@@ -141,7 +145,7 @@ class GraphLagrangian:
     def metric(self) -> np.ndarray:
         """g = I + H^2, written out (H is symmetric)."""
         H, n = self.hess_phi, self.grid.n
-        g = np.empty(H.shape)
+        g = np.empty_like(H)
         for a in range(n):
             g[..., a, a] = vector_dot(H[..., a, :], H[..., :, a]) + 1.0
             for b in range(a + 1, n):
@@ -213,12 +217,7 @@ class GraphLagrangian:
     def christoffels(self) -> np.ndarray:
         """Christoffel symbols of the induced metric, shape ``(..., a, b, c)``
         for Gamma^c_{ab}, computed spectrally from g = I + (Hess phi)^2."""
-        grid, n = self.grid, self.grid.n
-        dg = np.empty(grid.shape + (n, n, n))
-        for a in range(n):
-            for b in range(a, n):
-                dg[..., :, a, b] = gradient_values(grid, self.metric[..., a, b])
-                dg[..., :, b, a] = dg[..., :, a, b]
+        dg = symmetric_gradient_values(self.grid, self.metric)
         # bracket[..., a, b, d] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
         bracket = (
             np.einsum("...adb->...abd", dg)
@@ -236,13 +235,15 @@ class GraphLagrangian:
         """Pointwise <da, db> with respect to the induced metric."""
         return self.metric_pair(gradient_values(self.grid, a), gradient_values(self.grid, b))
 
+    def raise_index(self, grad: np.ndarray) -> np.ndarray:
+        """g^{-1} grad: the vector field metrically dual to a gradient field."""
+        ginv = self.inverse_metric
+        up = np.stack([vector_dot(ginv[..., a, :], grad) for a in range(self.grid.n)])
+        return np.moveaxis(up, 0, -1)
+
     def metric_pair(self, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
         """Pointwise <ga, gb> of two gradient fields in the induced metric."""
-        ginv = self.inverse_metric
-        out = np.zeros(self.grid.shape)
-        for a in range(self.grid.n):
-            out += ga[..., a] * vector_dot(ginv[..., a, :], gb)
-        return out
+        return vector_dot(ga, self.raise_index(gb))
 
     def normalize_values(self, values: np.ndarray) -> np.ndarray:
         shift = integrate_values(self.grid, values * self.re_omega) / self.total_weight
@@ -264,12 +265,8 @@ class GraphLagrangian:
         grid = self.grid
         grad, hess = grad_hess(grid, values)
         hess = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
-        flux = self.sqrt_det_metric[..., None] * np.einsum(
-            "...ab,...b->...a", self.inverse_metric, grad
-        )
-        div = np.zeros(grid.shape)
-        for a in range(grid.n):
-            div += partial_values(grid, flux[..., a], a)
+        flux = self.sqrt_det_metric[..., None] * self.raise_index(grad)
+        div = divergence_values(grid, flux)
         return grad, TensorField(grid, 2, hess, symmetric=True), -div / self.sqrt_det_metric
 
     def laplace_beltrami(self, h: ScalarField) -> ScalarField:

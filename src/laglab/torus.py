@@ -5,11 +5,15 @@ n in {1,2,3}).  Differentiation is a Fourier multiplier, quadrature is the
 trapezoidal rule (exact for band-limited integrands), and test inputs are
 real trigonometric polynomials with integer wavevectors.
 
-Fields are real, so derivatives use the real FFT: one ``rfftn`` of a field
-gives its spectrum, and every derivative of it is one ``irfftn`` of that
-spectrum times the multipliers i*k.  The Nyquist mode k = N/2 is zeroed on
-every axis, since its sample-based derivative is ambiguous; band-limited
-inputs never populate it, and a pure Nyquist-mode field differentiates to 0.
+Fields are real, so derivatives use the real FFT.  Each grid keeps one
+table of Fourier multipliers: i k_a per axis, then (i k_a)(i k_b) for a <= b.
+One ``rfftn`` of a field gives its spectrum, and all the derivatives read
+from it (gradient, Hessian or both) are one ``irfftn`` of that spectrum times
+a slice of the table, the whole stack in one call.  A stack of fields (the
+metric components, the components of a vector field) is transformed the same
+way.  The Nyquist mode k = N/2 is zeroed on every axis, since its
+sample-based derivative is ambiguous; band-limited inputs never populate it,
+and a pure Nyquist-mode field differentiates to 0.
 
 The pointwise n x n algebra of the graph geometry (n <= 3) uses the
 closed-form determinant and adjugate below instead of batched LAPACK calls.
@@ -78,28 +82,33 @@ class PeriodicGrid:
         return np.stack(mesh, axis=-1)
 
     @cached_property
-    def _derivative_multipliers(self) -> list[np.ndarray]:
-        # i*k Fourier multiplier per axis, broadcastable over the rfftn
-        # spectrum (the last axis keeps only k >= 0).  The Nyquist mode is
-        # zeroed on every axis.
+    def _multipliers(self) -> np.ndarray:
+        # Fourier multipliers over the rfftn spectrum (the last axis keeps only
+        # k >= 0), stacked: i*k_a for each axis a, then (i k_a)(i k_b) for
+        # a <= b in ``np.triu_indices`` order.  The Nyquist mode is zeroed on
+        # every axis.
         scale = 2.0 * np.pi / self.period
         k_full = np.fft.fftfreq(self.points, d=1.0 / self.points)
         k_full[self.points // 2] = 0.0
         k_half = np.fft.rfftfreq(self.points, d=1.0 / self.points)
         k_half[-1] = 0.0
-        mult = []
+        first = np.empty((self.n,) + self.shape[:-1] + (k_half.size,), dtype=complex)
         for axis in range(self.n):
             k = k_half if axis == self.n - 1 else k_full
             shape = [1] * self.n
             shape[axis] = k.size
-            mult.append((1j * scale * k).reshape(shape))
-        return mult
+            first[axis] = (1j * scale * k).reshape(shape)
+        rows, cols = np.triu_indices(self.n)
+        return np.concatenate([first, first[rows] * first[cols]])
 
     @cached_property
-    def _hessian_multipliers(self) -> dict[tuple[int, int], np.ndarray]:
-        # (i k_a)(i k_b) for a <= b, formed once per grid.
-        mult = self._derivative_multipliers
-        return {(a, b): mult[a] * mult[b] for a in range(self.n) for b in range(a, self.n)}
+    def _pair_index(self) -> np.ndarray:
+        # Row of the pair (a, b) among the second-derivative multipliers, for
+        # a > b as well.
+        index = np.empty((self.n, self.n), dtype=int)
+        rows, cols = np.triu_indices(self.n)
+        index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+        return index
 
 
 @dataclass(frozen=True)
@@ -280,18 +289,31 @@ def sample(poly: TrigPolynomial, grid: PeriodicGrid) -> ScalarField:
 
 
 def _spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(values, axes=tuple(range(grid.n)))
+    """Forward transform of one field or a stack of fields (grid axes last)."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)))
 
 
 def _from_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
-    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.n)))
+    return np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(-grid.n, 0)))
+
+
+def _derivatives(grid: PeriodicGrid, spec: np.ndarray, rows: slice) -> np.ndarray:
+    """``spec`` times the multiplier rows (broadcast against each other),
+    the whole stack inverse-transformed in one call."""
+    return _from_spectrum(grid, spec * grid._multipliers[rows])
+
+
+def _symmetric(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
+    """The symmetric matrix field, matrix axes last, whose (a, b) entry is
+    the stack's row for the pair (a, b)."""
+    return np.moveaxis(stack[grid._pair_index], (0, 1), (-2, -1))
 
 
 def partial_values(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndarray:
     """Spectral partial derivative of a raw sample array along one axis."""
     if not 0 <= axis < grid.n:
         raise ValueError(f"axis {axis} out of range for dimension {grid.n}")
-    return _from_spectrum(grid, _spectrum(grid, values) * grid._derivative_multipliers[axis])
+    return _derivatives(grid, _spectrum(grid, values), slice(axis, axis + 1))[0]
 
 
 def partial(f: ScalarField, axis: int) -> ScalarField:
@@ -299,37 +321,35 @@ def partial(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, partial_values(f.grid, f.values, axis))
 
 
-def _gradient_of_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
-    mult = grid._derivative_multipliers
-    grad = np.empty(grid.shape + (grid.n,))
-    for a in range(grid.n):
-        grad[..., a] = _from_spectrum(grid, spec * mult[a])
-    return grad
-
-
-def _hessian_of_spectrum(grid: PeriodicGrid, spec: np.ndarray) -> np.ndarray:
-    n = grid.n
-    hess = np.empty(grid.shape + (n, n))
-    for (a, b), mult in grid._hessian_multipliers.items():
-        hess[..., a, b] = _from_spectrum(grid, spec * mult)
-        hess[..., b, a] = hess[..., a, b]
-    return hess
-
-
 def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """All first derivatives, shape ``grid.shape + (n,)``."""
-    return _gradient_of_spectrum(grid, _spectrum(grid, values))
+    return np.moveaxis(_derivatives(grid, _spectrum(grid, values), slice(0, grid.n)), 0, -1)
 
 
 def hessian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """All second derivatives, shape ``grid.shape + (n, n)``, exactly symmetric."""
-    return _hessian_of_spectrum(grid, _spectrum(grid, values))
+    return _symmetric(grid, _derivatives(grid, _spectrum(grid, values), slice(grid.n, None)))
 
 
 def grad_hess(grid: PeriodicGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of one field from a single forward transform."""
-    spec = _spectrum(grid, values)
-    return _gradient_of_spectrum(grid, spec), _hessian_of_spectrum(grid, spec)
+    """Gradient and Hessian of one field from one forward and one inverse call."""
+    stack = _derivatives(grid, _spectrum(grid, values), slice(None))
+    return np.moveaxis(stack[: grid.n], 0, -1), _symmetric(grid, stack[grid.n :])
+
+
+def symmetric_gradient_values(grid: PeriodicGrid, matrix: np.ndarray) -> np.ndarray:
+    """d_c m_{ab} of a symmetric matrix field ``grid.shape + (n, n)``, shape
+    ``grid.shape + (n, n, n)`` with the derivative index c first; only the
+    components a <= b are transformed."""
+    upper = np.moveaxis(matrix[(..., *np.triu_indices(grid.n))], -1, 0)
+    stack = _derivatives(grid, _spectrum(grid, upper)[:, None], slice(0, grid.n))
+    return np.moveaxis(_symmetric(grid, stack), 0, -3)
+
+
+def divergence_values(grid: PeriodicGrid, vector: np.ndarray) -> np.ndarray:
+    """sum_a d_a v_a of a vector field ``grid.shape + (n,)``."""
+    spec = _spectrum(grid, np.moveaxis(vector, -1, 0))
+    return _derivatives(grid, spec, slice(0, grid.n)).sum(axis=0)
 
 
 def integrate(f: ScalarField) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ambient import AlmostCYModel
 from .connection import (
+    MAX_STEPS,
     HamiltonianFamily,
     cov_deriv_pair_values,
     geodesic_shoot,
@@ -475,6 +476,10 @@ class SuiteConfig:
                      "rho_points", "geodesic_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.geodesic_steps > MAX_STEPS:
+            raise ValueError(
+                f"geodesic_steps must be at most {MAX_STEPS}, got {self.geodesic_steps}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.geodesic_time > 0:
@@ -490,6 +495,9 @@ class SuiteConfig:
                 f"unknown tolerance name {unknown[0]!r}; known names: "
                 + ", ".join(DEFAULT_TOLERANCES)
             )
+        for name, value in self.tolerances.items():
+            if not value >= 0:
+                raise ValueError(f"tolerance {name!r} must be non-negative, got {value}")
 
     def tolerance(self, name: str) -> float:
         if name in self.tolerances:

@@ -75,3 +75,18 @@ def transform_calls(monkeypatch):
             if module_name.split(".")[0] == "laglab" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def per_component_derivative(grid, values, axes):
+    """d/dx_a (one axis) or d^2/dx_a dx_b (two) of one field by a transform
+    pair of its own: rfftn, times i*k per axis (Nyquist mode zeroed), irfftn."""
+    spec = np.fft.rfftn(values, axes=tuple(range(grid.n)))
+    mult = 1
+    for axis in axes:
+        full = axis < grid.n - 1
+        k = (np.fft.fftfreq if full else np.fft.rfftfreq)(grid.points, d=1.0 / grid.points)
+        k[grid.points // 2] = 0.0
+        shape = [1] * grid.n
+        shape[axis] = k.size
+        mult = mult * (1j * (2.0 * np.pi / grid.period) * k).reshape(shape)
+    return np.fft.irfftn(spec * mult, s=grid.shape, axes=tuple(range(grid.n)))

@@ -395,6 +395,8 @@ def test_validate_subcommand(tmp_path, capsys):
         ({"twist_amplitude": 1.5}, "twist amplitude"),
         ({"tolerances": {"bogus_check": 1.0}}, "bogus_check"),
         ({"tolerances": {"dtheta": "tight"}}, "tight"),
+        ({"tolerances": {"dtheta": -1}}, "dtheta"),
+        ({"geodesic_steps": 10_001}, "geodesic_steps"),
     ],
 )
 def test_validate_bad_params_exit_2(tmp_path, capsys, command, params, named):
@@ -536,6 +538,10 @@ READ_BEFORE_COMPUTE = [
         ({"job": "validate", "params": {"seed": 7.9}}, "params.seed"),
         ({"job": "validate", "params": {"quadruples": 2.5}}, "params.quadruples"),
         *READ_BEFORE_COMPUTE,
+        (dict(GEODESIC, params={"h0": "h", "steps": 1e30}), "params.steps"),
+        (dict(GEODESIC, params={"h0": "h", "steps": 10_001}), "params.steps"),
+        ({"job": "validate", "params": {"tolerances": {"dtheta": -1}}}, "dtheta"),
+        ({"job": "validate", "params": {"geodesic_steps": 1e30}}, "geodesic_steps"),
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):

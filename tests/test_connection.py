@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from laglab.connection import (
+    MAX_STEPS,
     HamiltonianFamily,
     SampledPath,
     VerticalDeformation,
@@ -237,12 +238,21 @@ def test_geodesic_positivity_lost(flat_zero, grid64):
     assert 0.0 < excinfo.value.time <= 1.0
 
 
-def test_geodesic_step_rejection(flat_zero, grid64):
-    h0 = flat_zero.normalize(
-        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0]))
-    )
-    with pytest.raises(StepRejected):
-        geodesic_shoot(flat_zero, h0, 0.1, 10, step_energy_tol=0.0)
+def test_geodesic_step_rejection(twisted_generic, h_field):
+    """A zero tolerance rejects the first step of a curved path, whose energy
+    jump (4.0e-11 of the start, 4 steps to T = 0.2) is far above roundoff."""
+    h0 = twisted_generic.normalize(h_field)
+    with pytest.raises(StepRejected) as excinfo:
+        geodesic_shoot(twisted_generic, h0, 0.2, 4, step_energy_tol=0.0)
+    assert excinfo.value.time == pytest.approx(0.05)
+    assert excinfo.value.drift > 1e-11
+
+
+@pytest.mark.parametrize("steps", [0, MAX_STEPS + 1])
+def test_geodesic_step_count_out_of_range(flat_zero, grid64, steps):
+    h0 = flat_zero.normalize(field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])))
+    with pytest.raises(ValueError, match=f"got {steps}"):
+        geodesic_shoot(flat_zero, h0, 0.1, steps)
 
 
 def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import per_component_derivative
 from scipy.integrate import quad
 
 from laglab.ambient import AlmostCYModel
@@ -17,6 +18,8 @@ from laglab.torus import (
     gradient_values,
     integrate,
     integrate_values,
+    symmetric_gradient_values,
+    vector_dot,
 )
 
 # Frozen from the quadrature oracle below (exp(0.1 cos t) cos(0.1 sin t) weight):
@@ -398,3 +401,51 @@ def test_holomorphic_density_matches_the_complex_exponential(n):
     flat = AlmostCYModel(n)
     assert np.array_equal(flat.holomorphic_density(x, y), np.exp(flat.twist(x, y)))
     assert np.array_equal(flat.holomorphic_density(x, y), np.ones(200))
+
+
+def _twisted_generic(n, points, period=2.0 * np.pi):
+    grid = PeriodicGrid(n, points, period)
+    model = AlmostCYModel(n, period, twist_amplitude=0.1, twist_mode=1)
+    k = 2.0 * np.pi / period  # the Hessian of phi stays of one size for any period
+    phi = field_from_function(
+        grid,
+        lambda c: (0.2 * np.cos(k * c.sum(axis=-1)) + 0.1 * np.sin(k * (c[..., -1] - c[..., 0])))
+        / k**2,
+    )
+    return build(model, phi)
+
+
+@pytest.mark.parametrize("n, points", [(1, 32), (2, 32), (3, 16)])
+def test_raise_index_solves_the_metric(n, points):
+    gamma = _twisted_generic(n, points)
+    x = gamma.grid.coords
+    grad = gradient_values(gamma.grid, np.cos(x[..., 0]) + 0.5 * np.sin(x.sum(axis=-1)))
+    up = gamma.raise_index(grad)
+    assert relative_error(up, np.linalg.solve(gamma.metric, grad[..., None])[..., 0]) <= 1e-14
+    other = gradient_values(gamma.grid, np.sin(x[..., -1]))
+    assert np.array_equal(gamma.metric_pair(other, grad), vector_dot(other, up))
+
+
+@pytest.mark.parametrize(
+    "n, points, period", [(1, 32, 2 * np.pi), (2, 32, 2 * np.pi), (2, 32, 3.0), (3, 16, 2 * np.pi)]
+)
+def test_christoffels_match_per_component_transforms(n, points, period):
+    """The metric's derivatives come from one transform of the stack of its
+    components each way, bit-identical to a transform pair per derivative."""
+    gamma = _twisted_generic(n, points, period)
+    grid, g = gamma.grid, gamma.metric
+    dg = np.empty(grid.shape + (n, n, n))
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                dg[..., c, a, b] = dg[..., c, b, a] = per_component_derivative(
+                    grid, g[..., a, b], (c,)
+                )
+    assert np.array_equal(symmetric_gradient_values(grid, g), dg)
+    bracket = (
+        np.einsum("...adb->...abd", dg)
+        + np.einsum("...bda->...abd", dg)
+        - np.einsum("...dab->...abd", dg)
+    )
+    expected = 0.5 * np.einsum("...cd,...abd->...abc", gamma.inverse_metric, bracket)
+    assert np.array_equal(gamma.christoffels, expected)

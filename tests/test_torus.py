@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import per_component_derivative
 
 from laglab.errors import BandLimitExceeded
 from laglab.torus import (
@@ -11,12 +12,14 @@ from laglab.torus import (
     adjugate,
     constant_field,
     det,
+    divergence_values,
     field_from_function,
     grad_hess,
     gradient_values,
     hessian_values,
     integrate,
     partial,
+    partial_values,
     sample,
 )
 
@@ -214,6 +217,34 @@ def test_spectral_derivatives_exact(n, points, period, seed):
     assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
     for a in range(n):
         assert np.array_equal(partial(ScalarField(grid, f), a).values, grad[..., a])
+
+
+@pytest.mark.parametrize(
+    "n, points, period", [(1, 32, 2 * np.pi), (2, 16, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)]
+)
+def test_batched_derivatives_match_per_component_transforms(n, points, period):
+    """One inverse transform of a stack gives, bit for bit, what one
+    transform pair per derivative gives."""
+    grid = PeriodicGrid(n, points, period)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(grid.shape)
+    grad = np.stack([per_component_derivative(grid, f, (a,)) for a in range(n)], axis=-1)
+    hess = np.empty(grid.shape + (n, n))
+    for a in range(n):
+        for b in range(a, n):
+            hess[..., a, b] = hess[..., b, a] = per_component_derivative(grid, f, (a, b))
+    assert np.array_equal(gradient_values(grid, f), grad)
+    assert np.array_equal(hessian_values(grid, f), hess)
+    both = grad_hess(grid, f)
+    assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
+    for a in range(n):
+        assert np.array_equal(partial_values(grid, f, a), grad[..., a])
+
+    vector = rng.standard_normal(grid.shape + (n,))
+    div = np.zeros(grid.shape)
+    for a in range(n):
+        div += per_component_derivative(grid, vector[..., a], (a,))
+    assert np.array_equal(divergence_values(grid, vector), div)
 
 
 @pytest.mark.parametrize("n, points", [(1, 16), (2, 16), (3, 8)])

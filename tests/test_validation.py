@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import laglab.torus
-from laglab.connection import HamiltonianFamily, cov_deriv_pair_values, w_field_values
+from laglab.connection import MAX_STEPS, HamiltonianFamily, cov_deriv_pair_values, w_field_values
 from laglab.lagrangian import build
 from laglab.torus import ScalarField, field_from_function, gradient_values, sample
 from laglab.validation import (
@@ -275,6 +275,8 @@ def test_worst_fails_when_a_milder_trial_failed():
         ({"seed": -1}, "seed"),
         ({"geodesic_time": 0.0}, "geodesic_time"),
         ({"tolerances": {"bogus_check": 1.0}}, "bogus_check"),
+        ({"tolerances": {"dtheta": -1.0}}, "dtheta"),
+        ({"geodesic_steps": MAX_STEPS + 1}, "geodesic_steps"),
     ],
 )
 def test_suite_config_rejects(change, named):
@@ -329,14 +331,15 @@ def test_r3_vs_fd_transform_count(warm_twisted_generic, grid64, monkeypatch):
     (1 forward, 5 inverse) of each of the 4 graphs at phi +- delta h^i; one
     gradient (1 forward, 2 inverse) of each of h, k and l, shared by both
     orderings of (h, k); and per ordering, the gradient of the centre
-    D_{h^j} h^k."""
+    D_{h^j} h^k.  A call that transforms a stack counts each of its fields."""
     counts = {"forward": 0, "inverse": 0}
     for kind, name in (("forward", "_spectrum"), ("inverse", "_from_spectrum")):
         original = getattr(laglab.torus, name)
 
-        def counting(*args, _kind=kind, _original=original):
-            counts[_kind] += 1
-            return _original(*args)
+        def counting(grid, data, _kind=kind, _original=original):
+            out = _original(grid, data)
+            counts[_kind] += (data if _kind == "forward" else out).size // grid.size
+            return out
 
         monkeypatch.setattr(laglab.torus, name, counting)
     rng = np.random.default_rng(5)
