@@ -27,16 +27,16 @@ a loop over the n <= 3 components on the real arrays every GraphLagrangian
 keeps (tr H, adj H at n = 3, Re E, Im E), and the denominator is its stored
 Re(E det B).
 
-The coordinate covariant derivative D_{h}k along a fiberwise Hamiltonian
-family contracts grad k with the same numerator Im(E adj(B) grad h), so
-the w-field and the covariant derivative share one implementation of it.
-Both reduce to -tan(theta) <grad h, grad k> wherever the fibers meet the
-Lagrangian perpendicularly (any zero section).
+The connection is D_h k = w(h) . grad k, and ``cov_deriv_pair_values`` is
+its one implementation: the coordinate covariant derivative, the derivative
+along a sampled path, the geodesic equation and the validation oracles all
+call it.  It reduces to -tan(theta) <grad h, grad k> wherever the fibers
+meet the Lagrangian perpendicularly (any zero section).
 
-Geodesics solve phi_tt = -w(phi, phi_t) . grad(phi_t) and are integrated
-with a classical fourth-order one-step method; velocities are renormalized
-into the tangent space after every step and positions kept mean-zero (both
-touch only the additive constants, which carry no geometry).
+Geodesics solve phi_tt = -D_{phi_t} phi_t with a classical fourth-order
+one-step method; velocities are renormalized into the tangent space after
+every step and positions kept mean-zero (both touch only the additive
+constants, which carry no geometry).
 """
 
 from __future__ import annotations
@@ -115,6 +115,17 @@ class SampledPath:
                 raise ValueError(f"time step must be nonzero, got {dt[0]}")
             if np.abs(dt - dt[0]).max() > 1e-12 * abs(dt[0]):
                 raise ValueError("time grid must be uniform")
+        if self.velocities is not None and len(self.velocities) != len(times):
+            count = len(self.velocities)
+            raise ValueError(
+                f"velocity samples and time grid disagree at index {min(count, len(times))}: "
+                f"{count} velocities for {len(times)} times"
+            )
+        grid = self.potentials[0].grid if self.potentials else None
+        for kind, samples in (("potential", self.potentials), ("velocity", self.velocities or ())):
+            for i, sample in enumerate(samples):
+                if sample.grid != grid:
+                    raise ValueError(f"{kind} {i} lives on a different grid than potential 0")
         object.__setattr__(self, "times", times)
 
 
@@ -138,17 +149,6 @@ def _cramer_numerator(gamma: GraphLagrangian, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _re_density(gamma: GraphLagrangian, tolerance: float) -> np.ndarray:
-    density = gamma._re_pullback
-    worst = np.abs(density).min()
-    if worst < tolerance:
-        raise SingularDensity(
-            f"|Re Omega~| = {worst:.3e} below tolerance {tolerance:.1e}; "
-            "positivity nearly violated"
-        )
-    return density
-
-
 def w_field_values(
     gamma: GraphLagrangian,
     h_values: np.ndarray,
@@ -160,7 +160,13 @@ def w_field_values(
 
     ``grad_h`` is the gradient of ``h_values`` when the caller already has it.
     """
-    density = _re_density(gamma, tolerance)
+    density = gamma._re_pullback
+    worst = np.abs(density).min()
+    if worst < tolerance:
+        raise SingularDensity(
+            f"|Re Omega~| = {worst:.3e} below tolerance {tolerance:.1e}; "
+            "positivity nearly violated"
+        )
     if grad_h is None:
         grad_h = gradient_values(gamma.grid, h_values)
     return -_cramer_numerator(gamma, grad_h) / density[..., None]
@@ -199,18 +205,15 @@ def cov_deriv_pair_values(
     grad_j: np.ndarray | None = None,
     grad_k: np.ndarray | None = None,
 ) -> np.ndarray:
-    """D_{h^j} h^k at one graph: -(d h^k ^ pullback i_{grad H^j} Im Omega)/Re Omega~.
+    """D_{h^j} h^k = w(h^j) . grad h^k at one graph.
 
     ``grad_j`` and ``grad_k`` are the gradients of ``hj_values`` and
     ``hk_values`` when the caller already has them.
     """
-    density = _re_density(gamma, tolerance)
-    if grad_j is None:
-        grad_j = gradient_values(gamma.grid, hj_values)
+    w = w_field_values(gamma, hj_values, tolerance, grad_h=grad_j)
     if grad_k is None:
         grad_k = gradient_values(gamma.grid, hk_values)
-    comp = _cramer_numerator(gamma, grad_j)
-    return -vector_dot(grad_k, comp) / density
+    return vector_dot(w, grad_k)
 
 
 def cov_deriv_coordinate(
@@ -234,7 +237,7 @@ def cov_deriv_along_path(
     index: int,
     tolerance: float = 1e-12,
 ) -> ScalarField:
-    """Covariant time derivative (d/dt + w .) h at an interior sample.
+    """Covariant time derivative dh/dt + D_{phi_t} h at an interior sample.
 
     The path velocity comes from stored velocities when present, otherwise
     from central differences of the potentials.
@@ -258,9 +261,7 @@ def cov_deriv_along_path(
             path.potentials[index + 1].values - path.potentials[index - 1].values
         ) / (2.0 * dt)
     gamma = build(path.model, path.potentials[index])
-    w = w_field_values(gamma, phi_dot, tolerance)
-    grad = gradient_values(gamma.grid, h_samples[index].values)
-    vals = dh_dt + vector_dot(w, grad)
+    vals = dh_dt + cov_deriv_pair_values(gamma, phi_dot, h_samples[index].values, tolerance)
     return ScalarField(gamma.grid, vals)
 
 
@@ -302,7 +303,7 @@ def geodesic_shoot(
     steps: int,
     step_energy_tol: float = 1e-6,
 ) -> GeodesicPath:
-    """Integrate the geodesic equation phi_tt = -w(phi, phi_t) . grad(phi_t).
+    """Integrate the geodesic equation phi_tt = -D_{phi_t} phi_t.
 
     Raises
     ------
@@ -330,8 +331,7 @@ def geodesic_shoot(
     def accel(phi_vals: np.ndarray, psi_vals: np.ndarray, t: float) -> np.ndarray:
         gamma = gamma_at(phi_vals, t)
         grad_psi = gradient_values(grid, psi_vals)
-        w = w_field_values(gamma, psi_vals, grad_h=grad_psi)
-        return -vector_dot(w, grad_psi)
+        return -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
     psi = gamma0.normalize_values(h0.values)

@@ -12,10 +12,11 @@ Two independent routes to the same tensor:
 Pairing the first against the metric must reproduce the second; the
 validation suite enforces this at every base point, and the sectional
 curvature built from the quadruple form is non-positive by the pointwise
-Cauchy-Schwarz inequality of its integrand.  ``sectional_matrix`` is that
-quadruple form at (h_i, h_j, h_j, h_i) for every pair of F functions, built
-from the same primitives: spectral gradients, ``raise_index``,
-``vector_dot`` and ``sec_integral``.
+Cauchy-Schwarz inequality of its integrand.  The field route raises each of
+h, k and l once and contracts d rho and d theta with the raised gradients.
+``sectional_matrix`` is the quadruple form at (h_i, h_j, h_j, h_i) for every
+pair of F functions, built from the same primitives: spectral gradients,
+``raise_index``, ``vector_dot`` and ``sec_integral``.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def _require_margin(gamma: GraphLagrangian, threshold: float):
         )
 
 
-def _drift_laplacian(gamma: GraphLagrangian, grad: np.ndarray, lap: np.ndarray) -> np.ndarray:
-    """Lap h - (n / 2 rho) <dh, d rho> from the gradient and Laplacian of h
-    (nonnegative-Laplacian convention)."""
-    return lap - (gamma.grid.n / 2.0) * gamma.metric_pair(grad, gamma.grad_rho) / gamma.rho
+def _drift_laplacian(gamma: GraphLagrangian, up: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """Lap h - (n / 2 rho) <dh, d rho> from the raised gradient and the
+    Laplacian of h (nonnegative-Laplacian convention)."""
+    return lap - (gamma.grid.n / 2.0) * vector_dot(up, gamma.grad_rho) / gamma.rho
 
 
 def riemann_field_values(
@@ -65,10 +66,9 @@ def riemann_field_values(
     """Pointwise curvature field R(h,k)l on raw sample arrays."""
     _require_margin(gamma, margin_threshold)
 
-    grad_h, hess_h, lap_h = gamma.derivatives(h)
-    grad_k, hess_k, lap_k = gamma.derivatives(k)
-    grad_l = gradient_values(gamma.grid, l)
-    up_h, up_k, up_l = (gamma.raise_index(g) for g in (grad_h, grad_k, grad_l))
+    grad_h, up_h, hess_h, lap_h = gamma.derivatives(h)
+    grad_k, up_k, hess_k, lap_k = gamma.derivatives(k)
+    up_l = gamma.raise_index(gradient_values(gamma.grid, l))
 
     kl = vector_dot(grad_k, up_l)
     hl = vector_dot(grad_h, up_l)
@@ -77,7 +77,7 @@ def riemann_field_values(
     tan = np.tan(gamma.theta)
 
     term1 = -sec2 * (
-        _drift_laplacian(gamma, grad_h, lap_h) * kl - _drift_laplacian(gamma, grad_k, lap_k) * hl
+        _drift_laplacian(gamma, up_h, lap_h) * kl - _drift_laplacian(gamma, up_k, lap_k) * hl
     )
 
     # <grad_x grad y, grad l> = Hess y(grad x, grad l) with raised gradients.
@@ -86,8 +86,8 @@ def riemann_field_values(
         - np.einsum("...ab,...a,...b->...", hess_h.values, up_k, up_l)
     )
 
-    h_theta = gamma.metric_pair(grad_h, gamma.grad_theta)
-    k_theta = gamma.metric_pair(grad_k, gamma.grad_theta)
+    h_theta = vector_dot(up_h, gamma.grad_theta)
+    k_theta = vector_dot(up_k, gamma.grad_theta)
     term3 = tan * sec2 * (h_theta * kl - k_theta * hl)
 
     return term1 + term2 + term3

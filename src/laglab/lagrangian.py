@@ -31,12 +31,14 @@ Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
 is (h, k) = integral of h*k*cos(theta)*rho^{n/2}*sqrt(det g).
 
+The graph lies in flat space, so by the Gauss formula its Christoffel
+symbols are Gamma^c_{ab} = (g^{-1} Hess phi)_ce d_e (Hess phi)_ab.
 ``GraphLagrangian.derivatives`` is the one method that gives a function's
-gradient, covariant Hessian and divergence-form Laplacian, all from one
-forward transform; ``laplace_beltrami`` and ``covariant_hessian`` read it.
-``GraphLagrangian.raise_index`` is the one application of g^{-1}: the
-metric pairing, the Laplacian's flux and the curvature routes all go
-through it.
+gradient, raised gradient, covariant Hessian and divergence-form Laplacian,
+all from one forward transform and one index raise; ``laplace_beltrami``
+and ``covariant_hessian`` read it.  ``GraphLagrangian.raise_index`` is the
+one application of g^{-1}: the metric pairing, the Laplacian's flux and the
+curvature routes all go through it.
 """
 
 from __future__ import annotations
@@ -215,16 +217,11 @@ class GraphLagrangian:
 
     @cached_property
     def christoffels(self) -> np.ndarray:
-        """Christoffel symbols of the induced metric, shape ``(..., a, b, c)``
-        for Gamma^c_{ab}, computed spectrally from g = I + (Hess phi)^2."""
-        dg = symmetric_gradient_values(self.grid, self.metric)
-        # bracket[..., a, b, d] = d_a g_{db} + d_b g_{da} - d_d g_{ab}
-        bracket = (
-            np.einsum("...adb->...abd", dg)
-            + np.einsum("...bda->...abd", dg)
-            - np.einsum("...dab->...abd", dg)
-        )
-        return 0.5 * np.einsum("...cd,...abd->...abc", self.inverse_metric, bracket)
+        """Christoffel symbols Gamma^c_{ab} of the induced metric, shape
+        ``(..., a, b, c)``: the graph sits in flat space, so by the Gauss formula
+        Gamma_{d,ab} = H_de d_e H_ab and Gamma^c_{ab} = (g^{-1} H)_ce d_e H_ab."""
+        dH = symmetric_gradient_values(self.grid, self.hess_phi)
+        return np.einsum("...ce,...eab->...abc", self.inverse_metric @ self.hess_phi, dH)
 
     # -- metric operations on raw value arrays --------------------------------
 
@@ -257,25 +254,28 @@ class GraphLagrangian:
             raise ValueError("field lives on a different grid")
         return TangentFunction(self, ScalarField(self.grid, self.normalize_values(f.values)))
 
-    def derivatives(self, values: np.ndarray) -> tuple[np.ndarray, TensorField, np.ndarray]:
-        """(grad h, Hess h, Lap h) from one transform of h: the covariant
-        Hessian d_a d_b h - Gamma^c_{ab} d_c h and the nonnegative Laplacian
-        -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h ).  The divergence form
-        integrates by parts exactly, which the r3/r4 pairing relies on."""
+    def derivatives(
+        self, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, TensorField, np.ndarray]:
+        """(grad h, g^{-1} grad h, Hess h, Lap h) from one transform of h: the
+        covariant Hessian d_a d_b h - Gamma^c_{ab} d_c h and the nonnegative
+        Laplacian -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h ), whose flux
+        is the raised gradient.  The divergence form integrates by parts
+        exactly, which the r3/r4 pairing relies on."""
         grid = self.grid
         grad, hess = grad_hess(grid, values)
         hess = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
-        flux = self.sqrt_det_metric[..., None] * self.raise_index(grad)
-        div = divergence_values(grid, flux)
-        return grad, TensorField(grid, 2, hess, symmetric=True), -div / self.sqrt_det_metric
+        up = self.raise_index(grad)
+        div = divergence_values(grid, self.sqrt_det_metric[..., None] * up)
+        return grad, up, TensorField(grid, 2, hess, symmetric=True), -div / self.sqrt_det_metric
 
     def laplace_beltrami(self, h: ScalarField) -> ScalarField:
         """Nonnegative Laplacian of the induced metric (see ``derivatives``)."""
-        return ScalarField(self.grid, self.derivatives(h.values)[2])
+        return ScalarField(self.grid, self.derivatives(h.values)[3])
 
     def covariant_hessian(self, h: ScalarField) -> TensorField:
         """Hess h(a, b) = d_a d_b h - Gamma^c_{ab} d_c h (symmetric)."""
-        return self.derivatives(h.values)[1]
+        return self.derivatives(h.values)[2]
 
     def __repr__(self):
         return (

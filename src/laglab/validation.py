@@ -24,7 +24,6 @@ from .connection import (
     HamiltonianFamily,
     cov_deriv_pair_values,
     geodesic_shoot,
-    w_field_values,
 )
 from .curvature import (
     _drift_laplacian,
@@ -251,8 +250,8 @@ def check_dtheta(
     """
     _require_zero_section(gamma, "check_dtheta")
     model, grid = gamma.model, gamma.grid
-    grad_h, _, lap_h = gamma.derivatives(h.values)
-    closed = _drift_laplacian(gamma, grad_h, lap_h)
+    _, up_h, _, lap_h = gamma.derivatives(h.values)
+    closed = _drift_laplacian(gamma, up_h, lap_h)
 
     def err_at(d: float) -> float:
         theta_plus = build(model, ScalarField(grid, d * h.values)).theta
@@ -260,7 +259,7 @@ def check_dtheta(
         fd = (theta_plus - theta_minus) / (2.0 * d)
         return float(np.abs(fd - closed).max())
 
-    rho_term = gamma.metric_pair(gamma.grad_rho, grad_h) * (grid.n / 2.0) / gamma.rho
+    rho_term = vector_dot(gamma.grad_rho, up_h) * (grid.n / 2.0) / gamma.rho
     params = {
         "delta": delta,
         "model_eps": model.twist_amplitude,
@@ -283,9 +282,9 @@ def check_metric_compat(
     if len(family.generators) != 1:
         raise ValueError("metric compatibility check expects a one-parameter family")
     gamma0 = family.gamma_at([0.0])
-    w = w_field_values(gamma0, family.generators[0].values)
-    wh = np.einsum("...a,...a->...", w, gradient_values(gamma0.grid, h.values))
-    wk = np.einsum("...a,...a->...", w, gradient_values(gamma0.grid, k.values))
+    grad_w = gradient_values(gamma0.grid, family.generators[0].values)
+    wh = cov_deriv_pair_values(gamma0, family.generators[0].values, h.values, grad_j=grad_w)
+    wk = cov_deriv_pair_values(gamma0, family.generators[0].values, k.values, grad_j=grad_w)
     covariant = gamma0.inner_values(wh, k.values) + gamma0.inner_values(h.values, wk)
 
     def err_at(d: float) -> float:
@@ -342,7 +341,7 @@ def _second_cov_deriv_fd(
         grads = [gradient_values(grid, h) for h in (hi, hj, hk)]
     grad_i, grad_j, grad_k = grads
     center = cov_deriv_pair_values(gamma, hj, hk, grad_j=grad_j, grad_k=grad_k)
-    advect = vector_dot(w_field_values(gamma, hi, grad_h=grad_i), gradient_values(grid, center))
+    advect = cov_deriv_pair_values(gamma, hi, center, grad_j=grad_i)
 
     def pair_at(potential: np.ndarray) -> np.ndarray:
         gamma_t = build(model, ScalarField(grid, potential))
@@ -400,12 +399,11 @@ def check_dijk_zero_section(
     _require_zero_section(gamma, "check_dijk_zero_section")
     if gamma.model.twist_amplitude != 0.0:
         raise ValueError("check_dijk_zero_section requires the flat model")
-    grid = gamma.grid
-    fd = _second_cov_deriv_fd(gamma, hi.values, hj.values, hk.values)(delta)
-    grad_j = gradient_values(grid, hj.values)
-    grad_k = gradient_values(grid, hk.values)
-    _, hess_i, lap_i = gamma.derivatives(hi.values)
-    closed = -np.einsum("...a,...a->...", grad_k, grad_j) * lap_i - np.einsum(
+    grad_i, _, hess_i, lap_i = gamma.derivatives(hi.values)
+    grad_j, grad_k = (gradient_values(gamma.grid, f.values) for f in (hj, hk))
+    grads = (grad_i, grad_j, grad_k)
+    fd = _second_cov_deriv_fd(gamma, hi.values, hj.values, hk.values, grads)(delta)
+    closed = -vector_dot(grad_k, grad_j) * lap_i - np.einsum(
         "...ab,...a,...b->...", hess_i.values, grad_j, grad_k
     )
     err = float(np.abs(fd - closed).max())

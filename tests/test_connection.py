@@ -28,6 +28,7 @@ from laglab.torus import (
     constant_field,
     field_from_function,
     gradient_values,
+    vector_dot,
 )
 
 
@@ -118,6 +119,13 @@ def test_cov_deriv_equals_w_contraction(twisted_generic, grid64, h_field, k_fiel
         "...a,...a->...", w, gradient_values(grid64, k_field.values)
     )
     assert np.abs(djk - contraction).max() < 1e-13
+
+
+def test_cov_deriv_is_the_w_field_contraction(twisted_generic, grid64, h_field, k_field):
+    """D_h k is exactly the contraction w(h) . grad k, bit for bit."""
+    djk = cov_deriv_pair_values(twisted_generic, h_field.values, k_field.values)
+    w = w_field_values(twisted_generic, h_field.values)
+    assert np.array_equal(djk, vector_dot(w, gradient_values(grid64, k_field.values)))
 
 
 def _cramer_by_column_replacement(gamma, vec):
@@ -317,3 +325,21 @@ def test_sampled_path_rejects_a_zero_time_step(flat_model, grid64, h_field):
     # A decreasing grid is uniform with a negative step, and stays valid.
     path = SampledPath(flat_model, np.array([0.2, 0.1, 0.0]), potentials)
     assert cov_deriv_along_path(path, [h_field] * 3, 1).sup_norm() < 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_sampled_path_rejects_velocities_of_another_length(flat_model, grid64, count):
+    potentials = tuple(constant_field(grid64) for _ in range(3))
+    velocities = tuple(constant_field(grid64) for _ in range(count))
+    with pytest.raises(ValueError, match=f"at index {min(count, 3)}: {count} velocities for 3"):
+        SampledPath(flat_model, np.array([0.0, 0.1, 0.2]), potentials, velocities)
+
+
+@pytest.mark.parametrize("kind", ["potential", "velocity"])
+def test_sampled_path_rejects_samples_on_another_grid(flat_model, grid64, kind):
+    samples = {name: [constant_field(grid64)] * 3 for name in ("potential", "velocity")}
+    samples[kind][2] = constant_field(PeriodicGrid(2, 32))
+    with pytest.raises(ValueError, match=f"{kind} 2 lives on a different grid"):
+        SampledPath(
+            flat_model, np.array([0.0, 0.1, 0.2]), tuple(samples["potential"]), tuple(samples["velocity"])
+        )

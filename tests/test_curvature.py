@@ -14,7 +14,7 @@ from laglab.curvature import (
     sectional_matrix,
 )
 from laglab.errors import DegeneratePlane, GammaMismatch, MarginTooSmall
-from laglab.lagrangian import build
+from laglab.lagrangian import GraphLagrangian, build
 from laglab.torus import PeriodicGrid, field_from_function, integrate_values
 from laglab.validation import random_trig_polynomial
 from laglab.torus import sample
@@ -284,6 +284,20 @@ def test_riemann_field_differentiates_each_function_once(warm_twisted_generic, t
     x = warm_twisted_generic.grid.coords
     riemann_field_values(warm_twisted_generic, *(np.cos(x[..., 0] + i) for i in range(3)))
     assert sorted(transform_calls) == ["grad_hess", "grad_hess", "gradient_values"]
+
+
+def test_riemann_field_raises_each_gradient_once(warm_twisted_generic, monkeypatch):
+    raised = []
+    original = GraphLagrangian.raise_index
+
+    def counting(self, grad):
+        raised.append(grad)
+        return original(self, grad)
+
+    monkeypatch.setattr(GraphLagrangian, "raise_index", counting)
+    x = warm_twisted_generic.grid.coords
+    riemann_field_values(warm_twisted_generic, *(np.cos(x[..., 0] + i) for i in range(3)))
+    assert len(raised) == 3
 
 
 def test_riemann_quad_takes_one_gradient_per_function(warm_twisted_generic, transform_calls):
