@@ -17,9 +17,13 @@ exp(2 Re g / n) is kept separate as an independent cross-check.
 
 The density e^{g} is evaluated in real arithmetic: writing
 g = a + ib = eps e^{kappa y_1} (cos kappa x_1 + i sin kappa x_1), it is
-e^a (cos b + i sin b), exactly 1 in the flat model (eps = 0).  ``twist``
-keeps the complex formula eps e^{i kappa z_1} as the oracle it is checked
-against, so ``rho`` and ``rho_closed_form`` compare two independent routes.
+e^a (cos b + i sin b), returned as exact ones without any trig in the flat
+model (eps = 0).  cos kappa x_1 and sin kappa x_1 depend only on the base
+point, so on a grid they are computed once per (grid, kappa) and read from
+a cache on every later graph build, bit-identical to evaluating them
+afresh.  ``twist`` keeps the complex formula eps e^{i kappa z_1} as the
+oracle it is checked against, so ``rho`` and ``rho_closed_form`` compare
+two independent routes.
 """
 
 from __future__ import annotations
@@ -125,6 +129,16 @@ def _frame_ratio(n: int) -> complex:
     return complex(prefactor * zz_top / omega_top)
 
 
+@lru_cache(maxsize=16)
+def _phase_trig(grid, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos kappa x_1 and sin kappa x_1 at the points of a
+    ``torus.PeriodicGrid``."""
+    phase = kappa * grid.coords[..., 0]
+    cos_phase, sin_phase = np.cos(phase), np.sin(phase)
+    cos_phase.flags.writeable = sin_phase.flags.writeable = False
+    return cos_phase, sin_phase
+
+
 @dataclass(frozen=True)
 class AlmostCYModel:
     """The flat twisted model on T*T^n.
@@ -172,17 +186,27 @@ class AlmostCYModel:
         z1 = x[..., 0] - 1j * y[..., 0]
         return self.twist_amplitude * np.exp(1j * self.kappa * z1)
 
-    def holomorphic_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def holomorphic_density(self, x: np.ndarray, y: np.ndarray, grid=None) -> np.ndarray:
         """Scalar c with Omega = c * dz_1 ^ ... ^ dz_n, i.e. c = e^{g(z)},
         as e^a (cos b + i sin b) with g = a + ib (see the module docstring);
-        exactly 1 in the flat model."""
+        exactly 1 in the flat model.
+
+        ``grid`` is the ``torus.PeriodicGrid`` whose ``coords`` are ``x``,
+        when they are; cos kappa x_1 and sin kappa x_1 are then read from the
+        per-(grid, kappa) cache instead of evaluated."""
         x = np.asarray(x, dtype=float)
+        if self.twist_amplitude == 0.0:
+            return np.ones(x.shape[:-1], dtype=complex)
         y = np.asarray(y, dtype=float)
-        phase = self.kappa * x[..., 0]
+        if grid is None:
+            phase = self.kappa * x[..., 0]
+            cos_phase, sin_phase = np.cos(phase), np.sin(phase)
+        else:
+            cos_phase, sin_phase = _phase_trig(grid, self.kappa)
         radius = self.twist_amplitude * np.exp(self.kappa * y[..., 0])
-        b = radius * np.sin(phase)
-        modulus = np.exp(radius * np.cos(phase))
-        c = np.empty(phase.shape, dtype=complex)
+        b = radius * sin_phase
+        modulus = np.exp(radius * cos_phase)
+        c = np.empty(cos_phase.shape, dtype=complex)
         np.multiply(modulus, np.cos(b), out=c.real)
         np.multiply(modulus, np.sin(b), out=c.imag)
         return c

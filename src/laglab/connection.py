@@ -36,7 +36,14 @@ meet the Lagrangian perpendicularly (any zero section).
 Geodesics solve phi_tt = -D_{phi_t} phi_t with a classical fourth-order
 one-step method; velocities are renormalized into the tangent space after
 every step and positions kept mean-zero (both touch only the additive
-constants, which carry no geometry).
+constants, which carry no geometry).  A graph build reads grad phi and
+Hess phi, and both are linear in phi, so the step carries them through its
+linear combinations: a stage potential phi + c psi_s has derivatives
+grad phi + c grad psi_s and Hess phi + c Hess psi_s, and the end-of-step
+potential the same combination of the four stages.  Each stage therefore
+differentiates only its velocity psi_s (one gradient, one Hessian), and
+every stage graph and end-of-step graph is built from the carried
+derivatives, with no transform of the potential.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .errors import (
     StepRejected,
 )
 from .lagrangian import GraphLagrangian, TangentFunction, build
-from .torus import ScalarField, gradient_values, vector_dot
+from .torus import ScalarField, gradient_values, hessian_values, vector_dot
 
 # The largest step count ``geodesic_shoot`` accepts: each step keeps a
 # potential, a velocity and an energy, so an unbounded count is unbounded
@@ -162,7 +169,7 @@ def w_field_values(
     """
     density = gamma._re_pullback
     worst = np.abs(density).min()
-    if worst < tolerance:
+    if not worst >= tolerance:  # NaN fails the comparison too
         raise SingularDensity(
             f"|Re Omega~| = {worst:.3e} below tolerance {tolerance:.1e}; "
             "positivity nearly violated"
@@ -246,10 +253,16 @@ def cov_deriv_along_path(
     ------
     InsufficientSamples
         At the first or last sample, where no central stencil fits.
+    ValueError
+        If the tangent samples disagree with the path in length or grid.
     """
     m = len(path.times)
     if len(h_samples) != m:
         raise ValueError("tangent samples and time grid disagree in length")
+    grid = path.potentials[0].grid
+    for i, sample in enumerate(h_samples):
+        if sample.grid != grid:
+            raise ValueError(f"tangent sample {i} lives on a different grid than the path")
     if index <= 0 or index >= m - 1:
         raise InsufficientSamples(f"index {index} has no central stencil in 0..{m - 1}")
     dt = path.times[1] - path.times[0]
@@ -322,18 +335,25 @@ def geodesic_shoot(
     model, grid = gamma0.model, gamma0.grid
     dt = float(time) / steps
 
-    def gamma_at(phi_vals: np.ndarray, t: float) -> GraphLagrangian:
+    def gamma_at(phi_vals: np.ndarray, derivatives: tuple, t: float) -> GraphLagrangian:
         try:
-            return build(model, ScalarField(grid, phi_vals))
+            return build(model, ScalarField(grid, phi_vals), derivatives)
         except NotPositive as exc:
             raise PositivityLost(t, f"positivity lost at t = {t:.6g}: {exc}") from exc
 
-    def accel(phi_vals: np.ndarray, psi_vals: np.ndarray, t: float) -> np.ndarray:
-        gamma = gamma_at(phi_vals, t)
+    def stage(phi_vals: np.ndarray, derivatives: tuple, psi_vals: np.ndarray, t: float):
+        """The acceleration -D_psi psi at the graph of phi, and psi's
+        gradient and Hessian."""
+        gamma = gamma_at(phi_vals, derivatives, t)
         grad_psi = gradient_values(grid, psi_vals)
-        return -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
+        accel = -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
+        return accel, (grad_psi, hessian_values(grid, psi_vals))
+
+    def shifted(derivatives: tuple, c: float, step: tuple) -> tuple:
+        return tuple(d + c * s for d, s in zip(derivatives, step))
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
+    derivs = (gamma0.grad_phi, gamma0.hess_phi)
     psi = gamma0.normalize_values(h0.values)
 
     times = [0.0]
@@ -343,18 +363,23 @@ def geodesic_shoot(
 
     for step in range(steps):
         t = step * dt
-        k1p, k1v = psi, accel(phi, psi, t)
+        k1p = psi
+        k1v, d1 = stage(phi, derivs, k1p, t)
         k2p = psi + 0.5 * dt * k1v
-        k2v = accel(phi + 0.5 * dt * k1p, k2p, t + 0.5 * dt)
+        k2v, d2 = stage(phi + 0.5 * dt * k1p, shifted(derivs, 0.5 * dt, d1), k2p, t + 0.5 * dt)
         k3p = psi + 0.5 * dt * k2v
-        k3v = accel(phi + 0.5 * dt * k2p, k3p, t + 0.5 * dt)
+        k3v, d3 = stage(phi + 0.5 * dt * k2p, shifted(derivs, 0.5 * dt, d2), k3p, t + 0.5 * dt)
         k4p = psi + dt * k3v
-        k4v = accel(phi + dt * k3p, k4p, t + dt)
+        k4v, d4 = stage(phi + dt * k3p, shifted(derivs, dt, d3), k4p, t + dt)
         phi = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         psi = psi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        derivs = tuple(
+            d + dt / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            for d, s1, s2, s3, s4 in zip(derivs, d1, d2, d3, d4)
+        )
 
         phi = phi - phi.mean()
-        gamma = gamma_at(phi, t + dt)
+        gamma = gamma_at(phi, derivs, t + dt)
         psi = gamma.normalize_values(psi)
         energy = gamma.inner_values(psi, psi)
 

@@ -77,14 +77,24 @@ class GraphLagrangian:
     ``re_omega``, ``total_weight``, ``lagang_residual`` and the derivative
     fields below) is computed on first read and then cached.
 
+    ``derivatives`` is (grad phi, Hess phi) when the caller already has them
+    (a geodesic stage carries them through its linear combinations); the
+    build then takes no transform of phi.
+
     Raises
     ------
     NotPositive
-        If Re Omega~ <= 0 at any grid point (the graph leaves the positive
-        locus); the error reports min cos(theta) and its point.
+        If Re Omega~ <= 0 or is not finite at any grid point (the graph
+        leaves the positive locus, or the twist overflows); the error
+        reports min cos(theta) and its point.
     """
 
-    def __init__(self, model: AlmostCYModel, phi: ScalarField):
+    def __init__(
+        self,
+        model: AlmostCYModel,
+        phi: ScalarField,
+        derivatives: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
         grid = phi.grid
         if grid.n != model.n:
             raise ValueError(f"potential dimension {grid.n} != model dimension {model.n}")
@@ -94,11 +104,16 @@ class GraphLagrangian:
         self.grid = grid
         self.phi = phi
 
-        self.grad_phi, self.hess_phi = grad_hess(grid, phi.values)
+        if derivatives is None:
+            derivatives = grad_hess(grid, phi.values)
+        self.grad_phi, self.hess_phi = derivatives
+        n = grid.n
+        if self.grad_phi.shape != grid.shape + (n,) or self.hess_phi.shape != grid.shape + (n, n):
+            raise ValueError("derivatives do not match the potential's grid")
 
         # Pullback of Omega along x -> (x, grad phi) from the invariants of H
         # (module docstring): det B = (1 - s2) - i (s1 - s3).
-        H, n = self.hess_phi, grid.n
+        H = self.hess_phi
         self._trace_hess = H[..., 0, 0].copy()
         for a in range(1, n):
             self._trace_hess += H[..., a, a]
@@ -113,16 +128,25 @@ class GraphLagrangian:
             adj = self._adj_hess
             self._re_det_B = 1.0 - (adj[..., 0, 0] + adj[..., 1, 1] + adj[..., 2, 2])
             self._im_det_B = det(H) - self._trace_hess
-        self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi)
-        self._re_twist = np.ascontiguousarray(self._twist_density.real)
-        self._im_twist = np.ascontiguousarray(self._twist_density.imag)
-        self._re_pullback = self._re_twist * self._re_det_B - self._im_twist * self._im_det_B
 
-        # Positivity is Re Omega~ > 0 at every point.
-        if self._re_pullback.min() <= 0.0:
-            worst = np.unravel_index(np.argmin(self.cos_theta), grid.shape)
-            point = tuple(float(grid.axis[i]) for i in worst)
-            raise NotPositive(self.margin, point)
+        # An overflowing twist leaves inf or NaN in Re Omega~, which the
+        # positivity check reports; evaluate it without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi, grid=grid)
+            self._re_twist = np.ascontiguousarray(self._twist_density.real)
+            self._im_twist = np.ascontiguousarray(self._twist_density.imag)
+            self._re_pullback = self._re_twist * self._re_det_B - self._im_twist * self._im_det_B
+
+            # Positivity is 0 < Re Omega~ < inf at every point; NaN fails
+            # both comparisons.  theta is the phase of Omega~ over a positive
+            # factor, so cos(theta) = Re Omega~ / |Omega~| (NaN where Omega~
+            # is 0 or not finite), with no rho or metric to evaluate.
+            re_pullback = self._re_pullback
+            if not (re_pullback.min() > 0.0 and re_pullback.max() < np.inf):
+                cos_theta = re_pullback / np.abs(self.pullback_density)
+                worst = np.unravel_index(np.argmin(cos_theta), grid.shape)
+                point = tuple(float(grid.axis[i]) for i in worst)
+                raise NotPositive(float(cos_theta[worst]), point)
 
     # -- complex pullback, assembled from the real parts on first read ---------
 
@@ -310,10 +334,15 @@ class TangentFunction:
         return abs(integrate_values(self.gamma.grid, self.values * self.gamma.re_omega))
 
 
-def build(model: AlmostCYModel, phi: ScalarField) -> GraphLagrangian:
+def build(
+    model: AlmostCYModel,
+    phi: ScalarField,
+    derivatives: tuple[np.ndarray, np.ndarray] | None = None,
+) -> GraphLagrangian:
     """Construct the graph of d(phi); see ``GraphLagrangian`` for which
-    fields are built at once and which on first read."""
-    return GraphLagrangian(model, phi)
+    fields are built at once and which on first read, and for
+    ``derivatives``."""
+    return GraphLagrangian(model, phi, derivatives)
 
 
 def require_same_gamma(*tangents: TangentFunction) -> GraphLagrangian:

@@ -59,12 +59,13 @@ def warm_twisted_generic(twisted_generic):
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """Names of the ``torus.gradient_values`` and ``torus.grad_hess`` calls made
-    while the test runs, one per forward transform of a differentiated
-    function.  Every loaded ``laglab`` module that imported either function by
-    name is patched, so no caller escapes the count."""
+    """Names of the ``torus.gradient_values``, ``torus.hessian_values`` and
+    ``torus.grad_hess`` calls made while the test runs, one per forward
+    transform of a differentiated function.  Every loaded ``laglab`` module
+    that imported one of them by name is patched, so no caller escapes the
+    count."""
     calls = []
-    for name in ("gradient_values", "grad_hess"):
+    for name in ("gradient_values", "hessian_values", "grad_hess"):
         original = getattr(laglab.torus, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):

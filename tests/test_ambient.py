@@ -10,6 +10,8 @@ from laglab.ambient import (
     eval_twist,
 )
 from laglab.errors import NonPositiveDensity
+from laglab.lagrangian import build
+from laglab.torus import PeriodicGrid, field_from_function
 
 RHO_TWISTED_ORIGIN = 1.1051709180756477  # exp(0.1), n = 2
 
@@ -114,6 +116,58 @@ def test_omega_density_values():
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
     quarter = AmbientPoint((np.pi / 2, 0.0), (0.0, 0.0))
     assert eval_omega_density(model, quarter) == pytest.approx(np.exp(0.1j))
+
+
+def explicit_density(model, x, y):
+    """e^a (cos b + i sin b) with a + ib = eps e^{kappa y_1} e^{i kappa x_1}."""
+    radius = model.twist_amplitude * np.exp(model.kappa * y[..., 0])
+    a = radius * np.cos(model.kappa * x[..., 0])
+    b = radius * np.sin(model.kappa * x[..., 0])
+    c = np.empty(a.shape, dtype=complex)
+    c.real, c.imag = np.exp(a) * np.cos(b), np.exp(a) * np.sin(b)
+    return c
+
+
+@pytest.mark.parametrize(
+    "n, points, potential",
+    [
+        (2, 64, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1])),
+        (3, 32, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1]) + 0.1 * np.cos(c[..., 1] + c[..., 2])),
+    ],
+)
+def test_cached_twist_density_is_the_explicit_formula(n, points, potential):
+    model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
+    grid = PeriodicGrid(n, points)
+    gamma = build(model, field_from_function(grid, potential))
+    expected = explicit_density(model, grid.coords, gamma.grad_phi)
+    assert np.array_equal(gamma._twist_density, expected)
+    # A second read comes from the cached trig and is the same.
+    again = model.holomorphic_density(grid.coords, gamma.grad_phi, grid=grid)
+    assert np.array_equal(again, expected)
+
+
+def test_twist_trig_cache_is_keyed_by_mode():
+    grid = PeriodicGrid(2, 32)
+    y = 0.3 * np.sin(grid.coords)
+    models = [AlmostCYModel(2, twist_amplitude=0.1, twist_mode=m) for m in (1, 2)]
+    for model in models + models[::-1]:
+        density = model.holomorphic_density(grid.coords, y, grid=grid)
+        assert np.array_equal(density, explicit_density(model, grid.coords, y))
+    cos1, _ = ambient._phase_trig(grid, models[0].kappa)
+    cos2, _ = ambient._phase_trig(grid, models[1].kappa)
+    assert not np.array_equal(cos1, cos2)
+    assert not cos1.flags.writeable
+
+
+def test_flat_density_is_exactly_one():
+    """eps = 0 returns ones without evaluating the twist: a fiber coordinate
+    that would overflow exp(kappa y_1) raises no RuntimeWarning."""
+    grid = PeriodicGrid(2, 16)
+    y = np.full(grid.coords.shape, 1e4)
+    for kwargs in ({}, {"grid": grid}):
+        density = AlmostCYModel(2).holomorphic_density(grid.coords, y, **kwargs)
+        assert density.dtype == complex
+        assert np.array_equal(density, np.ones(grid.shape))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

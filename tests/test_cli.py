@@ -321,6 +321,30 @@ def test_geodesic_job(tmp_path):
     assert results["reversal_error_sup"] < 1e-6
 
 
+@pytest.mark.parametrize(
+    "eps, code, message",
+    [
+        # The twist overflows at t = 125 and leaves NaN in Re Omega~.
+        (0.1, 3, "positivity lost at t = 125:"),
+        # Flat: Re Omega~ = 1 - det Hess phi = 1 all along phi = t cos x1.
+        (0.0, 0, "report written"),
+    ],
+)
+def test_geodesic_far_out(tmp_path, capsys, eps, code, message):
+    cfg = write_config(
+        tmp_path,
+        "far.json",
+        {
+            **GEODESIC,
+            "model": {**MODEL_FLAT, "twist_amplitude": eps},
+            "params": {"h0": "h", "time": 1e3, "steps": 4},
+        },
+    )
+    assert main(["run", str(cfg), "-o", str(tmp_path / "far_report.json")]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
 def test_validate_job_and_determinism(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import laglab.connection
 from laglab.connection import (
     MAX_STEPS,
     HamiltonianFamily,
@@ -27,6 +28,7 @@ from laglab.torus import (
     ScalarField,
     constant_field,
     field_from_function,
+    grad_hess,
     gradient_values,
     vector_dot,
 )
@@ -206,6 +208,14 @@ def test_path_endpoint_raises(flat_model, grid64, h_field):
         cov_deriv_along_path(path, [h_field] * 3, 2)
 
 
+def test_path_rejects_tangent_samples_on_another_grid(flat_model, grid64, h_field):
+    times = np.linspace(0.0, 1.0, 3)
+    path = SampledPath(flat_model, times, tuple(constant_field(grid64) for _ in times))
+    coarse = field_from_function(PeriodicGrid(2, 32), lambda c: np.cos(c[..., 0]))
+    with pytest.raises(ValueError, match="tangent sample 2 lives on a different grid"):
+        cov_deriv_along_path(path, [h_field, h_field, coarse], 1)
+
+
 def test_geodesic_zero_velocity(flat_zero, grid64):
     h0 = flat_zero.normalize(constant_field(grid64))
     path = geodesic_shoot(flat_zero, h0, 0.1, 10)
@@ -343,3 +353,31 @@ def test_sampled_path_rejects_samples_on_another_grid(flat_model, grid64, kind):
         SampledPath(
             flat_model, np.array([0.0, 0.1, 0.2]), tuple(samples["potential"]), tuple(samples["velocity"])
         )
+
+
+def test_geodesic_carries_the_potential_derivatives(twisted_generic, h_field, grid64, monkeypatch):
+    """Stage and end-of-step graphs are built from grad phi and Hess phi
+    carried through the RK4 combinations; after 500 steps the last graph's
+    carried derivatives still match a fresh transform of its potential."""
+    last = []
+
+    def recording(*args):
+        last[:] = [build(*args)]
+        return last[0]
+
+    monkeypatch.setattr(laglab.connection, "build", recording)
+    h0 = twisted_generic.normalize(h_field)
+    geodesic_shoot(twisted_generic, h0, 0.5, 500)
+    gamma = last[0]
+    grad, hess = grad_hess(grid64, gamma.phi.values)
+    assert np.abs(gamma.grad_phi - grad).max() <= 1e-10 * np.abs(grad).max()
+    assert np.abs(gamma.hess_phi - hess).max() <= 1e-10 * np.abs(hess).max()
+
+
+def test_geodesic_step_differentiates_only_its_velocity(twisted_generic, h_field, transform_calls):
+    """Each of the four RK4 stages takes one gradient and one Hessian of its
+    velocity; no graph in the loop transforms its potential."""
+    h0 = twisted_generic.normalize(h_field)
+    steps = 3
+    geodesic_shoot(twisted_generic, h0, 0.03, steps)
+    assert transform_calls == ["gradient_values", "hessian_values"] * 4 * steps

@@ -255,9 +255,9 @@ def test_build_evaluates_the_twist_density_once(twisted_model, generic_potential
     calls = []
     original = AlmostCYModel.holomorphic_density
 
-    def counting(self, x, y):
+    def counting(self, x, y, **kwargs):
         calls.append(1)
-        return original(self, x, y)
+        return original(self, x, y, **kwargs)
 
     monkeypatch.setattr(AlmostCYModel, "holomorphic_density", counting)
     build(twisted_model, generic_potential)
@@ -281,6 +281,31 @@ def test_positivity_fails_at_one_grid_point():
         build(AlmostCYModel(2), field_from_function(grid, potential))
     assert excinfo.value.margin <= 0.0
     assert excinfo.value.worst_point == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [8.0, 10.0])
+def test_overflowing_twist_is_not_positive(amplitude):
+    """On the twisted 16^2 model the twist of phi = a sin x1 overflows: at
+    a = 8 Re Omega~ goes to -inf, at a = 10 it is NaN at some points, and
+    both graphs are rejected, with no RuntimeWarning on the way."""
+    grid = PeriodicGrid(2, 16)
+    model = AlmostCYModel(2, twist_amplitude=0.1)
+    phi = field_from_function(grid, lambda c: amplitude * np.sin(c[..., 0]))
+    with pytest.raises(NotPositive) as excinfo:
+        build(model, phi)
+    assert not excinfo.value.margin > 0.0
+    assert len(excinfo.value.worst_point) == 2
+
+
+def test_build_from_given_derivatives(twisted_model, generic_potential, grid64, transform_calls):
+    derivatives = grad_hess(grid64, generic_potential.values)
+    del transform_calls[:]
+    given = build(twisted_model, generic_potential, derivatives)
+    assert transform_calls == []
+    assert given.grad_phi is derivatives[0] and given.hess_phi is derivatives[1]
+    assert np.array_equal(given._re_pullback, build(twisted_model, generic_potential)._re_pullback)
+    with pytest.raises(ValueError, match="derivatives do not match"):
+        build(twisted_model, generic_potential, (derivatives[0], derivatives[0]))
 
 
 METRIC_SIDE = (
