@@ -18,12 +18,12 @@ exp(2 Re g / n) is kept separate as an independent cross-check.
 The density e^{g} is evaluated in real arithmetic: writing
 g = a + ib = eps e^{kappa y_1} (cos kappa x_1 + i sin kappa x_1), it is
 e^a (cos b + i sin b), returned as exact ones without any trig in the flat
-model (eps = 0).  cos kappa x_1 and sin kappa x_1 depend only on the base
-point, so on a grid they are computed once per (grid, kappa) and read from
-a cache on every later graph build, bit-identical to evaluating them
-afresh.  ``twist`` keeps the complex formula eps e^{i kappa z_1} as the
-oracle it is checked against, so ``rho`` and ``rho_closed_form`` compare
-two independent routes.
+model (eps = 0).  On a grid, x_1 is constant along the other axes, so
+cos kappa x_1 and sin kappa x_1 are evaluated at the N axis samples and
+broadcast, not at all N^n points: the same products, so bit-identical.
+``twist`` keeps the complex formula eps e^{i kappa z_1} as the oracle it is
+checked against, so ``rho`` and ``rho_closed_form`` compare two independent
+routes.
 """
 
 from __future__ import annotations
@@ -129,16 +129,6 @@ def _frame_ratio(n: int) -> complex:
     return complex(prefactor * zz_top / omega_top)
 
 
-@lru_cache(maxsize=16)
-def _phase_trig(grid, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cos kappa x_1 and sin kappa x_1 at the points of a
-    ``torus.PeriodicGrid``."""
-    phase = kappa * grid.coords[..., 0]
-    cos_phase, sin_phase = np.cos(phase), np.sin(phase)
-    cos_phase.flags.writeable = sin_phase.flags.writeable = False
-    return cos_phase, sin_phase
-
-
 @dataclass(frozen=True)
 class AlmostCYModel:
     """The flat twisted model on T*T^n.
@@ -192,21 +182,20 @@ class AlmostCYModel:
         exactly 1 in the flat model.
 
         ``grid`` is the ``torus.PeriodicGrid`` whose ``coords`` are ``x``,
-        when they are; cos kappa x_1 and sin kappa x_1 are then read from the
-        per-(grid, kappa) cache instead of evaluated."""
+        when they are; the trig of kappa x_1 is then taken on its axis
+        samples only (module docstring)."""
         x = np.asarray(x, dtype=float)
         if self.twist_amplitude == 0.0:
             return np.ones(x.shape[:-1], dtype=complex)
         y = np.asarray(y, dtype=float)
         if grid is None:
             phase = self.kappa * x[..., 0]
-            cos_phase, sin_phase = np.cos(phase), np.sin(phase)
         else:
-            cos_phase, sin_phase = _phase_trig(grid, self.kappa)
+            phase = (self.kappa * grid.axis).reshape((-1,) + (1,) * (grid.n - 1))
         radius = self.twist_amplitude * np.exp(self.kappa * y[..., 0])
-        b = radius * sin_phase
-        modulus = np.exp(radius * cos_phase)
-        c = np.empty(cos_phase.shape, dtype=complex)
+        b = radius * np.sin(phase)
+        modulus = np.exp(radius * np.cos(phase))
+        c = np.empty(b.shape, dtype=complex)
         np.multiply(modulus, np.cos(b), out=c.real)
         np.multiply(modulus, np.sin(b), out=c.imag)
         return c

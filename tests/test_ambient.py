@@ -135,28 +135,24 @@ def explicit_density(model, x, y):
         (3, 32, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1]) + 0.1 * np.cos(c[..., 1] + c[..., 2])),
     ],
 )
-def test_cached_twist_density_is_the_explicit_formula(n, points, potential):
+def test_grid_twist_density_is_the_explicit_formula(n, points, potential):
+    """On a grid the trig of kappa x_1 is taken on the axis samples and
+    broadcast; the density is still the pointwise formula to the bit."""
     model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
     grid = PeriodicGrid(n, points)
     gamma = build(model, field_from_function(grid, potential))
     expected = explicit_density(model, grid.coords, gamma.grad_phi)
     assert np.array_equal(gamma._twist_density, expected)
-    # A second read comes from the cached trig and is the same.
-    again = model.holomorphic_density(grid.coords, gamma.grad_phi, grid=grid)
-    assert np.array_equal(again, expected)
+    assert np.array_equal(model.holomorphic_density(grid.coords, gamma.grad_phi), expected)
 
 
-def test_twist_trig_cache_is_keyed_by_mode():
+def test_grid_twist_density_of_two_modes_on_one_grid():
     grid = PeriodicGrid(2, 32)
     y = 0.3 * np.sin(grid.coords)
     models = [AlmostCYModel(2, twist_amplitude=0.1, twist_mode=m) for m in (1, 2)]
     for model in models + models[::-1]:
         density = model.holomorphic_density(grid.coords, y, grid=grid)
         assert np.array_equal(density, explicit_density(model, grid.coords, y))
-    cos1, _ = ambient._phase_trig(grid, models[0].kappa)
-    cos2, _ = ambient._phase_trig(grid, models[1].kappa)
-    assert not np.array_equal(cos1, cos2)
-    assert not cos1.flags.writeable
 
 
 def test_flat_density_is_exactly_one():
