@@ -285,9 +285,10 @@ def test_positivity_fails_at_one_grid_point():
 
 @pytest.mark.parametrize("amplitude", [8.0, 10.0])
 def test_overflowing_twist_is_not_positive(amplitude):
-    """On the twisted 16^2 model the twist of phi = a sin x1 overflows: at
-    a = 8 Re Omega~ goes to -inf, at a = 10 it is NaN at some points, and
-    both graphs are rejected, with no RuntimeWarning on the way."""
+    """On the twisted 16^2 model the twist of phi = a sin x1 grows like
+    exp(0.1 e^a): at a = 8 Re Omega~ is negative (down to -3.3e9), at
+    a = 10 it overflows to NaN at 48 points; both graphs are rejected, with
+    no RuntimeWarning on the way."""
     grid = PeriodicGrid(2, 16)
     model = AlmostCYModel(2, twist_amplitude=0.1)
     phi = field_from_function(grid, lambda c: amplitude * np.sin(c[..., 0]))
