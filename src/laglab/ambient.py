@@ -208,6 +208,10 @@ class AlmostCYModel:
         NonPositiveDensity
             If the frame evaluation of the defining relation comes out
             non-positive (or non-real), which signals a convention bug.
+            The check is on the frame ratio alone: rho^n is that ratio times
+            |e^{g}|^2, so a wrong sign shows at every point, while a density
+            that underflows to 0 (Re g below about -745) is a valid point
+            with rho = 0, as the closed form gives.
         """
         return self.rho_from_density(self.holomorphic_density(x, y))
 
@@ -219,12 +223,11 @@ class AlmostCYModel:
             raise NonPositiveDensity(
                 f"defining relation evaluated to non-real ratio {ratio}"
             )
-        rho_n = ratio.real * np.abs(c) ** 2
-        if np.any(rho_n <= 0):
+        if not ratio.real > 0:
             raise NonPositiveDensity(
-                f"defining relation gave non-positive rho^n (min {rho_n.min():.3e})"
+                f"defining relation gave non-positive frame ratio {ratio.real:.3e}"
             )
-        return rho_n ** (1.0 / self.n)
+        return (ratio.real * np.abs(c) ** 2) ** (1.0 / self.n)
 
     def rho_closed_form(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Independent closed form exp(2 Re g / n); used only as an oracle."""

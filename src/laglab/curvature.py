@@ -132,8 +132,7 @@ def quad_products(gamma: GraphLagrangian, grads: Sequence[np.ndarray]) -> tuple[
 
 def sec_integral(gamma: GraphLagrangian, bracket: np.ndarray) -> float:
     """Integral of ``bracket`` sec(theta) rho^{n/2} sqrt(det g) dx, the quadruple-form weight."""
-    weighted = bracket / gamma.cos_theta * gamma._rho_half * gamma.sqrt_det_metric
-    return integrate_values(gamma.grid, weighted)
+    return integrate_values(gamma.grid, bracket * gamma.sec_weight)
 
 
 def riemann_quad_values(

@@ -74,8 +74,8 @@ class GraphLagrangian:
     all a geodesic stage reads.  Every other field (``_det_B``,
     ``pullback_density``, ``metric``, ``det_metric``, ``inverse_metric``,
     ``sqrt_det_metric``, ``rho``, ``theta``, ``cos_theta``, ``margin``,
-    ``re_omega``, ``total_weight``, ``lagang_residual`` and the derivative
-    fields below) is computed on first read and then cached.
+    ``re_omega``, ``sec_weight``, ``total_weight``, ``lagang_residual`` and
+    the derivative fields below) is computed on first read and then cached.
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
@@ -216,6 +216,11 @@ class GraphLagrangian:
     def re_omega(self) -> np.ndarray:
         """Density of Re(Omega) pulled back, in the dx volume."""
         return self.cos_theta * self._rho_half * self.sqrt_det_metric
+
+    @cached_property
+    def sec_weight(self) -> np.ndarray:
+        """sec(theta) rho^{n/2} sqrt(det g), the quadruple-form weight."""
+        return self._rho_half * self.sqrt_det_metric / self.cos_theta
 
     @cached_property
     def total_weight(self) -> float:

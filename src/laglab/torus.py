@@ -3,7 +3,11 @@
 All fields live on an isotropic grid (same point count and period per axis,
 n in {1,2,3}).  Differentiation is a Fourier multiplier, quadrature is the
 trapezoidal rule (exact for band-limited integrands), and test inputs are
-real trigonometric polynomials with integer wavevectors.
+real trigonometric polynomials with integer wavevectors.  ``sample`` puts a
+polynomial's coefficients into its spectrum and takes one inverse FFT, so a
+field of any number of terms costs one transform;
+``TrigPolynomial.evaluate`` sums the terms at arbitrary points and is the
+independent route the synthesis is checked against.
 
 Fields are real, so derivatives use the real FFT.  Each grid keeps one
 table of Fourier multipliers: i k_a per axis, then (i k_a)(i k_b) for a <= b.
@@ -275,7 +279,16 @@ def check_band_limit(poly: TrigPolynomial, grid: PeriodicGrid) -> None:
 
 
 def sample(poly: TrigPolynomial, grid: PeriodicGrid) -> ScalarField:
-    """Evaluate a trig polynomial on the grid.
+    """Sample a trig polynomial on the grid by one inverse FFT of its spectrum.
+
+    Each term c cos(k.x) or c sin(k.x) puts X = c N^n / 2 or X = -i c N^n / 2
+    at k in the rfftn half-spectrum, with k -> -k and X -> conj X when k's last
+    component is negative; on the plane where that component is 0 the
+    conjugate pair conj X at -k is stored too.  A zero wavevector puts c N^n
+    at the origin for ``cos`` and nothing for ``sin``.  The band limit
+    |k| <= N/4 keeps every mode below Nyquist, so the samples are exact.  The
+    period does not enter: the grid points are x = j P / N, so
+    2 pi / P * k.x = 2 pi k.j / N for every P.
 
     Raises
     ------
@@ -283,9 +296,22 @@ def sample(poly: TrigPolynomial, grid: PeriodicGrid) -> ScalarField:
         If the polynomial fails ``check_band_limit``.
     """
     check_band_limit(poly, grid)
-    if not poly.terms:
-        return ScalarField(grid, np.zeros(grid.shape))
-    return ScalarField(grid, poly.evaluate(grid.coords, grid.period))
+    points = grid.points
+    spec = np.zeros(grid.shape[:-1] + (points // 2 + 1,), dtype=complex)
+    half = 0.5 * grid.size
+    for t in poly.terms:
+        k = t.wavevector
+        if not any(k):
+            if t.phase == "cos":
+                spec[(0,) * grid.n] += t.coefficient * grid.size
+            continue
+        x = t.coefficient * half if t.phase == "cos" else -1j * t.coefficient * half
+        if k[-1] < 0:
+            k, x = tuple(-c for c in k), np.conj(x)
+        spec[tuple(c % points for c in k)] += x
+        if k[-1] == 0:
+            spec[tuple(-c % points for c in k)] += np.conj(x)
+    return ScalarField(grid, _from_spectrum(grid, spec))
 
 
 def _spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:

@@ -190,6 +190,15 @@ def test_non_positive_density_guard(monkeypatch):
         model.rho(x, y)
 
 
+def test_underflowed_density_gives_zero_rho():
+    # At y_1 = 10, x_1 = pi the twist is g = -0.1 e^10, so |e^g|^2 underflows
+    # to 0: a valid point, where the closed form also gives rho = 0.
+    model = AlmostCYModel(2, twist_amplitude=0.1)
+    p = AmbientPoint((np.pi, 0.0), (10.0, 0.0))
+    assert eval_rho(model, p) == 0.0
+    assert float(model.rho_closed_form(np.array([p.x]), np.array([p.y]))[0]) == 0.0
+
+
 def test_frame_ratio_is_exactly_one():
     # The convention set makes the defining-relation frame constant exactly 1.
     for n in (1, 2, 3):

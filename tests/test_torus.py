@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import per_component_derivative
 
+import laglab.torus
 from laglab.errors import BandLimitExceeded
 from laglab.torus import (
     PeriodicGrid,
@@ -102,6 +103,57 @@ def test_sample_dimension_mismatch(grid64):
     poly = TrigPolynomial((TrigTerm(1.0, (1,)),))
     with pytest.raises(BandLimitExceeded):
         sample(poly, grid64)
+
+
+def _synthesis_cases(n, points):
+    """Terms that exercise every branch of the spectral placement: both
+    phases, zero wavevectors, a negative and a zero last component,
+    duplicate and opposite wavevectors, and components at the band limit."""
+    q = points // 4
+    waves = [
+        ((1, 1, 1), 0.5, "cos"),
+        ((1, 1, 1), -0.3, "sin"),
+        ((1, 1, 1), 0.25, "cos"),
+        ((-1, -1, -1), 0.8, "cos"),
+        ((-1, -1, -1), 0.6, "sin"),
+        ((3, 2, -1), -0.4, "cos"),
+        ((-2, 3, 0), 0.35, "sin"),
+        ((2, -3, 0), -0.45, "cos"),
+        ((q, q, -q), 0.55, "cos"),
+        ((-q, 0, q), -0.65, "sin"),
+        ((0, 0, 0), 0.7, "cos"),
+        ((0, 0, 0), 0.9, "sin"),
+    ]
+    return TrigPolynomial(tuple(TrigTerm(c, k[-n:], phase) for k, c, phase in waves))
+
+
+@pytest.mark.parametrize("n, points", [(1, 32), (2, 16), (3, 16)])
+@pytest.mark.parametrize("period", [2 * np.pi, 3.0])
+def test_sample_matches_pointwise_evaluation(n, points, period):
+    """The spectral synthesis agrees with the term-by-term evaluator."""
+    grid = PeriodicGrid(n, points, period)
+    polys = [_synthesis_cases(n, points)] + [
+        _random_poly(np.random.default_rng(400 + seed), n, max_mode=points // 4, terms=6)
+        for seed in range(3)
+    ]
+    for poly in polys:
+        scale = sum(abs(t.coefficient) for t in poly.terms)
+        err = np.abs(sample(poly, grid).values - poly.evaluate(grid.coords, period)).max()
+        assert err <= 1e-14 * scale
+
+
+def test_sample_takes_one_inverse_transform(monkeypatch):
+    calls = {"_spectrum": 0, "_from_spectrum": 0}
+    for name in calls:
+        original = getattr(laglab.torus, name)
+
+        def counting(grid, data, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(grid, data)
+
+        monkeypatch.setattr(laglab.torus, name, counting)
+    sample(_synthesis_cases(3, 16), PeriodicGrid(3, 16))
+    assert calls == {"_spectrum": 0, "_from_spectrum": 1}
 
 
 def _random_poly(rng, n, max_mode=3, terms=4):

@@ -332,6 +332,8 @@ def test_r3_vs_fd_transform_count(warm_twisted_generic, grid64, monkeypatch):
     gradient (1 forward, 2 inverse) of each of h, k and l, shared by both
     orderings of (h, k); and per ordering, the gradient of the centre
     D_{h^j} h^k.  A call that transforms a stack counts each of its fields."""
+    rng = np.random.default_rng(5)
+    h, k, l = [sample(random_trig_polynomial(rng, 2), grid64) for _ in range(3)]
     counts = {"forward": 0, "inverse": 0}
     for kind, name in (("forward", "_spectrum"), ("inverse", "_from_spectrum")):
         original = getattr(laglab.torus, name)
@@ -342,7 +344,5 @@ def test_r3_vs_fd_transform_count(warm_twisted_generic, grid64, monkeypatch):
             return out
 
         monkeypatch.setattr(laglab.torus, name, counting)
-    rng = np.random.default_rng(5)
-    h, k, l = (sample(random_trig_polynomial(rng, 2), grid64) for _ in range(3))
     assert check_r3_vs_fd(warm_twisted_generic, h, k, l).passed
     assert counts == {"forward": 20, "inverse": 66}
