@@ -201,7 +201,7 @@ class ExperimentConfig:
         try:
             self.grid = PeriodicGrid(self.model.n, points, self.model.period)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid grid: {exc}") from exc
+            raise ConfigError(f"invalid grid.points: {exc}") from exc
 
         self.potential = parse_trig_terms(raw.get("potential", []), "potential", self.grid)
 

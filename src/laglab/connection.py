@@ -43,7 +43,7 @@ grad phi + c grad psi_s and Hess phi + c Hess psi_s, and the end-of-step
 potential the same combination of the four stages.  Each stage therefore
 differentiates only its velocity psi_s (one gradient, one Hessian), and
 every stage graph and end-of-step graph is built from the carried
-derivatives, with no transform of the potential.
+derivatives, without differentiating the potential.
 """
 
 from __future__ import annotations

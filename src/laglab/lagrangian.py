@@ -35,7 +35,7 @@ The graph lies in flat space, so by the Gauss formula its Christoffel
 symbols are Gamma^c_{ab} = (g^{-1} Hess phi)_ce d_e (Hess phi)_ab.
 ``GraphLagrangian.derivatives`` is the one method that gives a function's
 gradient, raised gradient, covariant Hessian and divergence-form Laplacian,
-all from one forward transform and one index raise; ``laplace_beltrami``
+all from one gradient and Hessian and one index raise; ``laplace_beltrami``
 and ``covariant_hessian`` read it.  ``GraphLagrangian.raise_index`` is the
 one application of g^{-1}: the metric pairing, the Laplacian's flux and the
 curvature routes all go through it.
@@ -79,7 +79,7 @@ class GraphLagrangian:
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
-    build then takes no transform of phi.
+    build then does not differentiate phi.
 
     Raises
     ------
@@ -286,7 +286,7 @@ class GraphLagrangian:
     def derivatives(
         self, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, TensorField, np.ndarray]:
-        """(grad h, g^{-1} grad h, Hess h, Lap h) from one transform of h: the
+        """(grad h, g^{-1} grad h, Hess h, Lap h) from one ``grad_hess`` of h: the
         covariant Hessian d_a d_b h - Gamma^c_{ab} d_c h and the nonnegative
         Laplacian -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h ), whose flux
         is the raised gradient.  The divergence form integrates by parts

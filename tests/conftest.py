@@ -60,8 +60,8 @@ def warm_twisted_generic(twisted_generic):
 @pytest.fixture
 def transform_calls(monkeypatch):
     """Names of the ``torus.gradient_values``, ``torus.hessian_values`` and
-    ``torus.grad_hess`` calls made while the test runs, one per forward
-    transform of a differentiated function.  Every loaded ``laglab`` module
+    ``torus.grad_hess`` calls made while the test runs, one per
+    differentiated function.  Every loaded ``laglab`` module
     that imported one of them by name is patched, so no caller escapes the
     count."""
     calls = []

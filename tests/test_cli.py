@@ -421,6 +421,7 @@ def test_validate_subcommand(tmp_path, capsys):
         ({"tolerances": {"dtheta": "tight"}}, "tight"),
         ({"tolerances": {"dtheta": -1}}, "dtheta"),
         ({"geodesic_steps": 10_001}, "geodesic_steps"),
+        ({"grid": 2048}, "grid_points"),
     ],
 )
 def test_validate_bad_params_exit_2(tmp_path, capsys, command, params, named):
@@ -449,6 +450,7 @@ def test_validate_unknown_tolerance_lists_known_names(tmp_path, capsys):
         (["--grid", "4"], "grid_points"),
         (["--grid", "0"], "grid_points"),
         (["--seed", "-1"], "seed"),
+        (["--grid", "2048"], "grid_points"),
     ],
 )
 def test_validate_subcommand_bad_flags_exit_2(tmp_path, capsys, flags, named):
@@ -566,6 +568,9 @@ READ_BEFORE_COMPUTE = [
         (dict(GEODESIC, params={"h0": "h", "steps": 10_001}), "params.steps"),
         ({"job": "validate", "params": {"tolerances": {"dtheta": -1}}}, "dtheta"),
         ({"job": "validate", "params": {"geodesic_steps": 1e30}}, "geodesic_steps"),
+        (dict(GEODESIC, grid=4096, params={"h0": "h"}), "grid.points"),
+        (dict(GEODESIC, model=dict(MODEL_FLAT, n=3), grid={"points": 256}, params={"h0": "h"}),
+         "grid.points"),
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):

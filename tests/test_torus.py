@@ -3,7 +3,9 @@ import pytest
 from conftest import per_component_derivative
 
 import laglab.torus
+from laglab.curvature import riemann_field_values, sectional_matrix
 from laglab.errors import BandLimitExceeded
+from laglab.lagrangian import build
 from laglab.torus import (
     PeriodicGrid,
     ScalarField,
@@ -22,6 +24,7 @@ from laglab.torus import (
     partial,
     partial_values,
     sample,
+    symmetric_gradient_values,
 )
 
 
@@ -34,6 +37,11 @@ def test_grid_validation():
         PeriodicGrid(2, 4)  # too small
     with pytest.raises(ValueError):
         PeriodicGrid(2, 64, -1.0)
+    for n, points in ((1, 2048), (2, 2048), (3, 256)):
+        with pytest.raises(ValueError, match="MAX_GRID_SIZE"):
+            PeriodicGrid(n, points)
+    assert PeriodicGrid(3, 128).size == 2**21
+    assert PeriodicGrid(2, 1024).size == 2**20 and PeriodicGrid(1, 1024).size == 2**10
 
 
 def test_partial_sin(grid64):
@@ -143,7 +151,7 @@ def test_sample_matches_pointwise_evaluation(n, points, period):
 
 
 def test_sample_takes_one_inverse_transform(monkeypatch):
-    calls = {"_spectrum": 0, "_from_spectrum": 0}
+    calls = {"_from_spectrum": 0}
     for name in calls:
         original = getattr(laglab.torus, name)
 
@@ -153,7 +161,7 @@ def test_sample_takes_one_inverse_transform(monkeypatch):
 
         monkeypatch.setattr(laglab.torus, name, counting)
     sample(_synthesis_cases(3, 16), PeriodicGrid(3, 16))
-    assert calls == {"_spectrum": 0, "_from_spectrum": 1}
+    assert calls == {"_from_spectrum": 1}
 
 
 def _random_poly(rng, n, max_mode=3, terms=4):
@@ -275,8 +283,9 @@ def test_spectral_derivatives_exact(n, points, period, seed):
     "n, points, period", [(1, 32, 2 * np.pi), (2, 16, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)]
 )
 def test_batched_derivatives_match_per_component_transforms(n, points, period):
-    """One inverse transform of a stack gives, bit for bit, what one
-    transform pair per derivative gives."""
+    """Every derivative agrees, to 1e-14 of its size, with what one FFT pair
+    per derivative gives; the entry points agree with each other bit for
+    bit."""
     grid = PeriodicGrid(n, points, period)
     rng = np.random.default_rng(n)
     f = rng.standard_normal(grid.shape)
@@ -285,18 +294,103 @@ def test_batched_derivatives_match_per_component_transforms(n, points, period):
     for a in range(n):
         for b in range(a, n):
             hess[..., a, b] = hess[..., b, a] = per_component_derivative(grid, f, (a, b))
-    assert np.array_equal(gradient_values(grid, f), grad)
-    assert np.array_equal(hessian_values(grid, f), hess)
+    assert np.abs(gradient_values(grid, f) - grad).max() <= 1e-14 * np.abs(grad).max()
+    assert np.abs(hessian_values(grid, f) - hess).max() <= 1e-14 * np.abs(hess).max()
     both = grad_hess(grid, f)
-    assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
+    assert np.array_equal(both[0], gradient_values(grid, f))
+    assert np.array_equal(both[1], hessian_values(grid, f))
     for a in range(n):
-        assert np.array_equal(partial_values(grid, f, a), grad[..., a])
+        assert np.array_equal(partial_values(grid, f, a), both[0][..., a])
 
     vector = rng.standard_normal(grid.shape + (n,))
     div = np.zeros(grid.shape)
     for a in range(n):
         div += per_component_derivative(grid, vector[..., a], (a,))
-    assert np.array_equal(divergence_values(grid, vector), div)
+    assert np.abs(divergence_values(grid, vector) - div).max() <= 1e-14 * np.abs(div).max()
+
+
+@pytest.mark.parametrize("n, points, period", [(1, 16, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)])
+def test_constant_along_an_axis_differentiates_to_exactly_zero(n, points, period):
+    """A field that does not vary along axis a has d_a and every d_a d_b
+    exactly 0, as the Fourier multiplier gives."""
+    grid = PeriodicGrid(n, points, period)
+    rng = np.random.default_rng(10 + n)
+    for axis in range(n):
+        shape = list(grid.shape)
+        shape[axis] = 1
+        f = np.broadcast_to(rng.standard_normal(shape), grid.shape).copy()
+        grad, hess = grad_hess(grid, f)
+        assert not grad[..., axis].any()
+        assert not hess[..., axis, :].any() and not hess[..., :, axis].any()
+        assert not partial_values(grid, f, axis).any()
+
+
+@pytest.mark.parametrize("n, points, period", [(1, 32, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)])
+def test_differentiation_matrix_is_antisymmetric(n, points, period):
+    d = PeriodicGrid(n, points, period)._diff_matrix
+    assert d.shape == (points, points)
+    assert np.array_equal(d, -d.T)
+
+
+@pytest.mark.parametrize(
+    "n, points, exact", [(1, 32, True), (2, 16, True), (2, 32, False), (2, 64, True), (3, 8, True)]
+)
+def test_stacked_and_single_fields_differentiate_alike(n, points, exact):
+    """A stack of fields differentiates as its fields do one at a time.
+    Both are the same matmul with a different row count, so they agree bit
+    for bit unless the row count moves the product across one of the BLAS's
+    kernel-size thresholds (OpenBLAS does at 32^2, a 32-row product alone
+    and 96 rows stacked, by 1e-14 absolute)."""
+    grid = PeriodicGrid(n, points)
+    rng = np.random.default_rng(20 + n)
+    m = rng.standard_normal(grid.shape + (n, n))
+    m = m + np.swapaxes(m, -1, -2)
+    vector = rng.standard_normal(grid.shape + (n,))
+    stacked = symmetric_gradient_values(grid, m)
+    pairs = [
+        (stacked[..., a, b], gradient_values(grid, m[..., a, b].copy()))
+        for a in range(n)
+        for b in range(n)
+    ]
+    div = partial_values(grid, vector[..., 0].copy(), 0)
+    for a in range(1, n):
+        div += partial_values(grid, vector[..., a].copy(), a)
+    pairs.append((divergence_values(grid, vector), div))
+    for got, want in pairs:
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * points * np.abs(want).max()
+
+
+_FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "rfft2", "irfft2")
+
+
+def test_no_fft_outside_sample(monkeypatch, twisted_generic):
+    """Once a grid's differentiation matrix exists, the whole derivative
+    kernel, a build and the curvature routes run without numpy's FFT;
+    ``sample`` alone takes one inverse transform."""
+    grid, model = twisted_generic.grid, twisted_generic.model
+    grid._diff_matrix
+    calls = []
+    for name in _FFT_NAMES:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    h = sample(TrigPolynomial((TrigTerm(0.1, (1, 2)), TrigTerm(0.2, (0, 1), "sin"))), grid)
+    assert calls == ["irfftn"]
+    calls.clear()
+    gamma = build(model, ScalarField(grid, twisted_generic.phi.values + 0.1 * h.values))
+    gamma.derivatives(h.values)
+    gamma.christoffels, gamma.grad_theta, gamma.grad_rho
+    riemann_field_values(gamma, h.values, h.values ** 2, h.values)
+    sectional_matrix(gamma, [h.values, h.values ** 2])
+    divergence_values(grid, gradient_values(grid, h.values))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, points", [(1, 16), (2, 16), (3, 8)])
