@@ -9,23 +9,18 @@ independent finite-difference and integration-by-parts oracles.
 
 __version__ = "0.1.0"
 
-from .ambient import CONVENTIONS, AlmostCYModel, AmbientPoint
+from .ambient import CONVENTIONS, AlmostCYModel
 from .connection import (
     GeodesicPath,
     HamiltonianFamily,
     SampledPath,
-    VerticalDeformation,
     cov_deriv_along_path,
-    cov_deriv_coordinate,
     geodesic_shoot,
-    w_field,
 )
 from .curvature import (
     CurvatureReport,
     curvature_report,
     flat_family_check,
-    riemann_field,
-    riemann_quad,
     sectional,
     sectional_matrix,
 )
@@ -38,22 +33,19 @@ from .hermitian import (
     herm_inner,
     herm_sectional,
 )
-from .lagrangian import GraphLagrangian, TangentFunction, build, grad_inner, inner
+from .lagrangian import GraphLagrangian, TangentFunction, build, inner
 from .torus import (
     PeriodicGrid,
     ScalarField,
     TensorField,
     TrigPolynomial,
     TrigTerm,
-    integrate,
-    partial,
     sample,
 )
 from .validation import CheckResult, SuiteConfig, SuiteReport, run_suite
 
 __all__ = [
     "AlmostCYModel",
-    "AmbientPoint",
     "CONVENTIONS",
     "CheckResult",
     "CurvatureReport",
@@ -72,26 +64,18 @@ __all__ = [
     "TensorField",
     "TrigPolynomial",
     "TrigTerm",
-    "VerticalDeformation",
     "build",
     "cov_deriv_along_path",
-    "cov_deriv_coordinate",
     "curvature_report",
     "flat_family_check",
     "geodesic_shoot",
-    "grad_inner",
     "herm_curvature_quad",
     "herm_fd_riemann",
     "herm_inner",
     "herm_sectional",
     "inner",
-    "integrate",
-    "partial",
-    "riemann_field",
-    "riemann_quad",
     "run_suite",
     "sample",
     "sectional",
     "sectional_matrix",
-    "w_field",
 ]

@@ -48,20 +48,6 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A point (x, y) of T*T^n."""
-
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if len(self.x) != len(self.y):
-            raise ValueError("x and y must have the same dimension")
-
-
 # ---------------------------------------------------------------------------
 # Minimal exterior algebra over the coordinate frame (dx_1..dx_n, dy_1..dy_n).
 # A k-form is a dict mapping a strictly increasing index tuple to a complex
@@ -165,7 +151,7 @@ class AlmostCYModel:
     def kappa(self) -> float:
         return 2.0 * np.pi * self.twist_mode / self.period
 
-    # -- pointwise evaluators (x, y arrays of shape (..., n)) ---------------
+    # -- pointwise evaluators: x, y of shape (..., n), one point as (1, n) ---
 
     def twist(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """g(z) = eps * e^{i kappa z_1} with z_1 = x_1 - i y_1, in complex
@@ -252,25 +238,3 @@ class AlmostCYModel:
             J[n + j, j] = -1.0
             J[j, n + j] = 1.0
         return J
-
-
-# -- single-point wrappers over AmbientPoint --------------------------------
-
-
-def _point_arrays(p: AmbientPoint) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(p.x, dtype=float)[None, :], np.asarray(p.y, dtype=float)[None, :]
-
-
-def eval_twist(model: AlmostCYModel, p: AmbientPoint) -> complex:
-    x, y = _point_arrays(p)
-    return complex(model.twist(x, y)[0])
-
-
-def eval_rho(model: AlmostCYModel, p: AmbientPoint) -> float:
-    x, y = _point_arrays(p)
-    return float(model.rho(x, y)[0])
-
-
-def eval_omega_density(model: AlmostCYModel, p: AmbientPoint) -> complex:
-    x, y = _point_arrays(p)
-    return complex(model.holomorphic_density(x, y)[0])

@@ -28,10 +28,10 @@ keeps (tr H, adj H at n = 3, Re E, Im E), and the denominator is its stored
 Re(E det B).
 
 The connection is D_h k = w(h) . grad k, and ``cov_deriv_pair_values`` is
-its one implementation: the coordinate covariant derivative, the derivative
-along a sampled path, the geodesic equation and the validation oracles all
-call it.  It reduces to -tan(theta) <grad h, grad k> wherever the fibers
-meet the Lagrangian perpendicularly (any zero section).
+its one implementation: the derivative along a sampled path, the geodesic
+equation and the validation oracles all call it.  It reduces to
+-tan(theta) <grad h, grad k> wherever the fibers meet the Lagrangian
+perpendicularly (any zero section).
 
 Geodesics solve phi_tt = -D_{phi_t} phi_t with a classical fourth-order
 one-step method; velocities are renormalized into the tangent space after
@@ -68,14 +68,6 @@ from .torus import ScalarField, gradient_values, hessian_values, vector_dot
 # potential, a velocity and an energy, so an unbounded count is unbounded
 # memory and time.
 MAX_STEPS = 10_000
-
-
-@dataclass(frozen=True)
-class VerticalDeformation:
-    """A vertical variation of a graph, d/dt (x, grad phi + t grad h)."""
-
-    gamma: GraphLagrangian
-    h: ScalarField
 
 
 @dataclass(frozen=True)
@@ -163,9 +155,15 @@ def w_field_values(
     *,
     grad_h: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Components of the w-field, shape ``grid.shape + (n,)``.
+    """The base vector field w with i_w Re(Omega~) = -i_u Re(Omega), shape
+    ``grid.shape + (n,)``.
 
     ``grad_h`` is the gradient of ``h_values`` when the caller already has it.
+
+    Raises
+    ------
+    SingularDensity
+        If |Re Omega~| drops below ``tolerance`` anywhere.
     """
     density = gamma._re_pullback
     worst = np.abs(density).min()
@@ -177,30 +175,6 @@ def w_field_values(
     if grad_h is None:
         grad_h = gradient_values(gamma.grid, h_values)
     return -_cramer_numerator(gamma, grad_h) / density[..., None]
-
-
-def w_field(
-    gamma: GraphLagrangian,
-    u: VerticalDeformation | ScalarField,
-    tolerance: float = 1e-12,
-) -> tuple[ScalarField, ...]:
-    """The base vector field w with i_w Re(Omega~) = -i_u Re(Omega).
-
-    ``u`` may be given as a VerticalDeformation or directly as its potential.
-
-    Raises
-    ------
-    SingularDensity
-        If |Re Omega~| drops below ``tolerance`` anywhere.
-    """
-    if isinstance(u, VerticalDeformation):
-        if u.gamma is not gamma:
-            raise ValueError("deformation attached to a different Lagrangian")
-        h = u.h
-    else:
-        h = u
-    vals = w_field_values(gamma, h.values, tolerance)
-    return tuple(ScalarField(gamma.grid, vals[..., a]) for a in range(gamma.grid.n))
 
 
 def cov_deriv_pair_values(
@@ -221,21 +195,6 @@ def cov_deriv_pair_values(
     if grad_k is None:
         grad_k = gradient_values(gamma.grid, hk_values)
     return vector_dot(w, grad_k)
-
-
-def cov_deriv_coordinate(
-    family: HamiltonianFamily,
-    t: Sequence[float],
-    j: int,
-    k: int,
-    tolerance: float = 1e-12,
-) -> ScalarField:
-    """Coordinate covariant derivative D_{h^j} h^k at the family member t."""
-    gamma = family.gamma_at(t)
-    vals = cov_deriv_pair_values(
-        gamma, family.generators[j].values, family.generators[k].values, tolerance
-    )
-    return ScalarField(gamma.grid, vals)
 
 
 def cov_deriv_along_path(

@@ -2,12 +2,15 @@
 
 Two independent routes to the same tensor:
 
-* ``riemann_field`` assembles the pointwise field R(h,k)l from intrinsic data
-  (nonnegative Laplacian, restricted conformal factor, covariant Hessians,
-  angle gradient) of the base Lagrangian;
-* ``riemann_quad`` evaluates the integrated quadruple pairing directly as a
-  quadrature, where integration by parts has already cancelled everything but
-  one sec(theta)-weighted Cauchy-Schwarz bracket.
+* ``riemann_field_values`` assembles the pointwise field R(h,k)l from
+  intrinsic data (nonnegative Laplacian, restricted conformal factor,
+  covariant Hessians, angle gradient) of the base Lagrangian;
+* ``riemann_quad_values`` evaluates the integrated quadruple pairing directly
+  as a quadrature, where integration by parts has already cancelled
+  everything but one sec(theta)-weighted Cauchy-Schwarz bracket.
+
+Both take the raw sample arrays of tangent functions at one graph;
+``curvature_report`` checks that its tangent functions share that graph.
 
 Pairing the first against the metric must reproduce the second; the
 validation suite enforces this at every base point, and the sectional
@@ -63,7 +66,12 @@ def riemann_field_values(
     l: np.ndarray,
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> np.ndarray:
-    """Pointwise curvature field R(h,k)l on raw sample arrays."""
+    """The pointwise curvature field R(h,k)l, returned without renormalization.
+
+    The output is analytically expected to land in the tangent space; its
+    zero-mean defect is deliberately *not* projected away (that could mask a
+    sign bug) and can be read off with ``mean_zero_residual``.
+    """
     _require_margin(gamma, margin_threshold)
 
     grad_h, up_h, hess_h, lap_h = gamma.derivatives(h)
@@ -93,29 +101,10 @@ def riemann_field_values(
     return term1 + term2 + term3
 
 
-def riemann_field(
-    gamma: GraphLagrangian,
-    h: TangentFunction,
-    k: TangentFunction,
-    l: TangentFunction,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
-) -> TangentFunction:
-    """The curvature field R(h,k)l, returned without renormalization.
-
-    The output is analytically expected to land in the tangent space; its
-    zero-mean defect is deliberately *not* projected away (that could mask a
-    sign bug) and can be read off with ``mean_zero_residual``.
-    """
-    require_same_gamma(h, k, l)
-    vals = riemann_field_values(gamma, h.values, k.values, l.values, margin_threshold)
-    return TangentFunction(gamma, ScalarField(gamma.grid, vals))
-
-
-def mean_zero_residual(r: TangentFunction) -> tuple[float, float]:
+def mean_zero_residual(gamma: GraphLagrangian, values: np.ndarray) -> tuple[float, float]:
     """(|integral R Re(Omega)|, integral |R| Re(Omega)) — defect and scale."""
-    gamma = r.gamma
-    raw = integrate_values(gamma.grid, r.values * gamma.re_omega)
-    scale = integrate_values(gamma.grid, np.abs(r.values) * gamma.re_omega)
+    raw = integrate_values(gamma.grid, values * gamma.re_omega)
+    scale = integrate_values(gamma.grid, np.abs(values) * gamma.re_omega)
     return abs(raw), scale
 
 
@@ -143,25 +132,11 @@ def riemann_quad_values(
     m: np.ndarray,
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> float:
+    """The integrated pairing (R(h,k)l, m) as a single quadrature:
+    -integral sec(theta) [<dh,dm><dk,dl> - <dh,dl><dk,dm>] rho^{n/2} vol."""
     _require_margin(gamma, margin_threshold)
     first, second = quad_products(gamma, [gradient_values(gamma.grid, v) for v in (h, k, l, m)])
     return -sec_integral(gamma, first - second)
-
-
-def riemann_quad(
-    gamma: GraphLagrangian,
-    h: TangentFunction,
-    k: TangentFunction,
-    l: TangentFunction,
-    m: TangentFunction,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
-) -> float:
-    """The integrated pairing (R(h,k)l, m) as a single quadrature:
-    -integral sec(theta) [<dh,dm><dk,dl> - <dh,dl><dk,dm>] rho^{n/2} vol."""
-    require_same_gamma(h, k, l, m)
-    return riemann_quad_values(
-        gamma, h.values, k.values, l.values, m.values, margin_threshold
-    )
 
 
 class SectionalMatrix(NamedTuple):
@@ -291,7 +266,6 @@ class CurvatureReport:
     r_field: ScalarField
     quad_r3: float | None = None
     quad_r4: float | None = None
-    sectional: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -303,9 +277,16 @@ def curvature_report(
     m: TangentFunction | None = None,
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> CurvatureReport:
-    """Evaluate R(h,k)l and, when m is given, both quadruple pairings."""
-    r = riemann_field(gamma, h, k, l, margin_threshold)
-    residual, scale = mean_zero_residual(r)
+    """Evaluate R(h,k)l and, when m is given, both quadruple pairings.
+
+    Raises
+    ------
+    GammaMismatch
+        If h, k, l and m are not all attached to one Lagrangian.
+    """
+    require_same_gamma(*((h, k, l) if m is None else (h, k, l, m)))
+    r = riemann_field_values(gamma, h.values, k.values, l.values, margin_threshold)
+    residual, scale = mean_zero_residual(gamma, r)
     diagnostics = {
         "mean_zero_residual": residual,
         "mean_zero_scale": scale,
@@ -313,12 +294,8 @@ def curvature_report(
     }
     quad_r3 = quad_r4 = None
     if m is not None:
-        quad_r3 = gamma.inner_values(r.values, m.values)
-        quad_r4 = riemann_quad(gamma, h, k, l, m, margin_threshold)
-    sec = None
-    if m is not None and l.h is k.h and m.h is h.h:
-        try:
-            sec = sectional(gamma, h, k, margin_threshold)
-        except DegeneratePlane:
-            sec = None
-    return CurvatureReport(gamma, r.h, quad_r3, quad_r4, sec, diagnostics)
+        quad_r3 = gamma.inner_values(r, m.values)
+        quad_r4 = riemann_quad_values(
+            gamma, h.values, k.values, l.values, m.values, margin_threshold
+        )
+    return CurvatureReport(gamma, ScalarField(gamma.grid, r), quad_r3, quad_r4, diagnostics)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class LaglabError(Exception):
     """Base class for all errors raised by laglab."""
@@ -16,22 +18,27 @@ class NonPositiveDensity(LaglabError):
 
 
 class NotPositive(LaglabError):
-    """A graph Lagrangian left the positive locus: Re Omega~ <= 0 somewhere.
+    """A graph Lagrangian left the positive locus: Re Omega~ <= 0 or not
+    finite somewhere.
 
     Attributes
     ----------
     margin : float
-        Worst-case value of cos(theta) over the grid.
+        Worst-case value of cos(theta) over the grid; NaN when Re Omega~ is
+        not finite somewhere, where cos(theta) has no value.
     worst_point : tuple
-        Base coordinates of the worst grid point.
+        Base coordinates of the worst grid point, or of the first point
+        where Re Omega~ is not finite.
     """
 
     def __init__(self, margin: float, worst_point: tuple):
         self.margin = margin
         self.worst_point = worst_point
-        super().__init__(
-            f"positivity violated: min cos(theta) = {margin:.6g} at x = {worst_point}"
-        )
+        if math.isnan(margin):
+            reading = "Re Omega~ is not finite"
+        else:
+            reading = f"min cos(theta) = {margin:.6g}"
+        super().__init__(f"positivity violated: {reading} at x = {worst_point}")
 
 
 class GammaMismatch(LaglabError):

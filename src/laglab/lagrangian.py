@@ -86,7 +86,8 @@ class GraphLagrangian:
     NotPositive
         If Re Omega~ <= 0 or is not finite at any grid point (the graph
         leaves the positive locus, or the twist overflows); the error
-        reports min cos(theta) and its point.
+        reports min cos(theta) and its point, or, where Re Omega~ is not
+        finite, the first such point.
     """
 
     def __init__(
@@ -138,15 +139,22 @@ class GraphLagrangian:
             self._re_pullback = self._re_twist * self._re_det_B - self._im_twist * self._im_det_B
 
             # Positivity is 0 < Re Omega~ < inf at every point; NaN fails
-            # both comparisons.  theta is the phase of Omega~ over a positive
-            # factor, so cos(theta) = Re Omega~ / |Omega~| (NaN where Omega~
-            # is 0 or not finite), with no rho or metric to evaluate.
+            # both comparisons.  Where Re Omega~ is not finite, cos(theta) has
+            # no value, so the first such point is reported with a NaN margin.
+            # Otherwise theta is the phase of Omega~ over a positive factor,
+            # so cos(theta) = Re Omega~ / |Omega~|, with no rho or metric to
+            # evaluate.
             re_pullback = self._re_pullback
             if not (re_pullback.min() > 0.0 and re_pullback.max() < np.inf):
-                cos_theta = re_pullback / np.abs(self.pullback_density)
-                worst = np.unravel_index(np.argmin(cos_theta), grid.shape)
-                point = tuple(float(grid.axis[i]) for i in worst)
-                raise NotPositive(float(cos_theta[worst]), point)
+                not_finite = ~np.isfinite(re_pullback)
+                if not_finite.any():
+                    margin, worst = np.nan, np.argmax(not_finite)
+                else:
+                    cos_theta = re_pullback / np.abs(self.pullback_density)
+                    worst = np.argmin(cos_theta)
+                    margin = float(cos_theta.flat[worst])
+                worst = np.unravel_index(worst, grid.shape)
+                raise NotPositive(margin, tuple(float(grid.axis[i]) for i in worst))
 
     # -- complex pullback, assembled from the real parts on first read ---------
 
@@ -318,9 +326,10 @@ class TangentFunction:
     """A tangent vector to the isotopy class at a fixed graph Lagrangian.
 
     Constructed through ``GraphLagrangian.normalize`` the function satisfies
-    the zero-mean normalization against Re(Omega); raw curvature outputs are
-    also carried by this type, with their normalization defect reported as a
-    diagnostic instead of being silently projected away.
+    the zero-mean normalization against Re(Omega).  The curvature field
+    R(h,k)l is returned as a raw array instead, so its normalization defect
+    can be reported (``curvature.mean_zero_residual``) rather than projected
+    away.
     """
 
     gamma: GraphLagrangian
@@ -333,10 +342,6 @@ class TangentFunction:
     @property
     def values(self) -> np.ndarray:
         return self.h.values
-
-    def normalization_residual(self) -> float:
-        """|integral of h Re(Omega)|, zero (to roundoff) for normalized h."""
-        return abs(integrate_values(self.gamma.grid, self.values * self.gamma.re_omega))
 
 
 def build(
@@ -362,9 +367,3 @@ def inner(h: TangentFunction, k: TangentFunction) -> float:
     """Riemannian metric (h, k) = integral of h*k*Re(Omega) over the graph."""
     gamma = require_same_gamma(h, k)
     return gamma.inner_values(h.values, k.values)
-
-
-def grad_inner(h: TangentFunction, k: TangentFunction) -> ScalarField:
-    """Pointwise induced-metric inner product of the differentials."""
-    gamma = require_same_gamma(h, k)
-    return ScalarField(gamma.grid, gamma.grad_inner_values(h.values, k.values))

@@ -21,7 +21,11 @@ subtracted, so a field constant along the axis gives exactly 0.  The Hessian
 applies D along b to the gradient row a (a <= b), one matmul per axis, and
 copies the lower triangle, so it is exactly symmetric.  On the 64^2 and 32^3
 grids the battery and the CLI jobs use, a gradient by matmuls takes a third
-to a fifth of the time of an rfftn/irfftn round trip.
+to a fifth of the time of an rfftn/irfftn round trip.  A matmul costs
+N^(n+1) per field against N^n log N for the FFT, so the FFT wins on large
+planar grids: with one BLAS thread from 512^2 on (1.5x faster there), with
+two not up to 1024^2, and at n = 3 not up to 128^3 (timings in the README).
+No grid the library runs exceeds 64^2 or 32^3, so there is no size switch.
 
 The pointwise n x n algebra of the graph geometry (n <= 3) uses the
 closed-form determinant and adjugate below instead of batched LAPACK calls.
@@ -138,45 +142,6 @@ class ScalarField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    # Pointwise algebra for callers that work with fields; the library itself
-    # assembles its integrands on raw value arrays.
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + self._coerce(other))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return ScalarField(self.grid, self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return ScalarField(self.grid, self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return ScalarField(self.grid, self.values * self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return ScalarField(self.grid, self.values / self._coerce(other))
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-    def _coerce(self, other) -> np.ndarray | float:
-        if isinstance(other, ScalarField):
-            if other.grid != self.grid:
-                raise ValueError("fields live on different grids")
-            return other.values
-        return float(other)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 @dataclass(frozen=True)
 class TensorField:
@@ -256,11 +221,6 @@ class TrigPolynomial:
             arg = freq * np.tensordot(pts, np.asarray(t.wavevector, dtype=float), axes=([-1], [0]))
             out += t.coefficient * (np.cos(arg) if t.phase == "cos" else np.sin(arg))
         return out
-
-    def scaled(self, factor: float) -> "TrigPolynomial":
-        return TrigPolynomial(
-            tuple(TrigTerm(t.coefficient * factor, t.wavevector, t.phase) for t in self.terms)
-        )
 
 
 def check_band_limit(poly: TrigPolynomial, grid: PeriodicGrid) -> None:
@@ -374,11 +334,6 @@ def partial_values(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndar
     return out
 
 
-def partial(f: ScalarField, axis: int) -> ScalarField:
-    """Spectral partial derivative; exact for band-limited fields."""
-    return ScalarField(f.grid, partial_values(f.grid, f.values, axis))
-
-
 def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """All first derivatives, shape ``grid.shape + (n,)``."""
     return np.moveaxis(_gradient_stack(grid, values), 0, -1)
@@ -413,12 +368,8 @@ def divergence_values(grid: PeriodicGrid, vector: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-def integrate(f: ScalarField) -> float:
-    """Integral over the torus: mean of samples times P^n."""
-    return integrate_values(f.grid, f.values)
-
-
 def integrate_values(grid: PeriodicGrid, values: np.ndarray) -> float:
+    """Integral over the torus: mean of samples times P^n."""
     return float(values.mean()) * grid.period**grid.n
 
 

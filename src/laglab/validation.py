@@ -30,9 +30,8 @@ from .curvature import (
     flat_family_check,
     mean_zero_residual,
     quad_products,
-    riemann_field,
     riemann_field_values,
-    riemann_quad,
+    riemann_quad_values,
     sec_integral,
     sectional,
 )
@@ -764,13 +763,13 @@ def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Gener
 
 def _suite_tensor_structure(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma = bases["twisted_generic"]
-    h, k, l, m = [gamma.normalize(_random_field(rng, gamma.grid)) for _ in range(4)]
-    residual, scale = mean_zero_residual(riemann_field(gamma, h, k, l))
+    h, k, l, m = [gamma.normalize_values(_random_field(rng, gamma.grid).values) for _ in range(4)]
+    residual, scale = mean_zero_residual(gamma, riemann_field_values(gamma, h, k, l))
     out = [
         _result("mean_zero_residual", residual, residual / scale,
                 cfg.tolerance("mean_zero_residual"), "rel", {"scale": scale}),
     ]
-    cyclic = [riemann_quad(gamma, a, b, c, m) for a, b, c in ((h, k, l), (k, l, h), (l, h, k))]
+    cyclic = [riemann_quad_values(gamma, a, b, c, m) for a, b, c in ((h, k, l), (k, l, h), (l, h, k))]
     bianchi = abs(sum(cyclic))
     bscale = max(*(abs(q) for q in cyclic), 1e-300)
     out.append(

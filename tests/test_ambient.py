@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 import laglab.ambient as ambient
-from laglab.ambient import (
-    AlmostCYModel,
-    AmbientPoint,
-    eval_omega_density,
-    eval_rho,
-    eval_twist,
-)
+from laglab.ambient import AlmostCYModel
 from laglab.errors import NonPositiveDensity
 from laglab.lagrangian import build
 from laglab.torus import PeriodicGrid, field_from_function
 
 RHO_TWISTED_ORIGIN = 1.1051709180756477  # exp(0.1), n = 2
+
+
+def point(x, y):
+    """One point (x, y) of T*T^n as the (1, n) arrays the model evaluates."""
+    return np.array([x], dtype=float), np.array([y], dtype=float)
 
 
 def test_model_validation():
@@ -66,37 +65,37 @@ def test_hamiltonian_field_is_vertical():
 
 def test_twist_values():
     flat = AlmostCYModel(2)
-    p0 = AmbientPoint((0.0, 0.0), (0.0, 0.0))
-    assert eval_twist(flat, p0) == 0.0
+    p0 = point((0.0, 0.0), (0.0, 0.0))
+    assert flat.twist(*p0)[0] == 0.0
 
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
-    assert eval_twist(model, p0) == pytest.approx(0.1)
-    quarter = AmbientPoint((np.pi / 2, 0.0), (0.0, 0.0))
-    assert eval_twist(model, quarter) == pytest.approx(0.1j)
+    assert model.twist(*p0)[0] == pytest.approx(0.1)
+    quarter = point((np.pi / 2, 0.0), (0.0, 0.0))
+    assert model.twist(*quarter)[0] == pytest.approx(0.1j)
 
 
 def test_twist_periodicity():
     model = AlmostCYModel(2, twist_amplitude=0.3, twist_mode=2)
-    p = AmbientPoint((1.1, 0.4), (0.2, -0.3))
-    shifted = AmbientPoint((1.1 + model.period, 0.4), (0.2, -0.3))
-    assert eval_twist(model, p) == pytest.approx(eval_twist(model, shifted))
+    p = point((1.1, 0.4), (0.2, -0.3))
+    shifted = point((1.1 + model.period, 0.4), (0.2, -0.3))
+    assert model.twist(*p)[0] == pytest.approx(model.twist(*shifted)[0])
 
 
 def test_rho_flat():
     model = AlmostCYModel(2)
-    assert eval_rho(model, AmbientPoint((1.0, 2.0), (0.3, -0.4))) == pytest.approx(1.0)
+    assert model.rho(*point((1.0, 2.0), (0.3, -0.4)))[0] == pytest.approx(1.0)
 
 
 def test_rho_twisted_origin():
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
-    val = eval_rho(model, AmbientPoint((0.0, 0.0), (0.0, 0.0)))
+    val = model.rho(*point((0.0, 0.0), (0.0, 0.0)))[0]
     assert val == pytest.approx(RHO_TWISTED_ORIGIN, rel=1e-14)
 
 
 def test_rho_decay_limit():
     # Re g -> 0 along y_1 -> -infinity, so rho -> 1.
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
-    val = eval_rho(model, AmbientPoint((0.0, 0.0), (-30.0, 0.0)))
+    val = model.rho(*point((0.0, 0.0), (-30.0, 0.0)))[0]
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -112,10 +111,10 @@ def test_rho_defining_relation_vs_closed_form(n, eps):
 
 def test_omega_density_values():
     flat = AlmostCYModel(2)
-    assert eval_omega_density(flat, AmbientPoint((0.4, 1.0), (0.1, 0.2))) == pytest.approx(1.0)
+    assert flat.holomorphic_density(*point((0.4, 1.0), (0.1, 0.2)))[0] == pytest.approx(1.0)
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
-    quarter = AmbientPoint((np.pi / 2, 0.0), (0.0, 0.0))
-    assert eval_omega_density(model, quarter) == pytest.approx(np.exp(0.1j))
+    quarter = point((np.pi / 2, 0.0), (0.0, 0.0))
+    assert model.holomorphic_density(*quarter)[0] == pytest.approx(np.exp(0.1j))
 
 
 def explicit_density(model, x, y):
@@ -194,9 +193,9 @@ def test_underflowed_density_gives_zero_rho():
     # At y_1 = 10, x_1 = pi the twist is g = -0.1 e^10, so |e^g|^2 underflows
     # to 0: a valid point, where the closed form also gives rho = 0.
     model = AlmostCYModel(2, twist_amplitude=0.1)
-    p = AmbientPoint((np.pi, 0.0), (10.0, 0.0))
-    assert eval_rho(model, p) == 0.0
-    assert float(model.rho_closed_form(np.array([p.x]), np.array([p.y]))[0]) == 0.0
+    p = point((np.pi, 0.0), (10.0, 0.0))
+    assert model.rho(*p)[0] == 0.0
+    assert float(model.rho_closed_form(*p)[0]) == 0.0
 
 
 def test_frame_ratio_is_exactly_one():
@@ -205,8 +204,3 @@ def test_frame_ratio_is_exactly_one():
         ratio = ambient._frame_ratio(n)
         assert ratio == pytest.approx(1.0)
         assert abs(ratio.imag) < 1e-15
-
-
-def test_ambient_point_validation():
-    with pytest.raises(ValueError):
-        AmbientPoint((0.0,), (0.0, 1.0))

@@ -607,6 +607,34 @@ def test_integral_float_params_are_integers(tmp_path, capsys):
     assert load_report(out)["results"]["steps"] == 2
 
 
+# Huge finite inputs overflow the twist, so Re Omega~ is not finite: the
+# error names the first such point instead of a NaN min cos(theta).
+TWISTED_16 = dict(GEODESIC, model=dict(MODEL_FLAT, twist_amplitude=0.1), grid=16)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(TWISTED_16, job="sectional", params={"h": "h", "k": "k"},
+              potential=[{"coefficient": 1e30, "wavevector": [1, 0]}]),
+         "positivity error: positivity violated: Re Omega~ is not finite at x = (0.0, 0.0)"),
+        (dict(TWISTED_16, params={"h0": "h", "time": 1e30, "steps": 4}),
+         "positivity error: positivity lost at t = 1.25e+29: positivity violated: "
+         "Re Omega~ is not finite at x = (3.141592653589793, 0.0)"),
+    ],
+    ids=["potential_coefficient", "geodesic_time"],
+)
+def test_overflowing_pullback_is_named_not_given_a_nan_margin(tmp_path, capsys, config, message):
+    cfg = write_config(tmp_path, "overflow.json", config)
+    assert main(["describe", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "overflow_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "nan" not in err
+    assert not out.exists()
+
+
 CURVATURE = dict(GEODESIC, job="curvature")
 SCAN = dict(GEODESIC, job="scan")
 

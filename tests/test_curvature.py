@@ -6,9 +6,7 @@ from laglab.curvature import (
     curvature_report,
     flat_family_check,
     mean_zero_residual,
-    riemann_field,
     riemann_field_values,
-    riemann_quad,
     riemann_quad_values,
     sectional,
     sectional_matrix,
@@ -30,17 +28,17 @@ def _tangent(gamma, fn):
 def test_riemann_field_spot(flat_zero, grid64):
     h = _tangent(flat_zero, lambda c: np.cos(c[..., 0]))
     k = _tangent(flat_zero, lambda c: np.cos(c[..., 1]))
-    r = riemann_field(flat_zero, h, k, k)
+    r = riemann_field_values(flat_zero, h.values, k.values, k.values)
     x = grid64.coords
     expected = -np.cos(x[..., 0]) * np.sin(x[..., 1]) ** 2
-    assert np.abs(r.values - expected).max() < 1e-11
+    assert np.abs(r - expected).max() < 1e-11
 
 
 def test_riemann_antisymmetry(twisted_generic, grid64):
     h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]) + np.sin(2 * c[..., 1]))
     l = _tangent(twisted_generic, lambda c: np.sin(c[..., 0] + c[..., 1]))
-    r = riemann_field(twisted_generic, h, h, l)
-    assert np.abs(r.values).max() < 1e-14
+    r = riemann_field_values(twisted_generic, h.values, h.values, l.values)
+    assert np.abs(r).max() < 1e-14
 
 
 def test_riemann_gauge_invariance(twisted_generic, grid64):
@@ -70,7 +68,7 @@ def test_riemann_vanishes_in_dimension_one():
 def test_riemann_quad_spot(flat_zero, grid64):
     h = _tangent(flat_zero, lambda c: np.cos(c[..., 0]))
     k = _tangent(flat_zero, lambda c: np.cos(c[..., 1]))
-    value = riemann_quad(flat_zero, h, k, k, h)
+    value = riemann_quad_values(flat_zero, h.values, k.values, k.values, h.values)
     assert value == pytest.approx(QUAD_SPOT, rel=1e-12)
 
 
@@ -123,11 +121,11 @@ def test_first_bianchi(twisted_generic, grid64):
 def test_mean_zero_residual(twisted_generic, grid64):
     rng = np.random.default_rng(31)
     f = [
-        twisted_generic.normalize(sample(random_trig_polynomial(rng, 2), grid64))
+        twisted_generic.normalize(sample(random_trig_polynomial(rng, 2), grid64)).values
         for _ in range(3)
     ]
-    r = riemann_field(twisted_generic, *f)
-    residual, scale = mean_zero_residual(r)
+    r = riemann_field_values(twisted_generic, *f)
+    residual, scale = mean_zero_residual(twisted_generic, r)
     assert residual <= 1e-8 * scale
 
 
@@ -170,16 +168,18 @@ def test_margin_threshold(twisted_generic, grid64):
     h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
     k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
     with pytest.raises(MarginTooSmall):
-        riemann_field(twisted_generic, h, k, k, margin_threshold=0.95)
+        riemann_field_values(twisted_generic, h.values, k.values, k.values, margin_threshold=0.95)
     with pytest.raises(MarginTooSmall):
-        riemann_quad(twisted_generic, h, k, k, h, margin_threshold=0.95)
+        riemann_quad_values(
+            twisted_generic, h.values, k.values, k.values, h.values, margin_threshold=0.95
+        )
 
 
 def test_gamma_mismatch(flat_zero, twisted_zero, grid64):
     h1 = _tangent(flat_zero, lambda c: np.cos(c[..., 0]))
     h2 = _tangent(twisted_zero, lambda c: np.cos(c[..., 1]))
     with pytest.raises(GammaMismatch):
-        riemann_field(flat_zero, h1, h1, h2)
+        curvature_report(flat_zero, h1, h1, h2)
 
 
 def test_flat_family(flat_zero, twisted_zero, grid64):
@@ -202,7 +202,7 @@ def test_curvature_report(twisted_generic, grid64):
     k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
     rep = curvature_report(twisted_generic, h, k, k, h)
     assert rep.quad_r3 == pytest.approx(rep.quad_r4, rel=1e-8)
-    assert rep.sectional is not None and rep.sectional <= 0.0
+    assert sectional(twisted_generic, h, k) <= 0.0
     assert rep.diagnostics["positivity_margin"] == twisted_generic.margin
 
 

@@ -20,8 +20,7 @@ from laglab.torus import (
     grad_hess,
     gradient_values,
     hessian_values,
-    integrate,
-    partial,
+    integrate_values,
     partial_values,
     sample,
     symmetric_gradient_values,
@@ -46,41 +45,43 @@ def test_grid_validation():
 
 def test_partial_sin(grid64):
     f = field_from_function(grid64, lambda c: np.sin(c[..., 0]))
-    df = partial(f, 0)
+    df = partial_values(grid64, f.values, 0)
     expected = np.cos(grid64.coords[..., 0])
-    assert np.abs(df.values - expected).max() < 1e-13
+    assert np.abs(df - expected).max() < 1e-13
 
 
 def test_partial_constant(grid64):
-    df = partial(constant_field(grid64, 3.7), 1)
-    assert np.abs(df.values).max() < 1e-14
+    df = partial_values(grid64, constant_field(grid64, 3.7).values, 1)
+    assert np.abs(df).max() < 1e-14
 
 
 def test_partial_high_mode(grid64):
     f = field_from_function(grid64, lambda c: np.cos(3 * c[..., 1]))
-    df = partial(f, 1)
+    df = partial_values(grid64, f.values, 1)
     expected = -3.0 * np.sin(3 * grid64.coords[..., 1])
-    assert np.abs(df.values - expected).max() < 1e-12
+    assert np.abs(df - expected).max() < 1e-12
 
 
 def test_partial_axis_range(grid64):
     f = constant_field(grid64)
     with pytest.raises(ValueError):
-        partial(f, 2)
+        partial_values(grid64, f.values, 2)
 
 
 def test_integrate_constant(grid64):
-    assert integrate(constant_field(grid64, 1.0)) == pytest.approx((2 * np.pi) ** 2)
+    assert integrate_values(grid64, constant_field(grid64, 1.0).values) == pytest.approx(
+        (2 * np.pi) ** 2
+    )
 
 
 def test_integrate_cos_squared(grid64):
     f = field_from_function(grid64, lambda c: np.cos(c[..., 0]) ** 2)
-    assert integrate(f) == pytest.approx(2 * np.pi**2, rel=1e-14)
+    assert integrate_values(grid64, f.values) == pytest.approx(2 * np.pi**2, rel=1e-14)
 
 
 def test_integrate_odd_modes(grid64):
     f = field_from_function(grid64, lambda c: np.cos(c[..., 0]) * np.cos(c[..., 1]))
-    assert abs(integrate(f)) < 1e-14
+    assert abs(integrate_values(grid64, f.values)) < 1e-14
 
 
 def test_sample_single_mode(grid64):
@@ -90,7 +91,7 @@ def test_sample_single_mode(grid64):
 
 
 def test_sample_empty(grid64):
-    assert sample(TrigPolynomial(()), grid64).sup_norm() == 0.0
+    assert np.abs(sample(TrigPolynomial(()), grid64).values).max() == 0.0
 
 
 def test_sample_superposition_at_origin(grid64):
@@ -178,8 +179,8 @@ def _random_poly(rng, n, max_mode=3, terms=4):
 def test_partials_commute(grid64, seed):
     rng = np.random.default_rng(seed)
     f = sample(_random_poly(rng, 2), grid64)
-    ab = partial(partial(f, 0), 1).values
-    ba = partial(partial(f, 1), 0).values
+    ab = partial_values(grid64, partial_values(grid64, f.values, 0), 1)
+    ba = partial_values(grid64, partial_values(grid64, f.values, 1), 0)
     scale = max(np.abs(ab).max(), 1.0)
     assert np.abs(ab - ba).max() / scale < 1e-12
 
@@ -189,7 +190,7 @@ def test_integral_of_derivative_vanishes(grid64, seed):
     rng = np.random.default_rng(100 + seed)
     f = sample(_random_poly(rng, 2), grid64)
     for axis in range(2):
-        assert abs(integrate(partial(f, axis))) < 1e-12
+        assert abs(integrate_values(grid64, partial_values(grid64, f.values, axis))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -198,25 +199,18 @@ def test_parseval(grid64, seed):
     f = sample(_random_poly(rng, 2), grid64)
     coeffs = np.fft.fftn(f.values) / grid64.size
     spectral = float(np.sum(np.abs(coeffs) ** 2)) * grid64.period**grid64.n
-    direct = integrate(ScalarField(grid64, f.values**2))
+    direct = integrate_values(grid64, f.values**2)
     assert abs(direct - spectral) / abs(direct) < 1e-10
 
 
 def test_three_dimensional_grid():
     grid = PeriodicGrid(3, 16)
     f = field_from_function(grid, lambda c: np.sin(c[..., 2]))
-    df = partial(f, 2)
-    assert np.abs(df.values - np.cos(grid.coords[..., 2])).max() < 1e-13
-    assert integrate(constant_field(grid, 1.0)) == pytest.approx((2 * np.pi) ** 3)
-
-
-def test_scalar_field_algebra(grid64):
-    f = field_from_function(grid64, lambda c: np.sin(c[..., 0]))
-    g = field_from_function(grid64, lambda c: np.cos(c[..., 0]))
-    assert np.allclose((f * f + g * g).values, 1.0)
-    assert np.allclose((2.0 * f - f - f).values, 0.0)
-    with pytest.raises(ValueError):
-        f + field_from_function(PeriodicGrid(2, 32), lambda c: c[..., 0] * 0)
+    df = partial_values(grid, f.values, 2)
+    assert np.abs(df - np.cos(grid.coords[..., 2])).max() < 1e-13
+    assert integrate_values(grid, constant_field(grid, 1.0).values) == pytest.approx(
+        (2 * np.pi) ** 3
+    )
 
 
 def test_scalar_field_shape_checks(grid64):
@@ -240,8 +234,6 @@ def test_tensor_field_symmetry(grid64):
 def test_trig_polynomial_helpers():
     poly = TrigPolynomial((TrigTerm(2.0, (3, -1)), TrigTerm(1.0, (0, 2), "sin")))
     assert poly.max_mode() == 3
-    scaled = poly.scaled(0.5)
-    assert scaled.terms[0].coefficient == 1.0
     pts = np.zeros((1, 2))
     assert poly.evaluate(pts)[0] == pytest.approx(2.0)
 
@@ -276,7 +268,7 @@ def test_spectral_derivatives_exact(n, points, period, seed):
     both = grad_hess(grid, f)
     assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
     for a in range(n):
-        assert np.array_equal(partial(ScalarField(grid, f), a).values, grad[..., a])
+        assert np.array_equal(partial_values(grid, f, a), grad[..., a])
 
 
 @pytest.mark.parametrize(
