@@ -53,6 +53,7 @@ from .hermitian import (
     HermPoint,
     HermTangent,
     _aligned,
+    _hermitian_family,
     herm_curvature_quad,
     herm_fd_riemann,
     herm_inner,
@@ -428,7 +429,9 @@ def _job_validate(_cfg: ExperimentConfig, _report: Path, suite_cfg: SuiteConfig)
 
 def _mirror_params(cfg: ExperimentConfig) -> tuple:
     """(H, xi, eta, zeta, lambda, delta, tolerance) of a mirror job; zeta
-    defaults to eta and lambda to xi."""
+    defaults to eta and lambda to xi.  H is read as a Hermitian family; the
+    run checks that it is positive definite, as it checks the positivity of a
+    potential, so ``describe`` of a non-positive H exits 0 and ``run`` 3."""
     params = cfg.params
     weights = params.get("weights", [1.0])
     if not isinstance(weights, list) or not weights:
@@ -439,7 +442,7 @@ def _mirror_params(cfg: ExperimentConfig) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"params.weights: {exc}") from exc
 
-    def family(kind, key: str, point: HermPoint | None = None):
+    def family(kind, key: str, point: HermTangent | None = None):
         try:
             value = kind(base, parse_matrix_family(_require(params, key), f"params.{key}"))
             if point is not None:
@@ -448,7 +451,10 @@ def _mirror_params(cfg: ExperimentConfig) -> tuple:
         except (ValueError, ShapeMismatch) as exc:
             raise ConfigError(f"params.{key}: {exc}") from exc
 
-    H = family(HermPoint, "H")
+    def hermitian_point(b: HermBase, matrices) -> HermTangent:
+        return HermTangent(b, _hermitian_family(b, matrices, "point matrices"))
+
+    H = family(hermitian_point, "H")
     xi, eta = family(HermTangent, "xi", H), family(HermTangent, "eta", H)
     zeta = family(HermTangent, "zeta", H) if "zeta" in params else eta
     lam = family(HermTangent, "lambda", H) if "lambda" in params else xi
@@ -463,6 +469,7 @@ def _mirror_params(cfg: ExperimentConfig) -> tuple:
 
 def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam, delta: float,
                 tolerance: float):
+    H = HermPoint(H.base, H.matrices)
     corrected = herm_curvature_quad(H, xi, eta, zeta, lam)
     literal = herm_curvature_quad(H, xi, eta, zeta, lam, literal=True)
     fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta)

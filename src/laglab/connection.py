@@ -41,9 +41,13 @@ Hess phi, and both are linear in phi, so the step carries them through its
 linear combinations: a stage potential phi + c psi_s has derivatives
 grad phi + c grad psi_s and Hess phi + c Hess psi_s, and the end-of-step
 potential the same combination of the four stages.  Each stage therefore
-differentiates only its velocity psi_s (one gradient, one Hessian), and
-every stage graph and end-of-step graph is built from the carried
-derivatives, without differentiating the potential.
+differentiates only its velocity psi_s: one gradient, then the Hessian
+taken from that gradient (n + n(n+1)/2 single-field derivatives, 5 at
+n = 2), and every stage graph and end-of-step graph is built from the
+carried derivatives, without differentiating the potential.  The
+end-of-step graph normalises and pairs the velocity on its Re Omega~, so
+it forms no metric side.  The carried sums run in place, in the order of
+the written expressions, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -268,6 +272,26 @@ class GeodesicPath:
         return float(np.abs(ret - start).max())
 
 
+def _axpy(d: np.ndarray, c: float, s: np.ndarray) -> np.ndarray:
+    """d + c s in one new array, bit-identical to the expression."""
+    out = c * s
+    out += d
+    return out
+
+
+def _rk4_update(d, s1, s2, s3, s4, dt: float) -> np.ndarray:
+    """d + dt/6 (s1 + 2 s2 + 2 s3 + s4) in one accumulator, summed in the
+    expression's order, so bit-identical to it."""
+    acc = 2.0 * s2
+    acc += s1
+    term = 2.0 * s3
+    acc += term
+    acc += s4
+    acc *= dt / 6.0
+    acc += d
+    return acc
+
+
 def geodesic_shoot(
     gamma0: GraphLagrangian,
     h0: TangentFunction,
@@ -306,10 +330,10 @@ def geodesic_shoot(
         gamma = gamma_at(phi_vals, derivatives, t)
         grad_psi = gradient_values(grid, psi_vals)
         accel = -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
-        return accel, (grad_psi, hessian_values(grid, psi_vals))
+        return accel, (grad_psi, hessian_values(grid, psi_vals, grad=grad_psi))
 
     def shifted(derivatives: tuple, c: float, step: tuple) -> tuple:
-        return tuple(d + c * s for d, s in zip(derivatives, step))
+        return tuple(_axpy(d, c, s) for d, s in zip(derivatives, step))
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
     derivs = (gamma0.grad_phi, gamma0.hess_phi)
@@ -330,12 +354,9 @@ def geodesic_shoot(
         k3v, d3 = stage(phi + 0.5 * dt * k2p, shifted(derivs, 0.5 * dt, d2), k3p, t + 0.5 * dt)
         k4p = psi + dt * k3v
         k4v, d4 = stage(phi + dt * k3p, shifted(derivs, dt, d3), k4p, t + dt)
-        phi = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        psi = psi + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        derivs = tuple(
-            d + dt / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            for d, s1, s2, s3, s4 in zip(derivs, d1, d2, d3, d4)
-        )
+        phi = _rk4_update(phi, k1p, k2p, k3p, k4p, dt)
+        psi = _rk4_update(psi, k1v, k2v, k3v, k4v, dt)
+        derivs = tuple(_rk4_update(*terms, dt) for terms in zip(derivs, d1, d2, d3, d4))
 
         phi = phi - phi.mean()
         gamma = gamma_at(phi, derivs, t + dt)

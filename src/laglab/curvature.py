@@ -214,7 +214,7 @@ def sectional(
         If the Gram determinant falls below the degeneracy threshold times
         (h,h)(k,k).
     """
-    require_same_gamma(h, k)
+    require_same_gamma(h, k, gamma=gamma)
     return sectional_matrix(gamma, (h.values, k.values), margin_threshold).sectional(0, 1)
 
 
@@ -282,9 +282,9 @@ def curvature_report(
     Raises
     ------
     GammaMismatch
-        If h, k, l and m are not all attached to one Lagrangian.
+        If h, k, l and m are not all attached to ``gamma``.
     """
-    require_same_gamma(*((h, k, l) if m is None else (h, k, l, m)))
+    require_same_gamma(*((h, k, l) if m is None else (h, k, l, m)), gamma=gamma)
     r = riemann_field_values(gamma, h.values, k.values, l.values, margin_threshold)
     residual, scale = mean_zero_residual(gamma, r)
     diagnostics = {

@@ -55,6 +55,23 @@ def _check_hermitian(matrices: np.ndarray, label: str):
         raise ValueError(f"{label} not Hermitian (defect {defect:.3e})")
 
 
+def _hermitian_family(base: HermBase, matrices, label: str) -> np.ndarray:
+    """``matrices`` as a complex array of one Hermitian matrix per base point.
+
+    Raises
+    ------
+    ShapeMismatch
+        If the array is not (base size, m, m).
+    ValueError
+        If a matrix is not Hermitian; the message starts with ``label``.
+    """
+    mats = np.asarray(matrices, dtype=complex)
+    if mats.ndim != 3 or mats.shape[0] != base.size or mats.shape[1] != mats.shape[2]:
+        raise ShapeMismatch(f"matrices shape {mats.shape} incompatible with base")
+    _check_hermitian(mats, label)
+    return mats
+
+
 @dataclass(frozen=True)
 class HermPoint:
     """A positive-definite Hermitian matrix per base point."""
@@ -63,10 +80,7 @@ class HermPoint:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[0] != self.base.size or mats.shape[1] != mats.shape[2]:
-            raise ShapeMismatch(f"matrices shape {mats.shape} incompatible with base")
-        _check_hermitian(mats, "point matrices")
+        mats = _hermitian_family(self.base, self.matrices, "point matrices")
         eigs = np.linalg.eigvalsh(mats)
         if eigs.min() <= 0:
             raise NotPositiveDefinite(f"minimum eigenvalue {eigs.min():.3e} <= 0")
@@ -88,11 +102,9 @@ class HermTangent:
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[0] != self.base.size or mats.shape[1] != mats.shape[2]:
-            raise ShapeMismatch(f"matrices shape {mats.shape} incompatible with base")
-        _check_hermitian(mats, "tangent matrices")
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(
+            self, "matrices", _hermitian_family(self.base, self.matrices, "tangent matrices")
+        )
 
 
 def _aligned(H: HermPoint, *tangents: HermTangent) -> list[np.ndarray]:

@@ -14,7 +14,9 @@ by rho^{n/2} sqrt(det g).  Positivity (Re Omega|_Gamma > 0, equivalently
 cos theta > 0) makes the principal branch globally valid, so no unwrapping
 is needed.  ``GraphLagrangian`` builds the pullback at construction, since
 the positivity check and the geodesic right-hand side read nothing else,
-and computes the metric side (g, rho, theta, Re Omega) on first read.
+and computes the metric side (g, rho, theta) on first read.  The metric
+weight Re Omega|_Gamma is Re Omega~ itself, so normalising and pairing
+tangent vectors read no metric side either.
 
 B = I - i H (H = Hess phi) is never formed.  Its determinant and adjugate
 are real polynomials in the invariants s1 = tr H, s2 = tr adj H (det H at
@@ -29,7 +31,8 @@ Omega~ are assembled from the parts on first read.
 
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
-is (h, k) = integral of h*k*cos(theta)*rho^{n/2}*sqrt(det g).
+is (h, k) = integral of h*k*Re(Omega~) dx, the real part of the pullback
+density that the build already holds for the positivity check.
 
 The graph lies in flat space, so by the Gauss formula its Christoffel
 symbols are Gamma^c_{ab} = (g^{-1} Hess phi)_ce d_e (Hess phi)_ab.
@@ -70,12 +73,13 @@ class GraphLagrangian:
 
     Eager: ``grad_phi``, ``hess_phi``, tr H and adj H (n = 3 only), the
     twist density E with contiguous Re E and Im E, the real and imaginary
-    parts of det B (B = I - i Hess phi) and Re Omega~ = Re(E det B).  That is
-    all a geodesic stage reads.  Every other field (``_det_B``,
-    ``pullback_density``, ``metric``, ``det_metric``, ``inverse_metric``,
-    ``sqrt_det_metric``, ``rho``, ``theta``, ``cos_theta``, ``margin``,
-    ``re_omega``, ``sec_weight``, ``total_weight``, ``lagang_residual`` and
-    the derivative fields below) is computed on first read and then cached.
+    parts of det B (B = I - i Hess phi) and Re Omega~ = Re(E det B), which
+    ``re_omega`` returns.  That is all a geodesic step reads.  Every other
+    field (``_det_B``, ``pullback_density``, ``metric``, ``det_metric``,
+    ``inverse_metric``, ``sqrt_det_metric``, ``rho``, ``theta``,
+    ``cos_theta``, ``margin``, ``sec_weight``, ``total_weight``,
+    ``lagang_residual`` and the derivative fields below) is computed on
+    first read and then cached.
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
@@ -220,10 +224,13 @@ class GraphLagrangian:
     def margin(self) -> float:
         return float(self.cos_theta.min())
 
-    @cached_property
+    @property
     def re_omega(self) -> np.ndarray:
-        """Density of Re(Omega) pulled back, in the dx volume."""
-        return self.cos_theta * self._rho_half * self.sqrt_det_metric
+        """Density of Re(Omega) pulled back, in the dx volume: Re Omega~, built
+        with the graph.  It equals cos(theta) rho^{n/2} sqrt(det g) up to
+        roundoff (the phase/volume decomposition), with no angle, rho or
+        metric to evaluate."""
+        return self._re_pullback
 
     @cached_property
     def sec_weight(self) -> np.ndarray:
@@ -355,12 +362,25 @@ def build(
     return GraphLagrangian(model, phi, derivatives)
 
 
-def require_same_gamma(*tangents: TangentFunction) -> GraphLagrangian:
-    gamma = tangents[0].gamma
+def require_same_gamma(
+    *tangents: TangentFunction, gamma: GraphLagrangian | None = None
+) -> GraphLagrangian:
+    """The one graph the tangents are attached to, which must be ``gamma``
+    when it is given.
+
+    Raises
+    ------
+    GammaMismatch
+        If the tangents are attached to different graphs, or to one other
+        than ``gamma``.
+    """
+    first = tangents[0].gamma
     for t in tangents[1:]:
-        if t.gamma is not gamma:
+        if t.gamma is not first:
             raise GammaMismatch("tangent functions attached to different Lagrangians")
-    return gamma
+    if gamma is not None and first is not gamma:
+        raise GammaMismatch("tangent functions attached to a Lagrangian other than gamma")
+    return first
 
 
 def inner(h: TangentFunction, k: TangentFunction) -> float:

@@ -339,9 +339,21 @@ def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     return np.moveaxis(_gradient_stack(grid, values), 0, -1)
 
 
-def hessian_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """All second derivatives, shape ``grid.shape + (n, n)``, exactly symmetric."""
-    return np.moveaxis(_hessian_stack(grid, _gradient_stack(grid, values)), (0, 1), (-2, -1))
+def hessian_values(
+    grid: PeriodicGrid, values: np.ndarray, *, grad: np.ndarray | None = None
+) -> np.ndarray:
+    """All second derivatives, shape ``grid.shape + (n, n)``, exactly symmetric.
+
+    ``grad`` is ``gradient_values(grid, values)`` when the caller already has
+    it; the Hessian is then taken from it without differentiating ``values``
+    again, with the same result."""
+    if grad is None:
+        stack = _gradient_stack(grid, values)
+    elif grad.shape != grid.shape + (grid.n,):
+        raise ValueError(f"gradient shape {grad.shape} != expected {grid.shape + (grid.n,)}")
+    else:
+        stack = np.moveaxis(grad, -1, 0)
+    return np.moveaxis(_hessian_stack(grid, stack), (0, 1), (-2, -1))
 
 
 def grad_hess(grid: PeriodicGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

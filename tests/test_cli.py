@@ -513,6 +513,26 @@ def test_mirror_bad_matrix_entry(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "mirror"])
+def test_mirror_non_positive_H_fails_the_run_not_the_read(tmp_path, capsys, command):
+    """A non-positive H is a positivity error of the run, as a non-positive
+    potential is: ``describe`` exits 0, ``run`` and ``mirror`` exit 3, and a
+    malformed parameter beside it is still a config error."""
+    params = dict(MIRROR_PARAMS, H=[[[-1, 0], [0, 1]]])
+    cfg = write_config(tmp_path, "negative.json", {"job": "mirror", "params": params})
+    assert main(["describe", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "negative_report.json"
+    assert main([command, str(cfg), "-o", str(out)]) == 3
+    assert "positivity error: minimum eigenvalue -1.000e+00 <= 0" in capsys.readouterr().err
+    assert not out.exists()
+    bad = write_config(
+        tmp_path, "negative_bad.json", {"job": "mirror", "params": dict(params, delta=0)}
+    )
+    assert main([command, str(bad), "-o", str(out)]) == 2
+    assert "params.delta" in capsys.readouterr().err
+
+
 GEODESIC = {"model": MODEL_FLAT, "grid": 32, "functions": FUNCTIONS, "job": "geodesic"}
 MIRROR_PARAMS = {
     "H": [[[1, 0], [0, 1]]],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import laglab.connection
+import laglab.torus
 from laglab.connection import (
     MAX_STEPS,
     HamiltonianFamily,
@@ -364,3 +365,39 @@ def test_geodesic_step_differentiates_only_its_velocity(twisted_generic, h_field
     steps = 3
     geodesic_shoot(twisted_generic, h0, 0.03, steps)
     assert transform_calls == ["gradient_values", "hessian_values"] * 4 * steps
+
+
+@pytest.mark.parametrize("n, points, per_stage", [(1, 64, 2), (2, 32, 5), (3, 16, 9)])
+def test_geodesic_stage_differentiates_one_gradient(n, points, per_stage, monkeypatch):
+    """A stage writes the n fields of its velocity's gradient and the
+    n(n+1)/2 of the Hessian taken from that gradient (5 at n = 2, not the 7
+    of a second gradient), and the step's graphs normalise and pair
+    velocities on Re Omega~ without forming the metric side."""
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
+    gamma0 = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c.sum(axis=-1))))
+    h0 = gamma0.normalize(
+        field_from_function(grid, lambda c: np.cos(c[..., 0]) + 0.5 * np.sin(c[..., -1]))
+    )
+    graphs = [gamma0]
+
+    def recording(*args):
+        graphs.append(build(*args))
+        return graphs[-1]
+
+    fields = 0
+    original = laglab.torus._differentiate
+
+    def counting(grid, values, axis, out):
+        nonlocal fields
+        fields += out.size // grid.size
+        return original(grid, values, axis, out)
+
+    monkeypatch.setattr(laglab.connection, "build", recording)
+    monkeypatch.setattr(laglab.torus, "_differentiate", counting)
+    steps = 2
+    geodesic_shoot(gamma0, h0, 0.02, steps)
+    assert fields == 4 * steps * per_stage
+    assert len(graphs) > steps
+    metric_side = ("metric", "inverse_metric", "sqrt_det_metric", "rho", "theta")
+    assert [name for g in graphs for name in metric_side if name in vars(g)] == []

@@ -13,7 +13,7 @@ from laglab.curvature import (
 )
 from laglab.errors import DegeneratePlane, GammaMismatch, MarginTooSmall
 from laglab.lagrangian import GraphLagrangian, build
-from laglab.torus import PeriodicGrid, field_from_function, integrate_values
+from laglab.torus import PeriodicGrid, constant_field, field_from_function, integrate_values
 from laglab.validation import random_trig_polynomial
 from laglab.torus import sample
 
@@ -180,6 +180,25 @@ def test_gamma_mismatch(flat_zero, twisted_zero, grid64):
     h2 = _tangent(twisted_zero, lambda c: np.cos(c[..., 1]))
     with pytest.raises(GammaMismatch):
         curvature_report(flat_zero, h1, h1, h2)
+
+
+def test_tangents_on_another_graph_are_rejected():
+    """Tangents that share one graph, but not ``gamma``, are a mismatch too."""
+    grid = PeriodicGrid(2, 32)
+    flat_zero = build(AlmostCYModel(2), constant_field(grid))
+    twisted_generic = build(
+        AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1),
+        field_from_function(grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1])),
+    )
+    h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
+    k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
+    assert sectional(twisted_generic, h, k) < 0.0
+    with pytest.raises(GammaMismatch, match="other than gamma"):
+        sectional(flat_zero, h, k)
+    with pytest.raises(GammaMismatch, match="other than gamma"):
+        curvature_report(flat_zero, h, k, k, h)
+    with pytest.raises(GammaMismatch, match="other than gamma"):
+        curvature_report(flat_zero, h, k, k)
 
 
 def test_flat_family(flat_zero, twisted_zero, grid64):

@@ -351,7 +351,6 @@ def eager_fields(model, phi):
     rho_half = rho ** (n / 2.0)
     theta = np.angle(pullback_density / (rho_half * sqrt_det_metric))
     cos_theta = np.cos(theta)
-    re_omega = cos_theta * rho_half * sqrt_det_metric
     recon = np.exp(1j * theta) * rho_half * sqrt_det_metric
     scale = np.abs(pullback_density).max()
     return {
@@ -367,8 +366,8 @@ def eager_fields(model, phi):
         "theta": theta,
         "cos_theta": cos_theta,
         "margin": float(cos_theta.min()),
-        "re_omega": re_omega,
-        "total_weight": integrate_values(grid, re_omega),
+        "re_omega": np.real(pullback_density),
+        "total_weight": integrate_values(grid, np.real(pullback_density)),
         "lagang_residual": float(np.abs(pullback_density - recon).max() / scale),
     }
 
@@ -387,6 +386,22 @@ def test_lazy_fields_equal_the_eager_formulas(n, points):
 
 def relative_error(actual, expected):
     return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+@pytest.mark.parametrize("twist", [0.0, 0.1])
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])
+def test_re_omega_is_the_phase_volume_weight(n, points, twist):
+    """Re Omega~ agrees with cos(theta) rho^{n/2} sqrt(det g), the weight of
+    the phase/volume decomposition, to roundoff."""
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=twist, twist_mode=1)
+    phi = field_from_function(
+        grid, lambda c: 0.2 * np.cos(c.sum(axis=-1)) + 0.1 * np.sin(c[..., -1] - c[..., 0])
+    )
+    gamma = build(model, phi)
+    weight = gamma.cos_theta * gamma.rho ** (n / 2.0) * gamma.sqrt_det_metric
+    assert relative_error(gamma.re_omega, weight) <= 1e-14
+    assert abs(gamma.total_weight - integrate_values(grid, weight)) <= 1e-14 * gamma.total_weight
 
 
 @pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])

@@ -301,6 +301,19 @@ def test_batched_derivatives_match_per_component_transforms(n, points, period):
     assert np.abs(divergence_values(grid, vector) - div).max() <= 1e-14 * np.abs(div).max()
 
 
+@pytest.mark.parametrize("n, points", [(1, 32), (2, 32), (3, 16)])
+def test_hessian_from_a_given_gradient(n, points):
+    """``hessian_values`` with the field's own gradient takes no second
+    gradient and gives the same Hessian bit for bit; a gradient of another
+    shape is rejected."""
+    grid = PeriodicGrid(n, points)
+    f = np.random.default_rng(30 + n).standard_normal(grid.shape)
+    grad = gradient_values(grid, f)
+    assert np.array_equal(hessian_values(grid, f, grad=grad), hessian_values(grid, f))
+    with pytest.raises(ValueError, match="gradient shape"):
+        hessian_values(grid, f, grad=grad[..., :1] if n > 1 else grad[..., 0])
+
+
 @pytest.mark.parametrize("n, points, period", [(1, 16, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)])
 def test_constant_along_an_axis_differentiates_to_exactly_zero(n, points, period):
     """A field that does not vary along axis a has d_a and every d_a d_b
