@@ -37,7 +37,6 @@ from .lagrangian import GraphLagrangian, TangentFunction, build, inner
 from .torus import (
     PeriodicGrid,
     ScalarField,
-    TensorField,
     TrigPolynomial,
     TrigTerm,
     sample,
@@ -61,7 +60,6 @@ __all__ = [
     "SuiteConfig",
     "SuiteReport",
     "TangentFunction",
-    "TensorField",
     "TrigPolynomial",
     "TrigTerm",
     "build",

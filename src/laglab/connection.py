@@ -65,7 +65,7 @@ from .errors import (
     SingularDensity,
     StepRejected,
 )
-from .lagrangian import GraphLagrangian, TangentFunction, build
+from .lagrangian import GraphLagrangian, TangentFunction, build, require_same_gamma
 from .torus import ScalarField, gradient_values, hessian_values, vector_dot
 
 # The largest step count ``geodesic_shoot`` accepts: each step keeps a
@@ -303,6 +303,8 @@ def geodesic_shoot(
 
     Raises
     ------
+    GammaMismatch
+        If ``h0`` is attached to a Lagrangian other than ``gamma0``.
     PositivityLost
         If any stage of any step leaves the positive locus.
     StepRejected
@@ -311,8 +313,7 @@ def geodesic_shoot(
     ValueError
         If ``steps`` is not between 1 and ``MAX_STEPS``.
     """
-    if h0.gamma is not gamma0:
-        raise ValueError("initial velocity attached to a different Lagrangian")
+    require_same_gamma(h0, gamma=gamma0)
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
     model, grid = gamma0.model, gamma0.grid

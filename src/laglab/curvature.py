@@ -82,7 +82,7 @@ def riemann_field_values(
     hl = vector_dot(grad_h, up_l)
 
     sec2 = 1.0 / gamma.cos_theta**2
-    tan = np.tan(gamma.theta)
+    tan = gamma.pullback_density.imag / gamma.re_omega
 
     term1 = -sec2 * (
         _drift_laplacian(gamma, up_h, lap_h) * kl - _drift_laplacian(gamma, up_k, lap_k) * hl
@@ -90,8 +90,8 @@ def riemann_field_values(
 
     # <grad_x grad y, grad l> = Hess y(grad x, grad l) with raised gradients.
     term2 = sec2 * (
-        np.einsum("...ab,...a,...b->...", hess_k.values, up_h, up_l)
-        - np.einsum("...ab,...a,...b->...", hess_h.values, up_k, up_l)
+        np.einsum("...ab,...a,...b->...", hess_k, up_h, up_l)
+        - np.einsum("...ab,...a,...b->...", hess_h, up_k, up_l)
     )
 
     h_theta = vector_dot(up_h, gamma.grad_theta)
@@ -120,7 +120,8 @@ def quad_products(gamma: GraphLagrangian, grads: Sequence[np.ndarray]) -> tuple[
 
 
 def sec_integral(gamma: GraphLagrangian, bracket: np.ndarray) -> float:
-    """Integral of ``bracket`` sec(theta) rho^{n/2} sqrt(det g) dx, the quadruple-form weight."""
+    """Integral of ``bracket`` sec(theta) rho^{n/2} sqrt(det g) dx, the
+    quadruple-form weight, which is |Omega~|^2 / Re Omega~ (``sec_weight``)."""
     return integrate_values(gamma.grid, bracket * gamma.sec_weight)
 
 
@@ -238,9 +239,13 @@ def flat_family_check(
     Differentials of reparametrized copies of one function are pointwise
     collinear, so every plane they span is expected flat; degenerate pairs
     are skipped with a note.
+
+    Raises
+    ------
+    GammaMismatch
+        If ``l`` is attached to a Lagrangian other than ``gamma``.
     """
-    if l.gamma is not gamma:
-        raise ValueError("tangent function attached to a different Lagrangian")
+    require_same_gamma(l, gamma=gamma)
     members = [
         gamma.normalize(ScalarField(gamma.grid, np.asarray(a(l.values), dtype=float)))
         for a in reparams

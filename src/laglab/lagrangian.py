@@ -9,14 +9,18 @@ embedding x -> (x, grad phi) induces
     volume      sqrt(det g) dx
     pullback    Omega|_Gamma = e^{g(z(x))} det(I - i Hess phi) dx,  z = x - i grad phi
 
-and the Lagrangian angle theta is the phase of the pullback density divided
-by rho^{n/2} sqrt(det g).  Positivity (Re Omega|_Gamma > 0, equivalently
-cos theta > 0) makes the principal branch globally valid, so no unwrapping
-is needed.  ``GraphLagrangian`` builds the pullback at construction, since
-the positivity check and the geodesic right-hand side read nothing else,
-and computes the metric side (g, rho, theta) on first read.  The metric
-weight Re Omega|_Gamma is Re Omega~ itself, so normalising and pairing
-tangent vectors read no metric side either.
+and Omega~ = e^{i theta} rho^{n/2} sqrt(det g) defines the Lagrangian angle
+theta.  The factor rho^{n/2} sqrt(det g) is positive, so theta = arg Omega~,
+cos theta = Re Omega~ / |Omega~|, tan theta = Im Omega~ / Re Omega~ and the
+quadruple-form weight sec theta rho^{n/2} sqrt(det g) = |Omega~|^2 / Re Omega~
+are all read off Omega~.  Positivity (Re Omega|_Gamma > 0, equivalently
+cos theta > 0) keeps theta in (-pi/2, pi/2), so the principal branch never
+wraps.  ``GraphLagrangian`` builds the pullback at construction, since the
+positivity check and the geodesic right-hand side read nothing else, and
+computes the metric side (g, rho) on first read.  The metric weight
+Re Omega|_Gamma is Re Omega~ itself, so normalising and pairing tangent
+vectors read no metric side either.  ``lagang_residual`` checks the modulus
+|Omega~| = rho^{n/2} sqrt(det g) against the metric side.
 
 B = I - i H (H = Hess phi) is never formed.  Its determinant and adjugate
 are real polynomials in the invariants s1 = tr H, s2 = tr adj H (det H at
@@ -55,7 +59,6 @@ from .ambient import AlmostCYModel
 from .errors import GammaMismatch, NotPositive
 from .torus import (
     ScalarField,
-    TensorField,
     adjugate,
     det,
     divergence_values,
@@ -75,11 +78,12 @@ class GraphLagrangian:
     twist density E with contiguous Re E and Im E, the real and imaginary
     parts of det B (B = I - i Hess phi) and Re Omega~ = Re(E det B), which
     ``re_omega`` returns.  That is all a geodesic step reads.  Every other
-    field (``_det_B``, ``pullback_density``, ``metric``, ``det_metric``,
-    ``inverse_metric``, ``sqrt_det_metric``, ``rho``, ``theta``,
-    ``cos_theta``, ``margin``, ``sec_weight``, ``total_weight``,
-    ``lagang_residual`` and the derivative fields below) is computed on
-    first read and then cached.
+    field is computed on first read and then cached: ``_det_B`` and
+    ``pullback_density``; the phase side ``theta``, ``cos_theta``,
+    ``margin`` and ``sec_weight``, read off Omega~ alone; the metric side
+    ``metric``, ``det_metric``, ``inverse_metric``, ``sqrt_det_metric`` and
+    ``rho``; ``total_weight``, ``lagang_residual`` and the derivative
+    fields below.
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
@@ -145,18 +149,14 @@ class GraphLagrangian:
             # Positivity is 0 < Re Omega~ < inf at every point; NaN fails
             # both comparisons.  Where Re Omega~ is not finite, cos(theta) has
             # no value, so the first such point is reported with a NaN margin.
-            # Otherwise theta is the phase of Omega~ over a positive factor,
-            # so cos(theta) = Re Omega~ / |Omega~|, with no rho or metric to
-            # evaluate.
             re_pullback = self._re_pullback
             if not (re_pullback.min() > 0.0 and re_pullback.max() < np.inf):
                 not_finite = ~np.isfinite(re_pullback)
                 if not_finite.any():
                     margin, worst = np.nan, np.argmax(not_finite)
                 else:
-                    cos_theta = re_pullback / np.abs(self.pullback_density)
-                    worst = np.argmin(cos_theta)
-                    margin = float(cos_theta.flat[worst])
+                    worst = np.argmin(self.cos_theta)
+                    margin = float(self.cos_theta.flat[worst])
                 worst = np.unravel_index(worst, grid.shape)
                 raise NotPositive(margin, tuple(float(grid.axis[i]) for i in worst))
 
@@ -209,16 +209,12 @@ class GraphLagrangian:
         return self.model.rho_from_density(self._twist_density)
 
     @cached_property
-    def _rho_half(self) -> np.ndarray:
-        return self.rho ** (self.grid.n / 2.0)
-
-    @cached_property
     def theta(self) -> np.ndarray:
-        return np.angle(self.pullback_density / (self._rho_half * self.sqrt_det_metric))
+        return np.angle(self.pullback_density)
 
     @cached_property
     def cos_theta(self) -> np.ndarray:
-        return np.cos(self.theta)
+        return self.re_omega / np.abs(self.pullback_density)
 
     @cached_property
     def margin(self) -> float:
@@ -234,8 +230,9 @@ class GraphLagrangian:
 
     @cached_property
     def sec_weight(self) -> np.ndarray:
-        """sec(theta) rho^{n/2} sqrt(det g), the quadruple-form weight."""
-        return self._rho_half * self.sqrt_det_metric / self.cos_theta
+        """sec(theta) rho^{n/2} sqrt(det g) = |Omega~|^2 / Re Omega~, the
+        quadruple-form weight."""
+        return self.re_omega / self.cos_theta**2
 
     @cached_property
     def total_weight(self) -> float:
@@ -243,9 +240,12 @@ class GraphLagrangian:
 
     @cached_property
     def lagang_residual(self) -> float:
-        """Pointwise defect of the phase/volume decomposition; by construction
-        only the modulus can drift, and only by roundoff."""
-        recon = np.exp(1j * self.theta) * self._rho_half * self.sqrt_det_metric
+        """Pointwise defect of the phase/volume decomposition.  With
+        theta = arg Omega~ the phase agrees by construction, so this checks the
+        modulus identity |Omega~| = rho^{n/2} sqrt(det g), with rho from the
+        twist density and sqrt(det g) from the written-out metric."""
+        rho_half = self.rho ** (self.grid.n / 2.0)
+        recon = np.exp(1j * self.theta) * rho_half * self.sqrt_det_metric
         scale = np.abs(self.pullback_density).max()
         return float(np.abs(self.pullback_density - recon).max() / scale)
 
@@ -300,7 +300,7 @@ class GraphLagrangian:
 
     def derivatives(
         self, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, TensorField, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(grad h, g^{-1} grad h, Hess h, Lap h) from one ``grad_hess`` of h: the
         covariant Hessian d_a d_b h - Gamma^c_{ab} d_c h and the nonnegative
         Laplacian -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h ), whose flux
@@ -311,14 +311,15 @@ class GraphLagrangian:
         hess = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
         up = self.raise_index(grad)
         div = divergence_values(grid, self.sqrt_det_metric[..., None] * up)
-        return grad, up, TensorField(grid, 2, hess, symmetric=True), -div / self.sqrt_det_metric
+        return grad, up, hess, -div / self.sqrt_det_metric
 
     def laplace_beltrami(self, h: ScalarField) -> ScalarField:
         """Nonnegative Laplacian of the induced metric (see ``derivatives``)."""
         return ScalarField(self.grid, self.derivatives(h.values)[3])
 
-    def covariant_hessian(self, h: ScalarField) -> TensorField:
-        """Hess h(a, b) = d_a d_b h - Gamma^c_{ab} d_c h (symmetric)."""
+    def covariant_hessian(self, h: ScalarField) -> np.ndarray:
+        """Hess h(a, b) = d_a d_b h - Gamma^c_{ab} d_c h, shape ``grid.shape +
+        (n, n)``; symmetric because the Hessian of h and Gamma^c_{ab} are."""
         return self.derivatives(h.values)[2]
 
     def __repr__(self):

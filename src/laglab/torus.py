@@ -144,40 +144,6 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class TensorField:
-    """Tensor field of rank 0..2 on a periodic grid.
-
-    ``values`` has shape ``grid.shape + (n,) * rank``.  When ``symmetric`` is
-    set the two tensor indices must agree at every grid point.
-    """
-
-    grid: PeriodicGrid
-    rank: int
-    values: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self):
-        if self.rank not in (0, 1, 2):
-            raise ValueError(f"rank must be 0, 1 or 2, got {self.rank}")
-        vals = np.asarray(self.values, dtype=float)
-        expect = self.grid.shape + (self.grid.n,) * self.rank
-        if vals.shape != expect:
-            raise ValueError(f"values shape {vals.shape} != expected {expect}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("tensor values must be finite")
-        if self.symmetric:
-            if self.rank != 2:
-                raise ValueError("symmetric flag only applies to rank 2")
-            scale = max(np.abs(vals).max(), 1.0)
-            if np.abs(vals - np.swapaxes(vals, -1, -2)).max() > 1e-12 * scale:
-                raise ValueError("tensor marked symmetric is not symmetric")
-        object.__setattr__(self, "values", vals)
-
-    def component(self, *indices: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[(..., *indices)])
-
-
-@dataclass(frozen=True)
 class TrigTerm:
     """One term c * cos(2*pi/P * <k, x>) or c * sin(...) of a trig polynomial."""
 

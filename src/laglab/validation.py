@@ -403,7 +403,7 @@ def check_dijk_zero_section(
     grads = (grad_i, grad_j, grad_k)
     fd = _second_cov_deriv_fd(gamma, hi.values, hj.values, hk.values, grads)(delta)
     closed = -vector_dot(grad_k, grad_j) * lap_i - np.einsum(
-        "...ab,...a,...b->...", hess_i.values, grad_j, grad_k
+        "...ab,...a,...b->...", hess_i, grad_j, grad_k
     )
     err = float(np.abs(fd - closed).max())
     scale = max(np.abs(closed).max(), 1.0)
@@ -538,6 +538,11 @@ def _suite_sectional_spot(cfg: SuiteConfig, bases: dict) -> CheckResult:
 
 
 def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
+    """One pairing result per base point: the error and pass flag of the worst
+    trial, and the ``lhs``, ``rhs`` and ``integrand_scale`` of the trial with
+    the largest ``integrand_scale``.  The errors sit at roundoff, so which
+    trial is worst can change with roundoff elsewhere; the largest scale
+    changes only at a tie."""
     out = []
     for name, gamma in bases.items():
         trials = []
@@ -550,7 +555,9 @@ def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> l
                 gamma, *fields, tolerance=cfg.tolerance("r3_r4_pairing"),
                 label=f"r3_r4_pairing[{name}]",
             ))
-        out.append(_worst(trials, quadruples=cfg.quadruples))
+        largest = max(trials, key=lambda r: r.params["integrand_scale"])
+        shown = {key: largest.params[key] for key in ("lhs", "rhs", "integrand_scale")}
+        out.append(_worst(trials, quadruples=cfg.quadruples, **shown))
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from laglab.ambient import AlmostCYModel
+from laglab.connection import geodesic_shoot
 from laglab.curvature import (
     curvature_report,
     flat_family_check,
@@ -199,6 +200,10 @@ def test_tangents_on_another_graph_are_rejected():
         curvature_report(flat_zero, h, k, k, h)
     with pytest.raises(GammaMismatch, match="other than gamma"):
         curvature_report(flat_zero, h, k, k)
+    with pytest.raises(GammaMismatch, match="other than gamma"):
+        flat_family_check(flat_zero, h, [lambda s: s])
+    with pytest.raises(GammaMismatch, match="other than gamma"):
+        geodesic_shoot(flat_zero, h, 0.1, 1)
 
 
 def test_flat_family(flat_zero, twisted_zero, grid64):
@@ -244,7 +249,7 @@ def test_sectional_matrix_matches_per_pair_route(n, points):
     f = [gamma.normalize_values(sample(random_trig_polynomial(rng, n), gamma.grid).values)
          for _ in range(5)]
     numerator, gram = sectional_matrix(gamma, f)
-    weight = gamma._rho_half * gamma.sqrt_det_metric / gamma.cos_theta
+    weight = gamma.rho ** (n / 2) * gamma.sqrt_det_metric / gamma.cos_theta
     for i in range(len(f)):
         for j in range(len(f)):
             num_ref = riemann_quad_values(gamma, f[i], f[j], f[j], f[i])

@@ -96,6 +96,14 @@ def test_phase_volume_identity(flat_generic, twisted_generic, twisted_zero):
         assert np.abs(lhs - gamma.sqrt_det_metric).max() < 1e-10
 
 
+def test_phase_volume_residual_sees_a_wrong_rho(twisted_model, generic_potential):
+    """theta = arg Omega~ matches the phase by construction, so the residual
+    must still compare |Omega~| against an independently computed rho."""
+    gamma = build(twisted_model, generic_potential)
+    gamma.rho = gamma.rho * (1.0 + 1e-6)
+    assert gamma.lagang_residual >= 1e-7
+
+
 def test_normalize_flat(flat_zero, grid64):
     f = field_from_function(grid64, lambda c: np.cos(c[..., 0]))
     h = flat_zero.normalize(f)
@@ -229,7 +237,7 @@ def test_covariant_hessian_flat(flat_zero, grid64):
     expected = -np.cos(grid64.coords[..., 0] + grid64.coords[..., 1])
     for a in range(2):
         for b in range(2):
-            assert np.abs(hess.values[..., a, b] - expected).max() < 1e-11
+            assert np.abs(hess[..., a, b] - expected).max() < 1e-11
 
 
 def test_covariant_hessian_symmetry_and_trace(twisted_generic, grid64):
@@ -237,9 +245,9 @@ def test_covariant_hessian_symmetry_and_trace(twisted_generic, grid64):
         grid64, lambda c: np.cos(c[..., 0]) + 0.5 * np.sin(c[..., 0] + 2 * c[..., 1])
     )
     hess = twisted_generic.covariant_hessian(h)
-    sym_defect = np.abs(hess.values - np.swapaxes(hess.values, -1, -2)).max()
+    sym_defect = np.abs(hess - np.swapaxes(hess, -1, -2)).max()
     assert sym_defect < 1e-12
-    trace = -np.einsum("...ab,...ab->...", twisted_generic.inverse_metric, hess.values)
+    trace = -np.einsum("...ab,...ab->...", twisted_generic.inverse_metric, hess)
     lap = twisted_generic.laplace_beltrami(h).values
     assert np.abs(trace - lap).max() < 1e-8
 
@@ -349,8 +357,8 @@ def eager_fields(model, phi):
     )
     rho = model.rho_from_density(twist_density)
     rho_half = rho ** (n / 2.0)
-    theta = np.angle(pullback_density / (rho_half * sqrt_det_metric))
-    cos_theta = np.cos(theta)
+    theta = np.angle(pullback_density)
+    cos_theta = np.real(pullback_density) / np.abs(pullback_density)
     recon = np.exp(1j * theta) * rho_half * sqrt_det_metric
     scale = np.abs(pullback_density).max()
     return {
@@ -362,7 +370,6 @@ def eager_fields(model, phi):
         "inverse_metric": adjugate(metric) / det_metric[..., None, None],
         "sqrt_det_metric": sqrt_det_metric,
         "rho": rho,
-        "_rho_half": rho_half,
         "theta": theta,
         "cos_theta": cos_theta,
         "margin": float(cos_theta.min()),
@@ -402,6 +409,13 @@ def test_re_omega_is_the_phase_volume_weight(n, points, twist):
     weight = gamma.cos_theta * gamma.rho ** (n / 2.0) * gamma.sqrt_det_metric
     assert relative_error(gamma.re_omega, weight) <= 1e-14
     assert abs(gamma.total_weight - integrate_values(grid, weight)) <= 1e-14 * gamma.total_weight
+    # The phase side read off Omega~ against the angle of Omega~ over
+    # rho^{n/2} sqrt(det g).
+    rho_half = gamma.rho ** (n / 2.0)
+    theta = np.angle(gamma.pullback_density / (rho_half * gamma.sqrt_det_metric))
+    assert relative_error(gamma.theta, theta) <= 1e-14
+    assert relative_error(gamma.cos_theta, np.cos(theta)) <= 1e-14
+    assert relative_error(gamma.sec_weight, rho_half * gamma.sqrt_det_metric / np.cos(theta)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])

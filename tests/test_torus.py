@@ -9,7 +9,6 @@ from laglab.lagrangian import build
 from laglab.torus import (
     PeriodicGrid,
     ScalarField,
-    TensorField,
     TrigPolynomial,
     TrigTerm,
     adjugate,
@@ -218,17 +217,6 @@ def test_scalar_field_shape_checks(grid64):
         ScalarField(grid64, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ScalarField(grid64, np.full(grid64.shape, np.nan))
-
-
-def test_tensor_field_symmetry(grid64):
-    n = grid64.n
-    vals = np.zeros(grid64.shape + (n, n))
-    vals[..., 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        TensorField(grid64, 2, vals, symmetric=True)
-    vals[..., 1, 0] = 1.0
-    t = TensorField(grid64, 2, vals, symmetric=True)
-    assert t.component(0, 1).values[0, 0] == 1.0
 
 
 def test_trig_polynomial_helpers():

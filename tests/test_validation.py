@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import laglab.torus
+import laglab.validation
 from laglab.connection import MAX_STEPS, HamiltonianFamily, cov_deriv_pair_values, w_field_values
 from laglab.lagrangian import build
 from laglab.torus import ScalarField, field_from_function, gradient_values, sample
@@ -13,6 +14,7 @@ from laglab.validation import (
     _richardson,
     _result,
     _second_cov_deriv_fd,
+    _suite_pairing,
     _suite_tensor_structure,
     _worst,
     check_dijk_zero_section,
@@ -156,6 +158,30 @@ def test_run_suite_seed_changes_draws():
     pair_a = [r for r in a.results if r.name.startswith("r3_r4")][0]
     pair_b = [r for r in b.results if r.name.startswith("r3_r4")][0]
     assert pair_a.params["lhs"] != pair_b.params["lhs"]
+
+
+def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
+    """Error and pass flag come from the worst trial; lhs, rhs and
+    integrand_scale from the trial with the largest integrand_scale."""
+    cfg = dataclasses.replace(SMALL, quadruples=5)
+    trials = []
+
+    def recording(*args, **kwargs):
+        trials.append(check_r3_r4_pairing(*args, **kwargs))
+        return trials[-1]
+
+    monkeypatch.setattr(laglab.validation, "check_r3_r4_pairing", recording)
+    bases = dict(standard_base_points(cfg.grid_points, cfg.period, cfg.twist_amplitude,
+                                      cfg.twist_mode))
+    results = _suite_pairing(cfg, bases, np.random.default_rng(cfg.seed))
+    assert len(trials) == len(bases) * cfg.quadruples
+    for i, result in enumerate(results):
+        own = trials[i * cfg.quadruples:(i + 1) * cfg.quadruples]
+        largest = max(own, key=lambda r: r.params["integrand_scale"])
+        for key in ("lhs", "rhs", "integrand_scale"):
+            assert result.params[key] == largest.params[key]
+        assert result.error == max(r.error for r in own)
+        assert result.passed == all(r.passed for r in own)
 
 
 def test_zero_tolerance_fails_fd_checks():
