@@ -18,8 +18,6 @@ from .connection import (
     geodesic_shoot,
 )
 from .curvature import (
-    CurvatureReport,
-    curvature_report,
     flat_family_check,
     sectional,
     sectional_matrix,
@@ -47,7 +45,6 @@ __all__ = [
     "AlmostCYModel",
     "CONVENTIONS",
     "CheckResult",
-    "CurvatureReport",
     "GeodesicPath",
     "GraphLagrangian",
     "HamiltonianFamily",
@@ -64,7 +61,6 @@ __all__ = [
     "TrigTerm",
     "build",
     "cov_deriv_along_path",
-    "curvature_report",
     "flat_family_check",
     "geodesic_shoot",
     "herm_curvature_quad",

@@ -33,7 +33,13 @@ import numpy as np
 from . import __version__
 from .ambient import CONVENTIONS, AlmostCYModel
 from .connection import MAX_STEPS, geodesic_shoot
-from .curvature import curvature_report, sectional, sectional_matrix
+from .curvature import (
+    mean_zero_residual,
+    riemann_field_values,
+    riemann_quad_values,
+    sectional,
+    sectional_matrix,
+)
 from .errors import (
     BandLimitExceeded,
     ConfigError,
@@ -203,6 +209,11 @@ class ExperimentConfig:
             self.grid = PeriodicGrid(self.model.n, points, self.model.period)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid grid.points: {exc}") from exc
+        # The twist is a trig term of the potential's kind, so it obeys the
+        # same band limit; a higher mode aliases on the grid.
+        limit = self.grid.points // 4
+        if twist_mode > limit:
+            raise ConfigError(f"model.twist_mode = {twist_mode} exceeds band limit N/4 = {limit}")
 
         self.potential = parse_trig_terms(raw.get("potential", []), "potential", self.grid)
 
@@ -297,19 +308,19 @@ def _curvature_params(cfg: ExperimentConfig) -> tuple[list[str], str | None, boo
 def _job_curvature(cfg: ExperimentConfig, _report: Path, names: list[str],
                    m_name: str | None, include_field: bool):
     gamma = cfg.build_gamma()
-    h, k, l = (cfg.tangent(gamma, name) for name in names)
-    m = cfg.tangent(gamma, m_name) if m_name is not None else None
-    report = curvature_report(gamma, h, k, l, m)
-    r = report.r_field.values
+    h, k, l = (cfg.tangent(gamma, name).values for name in names)
+    r = riemann_field_values(gamma, h, k, l)
+    residual, scale = mean_zero_residual(gamma, r)
     out = {
         "margin": gamma.margin,
-        "mean_zero_residual": report.diagnostics["mean_zero_residual"],
-        "mean_zero_scale": report.diagnostics["mean_zero_scale"],
+        "mean_zero_residual": residual,
+        "mean_zero_scale": scale,
         "riemann_sup": float(np.abs(r).max()),
     }
-    if m is not None:
-        out["quad_r3"] = report.quad_r3
-        out["quad_r4"] = report.quad_r4
+    if m_name is not None:
+        m = cfg.tangent(gamma, m_name).values
+        out["quad_r3"] = gamma.inner_values(r, m)
+        out["quad_r4"] = riemann_quad_values(gamma, h, k, l, m)
     if include_field:
         out["riemann_field"] = [float(v) for v in r.ravel()]
         out["field_shape"] = list(r.shape)

@@ -5,27 +5,16 @@ base vector field w solving
 
     i_w Re(Omega~) = -i_u Re(Omega),      u = (0, grad h),
 
-where Omega~ is the pullback of Omega to the graph.  Writing B for the
-holomorphic frame matrix (columns dz(df e_a) = delta - i Hess phi) and E for
-the twist density e^{g(z)}, Cramer's rule on the top-form components gives
+where Omega~ is the pullback of Omega to the graph.  With B the holomorphic
+frame matrix and E the twist density e^{g(z)}, Cramer's rule on the
+top-form components gives
 
     w_a = -Re( E * det(B with column a replaced by -i grad h) ) / Re(E det B)
         = -Im( E * det(B with column a replaced by grad h) ) / Re(E det B).
 
-Expanding that determinant along the replaced column a gives the cofactors
-of column a of B, i.e. row a of the adjugate:
-
-    det(B with column a replaced by v) = sum_b adj(B)_ab v_b = (adj B . v)_a,
-
-so all n determinants are one contraction with adj B.  B itself is never
-formed: with H = Hess phi, adj B = (I - adj3 H) - i (tr H I - H) (adj3 H is
-adj H at n = 3 and 0 otherwise), so for a real vector v
-
-    Im(E adj(B) v) = Re E (H v - tr H v) + Im E (v - adj3 H v),
-
-a loop over the n <= 3 components on the real arrays every GraphLagrangian
-keeps (tr H, adj H at n = 3, Re E, Im E), and the denominator is its stored
-Re(E det B).
+The numerator is ``GraphLagrangian.cramer_numerator`` (one contraction with
+adj B; the ``lagrangian`` docstring derives it) and the denominator is the
+graph's Re Omega~.
 
 The connection is D_h k = w(h) . grad k, and ``cov_deriv_pair_values`` is
 its one implementation: the derivative along a sampled path, the geodesic
@@ -37,17 +26,17 @@ Geodesics solve phi_tt = -D_{phi_t} phi_t with a classical fourth-order
 one-step method; velocities are renormalized into the tangent space after
 every step and positions kept mean-zero (both touch only the additive
 constants, which carry no geometry).  A graph build reads grad phi and
-Hess phi, and both are linear in phi, so the step carries them through its
-linear combinations: a stage potential phi + c psi_s has derivatives
-grad phi + c grad psi_s and Hess phi + c Hess psi_s, and the end-of-step
-potential the same combination of the four stages.  Each stage therefore
-differentiates only its velocity psi_s: one gradient, then the Hessian
-taken from that gradient (n + n(n+1)/2 single-field derivatives, 5 at
-n = 2), and every stage graph and end-of-step graph is built from the
-carried derivatives, without differentiating the potential.  The
-end-of-step graph normalises and pairs the velocity on its Re Omega~, so
-it forms no metric side.  The carried sums run in place, in the order of
-the written expressions, so they give the same bits.
+Hess phi, and both are linear in phi, so RK4 runs on the state
+(phi, psi, grad phi, Hess phi) with rate (psi, -D_psi psi, grad psi,
+Hess psi): a stage shifts all four components alike, and the end of the
+step combines each component's four rates.  Each stage therefore
+differentiates only its velocity psi: one gradient, then the Hessian taken
+from that gradient (n + n(n+1)/2 single-field derivatives, 5 at n = 2), and
+every stage graph and end-of-step graph is built from the carried
+derivatives, without differentiating the potential.  The end-of-step graph
+normalises and pairs the velocity on its Re Omega~, so it forms no metric
+side.  The sums run in place, in the order of the written expressions, so
+they give the same bits.
 """
 
 from __future__ import annotations
@@ -132,26 +121,6 @@ class SampledPath:
         object.__setattr__(self, "times", times)
 
 
-# ---------------------------------------------------------------------------
-# Pointwise contraction cores
-# ---------------------------------------------------------------------------
-
-
-def _cramer_numerator(gamma: GraphLagrangian, vec: np.ndarray) -> np.ndarray:
-    """Im(E * det(B with column a replaced by vec)) for every a, as
-    Im(E adj(B) vec) in real arithmetic (module docstring), for a real
-    vector field ``vec``."""
-    H, adj3 = gamma.hess_phi, gamma._adj_hess
-    out = np.empty(vec.shape)
-    for a in range(gamma.grid.n):
-        real_part = vector_dot(H[..., a, :], vec) - gamma._trace_hess * vec[..., a]
-        imag_part = vec[..., a]
-        if adj3 is not None:
-            imag_part = imag_part - vector_dot(adj3[..., a, :], vec)
-        out[..., a] = gamma._re_twist * real_part + gamma._im_twist * imag_part
-    return out
-
-
 def w_field_values(
     gamma: GraphLagrangian,
     h_values: np.ndarray,
@@ -169,7 +138,7 @@ def w_field_values(
     SingularDensity
         If |Re Omega~| drops below ``tolerance`` anywhere.
     """
-    density = gamma._re_pullback
+    density = gamma.re_omega
     worst = np.abs(density).min()
     if not worst >= tolerance:  # NaN fails the comparison too
         raise SingularDensity(
@@ -178,7 +147,7 @@ def w_field_values(
         )
     if grad_h is None:
         grad_h = gradient_values(gamma.grid, h_values)
-    return -_cramer_numerator(gamma, grad_h) / density[..., None]
+    return -gamma.cramer_numerator(grad_h) / density[..., None]
 
 
 def cov_deriv_pair_values(
@@ -273,7 +242,8 @@ class GeodesicPath:
 
 
 def _axpy(d: np.ndarray, c: float, s: np.ndarray) -> np.ndarray:
-    """d + c s in one new array, bit-identical to the expression."""
+    """d + c s in one new array, bit-identical to the expression (IEEE
+    addition is commutative)."""
     out = c * s
     out += d
     return out
@@ -325,20 +295,21 @@ def geodesic_shoot(
         except NotPositive as exc:
             raise PositivityLost(t, f"positivity lost at t = {t:.6g}: {exc}") from exc
 
-    def stage(phi_vals: np.ndarray, derivatives: tuple, psi_vals: np.ndarray, t: float):
-        """The acceleration -D_psi psi at the graph of phi, and psi's
-        gradient and Hessian."""
-        gamma = gamma_at(phi_vals, derivatives, t)
+    def rate(state: tuple, t: float) -> tuple:
+        """d/dt (phi, psi, grad phi, Hess phi) = (psi, -D_psi psi, grad psi,
+        Hess psi), with D at the graph of phi."""
+        phi_vals, psi_vals, grad_phi, hess_phi = state
+        gamma = gamma_at(phi_vals, (grad_phi, hess_phi), t)
         grad_psi = gradient_values(grid, psi_vals)
         accel = -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
-        return accel, (grad_psi, hessian_values(grid, psi_vals, grad=grad_psi))
+        return psi_vals, accel, grad_psi, hessian_values(grid, psi_vals, grad=grad_psi)
 
-    def shifted(derivatives: tuple, c: float, step: tuple) -> tuple:
-        return tuple(_axpy(d, c, s) for d, s in zip(derivatives, step))
+    def shifted(state: tuple, c: float, slope: tuple) -> tuple:
+        return tuple(_axpy(s, c, k) for s, k in zip(state, slope))
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
-    derivs = (gamma0.grad_phi, gamma0.hess_phi)
     psi = gamma0.normalize_values(h0.values)
+    state = (phi, psi, gamma0.grad_phi, gamma0.hess_phi)
 
     times = [0.0]
     potentials = [ScalarField(grid, phi)]
@@ -347,21 +318,18 @@ def geodesic_shoot(
 
     for step in range(steps):
         t = step * dt
-        k1p = psi
-        k1v, d1 = stage(phi, derivs, k1p, t)
-        k2p = psi + 0.5 * dt * k1v
-        k2v, d2 = stage(phi + 0.5 * dt * k1p, shifted(derivs, 0.5 * dt, d1), k2p, t + 0.5 * dt)
-        k3p = psi + 0.5 * dt * k2v
-        k3v, d3 = stage(phi + 0.5 * dt * k2p, shifted(derivs, 0.5 * dt, d2), k3p, t + 0.5 * dt)
-        k4p = psi + dt * k3v
-        k4v, d4 = stage(phi + dt * k3p, shifted(derivs, dt, d3), k4p, t + dt)
-        phi = _rk4_update(phi, k1p, k2p, k3p, k4p, dt)
-        psi = _rk4_update(psi, k1v, k2v, k3v, k4v, dt)
-        derivs = tuple(_rk4_update(*terms, dt) for terms in zip(derivs, d1, d2, d3, d4))
+        k1 = rate(state, t)
+        k2 = rate(shifted(state, 0.5 * dt, k1), t + 0.5 * dt)
+        k3 = rate(shifted(state, 0.5 * dt, k2), t + 0.5 * dt)
+        k4 = rate(shifted(state, dt, k3), t + dt)
+        phi, psi, grad_phi, hess_phi = (
+            _rk4_update(*terms, dt) for terms in zip(state, k1, k2, k3, k4)
+        )
 
         phi = phi - phi.mean()
-        gamma = gamma_at(phi, derivs, t + dt)
+        gamma = gamma_at(phi, (grad_phi, hess_phi), t + dt)
         psi = gamma.normalize_values(psi)
+        state = (phi, psi, grad_phi, hess_phi)
         energy = gamma.inner_values(psi, psi)
 
         drift = abs(energy - energies[-1]) / max(abs(energies[0]), 1e-300)

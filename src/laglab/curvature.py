@@ -9,8 +9,7 @@ Two independent routes to the same tensor:
   as a quadrature, where integration by parts has already cancelled
   everything but one sec(theta)-weighted Cauchy-Schwarz bracket.
 
-Both take the raw sample arrays of tangent functions at one graph;
-``curvature_report`` checks that its tangent functions share that graph.
+Both take the raw sample arrays of tangent functions at one graph.
 
 Pairing the first against the metric must reproduce the second; the
 validation suite enforces this at every base point, and the sectional
@@ -24,7 +23,7 @@ pair of F functions, built from the same primitives: spectral gradients,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -151,21 +150,30 @@ class SectionalMatrix(NamedTuple):
     gram: np.ndarray
 
     def sectional(self, i: int, j: int) -> float:
-        """K(h_i, h_j) = (R(h_i,h_j)h_j, h_i) / ((h_i,h_i)(h_j,h_j) - (h_i,h_j)^2).
+        """K(h_i, h_j) = (R(h_i,h_j)h_j, h_i) / ((h_i,h_i)(h_j,h_j) - (h_i,h_j)^2)
+        by ``sectional_quotient``, which raises ``DegeneratePlane`` for a
+        degenerate plane."""
+        gram = self.gram
+        return sectional_quotient(self.numerator[i, j], gram[i, i], gram[j, j], gram[i, j])
 
-        Raises
-        ------
-        DegeneratePlane
-            If the Gram determinant falls below the degeneracy threshold times
-            (h_i,h_i)(h_j,h_j).
-        """
-        hh, kk, hk = self.gram[i, i], self.gram[j, j], self.gram[i, j]
-        det = hh * kk - hk * hk
-        if det <= DEGENERACY_THRESHOLD * hh * kk:
-            raise DegeneratePlane(
-                f"Gram determinant {det:.3e} below threshold for (h,h)(k,k) = {hh * kk:.3e}"
-            )
-        return float(self.numerator[i, j] / det)
+
+def sectional_quotient(numerator: float, hh: float, kk: float, hk: float) -> float:
+    """K = numerator / (hh kk - hk^2), the sectional curvature of a plane
+    from its quadruple form (R(h,k)k, h) and its Gram entries; the mirror
+    model's ``herm_sectional`` divides by it too.
+
+    Raises
+    ------
+    DegeneratePlane
+        If the Gram determinant falls below ``DEGENERACY_THRESHOLD`` times
+        hh kk.
+    """
+    det = hh * kk - hk * hk
+    if det <= DEGENERACY_THRESHOLD * hh * kk:
+        raise DegeneratePlane(
+            f"Gram determinant {det:.3e} below threshold for (h,h)(k,k) = {hh * kk:.3e}"
+        )
+    return float(numerator / det)
 
 
 def sectional_matrix(
@@ -261,46 +269,3 @@ def flat_family_check(
                 skipped.append((i, j, str(exc)))
     max_abs = max((abs(v) for _, _, v in sectionals), default=0.0)
     return FlatFamilyReport(max_abs, tuple(sectionals), tuple(skipped))
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Bundle of both curvature routes at one base point with diagnostics."""
-
-    gamma: GraphLagrangian
-    r_field: ScalarField
-    quad_r3: float | None = None
-    quad_r4: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-
-def curvature_report(
-    gamma: GraphLagrangian,
-    h: TangentFunction,
-    k: TangentFunction,
-    l: TangentFunction,
-    m: TangentFunction | None = None,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
-) -> CurvatureReport:
-    """Evaluate R(h,k)l and, when m is given, both quadruple pairings.
-
-    Raises
-    ------
-    GammaMismatch
-        If h, k, l and m are not all attached to ``gamma``.
-    """
-    require_same_gamma(*((h, k, l) if m is None else (h, k, l, m)), gamma=gamma)
-    r = riemann_field_values(gamma, h.values, k.values, l.values, margin_threshold)
-    residual, scale = mean_zero_residual(gamma, r)
-    diagnostics = {
-        "mean_zero_residual": residual,
-        "mean_zero_scale": scale,
-        "positivity_margin": gamma.margin,
-    }
-    quad_r3 = quad_r4 = None
-    if m is not None:
-        quad_r3 = gamma.inner_values(r, m.values)
-        quad_r4 = riemann_quad_values(
-            gamma, h.values, k.values, l.values, m.values, margin_threshold
-        )
-    return CurvatureReport(gamma, ScalarField(gamma.grid, r), quad_r3, quad_r4, diagnostics)

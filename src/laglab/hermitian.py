@@ -13,7 +13,9 @@ Taken with the standard sectional pairing the literal transcription of the
 displayed formula comes out with K >= 0 on anticommuting Pauli directions,
 contradicting the non-positivity it is meant to exhibit, so the corrected
 sign (the one matching the oracle) is the default and the literal value
-stays available for comparison.
+stays available for comparison.  ``herm_sectional`` divides the quadruple
+form by the Gram determinant in ``curvature.sectional_quotient``, the same
+quotient, degeneracy threshold and message as the Lagrangian side.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, NotPositiveDefinite, ShapeMismatch
+from .curvature import sectional_quotient
+from .errors import NotPositiveDefinite, ShapeMismatch
 
 HERM_TOL = 1e-12
-
-DEGENERACY_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,22 +161,20 @@ def herm_curvature_quad(
 
 
 def herm_sectional(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
-    """Sectional curvature K(xi, eta) = (R(xi,eta)eta, xi) / Gram, <= 0.
+    """Sectional curvature K(xi, eta) = (R(xi,eta)eta, xi) / Gram, <= 0, by
+    ``curvature.sectional_quotient``.
 
     Raises
     ------
     DegeneratePlane
         If the Gram determinant is below threshold relative to the norms.
     """
-    aa = herm_inner(H, xi, xi)
-    bb = herm_inner(H, eta, eta)
-    ab = herm_inner(H, xi, eta)
-    gram = aa * bb - ab * ab
-    if gram <= DEGENERACY_THRESHOLD * aa * bb:
-        raise DegeneratePlane(
-            f"Gram determinant {gram:.3e} below threshold for norms {aa:.3e}, {bb:.3e}"
-        )
-    return herm_curvature_quad(H, xi, eta, eta, xi) / gram
+    return sectional_quotient(
+        herm_curvature_quad(H, xi, eta, eta, xi),
+        herm_inner(H, xi, xi),
+        herm_inner(H, eta, eta),
+        herm_inner(H, xi, eta),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,22 @@ Re Omega|_Gamma is Re Omega~ itself, so normalising and pairing tangent
 vectors read no metric side either.  ``lagang_residual`` checks the modulus
 |Omega~| = rho^{n/2} sqrt(det g) against the metric side.
 
-B = I - i H (H = Hess phi) is never formed.  Its determinant and adjugate
-are real polynomials in the invariants s1 = tr H, s2 = tr adj H (det H at
-n = 2, 0 at n = 1) and s3 = det H (n = 3 only):
+The holomorphic frame B = I - i H (H = Hess phi; its columns are
+dz(df e_a)) is never formed.  Its determinant and adjugate are real
+polynomials in the invariants s1 = tr H, s2 = tr adj H (det H at n = 2, 0 at
+n = 1) and s3 = det H (n = 3 only):
 
     det B = (1 - s2) - i (s1 - s3),      adj B = (I - adj3 H) - i (s1 I - H),
 
 with adj3 H = adj H at n = 3 and 0 otherwise.  So with E = Re E + i Im E the
 build keeps only real arrays: Re Omega~ = Re E Re det B - Im E Im det B,
 which the positivity check and the w-field read, and the complex det B and
-Omega~ are assembled from the parts on first read.
+Omega~ are assembled from the parts on first read.  By Cramer's rule,
+replacing column a of B by v gives the determinant (adj B v)_a, so the n
+determinants the w-field needs are one contraction with adj B; for a real
+v, ``cramer_numerator`` returns
+
+    Im(E adj(B) v) = Re E (H v - s1 v) + Im E (v - adj3 H v).
 
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
@@ -176,6 +182,20 @@ class GraphLagrangian:
         omega.real = self._re_pullback
         omega.imag = self._re_twist * self._im_det_B + self._im_twist * self._re_det_B
         return omega
+
+    def cramer_numerator(self, vec: np.ndarray) -> np.ndarray:
+        """Im(E * det(B with column a replaced by vec)) for every a, as
+        Im(E adj(B) vec) in real arithmetic (module docstring), for a real
+        vector field ``vec``."""
+        H, adj3 = self.hess_phi, self._adj_hess
+        out = np.empty(vec.shape)
+        for a in range(self.grid.n):
+            real_part = vector_dot(H[..., a, :], vec) - self._trace_hess * vec[..., a]
+            imag_part = vec[..., a]
+            if adj3 is not None:
+                imag_part = imag_part - vector_dot(adj3[..., a, :], vec)
+            out[..., a] = self._re_twist * real_part + self._im_twist * imag_part
+        return out
 
     # -- metric side, computed on first read -----------------------------------
 

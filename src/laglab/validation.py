@@ -34,6 +34,7 @@ from .curvature import (
     riemann_quad_values,
     sec_integral,
     sectional,
+    sectional_quotient,
 )
 from .errors import DegeneratePlane
 from .hermitian import (
@@ -86,6 +87,14 @@ DEFAULT_TOLERANCES = {
 # order; below the floor the ratio is roundoff-dominated and skipped.
 RICHARDSON_WINDOW = (3.5, 4.5)
 RICHARDSON_FLOOR = 1e-11
+
+# The battery's fixed geometry and finite-difference steps: the torus period
+# and twist mode of its models, the step of the connection and curvature
+# oracles and the step of the angle-derivative oracle.
+PERIOD = 2.0 * np.pi
+TWIST_MODE = 1
+DELTA_FD = 1e-3
+DELTA_DTHETA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -185,14 +194,12 @@ GENERIC_POTENTIAL = TrigPolynomial((TrigTerm(0.2, (1, 1), "cos"),))
 
 def standard_base_points(
     grid_points: int = 64,
-    period: float = 2.0 * np.pi,
     twist_amplitude: float = 0.1,
-    twist_mode: int = 1,
 ) -> list[tuple[str, GraphLagrangian]]:
     """Zero-section and generic graphs in the flat and twisted models."""
-    grid = PeriodicGrid(2, grid_points, period)
-    flat = AlmostCYModel(2, period)
-    twisted = AlmostCYModel(2, period, twist_amplitude, twist_mode)
+    grid = PeriodicGrid(2, grid_points, PERIOD)
+    flat = AlmostCYModel(2, PERIOD)
+    twisted = AlmostCYModel(2, PERIOD, twist_amplitude, TWIST_MODE)
     zero = constant_field(grid)
     generic = sample(GENERIC_POTENTIAL, grid)
     return [
@@ -236,7 +243,7 @@ def _richardson(
 def check_dtheta(
     gamma: GraphLagrangian,
     h: ScalarField,
-    delta: float = 1e-4,
+    delta: float = DELTA_DTHETA,
     tolerance: float = DEFAULT_TOLERANCES["dtheta"],
     label: str = "dtheta",
 ) -> CheckResult:
@@ -273,7 +280,7 @@ def check_metric_compat(
     family: HamiltonianFamily,
     h: ScalarField,
     k: ScalarField,
-    delta: float = 1e-3,
+    delta: float = DELTA_FD,
     tolerance: float = DEFAULT_TOLERANCES["metric_compat"],
     label: str = "metric_compat",
 ) -> CheckResult:
@@ -358,7 +365,7 @@ def check_r3_vs_fd(
     h: ScalarField,
     k: ScalarField,
     l: ScalarField,
-    delta: float = 1e-3,
+    delta: float = DELTA_FD,
     tolerance: float = DEFAULT_TOLERANCES["r3_vs_fd"],
     label: str = "r3_vs_fd",
 ) -> CheckResult:
@@ -388,7 +395,7 @@ def check_dijk_zero_section(
     hi: ScalarField,
     hj: ScalarField,
     hk: ScalarField,
-    delta: float = 1e-3,
+    delta: float = DELTA_FD,
     tolerance: float = DEFAULT_TOLERANCES["dijk_zero_section"],
     label: str = "dijk_zero_section",
 ) -> CheckResult:
@@ -454,16 +461,12 @@ class SuiteConfig:
 
     grid_points: int = 64
     seed: int = 7
-    period: float = 2.0 * np.pi
     twist_amplitude: float = 0.1
-    twist_mode: int = 1
     quadruples: int = 20
     fd_triples: int = 10
     sectional_samples: int = 100
     mirror_samples: int = 100
     rho_points: int = 1000
-    delta_fd: float = 1e-3
-    delta_dtheta: float = 1e-4
     geodesic_time: float = 0.1
     geodesic_steps: int = 100
     tolerances: dict = dataclass_field(default_factory=dict)
@@ -482,10 +485,10 @@ class SuiteConfig:
         if not self.geodesic_time > 0:
             raise ValueError(f"geodesic_time must be positive, got {self.geodesic_time}")
         try:
-            PeriodicGrid(2, self.grid_points, self.period)
+            PeriodicGrid(2, self.grid_points, PERIOD)
         except ValueError as exc:
             raise ValueError(f"grid_points: {exc}") from exc
-        AlmostCYModel(2, self.period, self.twist_amplitude, self.twist_mode)
+        AlmostCYModel(2, PERIOD, self.twist_amplitude, TWIST_MODE)
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(
@@ -571,7 +574,7 @@ def _suite_fd_curvature(cfg: SuiteConfig, bases: dict, rng: np.random.Generator)
             k = _random_field(rng, gamma.grid)
             l = _random_field(rng, gamma.grid)
             res = check_r3_vs_fd(
-                gamma, h, k, l, delta=cfg.delta_fd,
+                gamma, h, k, l,
                 tolerance=cfg.tolerance("r3_vs_fd"),
                 label=f"r3_vs_fd[{name}]",
             )
@@ -590,10 +593,10 @@ def _suite_dtheta(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
     for name in ("flat_zero", "twisted_zero"):
         gamma = bases[name]
         results = [
-            check_dtheta(gamma, h_main, cfg.delta_dtheta,
-                         cfg.tolerance("dtheta"), label=f"dtheta[{name}]"),
-            check_dtheta(gamma, _random_field(rng, grid), cfg.delta_dtheta,
-                         cfg.tolerance("dtheta"), label=f"dtheta[{name}]"),
+            check_dtheta(gamma, h_main, tolerance=cfg.tolerance("dtheta"),
+                         label=f"dtheta[{name}]"),
+            check_dtheta(gamma, _random_field(rng, grid), tolerance=cfg.tolerance("dtheta"),
+                         label=f"dtheta[{name}]"),
         ]
         # The twist term must be genuinely exercised for the x1 mode.
         rho_term_sup = results[0].params["rho_term_sup"]
@@ -611,8 +614,7 @@ def _suite_levi_civita(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) 
     compat.append(
         check_metric_compat(
             HamiltonianFamily(flat_zero.model, flat_zero.phi, (_cos_mode(grid, (1, 0)),)),
-            cos2, cos2,
-            cfg.delta_fd, cfg.tolerance("metric_compat"), label="metric_compat[flat]",
+            cos2, cos2, tolerance=cfg.tolerance("metric_compat"), label="metric_compat[flat]",
         )
     )
     gen_dir = _random_field(rng, grid)
@@ -620,7 +622,7 @@ def _suite_levi_civita(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) 
         check_metric_compat(
             HamiltonianFamily(twisted_generic.model, twisted_generic.phi, (gen_dir,)),
             _random_field(rng, grid), _random_field(rng, grid),
-            cfg.delta_fd, cfg.tolerance("metric_compat"), label="metric_compat[twisted]",
+            tolerance=cfg.tolerance("metric_compat"), label="metric_compat[twisted]",
         )
     )
 
@@ -696,10 +698,10 @@ def _suite_flat_families(cfg: SuiteConfig, bases: dict) -> list[CheckResult]:
 
 
 def _suite_dimension_one(cfg: SuiteConfig, rng: np.random.Generator) -> CheckResult:
-    grid = PeriodicGrid(1, cfg.grid_points, cfg.period)
+    grid = PeriodicGrid(1, cfg.grid_points, PERIOD)
     models = [
-        AlmostCYModel(1, cfg.period),
-        AlmostCYModel(1, cfg.period, cfg.twist_amplitude, cfg.twist_mode),
+        AlmostCYModel(1, PERIOD),
+        AlmostCYModel(1, PERIOD, cfg.twist_amplitude, TWIST_MODE),
     ]
     potentials = [constant_field(grid), sample(TrigPolynomial((TrigTerm(0.2, (1,)),)), grid)]
     worst_field = 0.0
@@ -748,9 +750,9 @@ def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Gener
     worst = 0.0
     for n in (1, 2, 3):
         for eps in (0.0, cfg.twist_amplitude):
-            model = AlmostCYModel(n, cfg.period, eps, cfg.twist_mode)
+            model = AlmostCYModel(n, PERIOD, eps, TWIST_MODE)
             count = max(cfg.rho_points // 6, 1)
-            x = rng.uniform(0.0, cfg.period, size=(count, n))
+            x = rng.uniform(0.0, PERIOD, size=(count, n))
             y = rng.uniform(-1.0, 1.0, size=(count, n))
             defect = np.abs(model.rho(x, y) - model.rho_closed_form(x, y)).max()
             worst = max(worst, float(defect))
@@ -829,11 +831,9 @@ def _suite_mirror(cfg: SuiteConfig, rng: np.random.Generator) -> list[CheckResul
     sy = HermTangent(base, np.array([[[0.0, -1.0j], [1.0j, 0.0]]]))
     ident = HermPoint(base, np.eye(2, dtype=complex)[None, :, :])
     fd = herm_fd_riemann(ident, sx, sy, sy, sx, delta=1e-3)
-    gram = (
-        herm_inner(ident, sx, sx) * herm_inner(ident, sy, sy)
-        - herm_inner(ident, sx, sy) ** 2
+    fd_sectional = sectional_quotient(
+        fd, herm_inner(ident, sx, sx), herm_inner(ident, sy, sy), herm_inner(ident, sx, sy)
     )
-    fd_sectional = fd / gram
     closed_sectional = herm_sectional(ident, sx, sy)
     err = abs(fd_sectional - closed_sectional)
     out.append(
@@ -874,11 +874,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the full validation battery; deterministic for a fixed seed."""
     cfg = cfg or SuiteConfig()
     rng = np.random.default_rng(cfg.seed)
-    bases = dict(
-        standard_base_points(
-            cfg.grid_points, cfg.period, cfg.twist_amplitude, cfg.twist_mode
-        )
-    )
+    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
 
     results: list[CheckResult] = []
     results.append(_suite_sectional_spot(cfg, bases))
@@ -893,7 +889,6 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
             _cos_mode(grid, (1, 0)),
             _cos_mode(grid, (0, 1)),
             _cos_mode(grid, (0, 1)),
-            delta=cfg.delta_fd,
             tolerance=cfg.tolerance("dijk_zero_section"),
         )
     )

@@ -561,6 +561,11 @@ READ_BEFORE_COMPUTE = [
     ({"job": "mirror", "params": dict(MIRROR_PARAMS, H=[[[float("inf"), 0], [0, 1]]])},
      "params.H[0][0]"),
     ({"job": "mirror", "params": dict(MIRROR_PARAMS, xi=[[[1]]])}, "params.xi"),
+    # A twist mode above N/4 aliases on the grid (9 reads as -7 at 16 points).
+    (dict(GEODESIC, job="sectional", grid=16, params={"h": "h", "k": "k"},
+          model=dict(MODEL_FLAT, twist_amplitude=0.1, twist_mode=9)), "model.twist_mode"),
+    (dict(GEODESIC, grid=16, params={"h0": "h"},
+          model=dict(MODEL_FLAT, twist_amplitude=0.1, twist_mode=1e30)), "model.twist_mode"),
 ]
 
 

@@ -288,6 +288,32 @@ def test_geodesic_step_rejection_on_a_curved_path(twisted_generic, h_field):
     assert 1e-9 < path.energy_drift() < 1e-8
 
 
+def test_shot_satisfies_its_geodesic_equation():
+    """Along a shot on the twisted generic graph, D_t psi = d psi/dt + D_psi psi
+    as ``cov_deriv_along_path`` reads it (central differences of the stored
+    velocities) vanishes to the second order of that difference: 1.9e-6 at
+    20 steps against |d psi/dt| of 0.044, and 4x less at 40.  With the
+    acceleration negated the residual reads 0.084."""
+    grid = PeriodicGrid(2, 32)
+    model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
+    gamma = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1])))
+    h0 = gamma.normalize(
+        field_from_function(grid, lambda c: 0.3 * (np.cos(c[..., 0]) + 0.5 * np.sin(c[..., 1])))
+    )
+
+    def residual(steps):
+        shot = geodesic_shoot(gamma, h0, 0.5, steps, step_energy_tol=np.inf)
+        path = SampledPath(model, shot.times, shot.potentials, shot.velocities)
+        return max(
+            np.abs(cov_deriv_along_path(path, shot.velocities, i).values).max()
+            for i in range(1, steps)
+        )
+
+    coarse, fine = residual(20), residual(40)
+    assert coarse <= 1e-5
+    assert 3.5 <= coarse / fine <= 4.5
+
+
 def test_geodesic_velocity_stays_normalized(flat_zero, grid64):
     h0 = flat_zero.normalize(
         field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0]))

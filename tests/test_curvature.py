@@ -4,7 +4,6 @@ import pytest
 from laglab.ambient import AlmostCYModel
 from laglab.connection import geodesic_shoot
 from laglab.curvature import (
-    curvature_report,
     flat_family_check,
     mean_zero_residual,
     riemann_field_values,
@@ -176,13 +175,6 @@ def test_margin_threshold(twisted_generic, grid64):
         )
 
 
-def test_gamma_mismatch(flat_zero, twisted_zero, grid64):
-    h1 = _tangent(flat_zero, lambda c: np.cos(c[..., 0]))
-    h2 = _tangent(twisted_zero, lambda c: np.cos(c[..., 1]))
-    with pytest.raises(GammaMismatch):
-        curvature_report(flat_zero, h1, h1, h2)
-
-
 def test_tangents_on_another_graph_are_rejected():
     """Tangents that share one graph, but not ``gamma``, are a mismatch too."""
     grid = PeriodicGrid(2, 32)
@@ -196,10 +188,6 @@ def test_tangents_on_another_graph_are_rejected():
     assert sectional(twisted_generic, h, k) < 0.0
     with pytest.raises(GammaMismatch, match="other than gamma"):
         sectional(flat_zero, h, k)
-    with pytest.raises(GammaMismatch, match="other than gamma"):
-        curvature_report(flat_zero, h, k, k, h)
-    with pytest.raises(GammaMismatch, match="other than gamma"):
-        curvature_report(flat_zero, h, k, k)
     with pytest.raises(GammaMismatch, match="other than gamma"):
         flat_family_check(flat_zero, h, [lambda s: s])
     with pytest.raises(GammaMismatch, match="other than gamma"):
@@ -219,15 +207,6 @@ def test_flat_family_single_member(flat_zero, grid64):
     report = flat_family_check(flat_zero, l, [lambda s: s])
     assert report.max_abs_sectional == 0.0
     assert report.sectionals == ()
-
-
-def test_curvature_report(twisted_generic, grid64):
-    h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
-    k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
-    rep = curvature_report(twisted_generic, h, k, k, h)
-    assert rep.quad_r3 == pytest.approx(rep.quad_r4, rel=1e-8)
-    assert sectional(twisted_generic, h, k) <= 0.0
-    assert rep.diagnostics["positivity_margin"] == twisted_generic.margin
 
 
 def _twisted_generic(n, points):

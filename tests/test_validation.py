@@ -171,8 +171,7 @@ def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
         return trials[-1]
 
     monkeypatch.setattr(laglab.validation, "check_r3_r4_pairing", recording)
-    bases = dict(standard_base_points(cfg.grid_points, cfg.period, cfg.twist_amplitude,
-                                      cfg.twist_mode))
+    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
     results = _suite_pairing(cfg, bases, np.random.default_rng(cfg.seed))
     assert len(trials) == len(bases) * cfg.quadruples
     for i, result in enumerate(results):
