@@ -209,8 +209,8 @@ class ExperimentConfig:
             self.grid = PeriodicGrid(self.model.n, points, self.model.period)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid grid.points: {exc}") from exc
-        # The twist is a trig term of the potential's kind, so it obeys the
-        # same band limit; a higher mode aliases on the grid.
+        # The twist eps e^{i kappa z_1} is Fourier mode twist_mode in x_1, so it
+        # obeys the potential terms' band limit; a higher mode aliases.
         limit = self.grid.points // 4
         if twist_mode > limit:
             raise ConfigError(f"model.twist_mode = {twist_mode} exceeds band limit N/4 = {limit}")
