@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -409,14 +410,11 @@ def _validate_params(cfg: ExperimentConfig) -> tuple[SuiteConfig]:
     and tolerances."""
     params = cfg.params
     kwargs = {}
-    mapping = {
-        "seed": _integer, "grid": _integer, "quadruples": _integer, "fd_triples": _integer,
-        "sectional_samples": _integer, "mirror_samples": _integer, "rho_points": _integer,
-        "twist_amplitude": _number, "geodesic_steps": _integer, "geodesic_time": _number,
-    }
-    for key, conv in mapping.items():
-        if key in params:
-            kwargs["grid_points" if key == "grid" else key] = conv(params[key], f"params.{key}")
+    for f in dataclasses.fields(SuiteConfig):
+        key = "grid" if f.name == "grid_points" else f.name
+        if f.name != "tolerances" and key in params:
+            conv = _integer if type(f.default) is int else _number
+            kwargs[f.name] = conv(params[key], f"params.{key}")
     tolerances = params.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("params.tolerances must be an object")

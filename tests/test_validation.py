@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from laglab.lagrangian import build
 from laglab.torus import ScalarField, field_from_function, gradient_values, sample
 from laglab.validation import (
     RICHARDSON_FLOOR,
+    SUITES,
     SuiteConfig,
+    _random_field,
     _richardson,
     _result,
     _second_cov_deriv_fd,
+    _suite_model_consistency,
     _suite_pairing,
     _suite_tensor_structure,
     _worst,
@@ -59,6 +63,9 @@ def test_standard_base_points():
     assert set(bases) == {"flat_zero", "twisted_zero", "flat_generic", "twisted_generic"}
     assert bases["flat_zero"].margin == 1.0
     assert bases["twisted_generic"].margin > 0.5
+    line = dict(standard_base_points(32, n=1))
+    assert set(line) == set(bases)
+    assert all(gamma.grid.n == 1 for gamma in line.values())
 
 
 def test_check_dtheta_requires_zero_section(twisted_generic, grid64):
@@ -153,11 +160,54 @@ def test_run_suite_deterministic():
 
 
 def test_run_suite_seed_changes_draws():
-    a = run_suite(SMALL)
-    b = run_suite(dataclasses.replace(SMALL, seed=12))
-    pair_a = [r for r in a.results if r.name.startswith("r3_r4")][0]
-    pair_b = [r for r in b.results if r.name.startswith("r3_r4")][0]
-    assert pair_a.params["lhs"] != pair_b.params["lhs"]
+    """The seed reaches the stream of every suite that draws."""
+    a = {r.name: r for r in run_suite(SMALL).results}
+    b = {r.name: r for r in run_suite(dataclasses.replace(SMALL, seed=12)).results}
+    drawing = [
+        "r3_r4_pairing[flat_zero]", "r3_vs_fd[flat_zero]", "metric_compat[twisted]",
+        "sectional_nonpositive", "dimension_one", "mean_zero_residual",
+        "mirror_nonpositive", "mirror_sign_consistency",
+    ]
+    for name in drawing:
+        assert a[name] != b[name], name
+
+
+def _row_bytes(cfg: SuiteConfig) -> dict[str, str]:
+    return {r.name: json.dumps(r.to_dict(), sort_keys=True) for r in run_suite(cfg).results}
+
+
+def test_suite_table_rows_are_independent(monkeypatch):
+    """Removing a suite, appending one, or making one draw more leaves every
+    other row's canonical bytes as they were."""
+    keys = [key for key, _ in SUITES]
+    assert len(set(keys)) == len(keys) and all(type(key) is int for key in keys)
+    before = _row_bytes(SMALL)
+
+    def appended(cfg, bases, rng):
+        value = float(rng.uniform())
+        return [_result("appended", value, value, 1.0, "abs", {})]
+
+    def draws_first(cfg, bases, rng):
+        grid = bases["flat_zero"].grid
+        _random_field(rng, grid)
+        _random_field(rng, grid)
+        return _suite_model_consistency(cfg, bases, rng)
+
+    patches = [
+        # (patched table, the rows of the patched suite)
+        (tuple(row for row in SUITES if row[1] is not _suite_pairing),
+         {name for name in before if name.startswith("r3_r4_pairing[")}),
+        (SUITES + ((max(keys) + 1, appended),), {"appended"}),
+        (tuple((key, draws_first if suite is _suite_model_consistency else suite)
+               for key, suite in SUITES), {"rho_consistency", "lagang_identity"}),
+    ]
+    for table, own in patches:
+        monkeypatch.setattr(laglab.validation, "SUITES", table)
+        after = _row_bytes(SMALL)
+        others = set(before) - own
+        assert set(after) - own == others
+        assert {n: after[n] for n in others} == {n: before[n] for n in others}
+    assert after["rho_consistency"] != before["rho_consistency"]
 
 
 def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
@@ -246,6 +296,13 @@ def test_battery_shape():
         assert low <= fd["richardson_ratio"] <= high
     assert params["dtheta[twisted_zero]"]["rho_term_sup"] >= 1e-3
     assert "rho_term_sup" in params["dtheta[flat_zero]"]
+    # rho_consistency reports the points it compared: rho_points // 6 per model.
+    assert params["rho_consistency"]["points"] == SMALL.rho_points == 60
+    bases = dict(standard_base_points(SMALL.grid_points, SMALL.twist_amplitude))
+    rho = _suite_model_consistency(
+        dataclasses.replace(SMALL, rho_points=1000), bases, np.random.default_rng(0)
+    )[0]
+    assert rho.name == "rho_consistency" and rho.params["points"] == 996
 
 
 def test_richardson_second_order_passes():
