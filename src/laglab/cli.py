@@ -8,8 +8,9 @@ Subcommands
 ``laglab mirror config.json``    run a matrix-model job directly
 
 Every job is one row of the ``JOBS`` table: whether it reads a model, grid
-and functions, its parameter read, its ``describe`` plan line and its
-computation.  ``ExperimentConfig`` runs the job's read and the top-level
+and functions, the ``params`` keys it accepts, its parameter read, its
+``describe`` plan line and its computation.  ``ExperimentConfig`` rejects
+any other ``params`` key and runs the job's read and the top-level
 ``output`` read before any computation, so every subcommand sees the same
 reads and the same configuration errors.
 
@@ -180,6 +181,12 @@ class ExperimentConfig:
         self.params = raw.get("params", {})
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
+        keys = JOBS[self.job].keys
+        for key in self.params:
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown key params.{key} for job {self.job!r}; expected one of {keys}"
+                )
         self.output = _path(raw["output"], "output") if "output" in raw else None
 
         self.model = None
@@ -405,13 +412,19 @@ def _job_geodesic(cfg: ExperimentConfig, _report: Path, h0_name: str, total_time
     return out, True
 
 
+# The ``params`` keys of a validate job: the ``SuiteConfig`` fields, with
+# ``grid_points`` read as ``grid``.
+_VALIDATE_KEYS = tuple(
+    "grid" if f.name == "grid_points" else f.name for f in dataclasses.fields(SuiteConfig)
+)
+
+
 def _validate_params(cfg: ExperimentConfig) -> tuple[SuiteConfig]:
     """The battery's ``SuiteConfig``: params override its seed, grid, counts
     and tolerances."""
     params = cfg.params
     kwargs = {}
-    for f in dataclasses.fields(SuiteConfig):
-        key = "grid" if f.name == "grid_points" else f.name
+    for f, key in zip(dataclasses.fields(SuiteConfig), _VALIDATE_KEYS):
         if f.name != "tolerances" and key in params:
             conv = _integer if type(f.default) is int else _number
             kwargs[f.name] = conv(params[key], f"params.{key}")
@@ -503,9 +516,11 @@ def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam, de
 class Job(NamedTuple):
     """A row of ``JOBS``.  ``read(cfg)`` returns the job's parameters as a
     tuple, ``plan(*params)`` its ``describe`` line and
-    ``run(cfg, report_path, *params)`` its ``(results, ok)``."""
+    ``run(cfg, report_path, *params)`` its ``(results, ok)``.  ``keys``
+    are the ``params`` keys ``read`` accepts; any other exits 2."""
 
     geometry: bool  # reads model, grid, potential and functions
+    keys: tuple[str, ...]
     read: Callable[[ExperimentConfig], tuple]
     plan: Callable[..., str]
     run: Callable[..., tuple[dict, bool]]
@@ -513,30 +528,31 @@ class Job(NamedTuple):
 
 JOBS = {
     "curvature": Job(
-        True, _curvature_params,
+        True, ("h", "k", "l", "m", "include_field"), _curvature_params,
         lambda names, m_name, _: f"curvature field R({names[0]},{names[1]}){names[2]}"
         + (f" paired with {m_name}" if m_name else ""),
         _job_curvature,
     ),
     "sectional": Job(
-        True, lambda cfg: (cfg.resolve("h"), cfg.resolve("k")),
+        True, ("h", "k"), lambda cfg: (cfg.resolve("h"), cfg.resolve("k")),
         lambda h, k: f"sectional curvature of ({h}, {k})", _job_sectional,
     ),
     "scan": Job(
-        True, _scan_params,
+        True, ("pairs", "all_pairs", "csv"), _scan_params,
         lambda pairs, _: f"sectional scan over {len(pairs)} pair(s), CSV + JSON output", _job_scan,
     ),
     "geodesic": Job(
-        True, _geodesic_params,
+        True, ("h0", "time", "steps", "reverse"), _geodesic_params,
         lambda h0, total_time, steps, _: f"shoot from {h0} for T={total_time} in {steps} steps",
         _job_geodesic,
     ),
     "validate": Job(
-        False, _validate_params,
+        False, _VALIDATE_KEYS, _validate_params,
         lambda s: f"validation battery, seed={s.seed}, grid={s.grid_points}", _job_validate,
     ),
     "mirror": Job(
-        False, _mirror_params,
+        False, ("weights", "H", "xi", "eta", "zeta", "lambda", "delta", "tolerance"),
+        _mirror_params,
         lambda *_: "matrix-model curvature with finite-difference oracle", _job_mirror,
     ),
 }

@@ -80,11 +80,14 @@ class GraphLagrangian:
     """The graph of d(phi): the pulled-back form built eagerly, the induced
     metric side on first read.
 
-    Eager: ``grad_phi``, ``hess_phi``, tr H and adj H (n = 3 only), the
-    twist density E with contiguous Re E and Im E, the real and imaginary
-    parts of det B (B = I - i Hess phi) and Re Omega~ = Re(E det B), which
-    ``re_omega`` returns.  That is all a geodesic step reads.  Every other
-    field is computed on first read and then cached: ``_det_B`` and
+    Eager: ``grad_phi``, ``hess_phi``, tr H and adj H (n = 3 only), Re E
+    and Im E of the twist density E = e^{g} as two contiguous real arrays
+    (``AlmostCYModel.holomorphic_density_parts``, which takes e^{ib} in the
+    half-angle form: one vectorised tan instead of numpy's scalar sin and
+    cos), the real and imaginary parts of det B (B = I - i Hess phi) and
+    Re Omega~ = Re(E det B), which ``re_omega`` returns.  That is all a
+    geodesic step reads.  Every other field is computed on first read and
+    then cached: the complex E, which only ``rho`` reads, ``_det_B`` and
     ``pullback_density``; the phase side ``theta``, ``cos_theta``,
     ``margin`` and ``sec_weight``, read off Omega~ alone; the metric side
     ``metric``, ``det_metric``, ``inverse_metric``, ``sqrt_det_metric`` and
@@ -147,9 +150,9 @@ class GraphLagrangian:
         # An overflowing twist leaves inf or NaN in Re Omega~, which the
         # positivity check reports; evaluate it without warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._twist_density = model.holomorphic_density(grid.coords, self.grad_phi, grid=grid)
-            self._re_twist = np.ascontiguousarray(self._twist_density.real)
-            self._im_twist = np.ascontiguousarray(self._twist_density.imag)
+            self._re_twist, self._im_twist = model.holomorphic_density_parts(
+                grid.coords, self.grad_phi, grid=grid
+            )
             self._re_pullback = self._re_twist * self._re_det_B - self._im_twist * self._im_det_B
 
             # Positivity is 0 < Re Omega~ < inf at every point; NaN fails
@@ -169,6 +172,13 @@ class GraphLagrangian:
     # -- complex pullback, assembled from the real parts on first read ---------
 
     @cached_property
+    def _twist_density(self) -> np.ndarray:
+        """E = e^{g}, assembled from the real parts the build holds."""
+        density = np.empty(self.grid.shape, dtype=complex)
+        density.real, density.imag = self._re_twist, self._im_twist
+        return density
+
+    @cached_property
     def _det_B(self) -> np.ndarray:
         """det(I - i Hess phi)."""
         det_B = np.empty(self.grid.shape, dtype=complex)
@@ -186,16 +196,19 @@ class GraphLagrangian:
     def cramer_numerator(self, vec: np.ndarray) -> np.ndarray:
         """Im(E * det(B with column a replaced by vec)) for every a, as
         Im(E adj(B) vec) in real arithmetic (module docstring), for a real
-        vector field ``vec``."""
+        vector field ``vec``.  Component a is written into the contiguous
+        row a of a component-major buffer, returned as its ``grid.shape +
+        (n,)`` view."""
         H, adj3 = self.hess_phi, self._adj_hess
-        out = np.empty(vec.shape)
-        for a in range(self.grid.n):
+        out = np.empty((self.grid.n,) + self.grid.shape)
+        for a, row in enumerate(out):
             real_part = vector_dot(H[..., a, :], vec) - self._trace_hess * vec[..., a]
             imag_part = vec[..., a]
             if adj3 is not None:
                 imag_part = imag_part - vector_dot(adj3[..., a, :], vec)
-            out[..., a] = self._re_twist * real_part + self._im_twist * imag_part
-        return out
+            np.multiply(self._re_twist, real_part, out=row)
+            row += self._im_twist * imag_part
+        return np.moveaxis(out, 0, -1)
 
     # -- metric side, computed on first read -----------------------------------
 

@@ -118,6 +118,14 @@ class PeriodicGrid:
         return 0.5 * (d - d.T)
 
     @cached_property
+    def _diff_matrix_t(self) -> np.ndarray:
+        # D^T as a C-contiguous array for the last-axis matmul: on a 64^2
+        # field it takes 5.5 us against 8 us on the transposed view; stacks
+        # of fields run within 20 % either way, and the battery and a
+        # geodesic job both run faster with it.
+        return np.ascontiguousarray(self._diff_matrix.T)
+
+    @cached_property
     def _pair_index(self) -> np.ndarray:
         # Row of the pair (a, b) among the pairs a <= b in ``np.triu_indices``
         # order, for a > b as well.
@@ -262,7 +270,7 @@ def _differentiate(grid: PeriodicGrid, values: np.ndarray, axis: int, out: np.nd
     first = values[(..., slice(0, 1)) + (slice(None),) * (n - 1 - axis)]
     shifted = values - first
     if axis == n - 1:
-        np.matmul(shifted.reshape(-1, points), d.T, out=out.reshape(-1, points))
+        np.matmul(shifted.reshape(-1, points), grid._diff_matrix_t, out=out.reshape(-1, points))
     elif axis == n - 2:
         np.matmul(d, shifted, out=out)
     else:

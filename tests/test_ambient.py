@@ -118,12 +118,15 @@ def test_omega_density_values():
 
 
 def explicit_density(model, x, y):
-    """e^a (cos b + i sin b) with a + ib = eps e^{kappa y_1} e^{i kappa x_1}."""
+    """e^a ((1 - t^2) + 2it) / (1 + t^2) with a + ib = eps e^{kappa y_1} e^{i kappa x_1}
+    and t = tan(b/2)."""
     radius = model.twist_amplitude * np.exp(model.kappa * y[..., 0])
     a = radius * np.cos(model.kappa * x[..., 0])
     b = radius * np.sin(model.kappa * x[..., 0])
+    t = np.tan(b / 2.0)
+    scale = np.exp(a) / (1.0 + t * t)
     c = np.empty(a.shape, dtype=complex)
-    c.real, c.imag = np.exp(a) * np.cos(b), np.exp(a) * np.sin(b)
+    c.real, c.imag = (1.0 - t * t) * scale, 2.0 * t * scale
     return c
 
 

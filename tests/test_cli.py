@@ -569,6 +569,18 @@ READ_BEFORE_COMPUTE = [
 ]
 
 
+# A misspelt or foreign params key would otherwise run on the defaults.
+UNKNOWN_PARAMS = [
+    (dict(GEODESIC, job="curvature", params={"h": "h", "k": "k", "l": "h", "include": False}),
+     "params.include"),
+    (dict(GEODESIC, job="sectional", params={"h": "h", "k": "k", "h0": "h"}), "params.h0"),
+    (dict(GEODESIC, job="scan", params={"all_pairs": True, "cvs": "x.csv"}), "params.cvs"),
+    (dict(GEODESIC, params={"h0": "h", "stpes": 400}), "params.stpes"),
+    ({"job": "validate", "params": {"grid_points": 16, "quadruple": 1}}, "params.grid_points"),
+    ({"job": "mirror", "params": dict(MIRROR_PARAMS, tolerence=1.0)}, "params.tolerence"),
+]
+
+
 @pytest.mark.parametrize("command", ["run", "describe"])
 @pytest.mark.parametrize(
     "config, named",
@@ -596,6 +608,7 @@ READ_BEFORE_COMPUTE = [
         (dict(GEODESIC, grid=4096, params={"h0": "h"}), "grid.points"),
         (dict(GEODESIC, model=dict(MODEL_FLAT, n=3), grid={"points": 256}, params={"h0": "h"}),
          "grid.points"),
+        *UNKNOWN_PARAMS,
     ],
 )
 def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):
@@ -608,7 +621,7 @@ def test_malformed_params_exit_2(tmp_path, capsys, command, config, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, named", READ_BEFORE_COMPUTE)
+@pytest.mark.parametrize("config, named", READ_BEFORE_COMPUTE + UNKNOWN_PARAMS)
 def test_describe_and_run_fail_alike(tmp_path, capsys, config, named):
     cfg = write_config(tmp_path, "bad.json", config)
     out = tmp_path / "bad_report.json"

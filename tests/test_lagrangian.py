@@ -265,13 +265,13 @@ def test_rho_from_the_build_density(twisted_generic, grid64):
 
 def test_build_evaluates_the_twist_density_once(twisted_model, generic_potential, monkeypatch):
     calls = []
-    original = AlmostCYModel.holomorphic_density
+    original = AlmostCYModel.holomorphic_density_parts
 
-    def counting(self, x, y, **kwargs):
+    def counting(self, x, y, *args, **kwargs):
         calls.append(1)
-        return original(self, x, y, **kwargs)
+        return original(self, x, y, *args, **kwargs)
 
-    monkeypatch.setattr(AlmostCYModel, "holomorphic_density", counting)
+    monkeypatch.setattr(AlmostCYModel, "holomorphic_density_parts", counting)
     build(twisted_model, generic_potential)
     assert len(calls) == 1
 
@@ -460,6 +460,43 @@ def test_holomorphic_density_matches_the_complex_exponential(n):
     flat = AlmostCYModel(n)
     assert np.array_equal(flat.holomorphic_density(x, y), np.exp(flat.twist(x, y)))
     assert np.array_equal(flat.holomorphic_density(x, y), np.ones(200))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_holomorphic_density_where_the_half_angle_tangent_is_large(n):
+    """eps = 0.9 and y_1 in [1, 4] take |b| = |Im g| up to about 49, so b
+    crosses odd multiples of pi, where t = tan(b/2) is large."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.0, 2.0 * np.pi, size=(2000, n))
+    y = rng.uniform(-1.0, 1.0, size=(2000, n))
+    y[:, 0] = rng.uniform(1.0, 4.0, size=2000)
+    model = AlmostCYModel(n, twist_amplitude=0.9, twist_mode=1)
+    b = np.imag(model.twist(x, y))
+    assert np.abs(b).max() > 45.0 and np.abs(np.tan(b / 2.0)).max() > 1e3
+    oracle = np.exp(model.twist(x, y))
+    pointwise = np.abs(model.holomorphic_density(x, y) - oracle) / np.abs(oracle)
+    assert pointwise.max() <= 1e-13
+
+
+def test_overflowing_twist_names_its_first_non_finite_point():
+    """phi = 10 sin(x1 + pi/4) overflows e^{Re g} on the rows x1 = 7 pi/4 and
+    15 pi/8 of the twisted 16^2 grid, not at the origin: the build reports a
+    NaN margin at the first point where Re Omega~, taken in complex
+    arithmetic from exp(twist), is not finite."""
+    grid = PeriodicGrid(2, 16)
+    model = AlmostCYModel(2, twist_amplitude=0.1)
+    phi = field_from_function(grid, lambda c: 10.0 * np.sin(c[..., 0] + np.pi / 4))
+    with pytest.raises(NotPositive) as excinfo:
+        build(model, phi)
+    assert np.isnan(excinfo.value.margin)
+
+    grad_phi, hess_phi = grad_hess(grid, phi.values)
+    det_B = np.linalg.det(np.eye(2) - 1j * hess_phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re_pullback = np.real(np.exp(model.twist(grid.coords, grad_phi)) * det_B)
+    first = np.unravel_index(np.argmax(~np.isfinite(re_pullback)), grid.shape)
+    assert first[0] > 0
+    assert excinfo.value.worst_point == tuple(float(grid.axis[i]) for i in first)
 
 
 def _twisted_generic(n, points, period=2.0 * np.pi):
