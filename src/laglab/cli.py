@@ -10,12 +10,15 @@ Subcommands
 Every job is one row of the ``JOBS`` table: whether it reads a model, grid
 and functions, the ``params`` keys it accepts, its parameter read, its
 ``describe`` plan line and its computation.  ``ExperimentConfig`` rejects
-any other ``params`` key and runs the job's read and the top-level
-``output`` read before any computation, so every subcommand sees the same
-reads and the same configuration errors.
+an unknown key at every level (top level, ``params``, ``model``, ``grid``
+and each trig term) and runs the job's read and the top-level ``output``
+read before any computation, so every subcommand sees the same reads and
+the same configuration errors.
 
 Exit codes: 0 success, 2 configuration error, 3 positivity lost,
-4 check failure.
+4 check failure, 1 any other laglab error.  An error's base class in
+``errors`` sets its code: ``main`` catches ``InputError`` and
+``PositivityError``, not a list of classes.
 """
 
 from __future__ import annotations
@@ -39,21 +42,16 @@ from .curvature import (
     mean_zero_residual,
     riemann_field_values,
     riemann_quad_values,
-    sectional,
     sectional_matrix,
 )
 from .errors import (
     BandLimitExceeded,
     ConfigError,
     DegeneratePlane,
-    GammaMismatch,
+    InputError,
     LaglabError,
-    MarginTooSmall,
-    NotPositive,
-    NotPositiveDefinite,
-    PositivityLost,
+    PositivityError,
     ShapeMismatch,
-    SingularDensity,
     StepRejected,
 )
 from .hermitian import (
@@ -79,21 +77,6 @@ from .validation import SuiteConfig, run_suite
 
 SCHEMA_TAG = "laglab/report-v1"
 
-_CONFIG_EXIT = (
-    ConfigError,
-    BandLimitExceeded,
-    DegeneratePlane,
-    GammaMismatch,
-    ShapeMismatch,
-)
-_POSITIVITY_EXIT = (
-    NotPositive,
-    PositivityLost,
-    MarginTooSmall,
-    SingularDensity,
-    NotPositiveDefinite,
-)
-
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -107,6 +90,14 @@ def _require(cfg: dict, key: str, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(f"key '{key}' has wrong type {type(value).__name__}")
     return value
+
+
+def _known_keys(raw: dict, keys: tuple[str, ...], where: str, owner: str = ""):
+    """Reject the first key of ``raw`` outside ``keys``, naming its path
+    ``where`` + key; ``owner`` follows the path in the message."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key {where}{key}{owner}; expected one of {keys}")
 
 
 def _integer(value, where: str) -> int:
@@ -150,6 +141,7 @@ def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: term {i} is not an object")
+        _known_keys(item, ("coefficient", "wavevector", "phase"), f"{where}[{i}].")
         try:
             coeff = _number(item["coefficient"], f"{where}: term {i} coefficient")
             wave = tuple(_integer(v, f"{where}: term {i} wavevector") for v in item["wavevector"])
@@ -167,6 +159,11 @@ def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
     return poly
 
 
+# The top-level keys that a job whose row reads geometry accepts besides
+# ``job``, ``params`` and ``output``.
+_GEOMETRY_KEYS = ("model", "grid", "potential", "functions")
+
+
 class ExperimentConfig:
     """Validated experiment description; ``inputs`` is the job's parameter
     read, done here so that no job starts computing on a malformed config."""
@@ -178,27 +175,26 @@ class ExperimentConfig:
         self.job = _require(raw, "job", str)
         if self.job not in JOBS:
             raise ConfigError(f"unknown job {self.job!r}; expected one of {tuple(JOBS)}")
+        geometry = JOBS[self.job].geometry
+        top_keys = ("job", "params", "output") + (_GEOMETRY_KEYS if geometry else ())
+        _known_keys(raw, top_keys, "", f" for job {self.job!r}")
         self.params = raw.get("params", {})
         if not isinstance(self.params, dict):
             raise ConfigError("'params' must be an object")
-        keys = JOBS[self.job].keys
-        for key in self.params:
-            if key not in keys:
-                raise ConfigError(
-                    f"unknown key params.{key} for job {self.job!r}; expected one of {keys}"
-                )
+        _known_keys(self.params, JOBS[self.job].keys, "params.", f" for job {self.job!r}")
         self.output = _path(raw["output"], "output") if "output" in raw else None
 
         self.model = None
         self.grid = None
         self.potential = TrigPolynomial(())
         self.functions: dict[str, TrigPolynomial] = {}
-        if JOBS[self.job].geometry:
+        if geometry:
             self._parse_geometry(raw)
         self.inputs = JOBS[self.job].read(self)
 
     def _parse_geometry(self, raw: dict):
         model_raw = _require(raw, "model", dict)
+        _known_keys(model_raw, ("n", "period", "twist_amplitude", "twist_mode"), "model.")
         n = _integer(model_raw.get("n", 2), "model.n")
         period = _number(model_raw.get("period", 2.0 * np.pi), "model.period")
         twist_amplitude = _number(model_raw.get("twist_amplitude", 0.0), "model.twist_amplitude")
@@ -210,6 +206,7 @@ class ExperimentConfig:
 
         grid_raw = raw.get("grid", {"points": 64})
         if isinstance(grid_raw, dict):
+            _known_keys(grid_raw, ("points",), "grid.")
             points = _integer(grid_raw.get("points", 64), "grid.points")
         else:
             points = _integer(grid_raw, "grid")
@@ -294,13 +291,15 @@ def parse_matrix_family(raw, where: str) -> np.ndarray:
 
 def _job_sectional(cfg: ExperimentConfig, _report: Path, h_name: str, k_name: str):
     gamma = cfg.build_gamma()
-    h, k = cfg.tangent(gamma, h_name), cfg.tangent(gamma, k_name)
+    tangents = [cfg.tangent(gamma, h_name).values, cfg.tangent(gamma, k_name).values]
+    matrices = sectional_matrix(gamma, tangents)
+    (hh, hk), (_, kk) = matrices.gram.tolist()
     return {
-        "sectional": sectional(gamma, h, k),
+        "sectional": matrices.sectional(0, 1),
         "margin": gamma.margin,
-        "inner_hh": gamma.inner_values(h.values, h.values),
-        "inner_kk": gamma.inner_values(k.values, k.values),
-        "inner_hk": gamma.inner_values(h.values, k.values),
+        "inner_hh": hh,
+        "inner_kk": kk,
+        "inner_hk": hk,
     }, True
 
 
@@ -440,13 +439,7 @@ def _validate_params(cfg: ExperimentConfig) -> tuple[SuiteConfig]:
 
 def _job_validate(_cfg: ExperimentConfig, _report: Path, suite_cfg: SuiteConfig):
     report = run_suite(suite_cfg)
-    payload = {
-        "seed": suite_cfg.seed,
-        "grid": suite_cfg.grid_points,
-        "all_passed": report.all_passed,
-        "checks": [r.to_dict() for r in report.results],
-    }
-    return payload, report.all_passed
+    return report.to_dict(), report.all_passed
 
 
 def _mirror_params(cfg: ExperimentConfig) -> tuple:
@@ -683,16 +676,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_EXIT as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _POSITIVITY_EXIT as exc:
+    except PositivityError as exc:
         print(f"positivity error: {exc}", file=sys.stderr)
         return 3
     except StepRejected as exc:
         print(f"integration check failed: {exc}", file=sys.stderr)
         return 4
-    except LaglabError as exc:  # pragma: no cover - catch-all for new errors
+    except LaglabError as exc:  # an error with neither base class
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -154,7 +154,6 @@ def cov_deriv_pair_values(
     gamma: GraphLagrangian,
     hj_values: np.ndarray,
     hk_values: np.ndarray,
-    tolerance: float = 1e-12,
     *,
     grad_j: np.ndarray | None = None,
     grad_k: np.ndarray | None = None,
@@ -164,7 +163,7 @@ def cov_deriv_pair_values(
     ``grad_j`` and ``grad_k`` are the gradients of ``hj_values`` and
     ``hk_values`` when the caller already has them.
     """
-    w = w_field_values(gamma, hj_values, tolerance, grad_h=grad_j)
+    w = w_field_values(gamma, hj_values, grad_h=grad_j)
     if grad_k is None:
         grad_k = gradient_values(gamma.grid, hk_values)
     return vector_dot(w, grad_k)
@@ -174,7 +173,6 @@ def cov_deriv_along_path(
     path: SampledPath,
     h_samples: Sequence[ScalarField],
     index: int,
-    tolerance: float = 1e-12,
 ) -> ScalarField:
     """Covariant time derivative dh/dt + D_{phi_t} h at an interior sample.
 
@@ -206,7 +204,7 @@ def cov_deriv_along_path(
             path.potentials[index + 1].values - path.potentials[index - 1].values
         ) / (2.0 * dt)
     gamma = build(path.model, path.potentials[index])
-    vals = dh_dt + cov_deriv_pair_values(gamma, phi_dot, h_samples[index].values, tolerance)
+    vals = dh_dt + cov_deriv_pair_values(gamma, phi_dot, h_samples[index].values)
     return ScalarField(gamma.grid, vals)
 
 

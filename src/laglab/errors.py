@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all laglab modules."""
+"""Exception hierarchy shared by all laglab modules.
+
+An error's base class sets the exit code of the ``laglab`` command: an
+``InputError`` exits 2 and a ``PositivityError`` 3; ``StepRejected`` exits
+4 and any other ``LaglabError`` 1.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,15 @@ class LaglabError(Exception):
     """Base class for all errors raised by laglab."""
 
 
-class BandLimitExceeded(LaglabError):
+class InputError(LaglabError):
+    """The input is malformed or inconsistent (exit 2)."""
+
+
+class PositivityError(LaglabError):
+    """A positive object is not, or not by enough margin (exit 3)."""
+
+
+class BandLimitExceeded(InputError):
     """A trigonometric-polynomial term carries a wavevector too large for the grid."""
 
 
@@ -17,7 +30,7 @@ class NonPositiveDensity(LaglabError):
     """The volume-form defining relation produced a non-positive density (convention bug)."""
 
 
-class NotPositive(LaglabError):
+class NotPositive(PositivityError):
     """A graph Lagrangian left the positive locus: Re Omega~ <= 0 or not
     finite somewhere.
 
@@ -41,11 +54,11 @@ class NotPositive(LaglabError):
         super().__init__(f"positivity violated: {reading} at x = {worst_point}")
 
 
-class GammaMismatch(LaglabError):
+class GammaMismatch(InputError):
     """Tangent functions attached to different base Lagrangians were combined."""
 
 
-class SingularDensity(LaglabError):
+class SingularDensity(PositivityError):
     """The pulled-back real volume density is below tolerance at some grid point."""
 
 
@@ -53,7 +66,7 @@ class InsufficientSamples(LaglabError):
     """A time-differencing stencil does not fit inside the sampled path."""
 
 
-class PositivityLost(LaglabError):
+class PositivityLost(PositivityError):
     """Positivity failed during time integration.
 
     Attributes
@@ -80,21 +93,21 @@ class StepRejected(LaglabError):
         )
 
 
-class MarginTooSmall(LaglabError):
+class MarginTooSmall(PositivityError):
     """Positivity margin too small for a curvature evaluation (sec theta unbounded)."""
 
 
-class DegeneratePlane(LaglabError):
+class DegeneratePlane(InputError):
     """Sectional curvature requested for a nearly degenerate tangent 2-plane."""
 
 
-class ShapeMismatch(LaglabError):
+class ShapeMismatch(InputError):
     """Matrix-family operands with incompatible shapes or base weights."""
 
 
-class NotPositiveDefinite(LaglabError):
+class NotPositiveDefinite(PositivityError):
     """A Hermitian matrix expected to be positive definite is not."""
 
 
-class ConfigError(LaglabError):
+class ConfigError(InputError):
     """Experiment configuration is malformed or inconsistent."""

@@ -284,7 +284,7 @@ def herm_fd_riemann(
     return _metric_raw(H, riem, d)
 
 
-# -- helpers for tests and the CLI ------------------------------------------
+# -- helpers for tests and the battery --------------------------------------
 
 
 def random_hermitian(rng: np.random.Generator, matrix_dim: int) -> np.ndarray:

@@ -172,14 +172,8 @@ class TrigPolynomial:
     terms: tuple[TrigTerm, ...]
 
     def __post_init__(self):
-        terms = tuple(
-            t if isinstance(t, TrigTerm) else TrigTerm(*t) for t in self.terms
-        )
-        if terms:
-            dims = {len(t.wavevector) for t in terms}
-            if len(dims) != 1:
-                raise ValueError("all wavevectors must share a dimension")
-        object.__setattr__(self, "terms", terms)
+        if len({len(t.wavevector) for t in self.terms}) > 1:
+            raise ValueError("all wavevectors must share a dimension")
 
     def max_mode(self) -> int:
         if not self.terms:

@@ -181,8 +181,8 @@ def random_trig_polynomial(
     return TrigPolynomial(tuple(TrigTerm(t.coefficient * scale, t.wavevector, t.phase) for t in chosen))
 
 
-def _random_field(rng: np.random.Generator, grid: PeriodicGrid, amplitude: float = 0.2) -> ScalarField:
-    return sample(random_trig_polynomial(rng, grid.n, amplitude=amplitude), grid)
+def _random_field(rng: np.random.Generator, grid: PeriodicGrid) -> ScalarField:
+    return sample(random_trig_polynomial(rng, grid.n), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +258,10 @@ def check_dtheta(
     model, grid = gamma.model, gamma.grid
     _, up_h, _, lap_h = gamma.derivatives(h.values)
     closed = _drift_laplacian(gamma, up_h, lap_h)
+    family = HamiltonianFamily(model, gamma.phi, (h,))
 
     def err_at(d: float) -> float:
-        theta_plus = build(model, ScalarField(grid, d * h.values)).theta
-        theta_minus = build(model, ScalarField(grid, -d * h.values)).theta
-        fd = (theta_plus - theta_minus) / (2.0 * d)
+        fd = (family.gamma_at([d]).theta - family.gamma_at([-d]).theta) / (2.0 * d)
         return float(np.abs(fd - closed).max())
 
     rho_term = vector_dot(gamma.grad_rho, up_h) * (grid.n / 2.0) / gamma.rho
@@ -309,19 +308,15 @@ def check_metric_compat(
 def check_torsion_free(
     family: HamiltonianFamily,
     t: Sequence[float],
-    j: int = 0,
-    k: int = 1,
     tolerance: float = DEFAULT_TOLERANCES["torsion_free"],
     label: str = "torsion_free",
 ) -> CheckResult:
-    """Pointwise symmetry of the coordinate covariant derivative."""
+    """Pointwise symmetry of the coordinate covariant derivative of the
+    family's first two generators."""
     gamma = family.gamma_at(t)
-    jk = cov_deriv_pair_values(
-        gamma, family.generators[j].values, family.generators[k].values
-    )
-    kj = cov_deriv_pair_values(
-        gamma, family.generators[k].values, family.generators[j].values
-    )
+    hj, hk = (g.values for g in family.generators[:2])
+    jk = cov_deriv_pair_values(gamma, hj, hk)
+    kj = cov_deriv_pair_values(gamma, hk, hj)
     err = float(np.abs(jk - kj).max())
     scale = max(np.abs(jk).max(), 1.0)
     params = {"t": list(float(v) for v in t), "model_eps": family.model.twist_amplitude}
@@ -341,21 +336,18 @@ def _second_cov_deriv_fd(
     w(h^i) . grad D_{h^j} h^k at the centre) are computed once; only the
     graphs at phi +- delta h^i are built per step.  ``grads`` holds the
     gradients of h^i, h^j and h^k when the caller already has them."""
-    model, grid = gamma.model, gamma.grid
-    phi = gamma.phi.values
     if grads is None:
-        grads = [gradient_values(grid, h) for h in (hi, hj, hk)]
+        grads = [gradient_values(gamma.grid, h) for h in (hi, hj, hk)]
     grad_i, grad_j, grad_k = grads
     center = cov_deriv_pair_values(gamma, hj, hk, grad_j=grad_j, grad_k=grad_k)
     advect = cov_deriv_pair_values(gamma, hi, center, grad_j=grad_i)
+    family = HamiltonianFamily(gamma.model, gamma.phi, (ScalarField(gamma.grid, hi),))
 
-    def pair_at(potential: np.ndarray) -> np.ndarray:
-        gamma_t = build(model, ScalarField(grid, potential))
-        return cov_deriv_pair_values(gamma_t, hj, hk, grad_j=grad_j, grad_k=grad_k)
+    def pair_at(t: float) -> np.ndarray:
+        return cov_deriv_pair_values(family.gamma_at([t]), hj, hk, grad_j=grad_j, grad_k=grad_k)
 
     def at(delta: float) -> np.ndarray:
-        fd = (pair_at(phi + delta * hi) - pair_at(phi - delta * hi)) / (2.0 * delta)
-        return fd + advect
+        return (pair_at(delta) - pair_at(-delta)) / (2.0 * delta) + advect
 
     return at
 
@@ -515,9 +507,12 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def to_dict(self) -> dict:
+        """The ``validate`` job's results."""
         return {
+            "seed": self.config.seed,
+            "grid": self.config.grid_points,
             "all_passed": self.all_passed,
-            "results": [r.to_dict() for r in self.results],
+            "checks": [r.to_dict() for r in self.results],
         }
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import laglab.cli
 import laglab.curvature
+import laglab.errors
 import laglab.lagrangian
 from laglab.cli import load_config, main, report_bytes
 from laglab.curvature import sectional
@@ -578,6 +580,14 @@ UNKNOWN_PARAMS = [
     (dict(GEODESIC, params={"h0": "h", "stpes": 400}), "params.stpes"),
     ({"job": "validate", "params": {"grid_points": 16, "quadruple": 1}}, "params.grid_points"),
     ({"job": "mirror", "params": dict(MIRROR_PARAMS, tolerence=1.0)}, "params.tolerence"),
+    # Below params, a misspelt key would otherwise read as its default.
+    (dict(GEODESIC, params={"h0": "h", "steps": 2}, potental=NOT_POSITIVE), "key potental"),
+    (dict(GEODESIC, params={"h0": "h", "steps": 2}, model=dict(MODEL_FLAT, twist_amplitud=0.1)),
+     "model.twist_amplitud"),
+    (dict(GEODESIC, params={"h0": "h", "steps": 2}, grid={"point": 16}), "grid.point"),
+    (dict(GEODESIC, params={"h0": "h", "steps": 2},
+          functions=dict(FUNCTIONS, s=[{"coefficient": 1.0, "wavevector": [1, 0], "phse": "sin"}])),
+     "functions[s][0].phse"),
 ]
 
 
@@ -722,3 +732,49 @@ def test_false_flags_turn_off(tmp_path):
     assert main(["run", str(cfg), "-o", str(out)]) == 0
     assert len(load_report(out)["results"]["pairs"]) == 1
     assert len(csv_path.read_text().strip().splitlines()) == 2
+
+
+# Every error class's exit code and stderr prefix through ``main``; a class
+# in ``laglab.errors`` with no row here fails.
+ERROR_EXITS = {
+    "InputError": (2, "config error:"),
+    "ConfigError": (2, "config error:"),
+    "BandLimitExceeded": (2, "config error:"),
+    "DegeneratePlane": (2, "config error:"),
+    "GammaMismatch": (2, "config error:"),
+    "ShapeMismatch": (2, "config error:"),
+    "PositivityError": (3, "positivity error:"),
+    "NotPositive": (3, "positivity error:"),
+    "PositivityLost": (3, "positivity error:"),
+    "MarginTooSmall": (3, "positivity error:"),
+    "SingularDensity": (3, "positivity error:"),
+    "NotPositiveDefinite": (3, "positivity error:"),
+    "StepRejected": (4, "integration check failed:"),
+    "NonPositiveDensity": (1, "error:"),
+    "InsufficientSamples": (1, "error:"),
+}
+ERROR_ARGS = {"NotPositive": (0.5, (0.0, 0.0)), "PositivityLost": (1.0,),
+              "StepRejected": (1.0, 1e-3, 1e-6)}
+ERROR_CLASSES = [
+    cls for cls in vars(laglab.errors).values()
+    if isinstance(cls, type) and issubclass(cls, laglab.errors.LaglabError)
+    and cls is not laglab.errors.LaglabError
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, cls):
+    assert cls.__name__ in ERROR_EXITS, f"no exit code pinned for {cls.__name__}"
+    code, prefix = ERROR_EXITS[cls.__name__]
+    error = cls(*ERROR_ARGS.get(cls.__name__, ("boom",)))
+
+    def raise_it(*_):
+        raise error
+
+    jobs = laglab.cli.JOBS
+    monkeypatch.setitem(jobs, "validate", jobs["validate"]._replace(run=raise_it))
+    out = tmp_path / "v.json"
+    assert main(["validate", "-o", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err == f"{prefix} {error}\n"
+    assert not out.exists()

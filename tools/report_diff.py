@@ -1,0 +1,125 @@
+"""Compare the canonical report bytes of two laglab trees.
+
+    python tools/report_diff.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of the repository.  Each tree runs the same
+fixed job list in a fresh interpreter, with its own ``src`` on the import
+path and its own ``perfbench/workloads.py`` for the benchmark workload
+configs: the validation battery at seed/grid 3/32, 7/64 and 41/64, the
+``geodesic`` and ``scan3d`` workloads at seeds 1 and 41, and ``sectional``
+and ``curvature`` jobs at n = 1, n = 2 (flat and twisted) and n = 3.  Every
+report is serialised by the tree's own ``laglab.cli.report_bytes`` (which
+leaves out the timing) with the job's temporary directory replaced by
+``<tmp>``.  The tool prints a diff of each report that differs and exits 1
+if any does, else prints one line per report and exits 0.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# Runs inside each tree: argv[1] is the tree root.  Prints {name: report}.
+CHILD = r'''
+import json, sys, tempfile
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads
+from laglab.cli import main, report_bytes
+
+
+def terms(*waves, coefficient=1.0):
+    return [{"coefficient": coefficient, "wavevector": list(w), "phase": "cos"} for w in waves]
+
+
+def geometry(n, eps):
+    unit = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    return {
+        "model": {"n": n, "period": workloads.TWO_PI, "twist_amplitude": eps, "twist_mode": 1},
+        "grid": {"points": 32 if n == 3 else 64},
+        "potential": terms((1,) * n, coefficient=0.2),
+        "functions": {"h": terms(unit[0]), "k": terms(unit[-1], (2,) * n),
+                      "l": terms(*unit, coefficient=0.5)},
+    }
+
+
+GEOMETRIES = {"n1": (1, 0.0), "n2_flat": (2, 0.0), "n2_twisted": (2, 0.1), "n3": (3, 0.1)}
+JOBS = {
+    "sectional": {"h": "h", "k": "k"},
+    "curvature": {"h": "h", "k": "k", "l": "l", "m": "h", "include_field": False},
+}
+
+reports = {}
+
+
+def run(name, workdir, argv, report_path):
+    code = main(argv)
+    text = report_bytes(json.loads(report_path.read_text())).decode() if report_path.exists() else ""
+    reports[name] = f"exit {code}\n" + text.replace(str(workdir), "<tmp>")
+
+
+for seed, points in ((3, 32), (7, 64), (41, 64)):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "validation_report.json"
+        run(f"validate_{seed}_{points}", tmp,
+            ["validate", "--seed", str(seed), "--grid", str(points), "-o", str(out)], out)
+for name in ("geodesic", "scan3d"):
+    for seed in (1, 41):
+        with tempfile.TemporaryDirectory() as tmp:
+            workload = workloads.WORKLOADS[name](Path(tmp), seed)
+            workload.prepare()
+            run(f"{name}_{seed}", tmp, workload.argv(), workload.report_path)
+for job, params in JOBS.items():
+    for label, (n, eps) in GEOMETRIES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+            cfg.write_text(json.dumps(dict(geometry(n, eps), job=job, params=params)))
+            run(f"{job}_{label}", tmp, ["run", str(cfg), "-o", str(out)], out)
+
+print(json.dumps(reports))
+'''
+
+
+def reports_of(tree: Path) -> dict[str, str]:
+    """Run the job list in a fresh interpreter on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD, str(tree)],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+    if done.returncode != 0:
+        sys.exit(f"job list failed on {tree}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    parent, change = (Path(arg).resolve() for arg in sys.argv[1:])
+    before, after = reports_of(parent), reports_of(change)
+    differing = 0
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, ""), after.get(name, "")
+        if old == new:
+            print(f"same    {name} ({len(new)} bytes)")
+            continue
+        differing += 1
+        print(f"DIFFERS {name}")
+        sys.stdout.writelines(difflib.unified_diff(
+            old.splitlines(keepends=True), new.splitlines(keepends=True),
+            f"{parent.name}/{name}", f"{change.name}/{name}",
+        ))
+    print(f"{differing} of {len(before.keys() | after.keys())} reports differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
