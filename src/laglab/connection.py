@@ -55,7 +55,13 @@ from .errors import (
     StepRejected,
 )
 from .lagrangian import GraphLagrangian, TangentFunction, build, require_same_gamma
-from .torus import ScalarField, gradient_values, hessian_values, vector_dot
+from .torus import (
+    ScalarField,
+    check_field_shapes,
+    gradient_values,
+    hessian_values,
+    vector_dot,
+)
 
 # The largest step count ``geodesic_shoot`` accepts: each step keeps a
 # potential, a velocity and an energy, so an unbounded count is unbounded
@@ -135,9 +141,12 @@ def w_field_values(
 
     Raises
     ------
+    ShapeMismatch
+        If ``h_values`` does not have the grid's shape.
     SingularDensity
         If |Re Omega~| drops below ``tolerance`` anywhere.
     """
+    check_field_shapes(gamma.grid, h_values)
     density = gamma.re_omega
     worst = np.abs(density).min()
     if not worst >= tolerance:  # NaN fails the comparison too
@@ -162,7 +171,13 @@ def cov_deriv_pair_values(
 
     ``grad_j`` and ``grad_k`` are the gradients of ``hj_values`` and
     ``hk_values`` when the caller already has them.
+
+    Raises
+    ------
+    ShapeMismatch
+        If either array does not have the grid's shape.
     """
+    check_field_shapes(gamma.grid, hj_values, hk_values)
     w = w_field_values(gamma, hj_values, grad_h=grad_j)
     if grad_k is None:
         grad_k = gradient_values(gamma.grid, hk_values)

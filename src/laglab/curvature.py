@@ -18,7 +18,15 @@ Cauchy-Schwarz inequality of its integrand.  The field route raises each of
 h, k and l once and contracts d rho and d theta with the raised gradients.
 ``sectional_matrix`` is the quadruple form at (h_i, h_j, h_j, h_i) for every
 pair of F functions, built from the same primitives: spectral gradients,
-``raise_index``, ``vector_dot`` and ``sec_integral``.
+``raise_index`` and ``sec_integral``.  Its pair loop makes few passes over
+the fields and allocates nothing: the pointwise pairing of two functions is
+one einsum over their component-major stacks, the bracket is formed in
+place in reused scratch fields, and every quadrature against a weight is
+one dot (``torus.integrate_product``).  At 32^3, passes over the fields and
+fresh temporaries, not arithmetic, set the cost (README).
+
+Every entry point that takes raw sample arrays checks their shapes against
+the grid (``torus.check_field_shapes``) before any work.
 """
 
 from __future__ import annotations
@@ -34,7 +42,16 @@ from .lagrangian import (
     TangentFunction,
     require_same_gamma,
 )
-from .torus import ScalarField, gradient_values, integrate_values, vector_dot
+from .torus import (
+    ScalarField,
+    check_field_shapes,
+    gradient_values,
+    integrate_product,
+    vector_dot,
+)
+
+# P = <u, v> pointwise, for component-major stacks u, v of shape (n,) + grid.
+_STACK_DOT = "a...,a...->..."
 
 # Below this worst-case cos(theta) the sec^2 factors are considered too
 # ill-conditioned for curvature evaluation.
@@ -70,7 +87,13 @@ def riemann_field_values(
     The output is analytically expected to land in the tangent space; its
     zero-mean defect is deliberately *not* projected away (that could mask a
     sign bug) and can be read off with ``mean_zero_residual``.
+
+    Raises
+    ------
+    ShapeMismatch
+        If h, k or l does not have the grid's shape.
     """
+    check_field_shapes(gamma.grid, h, k, l)
     _require_margin(gamma, margin_threshold)
 
     grad_h, up_h, hess_h, lap_h = gamma.derivatives(h)
@@ -102,8 +125,8 @@ def riemann_field_values(
 
 def mean_zero_residual(gamma: GraphLagrangian, values: np.ndarray) -> tuple[float, float]:
     """(|integral R Re(Omega)|, integral |R| Re(Omega)) — defect and scale."""
-    raw = integrate_values(gamma.grid, values * gamma.re_omega)
-    scale = integrate_values(gamma.grid, np.abs(values) * gamma.re_omega)
+    raw = integrate_product(gamma.grid, values, gamma.re_omega)
+    scale = integrate_product(gamma.grid, np.abs(values), gamma.re_omega)
     return abs(raw), scale
 
 
@@ -120,8 +143,9 @@ def quad_products(gamma: GraphLagrangian, grads: Sequence[np.ndarray]) -> tuple[
 
 def sec_integral(gamma: GraphLagrangian, bracket: np.ndarray) -> float:
     """Integral of ``bracket`` sec(theta) rho^{n/2} sqrt(det g) dx, the
-    quadruple-form weight, which is |Omega~|^2 / Re Omega~ (``sec_weight``)."""
-    return integrate_values(gamma.grid, bracket * gamma.sec_weight)
+    quadruple-form weight, which is |Omega~|^2 / Re Omega~ (``sec_weight``):
+    one dot against the weight."""
+    return integrate_product(gamma.grid, bracket, gamma.sec_weight)
 
 
 def riemann_quad_values(
@@ -133,7 +157,14 @@ def riemann_quad_values(
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> float:
     """The integrated pairing (R(h,k)l, m) as a single quadrature:
-    -integral sec(theta) [<dh,dm><dk,dl> - <dh,dl><dk,dm>] rho^{n/2} vol."""
+    -integral sec(theta) [<dh,dm><dk,dl> - <dh,dl><dk,dm>] rho^{n/2} vol.
+
+    Raises
+    ------
+    ShapeMismatch
+        If h, k, l or m does not have the grid's shape.
+    """
+    check_field_shapes(gamma.grid, h, k, l, m)
     _require_margin(gamma, margin_threshold)
     first, second = quad_products(gamma, [gradient_values(gamma.grid, v) for v in (h, k, l, m)])
     return -sec_integral(gamma, first - second)
@@ -187,21 +218,37 @@ def sectional_matrix(
     -integral sec(theta) (P_ii P_jj - P_ij^2) rho^{n/2} vol, which depends on
     the functions only through the pointwise Gram matrix P_ij = <dh_i, dh_j>_g
     (so ``numerator[i, i]`` is 0).  So F functions take F spectral gradients
-    and F index raises.  Each entry is reduced on its own, so its value does
-    not depend on which other functions are in the batch.
+    and F index raises.  Per pair, P_ij is one einsum over the
+    component-major stacks and the bracket is formed in place in two
+    scratch fields reused by every pair; the numerator and the Gram entry
+    are each one dot against their weight.  Each entry is reduced on its
+    own, so its value does not depend on which other functions are in the
+    batch.
+
+    Raises
+    ------
+    ShapeMismatch
+        If any of the arrays does not have the grid's shape.
     """
+    check_field_shapes(gamma.grid, *values)
     _require_margin(gamma, margin_threshold)
     grads = [gradient_values(gamma.grid, v) for v in values]
     ups = [gamma.raise_index(g) for g in grads]
-    diag = [vector_dot(g, up) for g, up in zip(grads, ups)]
+    # Both come back as component-last views of component-major stacks.
+    grads = [np.moveaxis(g, -1, 0) for g in grads]
+    ups = [np.moveaxis(up, -1, 0) for up in ups]
+    diag = [np.einsum(_STACK_DOT, g, up) for g, up in zip(grads, ups)]
     count = len(values)
     numerator = np.zeros((count, count))
     gram = np.zeros((count, count))
+    cross, bracket = np.empty(gamma.grid.shape), np.empty(gamma.grid.shape)
     for i in range(count):
         gram[i, i] = gamma.inner_values(values[i], values[i])
         for j in range(i + 1, count):
-            cross = vector_dot(grads[j], ups[i])
-            bracket = diag[i] * diag[j] - cross * cross
+            np.einsum(_STACK_DOT, grads[j], ups[i], out=cross)
+            cross *= cross
+            np.multiply(diag[i], diag[j], out=bracket)
+            bracket -= cross
             numerator[i, j] = numerator[j, i] = -sec_integral(gamma, bracket)
             gram[i, j] = gram[j, i] = gamma.inner_values(values[i], values[j])
     return SectionalMatrix(numerator, gram)

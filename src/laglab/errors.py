@@ -102,7 +102,9 @@ class DegeneratePlane(InputError):
 
 
 class ShapeMismatch(InputError):
-    """Matrix-family operands with incompatible shapes or base weights."""
+    """Operands with incompatible shapes: a raw sample array that is not on
+    the grid, or matrix-family operands with different shapes or base
+    weights."""
 
 
 class NotPositiveDefinite(PositivityError):

@@ -27,6 +27,13 @@ planar grids: with one BLAS thread from 512^2 on (1.5x faster there), with
 two not up to 1024^2, and at n = 3 not up to 128^3 (timings in the README).
 No grid the library runs exceeds 64^2 or 32^3, so there is no size switch.
 
+Quadrature is the trapezoidal rule: ``integrate_values`` takes the mean of
+one field, and ``integrate_product`` integrates the product of two fields as
+one BLAS dot, with no product array; the metric pairing, the tangent-space
+normalisation and the curvature weight all integrate through it.
+``check_field_shapes`` is the one shape check of raw sample arrays at the
+library's entry points.
+
 The pointwise n x n algebra of the graph geometry (n <= 3) uses the
 closed-form determinant and adjugate below instead of batched LAPACK calls.
 """
@@ -39,7 +46,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import BandLimitExceeded
+from .errors import BandLimitExceeded, ShapeMismatch
 
 Phase = Literal["cos", "sin"]
 
@@ -348,9 +355,35 @@ def divergence_values(grid: PeriodicGrid, vector: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
+def check_field_shapes(grid: PeriodicGrid, *values: np.ndarray) -> None:
+    """Check that every raw sample array has the grid's shape; compares the
+    shapes only, with no pass over the data.
+
+    Raises
+    ------
+    ShapeMismatch
+        Naming the position of the first offending array among ``values``
+        and both shapes.
+    """
+    for position, array in enumerate(values):
+        if np.shape(array) != grid.shape:
+            raise ShapeMismatch(
+                f"value array {position} has shape {np.shape(array)}, "
+                f"the grid's is {grid.shape}"
+            )
+
+
 def integrate_values(grid: PeriodicGrid, values: np.ndarray) -> float:
     """Integral over the torus: mean of samples times P^n."""
     return float(values.mean()) * grid.period**grid.n
+
+
+def integrate_product(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """Integral of a*b over the torus: P^n / N^n times one BLAS dot of the
+    samples, with no product array.  It is bit-symmetric in a and b, and
+    agrees with ``integrate_values(grid, a * b)`` to roundoff."""
+    dot = np.dot(a.reshape(-1), b.reshape(-1))
+    return float(dot) * (grid.period**grid.n / grid.size)
 
 
 def constant_field(grid: PeriodicGrid, value: float = 0.0) -> ScalarField:

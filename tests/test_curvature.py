@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from laglab.ambient import AlmostCYModel
-from laglab.connection import geodesic_shoot
+from laglab.connection import cov_deriv_pair_values, geodesic_shoot, w_field_values
 from laglab.curvature import (
     flat_family_check,
     mean_zero_residual,
@@ -11,7 +13,13 @@ from laglab.curvature import (
     sectional,
     sectional_matrix,
 )
-from laglab.errors import DegeneratePlane, GammaMismatch, MarginTooSmall
+from laglab.errors import (
+    DegeneratePlane,
+    GammaMismatch,
+    InputError,
+    MarginTooSmall,
+    ShapeMismatch,
+)
 from laglab.lagrangian import GraphLagrangian, build
 from laglab.torus import PeriodicGrid, constant_field, field_from_function, integrate_values
 from laglab.validation import random_trig_polynomial
@@ -307,3 +315,76 @@ def test_riemann_quad_takes_one_gradient_per_function(warm_twisted_generic, tran
     x = warm_twisted_generic.grid.coords
     riemann_quad_values(warm_twisted_generic, *(np.sin(x[..., 1] * (i + 1)) for i in range(4)))
     assert transform_calls == ["gradient_values"] * 4
+
+
+# Each raw-array entry point with the wrong-shaped array at one position
+# among its value arrays.
+_SHAPE_ENTRY_POINTS = {
+    "inner_values": (1, lambda gamma, ok, bad: gamma.inner_values(ok, bad)),
+    "normalize_values": (0, lambda gamma, ok, bad: gamma.normalize_values(bad)),
+    "w_field_values": (0, lambda gamma, ok, bad: w_field_values(gamma, bad)),
+    "cov_deriv_pair_values": (1, lambda gamma, ok, bad: cov_deriv_pair_values(gamma, ok, bad)),
+    "riemann_field_values": (2, lambda gamma, ok, bad: riemann_field_values(gamma, ok, ok, bad)),
+    "riemann_quad_values": (1, lambda gamma, ok, bad: riemann_quad_values(gamma, ok, bad, ok, ok)),
+    "sectional_matrix": (2, lambda gamma, ok, bad: sectional_matrix(gamma, [ok, ok, bad])),
+}
+
+
+@pytest.mark.parametrize("bad_shape", [(64, 64, 1), (32, 32)])
+@pytest.mark.parametrize("entry", sorted(_SHAPE_ENTRY_POINTS))
+def test_raw_array_entry_points_reject_a_wrong_shape(twisted_generic, grid64, entry, bad_shape):
+    position, call = _SHAPE_ENTRY_POINTS[entry]
+    with pytest.raises(ShapeMismatch) as info:
+        call(twisted_generic, np.cos(grid64.coords[..., 0]), np.ones(bad_shape))
+    assert isinstance(info.value, InputError)  # exit code 2
+    assert str(info.value) == (
+        f"value array {position} has shape {bad_shape}, the grid's is {grid64.shape}"
+    )
+
+def _generic_3d_functions(count, seed=5):
+    gamma = _twisted_generic(3, 32)
+    rng = np.random.default_rng(seed)
+    return gamma, [gamma.normalize_values(sample(random_trig_polynomial(rng, 3), gamma.grid).values)
+                   for _ in range(count)]
+
+
+def test_sectional_matrix_3d_entries_do_not_depend_on_the_batch():
+    gamma, f = _generic_3d_functions(5)
+    whole = sectional_matrix(gamma, f)
+    # The same relative order gives the same operations, so the same bits.
+    part = sectional_matrix(gamma, [f[1], f[3]])
+    assert np.array_equal(part.gram, whole.gram[np.ix_([1, 3], [1, 3])])
+    assert np.array_equal(part.numerator, whole.numerator[np.ix_([1, 3], [1, 3])])
+    assert part.sectional(0, 1) == whole.sectional(1, 3)
+    # The reversed order pairs the raised gradients the other way round:
+    # the Gram entry is still exact (the dot is symmetric), the sectional
+    # agrees to roundoff.
+    swapped = sectional_matrix(gamma, [f[3], f[1]])
+    assert np.array_equal(swapped.gram, whole.gram[np.ix_([3, 1], [3, 1])])
+    assert swapped.sectional(0, 1) == pytest.approx(whole.sectional(3, 1), rel=1e-14)
+
+
+def test_sectional_matrix_3d_zero_and_one_function():
+    gamma, f = _generic_3d_functions(1)
+    numerator, gram = sectional_matrix(gamma, [])
+    assert numerator.shape == gram.shape == (0, 0)
+    numerator, gram = sectional_matrix(gamma, f)
+    assert numerator.tolist() == [[0.0]]
+    assert gram[0, 0] == gamma.inner_values(f[0], f[0]) > 0.0
+
+
+@pytest.mark.parametrize("count", [2, 12])
+def test_sectional_matrix_3d_peak_memory(count):
+    """The pair loop keeps F gradients, F raised gradients and F pointwise
+    norms, (2n + 1) F fields, plus a few scratch fields: no F^2 stack."""
+    gamma, f = _generic_3d_functions(count)
+    gamma.inverse_metric, gamma.sec_weight, gamma.margin  # the graph's own cache
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sectional_matrix(gamma, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = gamma.grid.size * 8
+    assert peak <= ((2 * 3 + 1) * count + 6) * field_bytes

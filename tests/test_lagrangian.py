@@ -550,3 +550,16 @@ def test_christoffels_match_per_component_transforms(n, points, period):
     )
     expected = 0.5 * np.einsum("...cd,...abd->...abc", gamma.inverse_metric, bracket)
     assert np.abs(gamma.christoffels - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n, points", [(1, 32), (2, 32), (3, 16)])
+def test_raise_index_in_place_keeps_the_bits_of_the_row_sums(n, points):
+    """Each raised component is g^{ab} grad_b summed over b in order, as
+    ``vector_dot`` sums it, with the same bits."""
+    gamma = _twisted_generic(n, points)
+    x = gamma.grid.coords
+    grad = gradient_values(gamma.grid, np.cos(x[..., 0]) + 0.5 * np.sin(x.sum(axis=-1)))
+    ginv = gamma.inverse_metric
+    rows = np.stack([vector_dot(ginv[..., a, :], grad) for a in range(n)], axis=-1)
+    assert np.array_equal(gamma.raise_index(grad), rows)
+    assert np.array_equal(gamma.raise_index(np.ascontiguousarray(grad)), rows)

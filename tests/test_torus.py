@@ -19,11 +19,13 @@ from laglab.torus import (
     grad_hess,
     gradient_values,
     hessian_values,
+    integrate_product,
     integrate_values,
     partial_values,
     sample,
     symmetric_gradient_values,
 )
+from laglab.validation import random_trig_polynomial
 
 
 def test_grid_validation():
@@ -431,3 +433,25 @@ def test_closed_form_linear_algebra_shapes():
         det(np.zeros((5, 4, 4)))
     with pytest.raises(ValueError):
         adjugate(np.zeros((5, 2, 3)))
+
+
+@pytest.mark.parametrize("n,points", [(1, 64), (2, 64), (3, 32)])
+def test_integrate_product_is_exact_on_band_limited_products(n, points):
+    grid = PeriodicGrid(n, points)
+    wave = np.arange(1, n + 1, dtype=float)  # k = (1, ..., n), within N/4
+    f = np.cos(np.tensordot(grid.coords, wave, axes=([-1], [0])))
+    exact = grid.period**n / 2
+    assert abs(integrate_product(grid, f, f) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("n,points", [(1, 64), (2, 64), (3, 32)])
+def test_integrate_product_agrees_with_the_mean_and_is_bit_symmetric(n, points):
+    grid = PeriodicGrid(n, points)
+    rng = np.random.default_rng(50 + n)
+    a, b = (sample(random_trig_polynomial(rng, n), grid).values for _ in range(2))
+    b = b + 0.3  # a nonzero mean, so the product does not integrate to ~0
+    product = integrate_product(grid, a, b)
+    scale = integrate_values(grid, np.abs(a * b))
+    assert abs(product - integrate_values(grid, a * b)) <= 1e-15 * scale
+    # The Gram matrix's batch independence relies on the exact symmetry.
+    assert product == integrate_product(grid, b, a)

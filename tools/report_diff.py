@@ -10,8 +10,11 @@ configs: the validation battery at seed/grid 3/32, 7/64 and 41/64, the
 and ``curvature`` jobs at n = 1, n = 2 (flat and twisted) and n = 3.  Every
 report is serialised by the tree's own ``laglab.cli.report_bytes`` (which
 leaves out the timing) with the job's temporary directory replaced by
-``<tmp>``.  The tool prints a diff of each report that differs and exits 1
-if any does, else prints one line per report and exits 0.
+``<tmp>``.  For each report that differs the tool prints a diff and a
+summary: how many numeric leaves differ, the largest relative difference
+|a - b| / max(|a|, |b|) and the leaf it is at, and whether any non-numeric
+leaf (the exit line included) or the structure differs.  It exits 1 if any
+report differs, else prints one line per report and exits 0.
 """
 
 from __future__ import annotations
@@ -100,6 +103,47 @@ def reports_of(tree: Path) -> dict[str, str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _leaves(node, path: str = "") -> dict:
+    """Every leaf of a parsed report, keyed by its path."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    else:
+        return {path: node}
+    return {leaf: value for sub, child in items for leaf, value in _leaves(child, sub).items()}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def summarize(old: str, new: str) -> str:
+    """One line quantifying how two reports ("exit N" then the report JSON)
+    differ."""
+    def parse(text: str) -> dict:
+        head, _, body = text.partition("\n")
+        return _leaves({"exit": head, "report": json.loads(body) if body else None})
+
+    before, after = parse(old), parse(new)
+    other = before.keys() != after.keys()
+    numeric, worst, where = 0, 0.0, None
+    for path in sorted(before.keys() & after.keys()):
+        a, b = before[path], after[path]
+        if a == b or (a != a and b != b):  # equal, or both NaN
+            continue
+        if not (_is_number(a) and _is_number(b)):
+            other = True
+            continue
+        numeric += 1
+        rel = abs(a - b) / max(abs(a), abs(b))
+        if where is None or rel > worst:
+            worst, where = rel, path
+    largest = f"{worst:.1e} at {where}" if where else "none"
+    return (f"        {numeric} numeric leaves differ; largest relative difference {largest}; "
+            f"non-numeric leaf or structure differs: {'yes' if other else 'no'}\n")
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -117,6 +161,7 @@ def main() -> int:
             old.splitlines(keepends=True), new.splitlines(keepends=True),
             f"{parent.name}/{name}", f"{change.name}/{name}",
         ))
+        sys.stdout.write(summarize(old, new))
     print(f"{differing} of {len(before.keys() | after.keys())} reports differ")
     return 1 if differing else 0
 
