@@ -13,7 +13,8 @@ and functions, the ``params`` keys it accepts, its parameter read, its
 an unknown key at every level (top level, ``params``, ``model``, ``grid``
 and each trig term) and runs the job's read and the top-level ``output``
 read before any computation, so every subcommand sees the same reads and
-the same configuration errors.
+the same configuration errors; an output path must lie in a directory
+that exists.
 
 Exit codes: 0 success, 2 configuration error, 3 positivity lost,
 4 check failure, 1 any other laglab error.  An error's base class in
@@ -127,10 +128,10 @@ def _flag(value, where: str) -> bool:
 
 
 def _path(value, where: str) -> str:
-    """A config path: a nonempty string."""
-    if isinstance(value, str) and value:
+    """An output path: a nonempty string in a directory that exists."""
+    if isinstance(value, str) and value and Path(value).parent.is_dir():
         return value
-    raise ConfigError(f"{where} must be a nonempty path string, got {value!r}")
+    raise ConfigError(f"{where} must be a nonempty path in an existing directory, got {value!r}")
 
 
 def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
@@ -216,9 +217,8 @@ class ExperimentConfig:
             raise ConfigError(f"invalid grid.points: {exc}") from exc
         # The twist eps e^{i kappa z_1} is Fourier mode twist_mode in x_1, so it
         # obeys the potential terms' band limit; a higher mode aliases.
-        limit = self.grid.points // 4
-        if twist_mode > limit:
-            raise ConfigError(f"model.twist_mode = {twist_mode} exceeds band limit N/4 = {limit}")
+        twist = [{"coefficient": 1.0, "wavevector": [twist_mode] + [0] * (n - 1)}]
+        parse_trig_terms(twist, f"model.twist_mode = {twist_mode}", self.grid)
 
         self.potential = parse_trig_terms(raw.get("potential", []), "potential", self.grid)
 
@@ -371,14 +371,15 @@ def _job_scan(cfg: ExperimentConfig, report: Path, pairs: list[tuple[str, str]],
             row.update(sectional=None, note=str(exc))
         rows.append(row)
 
-    with open(csv_path, "w", newline="") as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["pair_id", "h_name", "k_name", "sectional", "margin"])
-        for row in rows:
-            value = "" if row["sectional"] is None else f"{row['sectional']:.17g}"
-            writer.writerow(
-                [row["pair_id"], row["h_name"], row["k_name"], value, f"{row['margin']:.17g}"]
-            )
+    lines = [["pair_id", "h_name", "k_name", "sectional", "margin"]]
+    for row in rows:
+        value = "" if row["sectional"] is None else f"{row['sectional']:.17g}"
+        lines.append([row["pair_id"], row["h_name"], row["k_name"], value, f"{row['margin']:.17g}"])
+    try:
+        with open(csv_path, "w", newline="") as stream:
+            csv.writer(stream).writerows(lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {csv_path}: {exc}") from exc
     return {"pairs": rows, "csv": str(csv_path)}, True
 
 
@@ -578,8 +579,10 @@ def report_bytes(report: dict, include_timing: bool = False) -> bytes:
 
 
 def write_report(report: dict, path: Path):
-    payload = report_bytes(report, include_timing=True)
-    path.write_bytes(payload)
+    try:
+        path.write_bytes(report_bytes(report, include_timing=True))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +591,9 @@ def write_report(report: dict, path: Path):
 
 
 def _execute(cfg: ExperimentConfig, out_path: Path) -> tuple[dict, bool, float]:
-    """Run the job, write its report to ``out_path`` and return the results,
-    whether its checks passed and the elapsed seconds."""
+    """Check a ``-o`` path, run the job, write its report to ``out_path`` and
+    return the results, whether its checks passed and the elapsed seconds."""
+    _path(str(out_path), "-o")
     started = time.perf_counter()
     results, ok = JOBS[cfg.job].run(cfg, out_path, *cfg.inputs)
     elapsed = time.perf_counter() - started

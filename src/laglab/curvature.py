@@ -5,9 +5,11 @@ Two independent routes to the same tensor:
 * ``riemann_field_values`` assembles the pointwise field R(h,k)l from
   intrinsic data (nonnegative Laplacian, restricted conformal factor,
   covariant Hessians, angle gradient) of the base Lagrangian;
-* ``riemann_quad_values`` evaluates the integrated quadruple pairing directly
-  as a quadrature, where integration by parts has already cancelled
-  everything but one sec(theta)-weighted Cauchy-Schwarz bracket.
+* ``quad_form`` evaluates the integrated quadruple pairing (R(h,k)l, m)
+  directly as a quadrature, where integration by parts has already
+  cancelled everything but one sec(theta)-weighted Cauchy-Schwarz bracket.
+  It is the form's one implementation: ``riemann_quad_values``, the
+  ``curvature`` job and the validation battery all read it.
 
 Both take the raw sample arrays of tangent functions at one graph.
 
@@ -17,8 +19,8 @@ curvature built from the quadruple form is non-positive by the pointwise
 Cauchy-Schwarz inequality of its integrand.  The field route raises each of
 h, k and l once and contracts d rho and d theta with the raised gradients.
 ``sectional_matrix`` is the quadruple form at (h_i, h_j, h_j, h_i) for every
-pair of F functions, built from the same primitives: spectral gradients,
-``raise_index`` and ``sec_integral``.  Its pair loop makes few passes over
+pair of F functions, from the same gradient and raised stacks (``_stacks``)
+and the same ``sec_integral``.  Its pair loop makes few passes over
 the fields and allocates nothing: the pointwise pairing of two functions is
 one einsum over their component-major stacks, the bracket is formed in
 place in reused scratch fields, and every quadrature against a weight is
@@ -130,22 +132,33 @@ def mean_zero_residual(gamma: GraphLagrangian, values: np.ndarray) -> tuple[floa
     return abs(raw), scale
 
 
-def quad_products(gamma: GraphLagrangian, grads: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The pointwise products <dh,dm><dk,dl> and <dh,dl><dk,dm> of the
-    quadruple form, from the gradients of (h, k, l, m)."""
-    grad_h, grad_k, grad_l, grad_m = grads
-    up_l, up_m = gamma.raise_index(grad_l), gamma.raise_index(grad_m)
-    return (
-        vector_dot(grad_h, up_m) * vector_dot(grad_k, up_l),
-        vector_dot(grad_h, up_l) * vector_dot(grad_k, up_m),
-    )
-
-
 def sec_integral(gamma: GraphLagrangian, bracket: np.ndarray) -> float:
-    """Integral of ``bracket`` sec(theta) rho^{n/2} sqrt(det g) dx, the
-    quadruple-form weight, which is |Omega~|^2 / Re Omega~ (``sec_weight``):
-    one dot against the weight."""
+    """Integral of ``bracket`` against the quadruple-form weight sec(theta)
+    rho^{n/2} sqrt(det g) = |Omega~|^2 / Re Omega~ (``sec_weight``): one dot."""
     return integrate_product(gamma.grid, bracket, gamma.sec_weight)
+
+
+def _stacks(gamma: GraphLagrangian, values: Sequence[np.ndarray], raised: Sequence[int]):
+    """Component-major gradient stacks of ``values`` and the raised stacks of
+    ``values[i]`` for i in ``raised``: one spectral gradient each."""
+    grads = [gradient_values(gamma.grid, v) for v in values]
+    # Both come back as component-last views of component-major stacks.
+    ups = [np.moveaxis(gamma.raise_index(grads[i]), -1, 0) for i in raised]
+    return [np.moveaxis(g, -1, 0) for g in grads], ups
+
+
+def quad_form(
+    gamma: GraphLagrangian, h: np.ndarray, k: np.ndarray, l: np.ndarray, m: np.ndarray
+) -> tuple[float, float]:
+    """(R(h,k)l, m) = -integral sec(theta) [P_hm P_kl - P_hl P_km] rho^{n/2} vol
+    and its L1 size, the same integral of |P_hm P_kl| + |P_hl P_km|, where
+    P_ij = <dh_i, dh_j>_g is one einsum against the raised stack of l or m.
+    Raises ``ShapeMismatch`` if an array does not have the grid's shape."""
+    check_field_shapes(gamma.grid, h, k, l, m)
+    (dh, dk, _, _), (up_l, up_m) = _stacks(gamma, (h, k, l, m), (2, 3))
+    first = np.einsum(_STACK_DOT, dh, up_m) * np.einsum(_STACK_DOT, dk, up_l)
+    second = np.einsum(_STACK_DOT, dh, up_l) * np.einsum(_STACK_DOT, dk, up_m)
+    return -sec_integral(gamma, first - second), sec_integral(gamma, np.abs(first) + np.abs(second))
 
 
 def riemann_quad_values(
@@ -156,18 +169,11 @@ def riemann_quad_values(
     m: np.ndarray,
     margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> float:
-    """The integrated pairing (R(h,k)l, m) as a single quadrature:
-    -integral sec(theta) [<dh,dm><dk,dl> - <dh,dl><dk,dm>] rho^{n/2} vol.
-
-    Raises
-    ------
-    ShapeMismatch
-        If h, k, l or m does not have the grid's shape.
-    """
+    """The value of ``quad_form``, the pairing (R(h,k)l, m), after the shape
+    check (``ShapeMismatch``) and the margin check (``MarginTooSmall``)."""
     check_field_shapes(gamma.grid, h, k, l, m)
     _require_margin(gamma, margin_threshold)
-    first, second = quad_products(gamma, [gradient_values(gamma.grid, v) for v in (h, k, l, m)])
-    return -sec_integral(gamma, first - second)
+    return quad_form(gamma, h, k, l, m)[0]
 
 
 class SectionalMatrix(NamedTuple):
@@ -218,7 +224,7 @@ def sectional_matrix(
     -integral sec(theta) (P_ii P_jj - P_ij^2) rho^{n/2} vol, which depends on
     the functions only through the pointwise Gram matrix P_ij = <dh_i, dh_j>_g
     (so ``numerator[i, i]`` is 0).  So F functions take F spectral gradients
-    and F index raises.  Per pair, P_ij is one einsum over the
+    and F index raises (``_stacks``).  Per pair, P_ij is one einsum over the
     component-major stacks and the bracket is formed in place in two
     scratch fields reused by every pair; the numerator and the Gram entry
     are each one dot against their weight.  Each entry is reduced on its
@@ -232,11 +238,7 @@ def sectional_matrix(
     """
     check_field_shapes(gamma.grid, *values)
     _require_margin(gamma, margin_threshold)
-    grads = [gradient_values(gamma.grid, v) for v in values]
-    ups = [gamma.raise_index(g) for g in grads]
-    # Both come back as component-last views of component-major stacks.
-    grads = [np.moveaxis(g, -1, 0) for g in grads]
-    ups = [np.moveaxis(up, -1, 0) for up in ups]
+    grads, ups = _stacks(gamma, values, range(len(values)))
     diag = [np.einsum(_STACK_DOT, g, up) for g, up in zip(grads, ups)]
     count = len(values)
     numerator = np.zeros((count, count))

@@ -94,7 +94,7 @@ class GraphLagrangian:
     cos), the real and imaginary parts of det B (B = I - i Hess phi) and
     Re Omega~ = Re(E det B), which ``re_omega`` returns.  That is all a
     geodesic step reads.  Every other field is computed on first read and
-    then cached: the complex E, which only ``rho`` reads, ``_det_B`` and
+    then cached: the complex E, which only ``rho`` reads, and
     ``pullback_density``; the phase side ``theta``, ``cos_theta``,
     ``margin`` and ``sec_weight``, read off Omega~ alone; the metric side
     ``metric``, ``det_metric``, ``inverse_metric``, ``sqrt_det_metric`` and
@@ -184,13 +184,6 @@ class GraphLagrangian:
         density = np.empty(self.grid.shape, dtype=complex)
         density.real, density.imag = self._re_twist, self._im_twist
         return density
-
-    @cached_property
-    def _det_B(self) -> np.ndarray:
-        """det(I - i Hess phi)."""
-        det_B = np.empty(self.grid.shape, dtype=complex)
-        det_B.real, det_B.imag = self._re_det_B, self._im_det_B
-        return det_B
 
     @cached_property
     def pullback_density(self) -> np.ndarray:

@@ -29,14 +29,13 @@ from .curvature import (
     _drift_laplacian,
     flat_family_check,
     mean_zero_residual,
-    quad_products,
+    quad_form,
     riemann_field_values,
     riemann_quad_values,
-    sec_integral,
     sectional,
     sectional_quotient,
 )
-from .errors import DegeneratePlane
+from .errors import BandLimitExceeded, DegeneratePlane
 from .hermitian import (
     HermBase,
     HermPoint,
@@ -54,6 +53,7 @@ from .torus import (
     ScalarField,
     TrigPolynomial,
     TrigTerm,
+    check_band_limit,
     constant_field,
     gradient_values,
     sample,
@@ -90,11 +90,13 @@ RICHARDSON_FLOOR = 1e-11
 
 # The battery's fixed geometry and finite-difference steps: the torus period
 # and twist mode of its models, the step of the connection and curvature
-# oracles and the step of the angle-derivative oracle.
+# oracles, the step of the angle-derivative oracle and the highest mode of
+# its random inputs.
 PERIOD = 2.0 * np.pi
 TWIST_MODE = 1
 DELTA_FD = 1e-3
 DELTA_DTHETA = 1e-4
+MAX_MODE = 3
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def _worst(trials: Sequence[CheckResult], extra_ok: bool = True, **params) -> Ch
 def random_trig_polynomial(
     rng: np.random.Generator,
     n: int,
-    max_mode: int = 3,
+    max_mode: int = MAX_MODE,
     terms: int = 3,
     amplitude: float = 0.2,
 ) -> TrigPolynomial:
@@ -422,14 +424,11 @@ def check_r3_r4_pairing(
 
     This is the integration-by-parts content of the curvature computation:
     every Laplacian, Christoffel and angle-gradient term of the pointwise
-    route must cancel into the single Cauchy-Schwarz bracket.
+    route must cancel into the single Cauchy-Schwarz bracket (``quad_form``).
     """
     r_vals = riemann_field_values(gamma, h, k, l)
     lhs = gamma.inner_values(r_vals, m)
-    first, second = quad_products(gamma, [gradient_values(gamma.grid, v) for v in (h, k, l, m)])
-    rhs = -sec_integral(gamma, first - second)
-    # L1 size of the quadrature integrand, the natural scale of the identity.
-    scale = sec_integral(gamma, np.abs(first) + np.abs(second))
+    rhs, scale = quad_form(gamma, h, k, l, m)  # scale: the identity's natural one
     err_abs = abs(lhs - rhs)
     denom = max(abs(rhs), 1e-3 * scale, 1e-300)
     err_rel = err_abs / denom
@@ -477,8 +476,9 @@ class SuiteConfig:
         if not self.geodesic_time > 0:
             raise ValueError(f"geodesic_time must be positive, got {self.geodesic_time}")
         try:
-            PeriodicGrid(2, self.grid_points, PERIOD)
-        except ValueError as exc:
+            grid = PeriodicGrid(2, self.grid_points, PERIOD)
+            check_band_limit(TrigPolynomial((TrigTerm(1.0, (MAX_MODE, 0)),)), grid)
+        except (ValueError, BandLimitExceeded) as exc:
             raise ValueError(f"grid_points: {exc}") from exc
         AlmostCYModel(2, PERIOD, self.twist_amplitude, TWIST_MODE)
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))

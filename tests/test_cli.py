@@ -424,6 +424,7 @@ def test_validate_subcommand(tmp_path, capsys):
         ({"tolerances": {"dtheta": -1}}, "dtheta"),
         ({"geodesic_steps": 10_001}, "geodesic_steps"),
         ({"grid": 2048}, "grid_points"),
+        ({"grid": 8}, "grid_points"),
     ],
 )
 def test_validate_bad_params_exit_2(tmp_path, capsys, command, params, named):
@@ -453,6 +454,7 @@ def test_validate_unknown_tolerance_lists_known_names(tmp_path, capsys):
         (["--grid", "0"], "grid_points"),
         (["--seed", "-1"], "seed"),
         (["--grid", "2048"], "grid_points"),
+        (["--grid", "8"], "grid_points"),
     ],
 )
 def test_validate_subcommand_bad_flags_exit_2(tmp_path, capsys, flags, named):
@@ -568,6 +570,10 @@ READ_BEFORE_COMPUTE = [
           model=dict(MODEL_FLAT, twist_amplitude=0.1, twist_mode=9)), "model.twist_mode"),
     (dict(GEODESIC, grid=16, params={"h0": "h"},
           model=dict(MODEL_FLAT, twist_amplitude=0.1, twist_mode=1e30)), "model.twist_mode"),
+    # An output path in a missing directory would fail only after the job ran.
+    (dict(GEODESIC, params={"h0": "h"}, output="/no-such-laglab-dir/geo.json"), "output"),
+    (dict(GEODESIC, job="scan", params={"all_pairs": True, "csv": "/no-such-laglab-dir/s.csv"}),
+     "params.csv"),
 ]
 
 
@@ -778,3 +784,49 @@ def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, cls)
     err = capsys.readouterr().err
     assert err == f"{prefix} {error}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "CONFIG", "-o", "/no-such-laglab-dir/r.json"],
+        ["validate", "--grid", "16", "-o", "/no-such-laglab-dir/v.json"],
+    ],
+    ids=["run", "validate"],
+)
+def test_output_in_a_missing_directory_exits_2_before_the_job(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*_):
+        raise AssertionError("the job ran")
+
+    jobs = laglab.cli.JOBS
+    for job in ("geodesic", "validate"):
+        monkeypatch.setitem(jobs, job, jobs[job]._replace(run=must_not_run))
+    cfg = write_config(tmp_path, "geo.json", dict(GEODESIC, params={"h0": "h"}))
+    argv = [str(cfg) if arg == "CONFIG" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: -o must be a nonempty path in an existing directory, got {argv[-1]!r}\n"
+    )
+
+
+def test_a_failed_write_is_a_config_error_not_a_traceback(tmp_path, capsys):
+    """A path that names a directory passes the read and fails the write."""
+    cfg = write_config(tmp_path, "sec.json", dict(GEODESIC, job="sectional",
+                                                 params={"h": "h", "k": "k"}))
+    assert main(["run", str(cfg), "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")
+    (tmp_path / "taken.csv").mkdir()
+    cfg = write_config(tmp_path, "scan.json", dict(SCAN, params={"all_pairs": True,
+                                                                "csv": str(tmp_path / "taken.csv")}))
+    assert main(["run", str(cfg), "-o", str(tmp_path / "scan.json.out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path / 'taken.csv'}: ")
+    assert not (tmp_path / "scan.json.out").exists()
+
+
+def test_a_16_point_validate_runs_and_reports_its_failing_rows(tmp_path, capsys):
+    """16 points pass the band limit of the battery's inputs (N/4 = 4 >= 3),
+    so the grid is accepted; the coarse grid fails rows, not the read."""
+    out = tmp_path / "v16.json"
+    assert main(["validate", "--grid", "16", "-o", str(out)]) == 4
+    assert load_report(out)["results"]["all_passed"] is False
+    assert "FAIL" in capsys.readouterr().out

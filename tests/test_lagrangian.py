@@ -92,7 +92,7 @@ def test_phase_volume_identity(flat_generic, twisted_generic, twisted_zero):
     for gamma in (flat_generic, twisted_generic, twisted_zero):
         assert gamma.lagang_residual < 1e-10
         # |det(I - i Hess phi)| = sqrt(det(I + Hess^2)) pointwise.
-        lhs = np.abs(gamma._det_B)
+        lhs = np.hypot(gamma._re_det_B, gamma._im_det_B)
         assert np.abs(lhs - gamma.sqrt_det_metric).max() < 1e-10
 
 
@@ -362,7 +362,8 @@ def eager_fields(model, phi):
     recon = np.exp(1j * theta) * rho_half * sqrt_det_metric
     scale = np.abs(pullback_density).max()
     return {
-        "_det_B": re_det_B + 1j * im_det_B,
+        "_re_det_B": np.broadcast_to(re_det_B, grid.shape),
+        "_im_det_B": im_det_B,
         "pullback_density": pullback_density,
         "_re_pullback": np.real(pullback_density),
         "metric": metric,
@@ -433,7 +434,7 @@ def test_real_invariant_forms_match_complex_linear_algebra(n, points):
     det_B = np.linalg.det(B)
     adj_B = det_B[..., None, None] * np.linalg.inv(B)
     E = np.exp(model.twist(grid.coords, gamma.grad_phi))
-    assert relative_error(gamma._det_B, det_B) <= 1e-14
+    assert relative_error(gamma._re_det_B + 1j * gamma._im_det_B, det_B) <= 1e-14
     assert relative_error(gamma.pullback_density, E * det_B) <= 1e-14
     assert relative_error(gamma._re_pullback, np.real(E * det_B)) <= 1e-14
 

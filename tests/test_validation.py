@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import laglab.cli
+import laglab.curvature
 import laglab.torus
 import laglab.validation
 from laglab.connection import MAX_STEPS, HamiltonianFamily, cov_deriv_pair_values, w_field_values
@@ -430,3 +433,47 @@ def test_r3_vs_fd_transform_count(warm_twisted_generic, grid64, monkeypatch):
     monkeypatch.setattr(laglab.torus, "_differentiate", counting)
     assert check_r3_vs_fd(warm_twisted_generic, h, k, l).passed
     assert fields == 66
+
+
+def test_the_battery_guards_the_one_quadruple_form(tmp_path, monkeypatch):
+    """With the value of ``curvature.quad_form`` negated in every laglab
+    module that imported it, every r3_r4_pairing row fails and the
+    curvature job's quad_r4 flips sign.  At seed 3 no trial's form is
+    near 0 (some single trials at other seeds are, by orthogonality of
+    their modes at the flat zero section)."""
+    original = laglab.curvature.quad_form
+
+    def negated(*args):
+        value, scale = original(*args)
+        return -value, scale
+
+    cfg = dataclasses.replace(SMALL, seed=3, quadruples=1)
+    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
+    config = {
+        "job": "curvature",
+        "model": {"n": 2, "twist_amplitude": 0.1},
+        "grid": 32,
+        "potential": [{"coefficient": 0.2, "wavevector": [1, 1]}],
+        "functions": {"h": [{"coefficient": 1.0, "wavevector": [1, 0]}],
+                      "k": [{"coefficient": 1.0, "wavevector": [0, 1]}]},
+        "params": {"h": "h", "k": "k", "l": "k", "m": "h", "include_field": False},
+    }
+    path = tmp_path / "curvature.json"
+    path.write_text(json.dumps(config))
+
+    def run():
+        rows = _suite_pairing(cfg, bases, np.random.default_rng([cfg.seed, 2]))
+        out = tmp_path / "curvature_report.json"
+        assert laglab.cli.main(["run", str(path), "-o", str(out)]) == 0
+        return rows, json.loads(out.read_text())["results"]
+
+    honest_rows, honest = run()
+    assert [r.passed for r in honest_rows] == [True] * 4
+    for name, module in list(sys.modules.items()):
+        if name.startswith("laglab") and getattr(module, "quad_form", None) is original:
+            monkeypatch.setattr(module, "quad_form", negated)
+    rows, results = run()
+    assert [r.name for r in rows] == [r.name for r in honest_rows]
+    assert [r.passed for r in rows] == [False] * 4
+    assert honest["quad_r4"] < 0.0 and results["quad_r4"] == -honest["quad_r4"]
+    assert results["quad_r3"] == honest["quad_r3"]
