@@ -199,12 +199,14 @@ class AlmostCYModel:
             phase = self.kappa * x[..., 0]
         else:
             phase = (self.kappa * grid.axis).reshape((-1,) + (1,) * (grid.n - 1))
-        # Half the radius eps e^{kappa y_1}: scaling by 1/2 is exact, so
-        # b/2 and a = 2 (radius/2) cos(phase) carry the bits of b and a.
-        half_radius = np.exp(self.kappa * y[..., 0])
+        # Half the radius eps e^{kappa y_1}, in buffers formed once: scaling by
+        # 1/2 is exact, so b/2 and a = 2 (radius/2) cos(phase) carry the bits.
+        half_radius = np.multiply(self.kappa, y[..., 0])
+        np.exp(half_radius, out=half_radius)
         half_radius *= 0.5 * self.twist_amplitude
-        t = np.tan(half_radius * np.sin(phase))
-        scale = half_radius * np.cos(phase)
+        t = half_radius * np.sin(phase)
+        np.tan(t, out=t)
+        scale = np.multiply(half_radius, np.cos(phase), out=half_radius)
         scale *= 2.0
         np.exp(scale, out=scale)
         t_squared = t * t

@@ -147,8 +147,7 @@ def w_field_values(
         If |Re Omega~| drops below ``tolerance`` anywhere.
     """
     check_field_shapes(gamma.grid, h_values)
-    density = gamma.re_omega
-    worst = np.abs(density).min()
+    worst = gamma.re_omega_min  # min |Re Omega~|: the build checked Re Omega~ > 0
     if not worst >= tolerance:  # NaN fails the comparison too
         raise SingularDensity(
             f"|Re Omega~| = {worst:.3e} below tolerance {tolerance:.1e}; "
@@ -156,7 +155,8 @@ def w_field_values(
         )
     if grad_h is None:
         grad_h = gradient_values(gamma.grid, h_values)
-    return -gamma.cramer_numerator(grad_h) / density[..., None]
+    w = gamma.cramer_numerator(grad_h)
+    return np.divide(np.negative(w, out=w), gamma.re_omega[..., None], out=w)
 
 
 def cov_deriv_pair_values(
@@ -339,7 +339,7 @@ def geodesic_shoot(
             _rk4_update(*terms, dt) for terms in zip(state, k1, k2, k3, k4)
         )
 
-        phi = phi - phi.mean()
+        phi -= phi.mean()
         gamma = gamma_at(phi, (grad_phi, hess_phi), t + dt)
         psi = gamma.normalize_values(psi)
         state = (phi, psi, grad_phi, hess_phi)

@@ -141,10 +141,14 @@ def sec_integral(gamma: GraphLagrangian, bracket: np.ndarray) -> float:
 def _stacks(gamma: GraphLagrangian, values: Sequence[np.ndarray], raised: Sequence[int]):
     """Component-major gradient stacks of ``values`` and the raised stacks of
     ``values[i]`` for i in ``raised``: one spectral gradient each."""
-    grads = [gradient_values(gamma.grid, v) for v in values]
-    # Both come back as component-last views of component-major stacks.
-    ups = [np.moveaxis(gamma.raise_index(grads[i]), -1, 0) for i in raised]
-    return [np.moveaxis(g, -1, 0) for g in grads], ups
+    grads = [gradient_values(gamma.grid, v).transpose(gamma.grid._axis_orders[0]) for v in values]
+    return grads, [_raised(gamma, grads[i]) for i in raised]
+
+
+def _raised(gamma: GraphLagrangian, grad: np.ndarray) -> np.ndarray:
+    """The raised stack of a component-major gradient stack, component-major."""
+    orders = gamma.grid._axis_orders
+    return gamma.raise_index(grad.transpose(orders[1])).transpose(orders[0])
 
 
 def quad_form(
@@ -224,12 +228,13 @@ def sectional_matrix(
     -integral sec(theta) (P_ii P_jj - P_ij^2) rho^{n/2} vol, which depends on
     the functions only through the pointwise Gram matrix P_ij = <dh_i, dh_j>_g
     (so ``numerator[i, i]`` is 0).  So F functions take F spectral gradients
-    and F index raises (``_stacks``).  Per pair, P_ij is one einsum over the
-    component-major stacks and the bracket is formed in place in two
-    scratch fields reused by every pair; the numerator and the Gram entry
-    are each one dot against their weight.  Each entry is reduced on its
-    own, so its value does not depend on which other functions are in the
-    batch.
+    and F index raises, one raised stack at a time (next to the F gradient
+    stacks and diagonals P_ii, F (n + 1) fields).  Per pair, P_ij is one
+    einsum over the component-major stacks and the bracket is formed in
+    place in two scratch fields reused by every pair; the numerator and the
+    Gram entry are each one dot against their weight.  Each entry is
+    reduced on its own, so its value does not depend on which other
+    functions are in the batch.
 
     Raises
     ------
@@ -238,21 +243,25 @@ def sectional_matrix(
     """
     check_field_shapes(gamma.grid, *values)
     _require_margin(gamma, margin_threshold)
-    grads, ups = _stacks(gamma, values, range(len(values)))
-    diag = [np.einsum(_STACK_DOT, g, up) for g, up in zip(grads, ups)]
+    grads, _ = _stacks(gamma, values, ())
     count = len(values)
     numerator = np.zeros((count, count))
     gram = np.zeros((count, count))
+    diag = [None] * count
     cross, bracket = np.empty(gamma.grid.shape), np.empty(gamma.grid.shape)
-    for i in range(count):
+    # Descending i: P_jj is there for every j > i, and one raised stack lives.
+    for i in reversed(range(count)):
+        up = _raised(gamma, grads[i])
+        diag[i] = np.einsum(_STACK_DOT, grads[i], up)
         gram[i, i] = gamma.inner_values(values[i], values[i])
         for j in range(i + 1, count):
-            np.einsum(_STACK_DOT, grads[j], ups[i], out=cross)
+            np.einsum(_STACK_DOT, grads[j], up, out=cross)
             cross *= cross
             np.multiply(diag[i], diag[j], out=bracket)
             bracket -= cross
             numerator[i, j] = numerator[j, i] = -sec_integral(gamma, bracket)
             gram[i, j] = gram[j, i] = gamma.inner_values(values[i], values[j])
+        del up
     return SectionalMatrix(numerator, gram)
 
 

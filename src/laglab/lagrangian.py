@@ -55,8 +55,9 @@ all from one gradient and Hessian and one index raise; ``laplace_beltrami``
 and ``covariant_hessian`` read it.  ``GraphLagrangian.raise_index`` is the
 one application of g^{-1}: the metric pairing, the Laplacian's flux and the
 curvature routes all go through it.  It builds each raised component in
-place in the component-major stack it returns, and ``inverse_metric``
-divides the adjugate in place, both with the bits of the allocating forms.
+place in the component-major stack whose transposed view it returns, as
+``cramer_numerator`` does, and ``inverse_metric`` divides the adjugate in
+place, all with the bits of the allocating forms.
 """
 
 from __future__ import annotations
@@ -91,15 +92,15 @@ class GraphLagrangian:
     and Im E of the twist density E = e^{g} as two contiguous real arrays
     (``AlmostCYModel.holomorphic_density_parts``, which takes e^{ib} in the
     half-angle form: one vectorised tan instead of numpy's scalar sin and
-    cos), the real and imaginary parts of det B (B = I - i Hess phi) and
-    Re Omega~ = Re(E det B), which ``re_omega`` returns.  That is all a
-    geodesic step reads.  Every other field is computed on first read and
-    then cached: the complex E, which only ``rho`` reads, and
-    ``pullback_density``; the phase side ``theta``, ``cos_theta``,
-    ``margin`` and ``sec_weight``, read off Omega~ alone; the metric side
-    ``metric``, ``det_metric``, ``inverse_metric``, ``sqrt_det_metric`` and
-    ``rho``; ``total_weight``, ``lagang_residual`` and the derivative
-    fields below.
+    cos), the real and imaginary parts of det B (B = I - i Hess phi),
+    Re Omega~ = Re(E det B), which ``re_omega`` returns, and its minimum
+    ``re_omega_min``.  That is all a geodesic step reads.  Every other
+    field is computed on first read and then cached: the complex E, which
+    only ``rho`` reads, and ``pullback_density``; the phase side ``theta``,
+    ``cos_theta``, ``margin`` and ``sec_weight``, read off Omega~ alone; the
+    metric side ``metric``, ``det_metric``, ``inverse_metric``,
+    ``sqrt_det_metric`` and ``rho``; ``total_weight``, ``lagang_residual``
+    and the derivative fields below.
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
@@ -137,22 +138,24 @@ class GraphLagrangian:
             raise ValueError("derivatives do not match the potential's grid")
 
         # Pullback of Omega along x -> (x, grad phi) from the invariants of H
-        # (module docstring): det B = (1 - s2) - i (s1 - s3).
+        # (module docstring): det B = (1 - s2) - i (s1 - s3), each array
+        # formed in place in the order of the written sums.
         H = self.hess_phi
-        self._trace_hess = H[..., 0, 0].copy()
-        for a in range(1, n):
-            self._trace_hess += H[..., a, a]
-        self._adj_hess = adjugate(H) if n == 3 else None
-        if n == 1:
-            self._re_det_B = np.ones(grid.shape)
-            self._im_det_B = 0.0 - self._trace_hess
-        elif n == 2:
-            self._re_det_B = 1.0 - det(H)
-            self._im_det_B = 0.0 - self._trace_hess
+        trace = H[..., 0, 0].copy() if n == 1 else np.add(H[..., 0, 0], H[..., 1, 1])
+        if n == 3:
+            trace += H[..., 2, 2]
+        self._trace_hess = trace
+        self._adj_hess = adj = adjugate(H) if n == 3 else None
+        if n < 3:
+            self._re_det_B = re_det_B = np.ones(grid.shape) if n == 1 else det(H)
+            self._im_det_B = im_det_B = np.subtract(0.0, trace)
         else:
-            adj = self._adj_hess
-            self._re_det_B = 1.0 - (adj[..., 0, 0] + adj[..., 1, 1] + adj[..., 2, 2])
-            self._im_det_B = det(H) - self._trace_hess
+            self._re_det_B = re_det_B = np.add(adj[..., 0, 0], adj[..., 1, 1])
+            re_det_B += adj[..., 2, 2]
+            self._im_det_B = im_det_B = det(H)
+            im_det_B -= trace
+        if n > 1:
+            np.subtract(1.0, re_det_B, out=re_det_B)
 
         # An overflowing twist leaves inf or NaN in Re Omega~, which the
         # positivity check reports; evaluate it without warnings.
@@ -160,13 +163,14 @@ class GraphLagrangian:
             self._re_twist, self._im_twist = model.holomorphic_density_parts(
                 grid.coords, self.grad_phi, grid=grid
             )
-            self._re_pullback = self._re_twist * self._re_det_B - self._im_twist * self._im_det_B
+            self._re_pullback = re_pullback = np.multiply(self._re_twist, re_det_B)
+            re_pullback -= np.multiply(self._im_twist, im_det_B)
 
             # Positivity is 0 < Re Omega~ < inf at every point; NaN fails
             # both comparisons.  Where Re Omega~ is not finite, cos(theta) has
             # no value, so the first such point is reported with a NaN margin.
-            re_pullback = self._re_pullback
-            if not (re_pullback.min() > 0.0 and re_pullback.max() < np.inf):
+            self.re_omega_min = re_pullback.min()
+            if not (self.re_omega_min > 0.0 and re_pullback.max() < np.inf):
                 not_finite = ~np.isfinite(re_pullback)
                 if not_finite.any():
                     margin, worst = np.nan, np.argmax(not_finite)
@@ -196,19 +200,27 @@ class GraphLagrangian:
     def cramer_numerator(self, vec: np.ndarray) -> np.ndarray:
         """Im(E * det(B with column a replaced by vec)) for every a, as
         Im(E adj(B) vec) in real arithmetic (module docstring), for a real
-        vector field ``vec``.  Component a is written into the contiguous
-        row a of a component-major buffer, returned as its ``grid.shape +
-        (n,)`` view."""
-        H, adj3 = self.hess_phi, self._adj_hess
-        out = np.empty((self.grid.n,) + self.grid.shape)
+        vector field ``vec``; component a is summed in place in the written
+        order, in row a of a component-major buffer, returned as a view."""
+        H, adj3, grid = self.hess_phi, self._adj_hess, self.grid
+        out = np.empty((grid.n,) + grid.shape)
+        term, part = np.empty(grid.shape), np.empty(grid.shape)
+
+        def row_dot(m, a, acc):  # (m vec)_a into acc, as ``vector_dot`` sums it
+            np.multiply(m[..., a, 0], vec[..., 0], out=acc)
+            for b in range(1, grid.n):
+                acc += np.multiply(m[..., a, b], vec[..., b], out=term)
+            return acc
+
         for a, row in enumerate(out):
-            real_part = vector_dot(H[..., a, :], vec) - self._trace_hess * vec[..., a]
-            imag_part = vec[..., a]
+            row_dot(H, a, row)
+            row -= np.multiply(self._trace_hess, vec[..., a], out=term)
+            row *= self._re_twist
+            imag = vec[..., a]
             if adj3 is not None:
-                imag_part = imag_part - vector_dot(adj3[..., a, :], vec)
-            np.multiply(self._re_twist, real_part, out=row)
-            row += self._im_twist * imag_part
-        return np.moveaxis(out, 0, -1)
+                imag = np.subtract(imag, row_dot(adj3, a, part), out=part)
+            row += np.multiply(self._im_twist, imag, out=part)
+        return out.transpose(grid._axis_orders[1])
 
     # -- metric side, computed on first read -----------------------------------
 
@@ -338,7 +350,7 @@ class GraphLagrangian:
             for b in range(1, n):
                 np.multiply(ginv[..., a, b], grad[..., b], out=term)
                 row += term
-        return np.moveaxis(up, 0, -1)
+        return up.transpose(self.grid._axis_orders[1])
 
     def metric_pair(self, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
         """Pointwise <ga, gb> of two gradient fields in the induced metric."""

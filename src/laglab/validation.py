@@ -90,13 +90,14 @@ RICHARDSON_FLOOR = 1e-11
 
 # The battery's fixed geometry and finite-difference steps: the torus period
 # and twist mode of its models, the step of the connection and curvature
-# oracles, the step of the angle-derivative oracle and the highest mode of
-# its random inputs.
+# oracles, the step of the angle-derivative oracle, the highest mode of its
+# random inputs and the pairing's error floor, as a fraction of the scale.
 PERIOD = 2.0 * np.pi
 TWIST_MODE = 1
 DELTA_FD = 1e-3
 DELTA_DTHETA = 1e-4
 MAX_MODE = 3
+PAIRING_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,7 @@ def check_r3_r4_pairing(
     lhs = gamma.inner_values(r_vals, m)
     rhs, scale = quad_form(gamma, h, k, l, m)  # scale: the identity's natural one
     err_abs = abs(lhs - rhs)
-    denom = max(abs(rhs), 1e-3 * scale, 1e-300)
+    denom = max(abs(rhs), PAIRING_FLOOR * scale, 1e-300)
     err_rel = err_abs / denom
     params = {
         "lhs": lhs,
@@ -536,7 +537,8 @@ def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> l
     trial, and the ``lhs``, ``rhs`` and ``integrand_scale`` of the trial with
     the largest ``integrand_scale``.  The errors sit at roundoff, so which
     trial is worst can change with roundoff elsewhere; the largest scale
-    changes only at a tie."""
+    changes only at a tie.  ``trials_under_floor`` counts the trials whose
+    |rhs| is below ``PAIRING_FLOOR`` times their scale: their sign is unchecked."""
     out = []
     for name, gamma in bases.items():
         trials = []
@@ -551,7 +553,8 @@ def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> l
             ))
         largest = max(trials, key=lambda r: r.params["integrand_scale"])
         shown = {key: largest.params[key] for key in ("lhs", "rhs", "integrand_scale")}
-        out.append(_worst(trials, quadruples=cfg.quadruples, **shown))
+        under = sum(abs(r.params["rhs"]) < PAIRING_FLOOR * r.params["integrand_scale"] for r in trials)
+        out.append(_worst(trials, quadruples=cfg.quadruples, trials_under_floor=under, **shown))
     return out
 
 

@@ -427,3 +427,50 @@ def test_geodesic_stage_differentiates_one_gradient(n, points, per_stage, monkey
     assert len(graphs) > steps
     metric_side = ("metric", "inverse_metric", "sqrt_det_metric", "rho", "theta")
     assert [name for g in graphs for name in metric_side if name in vars(g)] == []
+
+
+def _written_out_w_field(gamma, grad):
+    """-(Re E (H grad - s1 grad) + Im E (grad - adj3 H grad)) / Re Omega~,
+    every sum written out in its order, component a in column a."""
+    from laglab.torus import adjugate
+
+    H, n = gamma.hess_phi, gamma.grid.n
+    adj3 = adjugate(H) if n == 3 else None
+
+    def row_dot(m, a):
+        out = m[..., a, 0] * grad[..., 0]
+        for b in range(1, n):
+            out = out + m[..., a, b] * grad[..., b]
+        return out
+
+    trace = H[..., 0, 0]
+    for a in range(1, n):
+        trace = trace + H[..., a, a]
+    rows = []
+    for a in range(n):
+        real = row_dot(H, a) - trace * grad[..., a]
+        imag = grad[..., a] if adj3 is None else grad[..., a] - row_dot(adj3, a)
+        rows.append(-(gamma._re_twist * real + gamma._im_twist * imag) / gamma.re_omega)
+    return np.stack(rows, axis=-1)
+
+
+@pytest.mark.parametrize("twist", [0.0, 0.3])
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 64), (3, 16)])
+def test_w_field_is_the_written_out_expression_bit_for_bit(n, points, twist):
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=twist, twist_mode=1)
+    gamma = build(model, field_from_function(
+        grid, lambda c: 0.2 * np.cos(c.sum(axis=-1)) + 0.1 * np.sin(c[..., -1] - c[..., 0])
+    ))
+    h = field_from_function(grid, lambda c: np.cos(c[..., 0]) + 0.3 * np.sin(2 * c[..., -1]))
+    expected = _written_out_w_field(gamma, gradient_values(grid, h.values))
+    assert np.array_equal(w_field_values(gamma, h.values), expected)
+
+
+def test_singular_density_reports_the_graphs_minimum(twisted_generic, h_field):
+    worst = np.abs(twisted_generic.re_omega).min()
+    with pytest.raises(SingularDensity) as info:
+        w_field_values(twisted_generic, h_field.values, tolerance=2.0)
+    assert str(info.value) == (
+        f"|Re Omega~| = {worst:.3e} below tolerance {2.0:.1e}; positivity nearly violated"
+    )

@@ -388,3 +388,30 @@ def test_sectional_matrix_3d_peak_memory(count):
         tracemalloc.stop()
     field_bytes = gamma.grid.size * 8
     assert peak <= ((2 * 3 + 1) * count + 6) * field_bytes
+
+
+def test_sectional_matrix_3d_raises_one_stack_at_a_time(monkeypatch):
+    """F = 8 on the 32^3 twisted generic graph: F index raises, and a traced
+    peak of at most F (n + 1) + 10 fields, the F gradient stacks and
+    diagonals with one raised stack (59 fields when all F were kept)."""
+    count = 8
+    gamma, f = _generic_3d_functions(count)
+    gamma.inverse_metric, gamma.sec_weight, gamma.margin  # the graph's own cache
+    raised = 0
+    original = GraphLagrangian.raise_index
+
+    def counting(self, grad):
+        nonlocal raised
+        raised += 1
+        return original(self, grad)
+
+    monkeypatch.setattr(GraphLagrangian, "raise_index", counting)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sectional_matrix(gamma, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raised == count
+    assert peak <= (count * (3 + 1) + 10) * gamma.grid.size * 8

@@ -477,3 +477,20 @@ def test_the_battery_guards_the_one_quadruple_form(tmp_path, monkeypatch):
     assert [r.passed for r in rows] == [False] * 4
     assert honest["quad_r4"] < 0.0 and results["quad_r4"] == -honest["quad_r4"]
     assert results["quad_r3"] == honest["quad_r3"]
+
+
+@pytest.mark.parametrize("points, quadruples, expected", [
+    (32, 1, {"flat_zero": 1}),
+    (64, 20, {"flat_zero": 6, "twisted_zero": 3, "flat_generic": 4, "twisted_generic": 1}),
+])
+def test_pairing_rows_count_the_trials_under_the_error_floor(points, quadruples, expected):
+    """A trial whose |rhs| is below the floor passes whatever its sign; each
+    pairing row says how many of its trials that is (seed 7; at 32^2 with
+    one quadruple, the flat_zero form vanishes by mode orthogonality)."""
+    cfg = SuiteConfig(grid_points=points, seed=7, quadruples=quadruples)
+    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
+    key = next(key for key, suite in SUITES if suite is _suite_pairing)
+    rows = _suite_pairing(cfg, bases, np.random.default_rng([cfg.seed, key]))
+    counts = {row.name[len("r3_r4_pairing["):-1]: row.params["trials_under_floor"] for row in rows}
+    assert {name: counts[name] for name in expected} == expected
+    assert all(type(count) is int for count in counts.values())

@@ -6,12 +6,15 @@ PARENT and CHANGE are checkouts of the repository.  Each tree runs the same
 fixed job list in a fresh interpreter, with its own ``src`` on the import
 path and its own ``perfbench/workloads.py`` for the benchmark workload
 configs: the validation battery at seed/grid 3/32, 7/64 and 41/64, the
-``geodesic`` and ``scan3d`` workloads at seeds 1 and 41, and ``sectional``
-and ``curvature`` jobs at n = 1, n = 2 (flat and twisted) and n = 3.  Every
-report is serialised by the tree's own ``laglab.cli.report_bytes`` (which
-leaves out the timing) with the job's temporary directory replaced by
-``<tmp>``.  For each report that differs the tool prints a diff and a
-summary: how many numeric leaves differ, the largest relative difference
+``geodesic`` and ``scan3d`` workloads at seeds 1 and 41, and ``sectional``,
+``curvature`` and reversed 20-step ``geodesic`` jobs at n = 1, n = 2 (flat
+and twisted) and n = 3: 19 reports, covering the flat and twisted branches
+of the graph build and the w-field at every dimension.  Every report is
+serialised by the tree's own ``laglab.cli.report_bytes`` (which leaves out
+the timing) with the job's temporary directory replaced by ``<tmp>``; the
+``scan3d`` report carries the bytes of its CSV file after it.  For each
+report that differs the tool prints a diff and a summary: how many numeric
+leaves (CSV cells included) differ, the largest relative difference
 |a - b| / max(|a|, |b|) and the leaf it is at, and whether any non-numeric
 leaf (the exit line included) or the structure differs.  It exits 1 if any
 report differs, else prints one line per report and exits 0.
@@ -19,6 +22,7 @@ report differs, else prints one line per report and exits 0.
 
 from __future__ import annotations
 
+import csv
 import difflib
 import json
 import os
@@ -27,12 +31,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Runs inside each tree: argv[1] is the tree root.  Prints {name: report}.
+# Separates a report's JSON from each output file appended after it; JSON
+# text escapes its newlines, so the mark cannot occur inside the report.
+FILE_MARK = "\n--- file "
+
+# Runs inside each tree: argv[1] is the tree root, argv[2] the file mark.
+# Prints {name: report}.
 CHILD = r'''
 import json, sys, tempfile
 from pathlib import Path
 
 root = Path(sys.argv[1])
+FILE_MARK = sys.argv[2]
 sys.path.insert(0, str(root / "perfbench"))
 import workloads
 from laglab.cli import main, report_bytes
@@ -57,14 +67,17 @@ GEOMETRIES = {"n1": (1, 0.0), "n2_flat": (2, 0.0), "n2_twisted": (2, 0.1), "n3":
 JOBS = {
     "sectional": {"h": "h", "k": "k"},
     "curvature": {"h": "h", "k": "k", "l": "l", "m": "h", "include_field": False},
+    "geodesic": {"h0": "h", "time": 0.1, "steps": 20, "reverse": True},
 }
 
 reports = {}
 
 
-def run(name, workdir, argv, report_path):
+def run(name, workdir, argv, report_path, *files):
     code = main(argv)
     text = report_bytes(json.loads(report_path.read_text())).decode() if report_path.exists() else ""
+    for path in files:
+        text += f"{FILE_MARK}{path.name}\n" + (path.read_text() if path.exists() else "")
     reports[name] = f"exit {code}\n" + text.replace(str(workdir), "<tmp>")
 
 
@@ -78,7 +91,7 @@ for name in ("geodesic", "scan3d"):
         with tempfile.TemporaryDirectory() as tmp:
             workload = workloads.WORKLOADS[name](Path(tmp), seed)
             workload.prepare()
-            run(f"{name}_{seed}", tmp, workload.argv(), workload.report_path)
+            run(f"{name}_{seed}", tmp, workload.argv(), *workload.outputs())
 for job, params in JOBS.items():
     for label, (n, eps) in GEOMETRIES.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -95,7 +108,7 @@ def reports_of(tree: Path) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
-            [sys.executable, "-c", CHILD, str(tree)],
+            [sys.executable, "-c", CHILD, str(tree), FILE_MARK],
             cwd=cwd, env=env, capture_output=True, text=True,
         )
     if done.returncode != 0:
@@ -118,12 +131,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def summarize(old: str, new: str) -> str:
-    """One line quantifying how two reports ("exit N" then the report JSON)
-    differ."""
+    """One line quantifying how two reports ("exit N", the report JSON, then
+    each appended output file, a CSV table) differ."""
     def parse(text: str) -> dict:
         head, _, body = text.partition("\n")
-        return _leaves({"exit": head, "report": json.loads(body) if body else None})
+        body, *files = body.split(FILE_MARK)
+        tables = {}
+        for part in files:
+            name, _, content = part.partition("\n")
+            tables[name] = [[_cell(c) for c in row] for row in csv.reader(content.splitlines())]
+        report = json.loads(body) if body else None
+        return _leaves({"exit": head, "report": report, "files": tables})
 
     before, after = parse(old), parse(new)
     other = before.keys() != after.keys()
