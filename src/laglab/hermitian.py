@@ -16,6 +16,10 @@ sign (the one matching the oracle) is the default and the literal value
 stays available for comparison.  ``herm_sectional`` divides the quadruple
 form by the Gram determinant in ``curvature.sectional_quotient``, the same
 quotient, degeneracy threshold and message as the Lagrangian side.
+
+One kernel, ``_metric_raw``, evaluates the metric from the weights and the
+inverses over any leading stack axes: the inner product and the oracle's
+stacked Christoffel steps alike.  Weights and matrices must be finite.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ class HermBase:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", w)
@@ -64,11 +70,14 @@ def _hermitian_family(base: HermBase, matrices, label: str) -> np.ndarray:
     ShapeMismatch
         If the array is not (base size, m, m).
     ValueError
-        If a matrix is not Hermitian; the message starts with ``label``.
+        If an entry is not finite or a matrix is not Hermitian; the message
+        starts with ``label``.
     """
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[0] != base.size or mats.shape[1] != mats.shape[2]:
         raise ShapeMismatch(f"matrices shape {mats.shape} incompatible with base")
+    if not np.isfinite(mats).all():
+        raise ValueError(f"{label} must be finite")
     _check_hermitian(mats, label)
     return mats
 
@@ -121,19 +130,20 @@ def _aligned(H: HermPoint, *tangents: HermTangent) -> list[np.ndarray]:
     return out
 
 
-def _weighted_trace(H: HermPoint, products: np.ndarray) -> float:
+def _weighted_trace(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Re sum_p w_p tr(products_p); leading axes of ``products`` stay."""
     traces = np.trace(products, axis1=-2, axis2=-1)
-    return float(np.real(np.sum(H.base.weights * traces)))
+    return np.real(np.sum(weights * traces, axis=-1))
 
 
-def _metric_raw(H: HermPoint, a: np.ndarray, b: np.ndarray) -> float:
-    Hi = H.inverses()
-    return _weighted_trace(H, Hi @ a @ Hi @ b)
+def _metric_raw(weights: np.ndarray, inverses: np.ndarray, a, b) -> np.ndarray:
+    """sum_p w_p tr(H^{-1} a H^{-1} b), broadcast over leading stack axes."""
+    return _weighted_trace(weights, inverses @ a @ inverses @ b)
 
 
 def herm_inner(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
     """Metric sum_p w_p tr(H^{-1} xi H^{-1} eta)."""
-    return _metric_raw(H, *_aligned(H, xi, eta))
+    return float(_metric_raw(H.base.weights, H.inverses(), *_aligned(H, xi, eta)))
 
 
 def herm_curvature_quad(
@@ -156,7 +166,7 @@ def herm_curvature_quad(
     A, B, C, D = Hi @ a, Hi @ b, Hi @ c, Hi @ d
     comm1 = A @ B - B @ A
     comm2 = D @ C - C @ D
-    value = 0.25 * _weighted_trace(H, comm1 @ comm2)
+    value = float(0.25 * _weighted_trace(H.base.weights, comm1 @ comm2))
     return -value if literal else value
 
 
@@ -182,44 +192,21 @@ def herm_sectional(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
 # ---------------------------------------------------------------------------
 
 
-def hermitian_basis(matrix_dim: int) -> list[np.ndarray]:
-    """Orthogonal real basis of Hermitian matrices (Frobenius-normalized)."""
-    es = []
-    for j in range(matrix_dim):
-        E = np.zeros((matrix_dim, matrix_dim), dtype=complex)
-        E[j, j] = 1.0
-        es.append(E)
-    for j in range(matrix_dim):
-        for k in range(j + 1, matrix_dim):
-            E = np.zeros((matrix_dim, matrix_dim), dtype=complex)
-            E[j, k] = E[k, j] = 1.0 / np.sqrt(2.0)
-            es.append(E)
-            E = np.zeros((matrix_dim, matrix_dim), dtype=complex)
-            E[j, k] = 1j / np.sqrt(2.0)
-            E[k, j] = -1j / np.sqrt(2.0)
-            es.append(E)
-    return es
-
-
-def _family_basis(base: HermBase, matrix_dim: int) -> list[np.ndarray]:
-    single = hermitian_basis(matrix_dim)
-    out = []
-    zero = np.zeros((base.size, matrix_dim, matrix_dim), dtype=complex)
-    for p in range(base.size):
-        for E in single:
-            fam = zero.copy()
-            fam[p] = E
-            out.append(fam)
-    return out
-
-
-def _shifted_point(H: HermPoint, direction: np.ndarray, amount: float) -> HermPoint:
-    try:
-        return HermPoint(H.base, H.matrices + amount * direction)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            f"finite-difference shift of size {amount:.1e} left the positive cone ({exc})"
-        ) from exc
+def _family_basis(points: int, matrix_dim: int) -> np.ndarray:
+    """Frobenius-orthonormal real basis of Hermitian families, stacked on a
+    leading axis: for each point in turn its m diagonal units, then for each
+    j < k the symmetric and the antisymmetric off-diagonal element."""
+    single = np.zeros((matrix_dim**2, matrix_dim, matrix_dim), dtype=complex)
+    diag = np.arange(matrix_dim)
+    single[diag, diag, diag] = 1.0
+    j, k = np.triu_indices(matrix_dim, 1)
+    sym = matrix_dim + 2 * np.arange(j.size)
+    single[sym, j, k] = single[sym, k, j] = 1.0 / np.sqrt(2.0)
+    single[sym + 1, j, k] = 1j / np.sqrt(2.0)
+    single[sym + 1, k, j] = -1j / np.sqrt(2.0)
+    family = np.zeros((points, matrix_dim**2, points, matrix_dim, matrix_dim), dtype=complex)
+    family[np.arange(points), :, np.arange(points)] = single
+    return family.reshape((points * matrix_dim**2, points, matrix_dim, matrix_dim))
 
 
 def herm_fd_riemann(
@@ -239,49 +226,61 @@ def herm_fd_riemann(
     constant coordinate fields xi, eta, zeta.  Ground truth for the sign of
     ``herm_curvature_quad``.
 
+    Each Christoffel step Gamma(u, v) at P stacks P, P +- delta u, P +- delta v
+    and P +- delta e for every basis family e, checks the stack with one
+    eigenvalue pass and inverts it once; the metric differences and the basis
+    Gram matrix are array algebra on those inverses.
+
     Raises
     ------
     NotPositiveDefinite
-        If a finite-difference shift leaves the positive-definite cone.
+        If a finite-difference shift leaves the positive-definite cone; the
+        message names the first such shift (in stack order, P first) and its
+        minimum eigenvalue.
     """
     a, b, c, d = _aligned(H, xi, eta, zeta, lam)
-    basis = _family_basis(H.base, H.matrix_dim)
-    dim = len(basis)
+    weights = H.base.weights
+    basis = _family_basis(H.base.size, H.matrix_dim)
+    steps = np.array([delta, -delta])
 
-    def christoffel(base_point: HermPoint, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        rhs = np.empty(dim)
-        plus_u = _shifted_point(base_point, u, delta)
-        minus_u = _shifted_point(base_point, u, -delta)
-        plus_v = _shifted_point(base_point, v, delta)
-        minus_v = _shifted_point(base_point, v, -delta)
-        for i, e in enumerate(basis):
-            du = (_metric_raw(plus_u, v, e) - _metric_raw(minus_u, v, e)) / (2 * delta)
-            dv = (_metric_raw(plus_v, u, e) - _metric_raw(minus_v, u, e)) / (2 * delta)
-            de = (
-                _metric_raw(_shifted_point(base_point, e, delta), u, v)
-                - _metric_raw(_shifted_point(base_point, e, -delta), u, v)
-            ) / (2 * delta)
-            rhs[i] = 0.5 * (du + dv - de)
-        gram = np.array(
-            [[_metric_raw(base_point, ei, ej) for ej in basis] for ei in basis]
-        )
+    def christoffel(P: np.ndarray, shift: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # P lies ``shift`` off H; the stack interleaves +delta and -delta.
+        directions = np.concatenate([np.stack([u, v]), basis])
+        shifted = P + steps[:, None, None, None] * directions[:, None]
+        stack = np.concatenate([P[None], shifted.reshape((-1,) + P.shape)])
+        lowest = np.linalg.eigvalsh(stack).min(axis=(1, 2))
+        if (lowest <= 0).any():
+            i = (lowest <= 0).argmax()
+            amounts = np.concatenate([[shift], np.tile(steps, len(directions))])
+            raise NotPositiveDefinite(
+                f"finite-difference shift of size {amounts[i]:.1e} left the positive cone "
+                f"(minimum eigenvalue {lowest[i]:.3e} <= 0)"
+            )
+        inverses = np.linalg.inv(stack)
+        plus, minus = inverses[1::2], inverses[2::2]
+
+        def central(k, x, y):  # derivative of (x, y) along directions[k]
+            diff = _metric_raw(weights, plus[k], x, y) - _metric_raw(weights, minus[k], x, y)
+            return diff / (2 * delta)
+
+        rhs = 0.5 * (central(0, v, basis) + central(1, u, basis) - central(slice(2, None), u, v))
+        gram = _metric_raw(weights, inverses[0], basis[:, None], basis)
         coeff = np.linalg.solve(gram, rhs)
-        return np.tensordot(coeff, np.asarray(basis), axes=(0, 0))
+        return np.tensordot(coeff, basis, axes=(0, 0))
 
     def dgamma(direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        plus = christoffel(_shifted_point(H, direction, delta), u, v)
-        minus = christoffel(_shifted_point(H, direction, -delta), u, v)
+        plus, minus = (christoffel(H.matrices + s * direction, s, u, v) for s in (delta, -delta))
         return (plus - minus) / (2 * delta)
 
-    gamma_bc = christoffel(H, b, c)
-    gamma_ac = christoffel(H, a, c)
+    gamma_bc = christoffel(H.matrices, 0.0, b, c)
+    gamma_ac = christoffel(H.matrices, 0.0, a, c)
     riem = (
         dgamma(a, b, c)
         - dgamma(b, a, c)
-        + christoffel(H, a, gamma_bc)
-        - christoffel(H, b, gamma_ac)
+        + christoffel(H.matrices, 0.0, a, gamma_bc)
+        - christoffel(H.matrices, 0.0, b, gamma_ac)
     )
-    return _metric_raw(H, riem, d)
+    return float(_metric_raw(weights, H.inverses(), riem, d))
 
 
 # -- helpers for tests and the battery --------------------------------------

@@ -189,11 +189,103 @@ def test_fd_oracle_linearity(single_base, identity_point):
     assert v12 == pytest.approx(v1 + v2, rel=1e-6, abs=1e-8)
 
 
+def _fd_riemann_entry_by_entry(H, a, b, c, d, delta):
+    """The oracle one metric entry at a time, H^{-1} formed again for each,
+    in the order of operations the stacked evaluation keeps."""
+    P, m, points = H.matrices, H.matrix_dim, H.base.size
+    single = []
+    for j in range(m):
+        single.append(np.zeros((m, m), dtype=complex))
+        single[-1][j, j] = 1.0
+    for j in range(m):
+        for k in range(j + 1, m):
+            sym, anti = np.zeros((m, m), dtype=complex), np.zeros((m, m), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            anti[j, k], anti[k, j] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            single += [sym, anti]
+    basis = []
+    for p in range(points):
+        for E in single:
+            basis.append(np.zeros((points, m, m), dtype=complex))
+            basis[-1][p] = E
+
+    def metric(P, x, y):
+        Hi = np.linalg.inv(P)
+        traces = np.trace(Hi @ x @ Hi @ y, axis1=-2, axis2=-1)
+        return float(np.real(np.sum(H.base.weights * traces)))
+
+    def central(P, direction, x, y):
+        plus, minus = P + delta * direction, P + -delta * direction
+        return (metric(plus, x, y) - metric(minus, x, y)) / (2 * delta)
+
+    def christoffel(P, u, v):
+        rhs = [0.5 * (central(P, u, v, e) + central(P, v, u, e) - central(P, e, u, v))
+               for e in basis]
+        gram = np.array([[metric(P, ei, ej) for ej in basis] for ei in basis])
+        return np.tensordot(np.linalg.solve(gram, np.array(rhs)), np.asarray(basis), axes=(0, 0))
+
+    def dgamma(direction, u, v):
+        plus = christoffel(P + delta * direction, u, v)
+        minus = christoffel(P + -delta * direction, u, v)
+        return (plus - minus) / (2 * delta)
+
+    riem = (dgamma(a, b, c) - dgamma(b, a, c)
+            + christoffel(P, a, christoffel(P, b, c)) - christoffel(P, b, christoffel(P, a, c)))
+    return metric(P, riem, d)
+
+
+@pytest.mark.parametrize("points, m", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 3)])
+def test_fd_oracle_stack_is_the_entry_by_entry_oracle_bit_for_bit(points, m):
+    rng = np.random.default_rng([points, m])
+    base = HermBase(rng.uniform(0.5, 2.0, size=points))
+    H = random_point(rng, base, m, margin=1.0)
+    xi, eta, zeta, lam = (random_tangent(rng, base, m) for _ in range(4))
+    reference = _fd_riemann_entry_by_entry(
+        H, xi.matrices, eta.matrices, zeta.matrices, lam.matrices, 1e-3)
+    assert herm_fd_riemann(H, xi, eta, zeta, lam, delta=1e-3) == reference
+
+
+def test_fd_oracle_three_point_3x3():
+    """The m = 3 basis (three diagonal units, three symmetric and three
+    antisymmetric off-diagonal elements per point) on three points."""
+    rng = np.random.default_rng(23)
+    base = HermBase(np.array([1.0, 0.7, 1.3]))
+    H = random_point(rng, base, 3, margin=1.0)
+    xi, eta, zeta, lam = (random_tangent(rng, base, 3) for _ in range(4))
+    fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta=1e-3)
+    closed = herm_curvature_quad(H, xi, eta, zeta, lam)
+    assert fd == pytest.approx(closed, rel=1e-3, abs=1e-4)
+    fd = herm_fd_riemann(H, xi, eta, eta, xi, delta=1e-3)
+    assert fd == pytest.approx(herm_curvature_quad(H, xi, eta, eta, xi), rel=1e-3, abs=1e-4)
+
+
+@pytest.mark.parametrize("points, m", [(1, 2), (3, 3)])
+def test_fd_oracle_checks_and_inverts_one_stack_per_christoffel_step(monkeypatch, points, m):
+    """Eight Christoffel steps (two at H, four shifted for the derivatives,
+    two for Gamma o Gamma), each one eigenvalue pass and one inversion, plus
+    the final inverse at H, whatever the basis size."""
+    rng = np.random.default_rng(29)
+    base = HermBase(rng.uniform(0.5, 2.0, size=points))
+    H = random_point(rng, base, m, margin=1.0)
+    xi, eta = random_tangent(rng, base, m), random_tangent(rng, base, m)
+    calls = {"inv": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    herm_fd_riemann(H, xi, eta, eta, xi)
+    assert calls == {"inv": 9, "eigvalsh": 8}
+
+
 def test_fd_shift_positivity_guard(single_base):
     H = HermPoint(single_base, (1e-4 * np.eye(2, dtype=complex))[None])
     sx = _tangent(single_base, SIGMA_X)
     sy = _tangent(single_base, SIGMA_Y)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match=r"shift of size 1\.0e-03 left the positive cone"):
         herm_fd_riemann(H, sx, sy, sy, sx, delta=1e-3)
 
 
@@ -218,3 +310,18 @@ def test_degenerate_plane(single_base, identity_point):
     sx2 = _tangent(single_base, 2.0 * SIGMA_X)
     with pytest.raises(DegeneratePlane):
         herm_sectional(identity_point, sx, sx2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_rejected_by_name(single_base, bad):
+    """NaN passes ``w <= 0`` and the Hermitian check, and inf passes the
+    latter; each would otherwise reach the metric as a quiet NaN."""
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        HermBase(np.array([1.0, bad]))
+    for entry in (bad, complex(0.0, bad)):
+        mats = np.eye(2, dtype=complex)[None]
+        mats[0, 0, 1] = mats[0, 1, 0] = entry
+        with pytest.raises(ValueError, match="^tangent matrices must be finite$"):
+            HermTangent(single_base, mats)
+        with pytest.raises(ValueError, match="^point matrices must be finite$"):
+            HermPoint(single_base, mats)

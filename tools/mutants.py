@@ -35,6 +35,14 @@ MUTANTS = (
     ("sectional: bracket += cross", "curvature.py", "bracket -= cross", "bracket += cross"),
     ("sectional: numerator sign", "curvature.py",
      "numerator[j, i] = -sec_integral", "numerator[j, i] = sec_integral"),
+    ("mirror quadruple form: 1/4 -> 1/2", "hermitian.py",
+     "value = float(0.25 * _weighted_trace", "value = float(0.5 * _weighted_trace"),
+    ("FD oracle: Koszul 1/2 dropped", "hermitian.py", "rhs = 0.5 * (central(", "rhs = (central("),
+    ("FD oracle: sign of de flipped", "hermitian.py",
+     "- central(slice(2, None), u, v)", "+ central(slice(2, None), u, v)"),
+    ("FD oracle: Gamma o Gamma sign flipped", "hermitian.py",
+     "+ christoffel(H.matrices, 0.0, a, gamma_bc)\n        - christoffel(H.matrices, 0.0, b, gamma_ac)",
+     "- christoffel(H.matrices, 0.0, a, gamma_bc)\n        + christoffel(H.matrices, 0.0, b, gamma_ac)"),
     ("geodesic_shoot: acceleration negated", "connection.py",
      "accel = -cov_deriv_pair_values(", "accel = cov_deriv_pair_values("),
     ("covariant Hessian: Christoffel sign", "lagrangian.py",

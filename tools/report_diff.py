@@ -6,10 +6,13 @@ PARENT and CHANGE are checkouts of the repository.  Each tree runs the same
 fixed job list in a fresh interpreter, with its own ``src`` on the import
 path and its own ``perfbench/workloads.py`` for the benchmark workload
 configs: the validation battery at seed/grid 3/32, 7/64 and 41/64, the
-``geodesic`` and ``scan3d`` workloads at seeds 1 and 41, and ``sectional``,
+``geodesic`` and ``scan3d`` workloads at seeds 1 and 41, ``sectional``,
 ``curvature`` and reversed 20-step ``geodesic`` jobs at n = 1, n = 2 (flat
-and twisted) and n = 3: 19 reports, covering the flat and twisted branches
-of the graph build and the w-field at every dimension.  Every report is
+and twisted) and n = 3, and two ``mirror`` jobs (the README's Pauli plane
+at the 2x2 identity, and a two-point 3x3 family with ``zeta`` and
+``lambda`` given): 21 reports, covering the flat and twisted branches of
+the graph build and the w-field at every dimension and the Hermitian
+finite-difference oracle.  Every report is
 serialised by the tree's own ``laglab.cli.report_bytes`` (which leaves out
 the timing) with the job's temporary directory replaced by ``<tmp>``; the
 ``scan3d`` report carries the bytes of its CSV file after it.  For each
@@ -70,6 +73,26 @@ JOBS = {
     "geodesic": {"h0": "h", "time": 0.1, "steps": 20, "reverse": True},
 }
 
+# The README's Pauli plane, and a two-point 3x3 family; entries are numbers
+# or [re, im] pairs.
+MIRRORS = {
+    "pauli": {"weights": [1.0], "H": [[[1, 0], [0, 1]]], "xi": [[[0, 1], [1, 0]]],
+              "eta": [[[0, [0, -1]], [[0, 1], 0]]]},
+    "two_point_3x3": {
+        "weights": [1.0, 0.5],
+        "H": [[[2, [0.5, 0.5], 0], [[0.5, -0.5], 1.5, 0.3], [0, 0.3, 1]],
+              [[1, 0.2, [0, 0.4]], [0.2, 2, 0], [[0, -0.4], 0, 1.2]]],
+        "xi": [[[1, 0, 0.5], [0, -1, [0, 0.3]], [0.5, [0, -0.3], 0]],
+               [[0, 1, 0], [1, 0, 0], [0, 0, 0.5]]],
+        "eta": [[[0, [0, -1], 0], [[0, 1], 0, 0], [0, 0, 1]],
+                [[0.3, 0, [0.2, 0.2]], [0, -0.5, 0], [[0.2, -0.2], 0, 0]]],
+        "zeta": [[[0, 0, 1], [0, 0.5, 0], [1, 0, -0.5]],
+                 [[1, [0, 0.5], 0], [[0, -0.5], 0, 0.2], [0, 0.2, -1]]],
+        "lambda": [[[0.2, 0.4, 0], [0.4, 0, [0, -1]], [0, [0, 1], 0.1]],
+                   [[0, 0, 0.7], [0, 1, 0], [0.7, 0, 0]]],
+    },
+}
+
 reports = {}
 
 
@@ -98,6 +121,11 @@ for job, params in JOBS.items():
             cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
             cfg.write_text(json.dumps(dict(geometry(n, eps), job=job, params=params)))
             run(f"{job}_{label}", tmp, ["run", str(cfg), "-o", str(out)], out)
+for label, params in MIRRORS.items():
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        cfg.write_text(json.dumps({"job": "mirror", "params": params}))
+        run(f"mirror_{label}", tmp, ["mirror", str(cfg), "-o", str(out)], out)
 
 print(json.dumps(reports))
 '''
