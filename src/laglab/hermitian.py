@@ -118,7 +118,6 @@ class HermTangent:
 
 
 def _aligned(H: HermPoint, *tangents: HermTangent) -> list[np.ndarray]:
-    out = []
     for t in tangents:
         if t.base is not H.base and not np.array_equal(t.base.weights, H.base.weights):
             raise ShapeMismatch("tangent attached to a different base")
@@ -126,8 +125,7 @@ def _aligned(H: HermPoint, *tangents: HermTangent) -> list[np.ndarray]:
             raise ShapeMismatch(
                 f"tangent shape {t.matrices.shape} != point shape {H.matrices.shape}"
             )
-        out.append(t.matrices)
-    return out
+    return [t.matrices for t in tangents]
 
 
 def _weighted_trace(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -228,8 +226,8 @@ def herm_fd_riemann(
 
     Each Christoffel step Gamma(u, v) at P stacks P, P +- delta u, P +- delta v
     and P +- delta e for every basis family e, checks the stack with one
-    eigenvalue pass and inverts it once; the metric differences and the basis
-    Gram matrix are array algebra on those inverses.
+    eigenvalue pass and inverts it once; the metric differences are array
+    algebra on those inverses, the basis Gram matrix one block per point.
 
     Raises
     ------
@@ -239,8 +237,9 @@ def herm_fd_riemann(
         minimum eigenvalue.
     """
     a, b, c, d = _aligned(H, xi, eta, zeta, lam)
-    weights = H.base.weights
+    weights, P0 = H.base.weights, H.matrices
     basis = _family_basis(H.base.size, H.matrix_dim)
+    single, on_point = basis[: H.matrix_dim**2, 0], np.arange(H.base.size)
     steps = np.array([delta, -delta])
 
     def christoffel(P: np.ndarray, shift: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -264,22 +263,21 @@ def herm_fd_riemann(
             return diff / (2 * delta)
 
         rhs = 0.5 * (central(0, v, basis) + central(1, u, basis) - central(slice(2, None), u, v))
-        gram = _metric_raw(weights, inverses[0], basis[:, None], basis)
-        coeff = np.linalg.solve(gram, rhs)
+        # Families on different points are orthogonal: one m^2 x m^2 Gram block per point.
+        Hi = inverses[0][:, None, None]
+        traces = np.trace(Hi @ single[:, None] @ Hi @ single, axis1=-2, axis2=-1)
+        gram = np.zeros((len(P), len(single)) * 2)
+        gram[on_point, :, on_point] = np.real(weights[:, None, None] * traces)
+        coeff = np.linalg.solve(gram.reshape(rhs.size, rhs.size), rhs)
         return np.tensordot(coeff, basis, axes=(0, 0))
 
     def dgamma(direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        plus, minus = (christoffel(H.matrices + s * direction, s, u, v) for s in (delta, -delta))
+        plus, minus = (christoffel(P0 + s * direction, s, u, v) for s in (delta, -delta))
         return (plus - minus) / (2 * delta)
 
-    gamma_bc = christoffel(H.matrices, 0.0, b, c)
-    gamma_ac = christoffel(H.matrices, 0.0, a, c)
-    riem = (
-        dgamma(a, b, c)
-        - dgamma(b, a, c)
-        + christoffel(H.matrices, 0.0, a, gamma_bc)
-        - christoffel(H.matrices, 0.0, b, gamma_ac)
-    )
+    gamma_bc, gamma_ac = christoffel(P0, 0.0, b, c), christoffel(P0, 0.0, a, c)
+    riem = dgamma(a, b, c) - dgamma(b, a, c)
+    riem = riem + christoffel(P0, 0.0, a, gamma_bc) - christoffel(P0, 0.0, b, gamma_ac)
     return float(_metric_raw(weights, H.inverses(), riem, d))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,17 +164,20 @@ def test_fd_oracle_commuting(single_base, identity_point):
     assert abs(fd) < 1e-6
 
 
-def test_fd_oracle_generic_base():
-    rng = np.random.default_rng(17)
-    base = HermBase(np.array([1.0, 0.7]))
-    H = random_point(rng, base, 2)
-    xi = random_tangent(rng, base, 2)
-    eta = random_tangent(rng, base, 2)
-    zeta = random_tangent(rng, base, 2)
-    lam = random_tangent(rng, base, 2)
-    fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta=1e-3)
-    closed = herm_curvature_quad(H, xi, eta, zeta, lam)
-    assert fd == pytest.approx(closed, rel=1e-3, abs=1e-4)
+@pytest.mark.parametrize(
+    "weights, m, seed", [([1.0, 0.7], 2, 17), ([1.0, 0.7, 1.3], 3, 23)], ids=["2x2", "3x3"]
+)
+def test_fd_oracle_generic_base(weights, m, seed):
+    """Random families; at m = 3 the basis has three diagonal units and three
+    symmetric and three antisymmetric off-diagonal elements per point."""
+    rng = np.random.default_rng(seed)
+    base = HermBase(np.array(weights))
+    H = random_point(rng, base, m)
+    xi, eta, zeta, lam = (random_tangent(rng, base, m) for _ in range(4))
+    for quadruple in ((xi, eta, zeta, lam), (xi, eta, eta, xi)):
+        fd = herm_fd_riemann(H, *quadruple, delta=1e-3)
+        closed = herm_curvature_quad(H, *quadruple)
+        assert fd == pytest.approx(closed, rel=1e-3, abs=1e-4)
 
 
 def test_fd_oracle_linearity(single_base, identity_point):
@@ -245,18 +250,22 @@ def test_fd_oracle_stack_is_the_entry_by_entry_oracle_bit_for_bit(points, m):
     assert herm_fd_riemann(H, xi, eta, zeta, lam, delta=1e-3) == reference
 
 
-def test_fd_oracle_three_point_3x3():
-    """The m = 3 basis (three diagonal units, three symmetric and three
-    antisymmetric off-diagonal elements per point) on three points."""
-    rng = np.random.default_rng(23)
-    base = HermBase(np.array([1.0, 0.7, 1.3]))
-    H = random_point(rng, base, 3, margin=1.0)
-    xi, eta, zeta, lam = (random_tangent(rng, base, 3) for _ in range(4))
-    fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta=1e-3)
-    closed = herm_curvature_quad(H, xi, eta, zeta, lam)
-    assert fd == pytest.approx(closed, rel=1e-3, abs=1e-4)
-    fd = herm_fd_riemann(H, xi, eta, eta, xi, delta=1e-3)
-    assert fd == pytest.approx(herm_curvature_quad(H, xi, eta, eta, xi), rel=1e-3, abs=1e-4)
+def test_fd_oracle_memory_stays_linear_in_the_point_count():
+    """One oracle call at 8 points of 4 x 4 (dim 128) holds the shift stack,
+    its inverses and one m^2 x m^2 Gram block per point, about 2.6 MiB; a Gram
+    formed over every basis pair at every point grows as points^3 m^6 and
+    needs 38 MiB here."""
+    rng = np.random.default_rng([8, 4])
+    base = HermBase(rng.uniform(0.5, 2.0, size=8))
+    H = random_point(rng, base, 4, margin=1.0)
+    xi, eta, zeta, lam = (random_tangent(rng, base, 4) for _ in range(4))
+    tracemalloc.start()
+    try:
+        herm_fd_riemann(H, xi, eta, zeta, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("points, m", [(1, 2), (3, 3)])
