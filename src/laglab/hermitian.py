@@ -55,13 +55,6 @@ class HermBase:
         return int(self.weights.size)
 
 
-def _check_hermitian(matrices: np.ndarray, label: str):
-    scale = max(np.abs(matrices).max(), 1.0)
-    defect = np.abs(matrices - np.conj(np.swapaxes(matrices, -1, -2))).max()
-    if defect > HERM_TOL * scale:
-        raise ValueError(f"{label} not Hermitian (defect {defect:.3e})")
-
-
 def _hermitian_family(base: HermBase, matrices, label: str) -> np.ndarray:
     """``matrices`` as a complex array of one Hermitian matrix per base point.
 
@@ -78,7 +71,10 @@ def _hermitian_family(base: HermBase, matrices, label: str) -> np.ndarray:
         raise ShapeMismatch(f"matrices shape {mats.shape} incompatible with base")
     if not np.isfinite(mats).all():
         raise ValueError(f"{label} must be finite")
-    _check_hermitian(mats, label)
+    scale = max(np.abs(mats).max(), 1.0)
+    defect = np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))).max()
+    if defect > HERM_TOL * scale:
+        raise ValueError(f"{label} not Hermitian (defect {defect:.3e})")
     return mats
 
 
@@ -237,9 +233,9 @@ def herm_fd_riemann(
         minimum eigenvalue.
     """
     a, b, c, d = _aligned(H, xi, eta, zeta, lam)
-    weights, P0 = H.base.weights, H.matrices
+    weights = H.base.weights
     basis = _family_basis(H.base.size, H.matrix_dim)
-    single, on_point = basis[: H.matrix_dim**2, 0], np.arange(H.base.size)
+    single, on_point = basis[: H.matrix_dim**2, 0], np.arange(H.base.size)  # one point's basis
     steps = np.array([delta, -delta])
 
     def christoffel(P: np.ndarray, shift: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -272,12 +268,17 @@ def herm_fd_riemann(
         return np.tensordot(coeff, basis, axes=(0, 0))
 
     def dgamma(direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        plus, minus = (christoffel(P0 + s * direction, s, u, v) for s in (delta, -delta))
+        plus, minus = (christoffel(H.matrices + s * direction, s, u, v) for s in (delta, -delta))
         return (plus - minus) / (2 * delta)
 
-    gamma_bc, gamma_ac = christoffel(P0, 0.0, b, c), christoffel(P0, 0.0, a, c)
-    riem = dgamma(a, b, c) - dgamma(b, a, c)
-    riem = riem + christoffel(P0, 0.0, a, gamma_bc) - christoffel(P0, 0.0, b, gamma_ac)
+    gamma_bc = christoffel(H.matrices, 0.0, b, c)
+    gamma_ac = christoffel(H.matrices, 0.0, a, c)
+    riem = (
+        dgamma(a, b, c)
+        - dgamma(b, a, c)
+        + christoffel(H.matrices, 0.0, a, gamma_bc)
+        - christoffel(H.matrices, 0.0, b, gamma_ac)
+    )
     return float(_metric_raw(weights, H.inverses(), riem, d))
 
 

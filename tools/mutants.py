@@ -41,8 +41,8 @@ MUTANTS = (
     ("FD oracle: sign of de flipped", "hermitian.py",
      "- central(slice(2, None), u, v)", "+ central(slice(2, None), u, v)"),
     ("FD oracle: Gamma o Gamma sign flipped", "hermitian.py",
-     "riem + christoffel(P0, 0.0, a, gamma_bc) - christoffel(P0, 0.0, b, gamma_ac)",
-     "riem - christoffel(P0, 0.0, a, gamma_bc) + christoffel(P0, 0.0, b, gamma_ac)"),
+     "+ christoffel(H.matrices, 0.0, a, gamma_bc)\n        - christoffel(H.matrices, 0.0, b, gamma_ac)",
+     "- christoffel(H.matrices, 0.0, a, gamma_bc)\n        + christoffel(H.matrices, 0.0, b, gamma_ac)"),
     ("geodesic_shoot: acceleration negated", "connection.py",
      "accel = -cov_deriv_pair_values(", "accel = cov_deriv_pair_values("),
     ("covariant Hessian: Christoffel sign", "lagrangian.py",
