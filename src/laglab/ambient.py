@@ -25,10 +25,13 @@ and the factor 1/(1 + t^2) folded into e^a.  numpy's float64 sin and cos
 are scalar loops, while tan and exp are vectorised (about 20 us each for
 sin and cos against 5 us for tan and 2.5 us for exp on a 64^2 field), so one
 tan and a few multiplications replace the sine and cosine of b.  The
-flat model (eps = 0) returns exact ones without any trig.  On a grid,
-x_1 is constant along the other axes, so cos kappa x_1 and sin kappa x_1
-are evaluated at the N axis samples and broadcast, not at all N^n points:
-the same products, so bit-identical.  ``holomorphic_density_parts``
+flat model (eps = 0) returns exact ones without any trig.  The density
+reads only x_1 = x[..., 0], and x broadcasts to the points of y, whose
+shape the output takes.  On a grid, x_1 is constant along the other axes,
+so the graph build passes its N axis samples shaped (N,) + (1,) * n: cos
+kappa x_1 and sin kappa x_1 are evaluated there and broadcast, not at all
+N^n points, with the same products, so bit-identical.
+``holomorphic_density_parts``
 returns Re e^{g} and Im e^{g} as two contiguous real arrays, which the graph
 build reads; ``holomorphic_density`` assembles the complex density from
 them.  ``twist`` keeps the complex formula eps e^{i kappa z_1} as the oracle
@@ -161,7 +164,8 @@ class AlmostCYModel:
     def kappa(self) -> float:
         return 2.0 * np.pi * self.twist_mode / self.period
 
-    # -- pointwise evaluators: x, y of shape (..., n), one point as (1, n) ---
+    # -- pointwise evaluators: x, y of shape (..., n), one point as (1, n);
+    # -- the density's x broadcasts to y's points (module docstring) ---------
 
     def twist(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """g(z) = eps * e^{i kappa z_1} with z_1 = x_1 - i y_1, in complex
@@ -172,33 +176,27 @@ class AlmostCYModel:
         z1 = x[..., 0] - 1j * y[..., 0]
         return self.twist_amplitude * np.exp(1j * self.kappa * z1)
 
-    def holomorphic_density(self, x: np.ndarray, y: np.ndarray, grid=None) -> np.ndarray:
+    def holomorphic_density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Scalar c with Omega = c * dz_1 ^ ... ^ dz_n, i.e. c = e^{g(z)}, as
         a complex array assembled from ``holomorphic_density_parts``;
         exactly 1 in the flat model."""
-        re, im = self.holomorphic_density_parts(x, y, grid)
+        re, im = self.holomorphic_density_parts(x, y)
         c = np.empty(re.shape, dtype=complex)
         c.real, c.imag = re, im
         return c
 
     def holomorphic_density_parts(
-        self, x: np.ndarray, y: np.ndarray, grid=None
+        self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Re e^{g}, Im e^{g}) as two contiguous real arrays: with g = a + ib
         and t = tan(b/2), e^a (1 - t^2) / (1 + t^2) and e^a 2t / (1 + t^2)
-        (module docstring); (1, 0) in the flat model.
-
-        ``grid`` is the ``torus.PeriodicGrid`` whose ``coords`` are ``x``,
-        when they are; the trig of kappa x_1 is then taken on its axis
-        samples only (module docstring)."""
-        x = np.asarray(x, dtype=float)
+        (module docstring); (1, 0) in the flat model.  x_1 = x[..., 0]
+        broadcasts to the shape of y[..., 0], the output's (module
+        docstring)."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if self.twist_amplitude == 0.0:
-            return np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])
-        y = np.asarray(y, dtype=float)
-        if grid is None:
-            phase = self.kappa * x[..., 0]
-        else:
-            phase = (self.kappa * grid.axis).reshape((-1,) + (1,) * (grid.n - 1))
+            return np.ones(y.shape[:-1]), np.zeros(y.shape[:-1])
+        phase = self.kappa * x[..., 0]
         # Half the radius eps e^{kappa y_1}, in buffers formed once: scaling by
         # 1/2 is exact, so b/2 and a = 2 (radius/2) cos(phase) carry the bits.
         half_radius = np.multiply(self.kappa, y[..., 0])

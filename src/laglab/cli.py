@@ -2,10 +2,9 @@
 
 Subcommands
 -----------
-``laglab run config.json``       execute the configured job
+``laglab run config.json``       execute the configured job, mirror jobs too
 ``laglab describe config.json``  validate and summarize without computing
 ``laglab validate``              run the full validation battery
-``laglab mirror config.json``    run a matrix-model job directly
 
 Every job is one row of the ``JOBS`` table: whether it reads a model, grid
 and functions, the ``params`` keys it accepts, its parameter read, its
@@ -601,8 +600,8 @@ def _execute(cfg: ExperimentConfig, out_path: Path) -> tuple[dict, bool, float]:
     return results, ok, elapsed
 
 
-def cmd_run(args, cfg: ExperimentConfig | None = None) -> int:
-    cfg = cfg or load_config(args.config)
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
     out_path = Path(args.output or cfg.output or f"{cfg.job}_report.json")
     _, ok, _ = _execute(cfg, out_path)
     print(f"{cfg.job}: report written to {out_path}")
@@ -642,13 +641,6 @@ def cmd_validate(args) -> int:
     return 0 if ok else 4
 
 
-def cmd_mirror(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.job != "mirror":
-        raise ConfigError(f"mirror subcommand requires job='mirror', got {cfg.job!r}")
-    return cmd_run(args, cfg)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="laglab",
@@ -671,11 +663,6 @@ def main(argv: list[str] | None = None) -> int:
     p_val.add_argument("--grid", type=int, default=None)
     p_val.add_argument("-o", "--output", help="report path")
     p_val.set_defaults(func=cmd_validate)
-
-    p_mir = sub.add_parser("mirror", help="run a matrix-model job")
-    p_mir.add_argument("config")
-    p_mir.add_argument("-o", "--output", help="report path (overrides config)")
-    p_mir.set_defaults(func=cmd_mirror)
 
     args = parser.parse_args(argv)
     try:

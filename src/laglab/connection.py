@@ -68,6 +68,9 @@ from .torus import (
 # memory and time.
 MAX_STEPS = 10_000
 
+# Below this |Re Omega~| the w-field's Cramer quotient is considered singular.
+DENSITY_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
@@ -130,7 +133,6 @@ class SampledPath:
 def w_field_values(
     gamma: GraphLagrangian,
     h_values: np.ndarray,
-    tolerance: float = 1e-12,
     *,
     grad_h: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -144,13 +146,13 @@ def w_field_values(
     ShapeMismatch
         If ``h_values`` does not have the grid's shape.
     SingularDensity
-        If |Re Omega~| drops below ``tolerance`` anywhere.
+        If |Re Omega~| drops below ``DENSITY_FLOOR`` (1e-12) anywhere.
     """
     check_field_shapes(gamma.grid, h_values)
     worst = gamma.re_omega_min  # min |Re Omega~|: the build checked Re Omega~ > 0
-    if not worst >= tolerance:  # NaN fails the comparison too
+    if not worst >= DENSITY_FLOOR:  # NaN fails the comparison too
         raise SingularDensity(
-            f"|Re Omega~| = {worst:.3e} below tolerance {tolerance:.1e}; "
+            f"|Re Omega~| = {worst:.3e} below tolerance {DENSITY_FLOOR:.1e}; "
             "positivity nearly violated"
         )
     if grad_h is None:

@@ -55,8 +55,9 @@ from .torus import (
 # P = <u, v> pointwise, for component-major stacks u, v of shape (n,) + grid.
 _STACK_DOT = "a...,a...->..."
 
-# Below this worst-case cos(theta) the sec^2 factors are considered too
-# ill-conditioned for curvature evaluation.
+# At or below this worst-case cos(theta) the sec^2 factors are considered too
+# ill-conditioned for curvature evaluation: every curvature entry point
+# raises ``MarginTooSmall``.
 DEFAULT_MARGIN_THRESHOLD = 1e-2
 
 # A plane is degenerate when its Gram determinant is below this fraction of
@@ -64,10 +65,10 @@ DEFAULT_MARGIN_THRESHOLD = 1e-2
 DEGENERACY_THRESHOLD = 1e-10
 
 
-def _require_margin(gamma: GraphLagrangian, threshold: float):
-    if gamma.margin <= threshold:
+def _require_margin(gamma: GraphLagrangian):
+    if gamma.margin <= DEFAULT_MARGIN_THRESHOLD:
         raise MarginTooSmall(
-            f"positivity margin {gamma.margin:.3e} <= threshold {threshold:.1e}"
+            f"positivity margin {gamma.margin:.3e} <= threshold {DEFAULT_MARGIN_THRESHOLD:.1e}"
         )
 
 
@@ -82,7 +83,6 @@ def riemann_field_values(
     h: np.ndarray,
     k: np.ndarray,
     l: np.ndarray,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> np.ndarray:
     """The pointwise curvature field R(h,k)l, returned without renormalization.
 
@@ -94,9 +94,11 @@ def riemann_field_values(
     ------
     ShapeMismatch
         If h, k or l does not have the grid's shape.
+    MarginTooSmall
+        If min cos(theta) is at most ``DEFAULT_MARGIN_THRESHOLD`` (1e-2).
     """
     check_field_shapes(gamma.grid, h, k, l)
-    _require_margin(gamma, margin_threshold)
+    _require_margin(gamma)
 
     grad_h, up_h, hess_h, lap_h = gamma.derivatives(h)
     grad_k, up_k, hess_k, lap_k = gamma.derivatives(k)
@@ -171,12 +173,12 @@ def riemann_quad_values(
     k: np.ndarray,
     l: np.ndarray,
     m: np.ndarray,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> float:
     """The value of ``quad_form``, the pairing (R(h,k)l, m), after the shape
-    check (``ShapeMismatch``) and the margin check (``MarginTooSmall``)."""
+    check (``ShapeMismatch``) and the margin check (``MarginTooSmall`` at
+    min cos(theta) <= ``DEFAULT_MARGIN_THRESHOLD``)."""
     check_field_shapes(gamma.grid, h, k, l, m)
-    _require_margin(gamma, margin_threshold)
+    _require_margin(gamma)
     return quad_form(gamma, h, k, l, m)[0]
 
 
@@ -220,7 +222,6 @@ def sectional_quotient(numerator: float, hh: float, kk: float, hk: float) -> flo
 def sectional_matrix(
     gamma: GraphLagrangian,
     values: Sequence[np.ndarray],
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> SectionalMatrix:
     """Numerators (R(h_i,h_j)h_j, h_i) and Gram matrix (h_i, h_j) of F functions.
 
@@ -240,9 +241,11 @@ def sectional_matrix(
     ------
     ShapeMismatch
         If any of the arrays does not have the grid's shape.
+    MarginTooSmall
+        If min cos(theta) is at most ``DEFAULT_MARGIN_THRESHOLD`` (1e-2).
     """
     check_field_shapes(gamma.grid, *values)
-    _require_margin(gamma, margin_threshold)
+    _require_margin(gamma)
     grads, _ = _stacks(gamma, values, ())
     count = len(values)
     numerator = np.zeros((count, count))
@@ -269,7 +272,6 @@ def sectional(
     gamma: GraphLagrangian,
     h: TangentFunction,
     k: TangentFunction,
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> float:
     """Sectional curvature K(h, k); non-positive up to quadrature error.
 
@@ -282,7 +284,7 @@ def sectional(
         (h,h)(k,k).
     """
     require_same_gamma(h, k, gamma=gamma)
-    return sectional_matrix(gamma, (h.values, k.values), margin_threshold).sectional(0, 1)
+    return sectional_matrix(gamma, (h.values, k.values)).sectional(0, 1)
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,6 @@ def flat_family_check(
     gamma: GraphLagrangian,
     l: TangentFunction,
     reparams: Sequence[Callable[[np.ndarray], np.ndarray]],
-    margin_threshold: float = DEFAULT_MARGIN_THRESHOLD,
 ) -> FlatFamilyReport:
     """Sectional curvatures over the family {a_i(l) + const}.
 
@@ -316,7 +317,7 @@ def flat_family_check(
         gamma.normalize(ScalarField(gamma.grid, np.asarray(a(l.values), dtype=float)))
         for a in reparams
     ]
-    matrices = sectional_matrix(gamma, [m.values for m in members], margin_threshold)
+    matrices = sectional_matrix(gamma, [m.values for m in members])
     sectionals: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int, str]] = []
     for i in range(len(members)):

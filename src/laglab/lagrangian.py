@@ -90,9 +90,9 @@ class GraphLagrangian:
 
     Eager: ``grad_phi``, ``hess_phi``, tr H and adj H (n = 3 only), Re E
     and Im E of the twist density E = e^{g} as two contiguous real arrays
-    (``AlmostCYModel.holomorphic_density_parts``, which takes e^{ib} in the
-    half-angle form: one vectorised tan instead of numpy's scalar sin and
-    cos), the real and imaginary parts of det B (B = I - i Hess phi),
+    (``AlmostCYModel.holomorphic_density_parts`` from x_1's N axis samples,
+    which broadcast to the grid, and with e^{ib} in the half-angle form: one
+    vectorised tan instead of numpy's scalar sin and cos), the real and imaginary parts of det B (B = I - i Hess phi),
     Re Omega~ = Re(E det B), which ``re_omega`` returns, and its minimum
     ``re_omega_min``.  That is all a geodesic step reads.  Every other
     field is computed on first read and then cached: the complex E, which
@@ -161,7 +161,7 @@ class GraphLagrangian:
         # positivity check reports; evaluate it without warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             self._re_twist, self._im_twist = model.holomorphic_density_parts(
-                grid.coords, self.grad_phi, grid=grid
+                grid.axis.reshape((-1,) + (1,) * n), self.grad_phi
             )
             # Not in place: that raised the validate job's peak RSS by 1 MiB.
             self._re_pullback = re_pullback = self._re_twist * re_det_B - self._im_twist * im_det_B

@@ -90,13 +90,16 @@ RICHARDSON_FLOOR = 1e-11
 
 # The battery's fixed geometry and finite-difference steps: the torus period
 # and twist mode of its models, the step of the connection and curvature
-# oracles, the step of the angle-derivative oracle, the highest mode of its
-# random inputs and the pairing's error floor, as a fraction of the scale.
+# oracles, the step of the angle-derivative oracle, the highest mode, term
+# count and coefficient sum of its random inputs and the pairing's error
+# floor, as a fraction of the scale.
 PERIOD = 2.0 * np.pi
 TWIST_MODE = 1
 DELTA_FD = 1e-3
 DELTA_DTHETA = 1e-4
 MAX_MODE = 3
+RANDOM_TERMS = 3
+RANDOM_AMPLITUDE = 0.2
 PAIRING_FLOOR = 1e-3
 
 
@@ -158,29 +161,24 @@ def _worst(trials: Sequence[CheckResult], extra_ok: bool = True, **params) -> Ch
 # ---------------------------------------------------------------------------
 
 
-def random_trig_polynomial(
-    rng: np.random.Generator,
-    n: int,
-    max_mode: int = MAX_MODE,
-    terms: int = 3,
-    amplitude: float = 0.2,
-) -> TrigPolynomial:
-    """Random band-limited trig polynomial with sup norm at most ``amplitude``.
+def random_trig_polynomial(rng: np.random.Generator, n: int) -> TrigPolynomial:
+    """Random band-limited trig polynomial of ``RANDOM_TERMS`` terms with sup
+    norm at most ``RANDOM_AMPLITUDE``.
 
-    Coefficients are rescaled so their absolute sum equals ``amplitude``;
-    modes stay at or below ``max_mode`` so quartic products remain fully
-    resolved on grids of 64 points and up.
+    Coefficients are rescaled so their absolute sum equals
+    ``RANDOM_AMPLITUDE``; modes stay at or below ``MAX_MODE`` so quartic
+    products remain fully resolved on grids of 64 points and up.
     """
     chosen: list[TrigTerm] = []
-    while len(chosen) < terms:
-        wave = tuple(int(v) for v in rng.integers(-max_mode, max_mode + 1, size=n))
+    while len(chosen) < RANDOM_TERMS:
+        wave = tuple(int(v) for v in rng.integers(-MAX_MODE, MAX_MODE + 1, size=n))
         if all(v == 0 for v in wave):
             continue
         coeff = float(rng.uniform(-1.0, 1.0))
         phase = "cos" if rng.integers(0, 2) == 0 else "sin"
         chosen.append(TrigTerm(coeff, wave, phase))
     total = sum(abs(t.coefficient) for t in chosen)
-    scale = amplitude / total
+    scale = RANDOM_AMPLITUDE / total
     return TrigPolynomial(tuple(TrigTerm(t.coefficient * scale, t.wavevector, t.phase) for t in chosen))
 
 
@@ -246,14 +244,14 @@ def _richardson(
 def check_dtheta(
     gamma: GraphLagrangian,
     h: ScalarField,
-    delta: float = DELTA_DTHETA,
     tolerance: float = DEFAULT_TOLERANCES["dtheta"],
     label: str = "dtheta",
 ) -> CheckResult:
     """Angle derivative along the vertical flow vs its closed form.
 
     The closed form is the drift Laplacian the curvature field uses; the
-    oracle differentiates the angle of rebuilt graphs.  Valid only at zero
+    oracle differentiates the angle of rebuilt graphs at the steps
+    ``DELTA_DTHETA`` and half of it.  Valid only at zero
     sections, where the vertical graph flow realizes the parametrization
     hypothesis of the closed form (perpendicular fibers).
     """
@@ -269,11 +267,11 @@ def check_dtheta(
 
     rho_term = vector_dot(gamma.grad_rho, up_h) * (grid.n / 2.0) / gamma.rho
     params = {
-        "delta": delta,
+        "delta": DELTA_DTHETA,
         "model_eps": model.twist_amplitude,
         "rho_term_sup": float(np.abs(rho_term).max()),
     }
-    err, ratio_ok = _richardson(err_at, delta, params)
+    err, ratio_ok = _richardson(err_at, DELTA_DTHETA, params)
     theta_scale = max(np.abs(gamma.theta).max(), 1.0)
     return _result(label, err, err / theta_scale, tolerance, "abs", params, ratio_ok)
 
@@ -282,11 +280,11 @@ def check_metric_compat(
     family: HamiltonianFamily,
     h: ScalarField,
     k: ScalarField,
-    delta: float = DELTA_FD,
     tolerance: float = DEFAULT_TOLERANCES["metric_compat"],
     label: str = "metric_compat",
 ) -> CheckResult:
-    """d/dt (h,k) against the covariant product rule, by central differences."""
+    """d/dt (h,k) against the covariant product rule, by central differences
+    at the steps ``DELTA_FD`` and half of it."""
     if len(family.generators) != 1:
         raise ValueError("metric compatibility check expects a one-parameter family")
     gamma0 = family.gamma_at([0.0])
@@ -302,8 +300,8 @@ def check_metric_compat(
         ) / (2.0 * d)
         return abs(fd - covariant)
 
-    params = {"delta": delta, "model_eps": family.model.twist_amplitude}
-    err, ratio_ok = _richardson(err_at, delta, params)
+    params = {"delta": DELTA_FD, "model_eps": family.model.twist_amplitude}
+    err, ratio_ok = _richardson(err_at, DELTA_FD, params)
     scale = max(abs(gamma0.inner_values(h.values, k.values)), 1.0)
     return _result(label, err, err / scale, tolerance, "abs", params, ratio_ok)
 
@@ -331,16 +329,14 @@ def _second_cov_deriv_fd(
     hi: np.ndarray,
     hj: np.ndarray,
     hk: np.ndarray,
-    grads: Sequence[np.ndarray] | None = None,
+    grads: Sequence[np.ndarray],
 ) -> Callable[[float], np.ndarray]:
     """D_{h^i} D_{h^j} h^k by differencing the coordinate derivative along i,
     as a function of the step delta.  The terms that do not depend on delta
     (the gradients of h^i, h^j and h^k and the advection
     w(h^i) . grad D_{h^j} h^k at the centre) are computed once; only the
     graphs at phi +- delta h^i are built per step.  ``grads`` holds the
-    gradients of h^i, h^j and h^k when the caller already has them."""
-    if grads is None:
-        grads = [gradient_values(gamma.grid, h) for h in (hi, hj, hk)]
+    gradients of h^i, h^j and h^k."""
     grad_i, grad_j, grad_k = grads
     center = cov_deriv_pair_values(gamma, hj, hk, grad_j=grad_j, grad_k=grad_k)
     advect = cov_deriv_pair_values(gamma, hi, center, grad_j=grad_i)
@@ -360,15 +356,14 @@ def check_r3_vs_fd(
     h: ScalarField,
     k: ScalarField,
     l: ScalarField,
-    delta: float = DELTA_FD,
     tolerance: float = DEFAULT_TOLERANCES["r3_vs_fd"],
     label: str = "r3_vs_fd",
 ) -> CheckResult:
     """Curvature field against nested finite differences of the connection.
 
     The oracle assembles D_h D_k l - D_k D_h l on a two-parameter graph
-    family, sharing nothing with the closed-form route except the coordinate
-    covariant derivative itself.
+    family at the steps ``DELTA_FD`` and half of it, sharing nothing with
+    the closed-form route except the coordinate covariant derivative itself.
     """
     closed = riemann_field_values(gamma, h.values, k.values, l.values)
     scale = max(1.0, float(np.abs(closed).max()))
@@ -380,8 +375,8 @@ def check_r3_vs_fd(
     def err_at(d: float) -> float:
         return float(np.abs(d_hk(d) - d_kh(d) - closed).max()) / scale
 
-    params = {"delta": delta, "model_eps": gamma.model.twist_amplitude, "scale": scale}
-    err, ratio_ok = _richardson(err_at, delta, params)
+    params = {"delta": DELTA_FD, "model_eps": gamma.model.twist_amplitude, "scale": scale}
+    err, ratio_ok = _richardson(err_at, DELTA_FD, params)
     return _result(label, err, err, tolerance, "abs", params, ratio_ok)
 
 
@@ -390,26 +385,25 @@ def check_dijk_zero_section(
     hi: ScalarField,
     hj: ScalarField,
     hk: ScalarField,
-    delta: float = DELTA_FD,
     tolerance: float = DEFAULT_TOLERANCES["dijk_zero_section"],
     label: str = "dijk_zero_section",
 ) -> CheckResult:
     """Non-antisymmetrized second covariant derivative at the flat zero
-    section against its reduced closed form
-    -<dh^k, dh^j> Lap h^i - Hess h^i(grad h^j, grad h^k)."""
+    section, by central differences at the step ``DELTA_FD``, against its
+    reduced closed form -<dh^k, dh^j> Lap h^i - Hess h^i(grad h^j, grad h^k)."""
     _require_zero_section(gamma, "check_dijk_zero_section")
     if gamma.model.twist_amplitude != 0.0:
         raise ValueError("check_dijk_zero_section requires the flat model")
     grad_i, _, hess_i, lap_i = gamma.derivatives(hi.values)
     grad_j, grad_k = (gradient_values(gamma.grid, f.values) for f in (hj, hk))
     grads = (grad_i, grad_j, grad_k)
-    fd = _second_cov_deriv_fd(gamma, hi.values, hj.values, hk.values, grads)(delta)
+    fd = _second_cov_deriv_fd(gamma, hi.values, hj.values, hk.values, grads)(DELTA_FD)
     closed = -vector_dot(grad_k, grad_j) * lap_i - np.einsum(
         "...ab,...a,...b->...", hess_i, grad_j, grad_k
     )
     err = float(np.abs(fd - closed).max())
     scale = max(np.abs(closed).max(), 1.0)
-    return _result(label, err, err / scale, tolerance, "abs", {"delta": delta})
+    return _result(label, err, err / scale, tolerance, "abs", {"delta": DELTA_FD})
 
 
 def check_r3_r4_pairing(

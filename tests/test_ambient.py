@@ -148,13 +148,32 @@ def test_grid_twist_density_is_the_explicit_formula(n, points, potential):
     assert np.array_equal(model.holomorphic_density(grid.coords, gamma.grad_phi), expected)
 
 
+def _axis_samples(grid):
+    """x_1's N axis samples shaped (N,) + (1,) * n, as the graph build passes
+    them: they broadcast against the fiber coordinates of every grid point."""
+    return grid.axis.reshape((-1,) + (1,) * grid.n)
+
+
 def test_grid_twist_density_of_two_modes_on_one_grid():
     grid = PeriodicGrid(2, 32)
     y = 0.3 * np.sin(grid.coords)
     models = [AlmostCYModel(2, twist_amplitude=0.1, twist_mode=m) for m in (1, 2)]
     for model in models + models[::-1]:
-        density = model.holomorphic_density(grid.coords, y, grid=grid)
+        density = model.holomorphic_density(_axis_samples(grid), y)
         assert np.array_equal(density, explicit_density(model, grid.coords, y))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_axis_samples_broadcast_to_the_grid_bit_for_bit(n):
+    """Both parts from x_1's axis samples equal those from every grid point,
+    twisted and flat, at 16, 16^2 and 16^3."""
+    grid = PeriodicGrid(n, 16)
+    y = 0.3 * np.sin(grid.coords + 0.5)
+    for model in (AlmostCYModel(n, twist_amplitude=0.2), AlmostCYModel(n)):
+        for full, broadcast in zip(model.holomorphic_density_parts(grid.coords, y),
+                                   model.holomorphic_density_parts(_axis_samples(grid), y)):
+            assert broadcast.shape == grid.shape
+            assert np.array_equal(full, broadcast)
 
 
 def test_flat_density_is_exactly_one():
@@ -162,8 +181,8 @@ def test_flat_density_is_exactly_one():
     that would overflow exp(kappa y_1) raises no RuntimeWarning."""
     grid = PeriodicGrid(2, 16)
     y = np.full(grid.coords.shape, 1e4)
-    for kwargs in ({}, {"grid": grid}):
-        density = AlmostCYModel(2).holomorphic_density(grid.coords, y, **kwargs)
+    for x in (grid.coords, _axis_samples(grid)):
+        density = AlmostCYModel(2).holomorphic_density(x, y)
         assert density.dtype == complex
         assert np.array_equal(density, np.ones(grid.shape))
 

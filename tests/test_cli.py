@@ -482,27 +482,12 @@ def test_mirror_job(tmp_path):
         },
     )
     out = tmp_path / "mirror_report.json"
-    assert main(["mirror", str(cfg), "-o", str(out)]) == 0
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
     results = load_report(out)["results"]
     assert results["sectional"] == pytest.approx(-0.5, abs=1e-12)
     assert results["quad_corrected"] == pytest.approx(-2.0, abs=1e-12)
     assert results["quad_literal"] == pytest.approx(2.0, abs=1e-12)
     assert results["quad_fd_oracle"] == pytest.approx(-2.0, abs=1e-4)
-
-
-def test_mirror_subcommand_requires_mirror_job(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "notmirror.json",
-        {
-            "model": MODEL_FLAT,
-            "grid": 64,
-            "functions": FUNCTIONS,
-            "job": "sectional",
-            "params": {"h": "h", "k": "k"},
-        },
-    )
-    assert main(["mirror", str(cfg)]) == 2
 
 
 def test_mirror_bad_matrix_entry(tmp_path, capsys):
@@ -517,23 +502,22 @@ def test_mirror_bad_matrix_entry(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("command", ["run", "mirror"])
-def test_mirror_non_positive_H_fails_the_run_not_the_read(tmp_path, capsys, command):
+def test_mirror_non_positive_H_fails_the_run_not_the_read(tmp_path, capsys):
     """A non-positive H is a positivity error of the run, as a non-positive
-    potential is: ``describe`` exits 0, ``run`` and ``mirror`` exit 3, and a
-    malformed parameter beside it is still a config error."""
+    potential is: ``describe`` exits 0, ``run`` exits 3, and a malformed
+    parameter beside it is still a config error."""
     params = dict(MIRROR_PARAMS, H=[[[-1, 0], [0, 1]]])
     cfg = write_config(tmp_path, "negative.json", {"job": "mirror", "params": params})
     assert main(["describe", str(cfg)]) == 0
     capsys.readouterr()
     out = tmp_path / "negative_report.json"
-    assert main([command, str(cfg), "-o", str(out)]) == 3
+    assert main(["run", str(cfg), "-o", str(out)]) == 3
     assert "positivity error: minimum eigenvalue -1.000e+00 <= 0" in capsys.readouterr().err
     assert not out.exists()
     bad = write_config(
         tmp_path, "negative_bad.json", {"job": "mirror", "params": dict(params, delta=0)}
     )
-    assert main([command, str(bad), "-o", str(out)]) == 2
+    assert main(["run", str(bad), "-o", str(out)]) == 2
     assert "params.delta" in capsys.readouterr().err
 
 

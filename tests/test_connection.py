@@ -4,6 +4,7 @@ import pytest
 import laglab.connection
 import laglab.torus
 from laglab.connection import (
+    DENSITY_FLOOR,
     MAX_STEPS,
     HamiltonianFamily,
     SampledPath,
@@ -68,9 +69,23 @@ def test_w_linearity(twisted_generic, h_field, k_field):
     assert np.abs(w_sum - w_h - 2.0 * w_k).max() < 1e-13
 
 
-def test_singular_density_guard(twisted_zero, h_field):
+def _nearly_singular_graph():
+    """Flat n = 2 at 32^2, phi = a (cos x_1 + cos x_2) with a^2 = 1 - 5e-13:
+    Re Omega~ = 1 - a^2 cos x_1 cos x_2 > 0 has its minimum 5e-13 at the
+    origin, below ``DENSITY_FLOOR``."""
+    grid = PeriodicGrid(2, 32)
+    a = np.sqrt(1.0 - 5e-13)
+    gamma = build(AlmostCYModel(2), field_from_function(
+        grid, lambda c: a * (np.cos(c[..., 0]) + np.cos(c[..., 1]))
+    ))
+    assert 0.0 < gamma.re_omega_min < DENSITY_FLOOR
+    return gamma
+
+
+def test_singular_density_guard():
+    gamma = _nearly_singular_graph()
     with pytest.raises(SingularDensity):
-        w_field_values(twisted_zero, h_field.values, tolerance=2.0)
+        w_field_values(gamma, np.cos(gamma.grid.coords[..., 0]))
 
 
 def test_cov_deriv_flat_zero(flat_model, grid64, h_field, k_field):
@@ -467,10 +482,11 @@ def test_w_field_is_the_written_out_expression_bit_for_bit(n, points, twist):
     assert np.array_equal(w_field_values(gamma, h.values), expected)
 
 
-def test_singular_density_reports_the_graphs_minimum(twisted_generic, h_field):
-    worst = np.abs(twisted_generic.re_omega).min()
+def test_singular_density_reports_the_graphs_minimum():
+    gamma = _nearly_singular_graph()
+    worst = np.abs(gamma.re_omega).min()
     with pytest.raises(SingularDensity) as info:
-        w_field_values(twisted_generic, h_field.values, tolerance=2.0)
+        w_field_values(gamma, np.cos(gamma.grid.coords[..., 0]))
     assert str(info.value) == (
-        f"|Re Omega~| = {worst:.3e} below tolerance {2.0:.1e}; positivity nearly violated"
+        f"|Re Omega~| = {worst:.3e} below tolerance 1.0e-12; positivity nearly violated"
     )

@@ -6,6 +6,7 @@ import pytest
 from laglab.ambient import AlmostCYModel
 from laglab.connection import cov_deriv_pair_values, geodesic_shoot, w_field_values
 from laglab.curvature import (
+    DEFAULT_MARGIN_THRESHOLD,
     flat_family_check,
     mean_zero_residual,
     riemann_field_values,
@@ -172,15 +173,25 @@ def test_sectional_nonpositive_random(flat_generic, twisted_generic, grid64):
                 continue
 
 
-def test_margin_threshold(twisted_generic, grid64):
-    h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
-    k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
+def _thin_margin_graph():
+    """Flat n = 2 at 32^2, phi = 0.995 (cos x_1 + cos x_2): a positive graph
+    whose margin 5.0e-3 is below ``DEFAULT_MARGIN_THRESHOLD``."""
+    grid = PeriodicGrid(2, 32)
+    gamma = build(AlmostCYModel(2), field_from_function(
+        grid, lambda c: 0.995 * (np.cos(c[..., 0]) + np.cos(c[..., 1]))
+    ))
+    assert 0.0 < gamma.margin <= DEFAULT_MARGIN_THRESHOLD
+    return gamma
+
+
+def test_margin_threshold():
+    gamma = _thin_margin_graph()
+    h = _tangent(gamma, lambda c: np.cos(c[..., 0]))
+    k = _tangent(gamma, lambda c: np.cos(c[..., 1]))
+    with pytest.raises(MarginTooSmall, match="<= threshold 1.0e-02"):
+        riemann_field_values(gamma, h.values, k.values, k.values)
     with pytest.raises(MarginTooSmall):
-        riemann_field_values(twisted_generic, h.values, k.values, k.values, margin_threshold=0.95)
-    with pytest.raises(MarginTooSmall):
-        riemann_quad_values(
-            twisted_generic, h.values, k.values, k.values, h.values, margin_threshold=0.95
-        )
+        riemann_quad_values(gamma, h.values, k.values, k.values, h.values)
 
 
 def test_tangents_on_another_graph_are_rejected():
@@ -274,15 +285,19 @@ def test_sectional_matrix_entries_do_not_depend_on_the_batch(twisted_generic, gr
     assert part.sectional(0, 1) == pytest.approx(whole.sectional(3, 1), rel=1e-14)
 
 
-def test_sectional_matrix_margin_threshold(twisted_generic, grid64):
+def test_sectional_matrix_margin_threshold(twisted_generic):
+    gamma = _thin_margin_graph()
+    h = _tangent(gamma, lambda c: np.cos(c[..., 0]))
+    k = _tangent(gamma, lambda c: np.cos(c[..., 1]))
+    with pytest.raises(MarginTooSmall):
+        sectional_matrix(gamma, [h.values, k.values])
+    with pytest.raises(MarginTooSmall):
+        sectional(gamma, h, k)
+    with pytest.raises(MarginTooSmall):
+        flat_family_check(gamma, h, [lambda s: s, lambda s: s**2])
     h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
     k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
-    with pytest.raises(MarginTooSmall):
-        sectional_matrix(twisted_generic, [h.values, k.values], margin_threshold=0.95)
-    with pytest.raises(MarginTooSmall):
-        sectional(twisted_generic, h, k, margin_threshold=0.95)
-    numerator, gram = sectional_matrix(twisted_generic, [h.values, k.values],
-                                       margin_threshold=0.5)
+    numerator, gram = sectional_matrix(twisted_generic, [h.values, k.values])
     assert numerator.shape == (2, 2)
 
 

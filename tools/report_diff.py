@@ -8,7 +8,7 @@ path and its own ``perfbench/workloads.py`` for the benchmark workload
 configs: the validation battery at seed/grid 3/32, 7/64 and 41/64, the
 ``geodesic`` and ``scan3d`` workloads at seeds 1 and 41, ``sectional``,
 ``curvature`` and reversed 20-step ``geodesic`` jobs at n = 1, n = 2 (flat
-and twisted) and n = 3, and two ``mirror`` jobs (the README's Pauli plane
+and twisted) and n = 3, and two ``mirror`` jobs through ``run`` (the README's Pauli plane
 at the 2x2 identity, and a two-point 3x3 family with ``zeta`` and
 ``lambda`` given): 21 reports, covering the flat and twisted branches of
 the graph build and the w-field at every dimension and the Hermitian
@@ -125,7 +125,7 @@ for label, params in MIRRORS.items():
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
         cfg.write_text(json.dumps({"job": "mirror", "params": params}))
-        run(f"mirror_{label}", tmp, ["mirror", str(cfg), "-o", str(out)], out)
+        run(f"mirror_{label}", tmp, ["run", str(cfg), "-o", str(out)], out)
 
 print(json.dumps(reports))
 '''
