@@ -42,12 +42,15 @@ independent routes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonPositiveDensity
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Convention record embedded in every report; the whole set stands or falls
 # together (a single global sign cannot be patched in isolation).
@@ -153,8 +156,9 @@ class AlmostCYModel:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if not (self.period > 0):
-            raise ValueError("period must be positive")
+        # The quadratures weigh by the torus volume period^n, a float.
+        if not (self.period > 0 and self.n * math.log(self.period) < _LOG_FLOAT_MAX):
+            raise ValueError("period must be positive, with period^n in the float64 range")
         if not (0.0 <= self.twist_amplitude < 1.0):
             raise ValueError("twist amplitude must satisfy 0 <= eps < 1")
         if self.twist_mode < 1:

@@ -50,6 +50,7 @@ from .errors import (
     DegeneratePlane,
     InputError,
     LaglabError,
+    NonFiniteResult,
     PositivityError,
     ShapeMismatch,
     StepRejected,
@@ -134,10 +135,15 @@ def _path(value, where: str) -> str:
 
 
 def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
-    """Parse a list of trig terms and check it against the grid's band limit."""
+    """Parse a list of trig terms and check it against the grid's band limit.
+
+    A spectrum entry of the sampled polynomial is at most sum |c| N^n, so a
+    term list whose sum overflows is rejected, naming the term where it
+    does: its samples or derivatives would not be finite."""
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a list of trig terms")
     terms = []
+    spectrum_bound = 0.0
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"{where}: term {i} is not an object")
@@ -150,6 +156,12 @@ def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
         phase = item.get("phase", "cos")
         if phase not in ("cos", "sin"):
             raise ConfigError(f"{where}: term {i} has invalid phase {phase!r}")
+        spectrum_bound += abs(coeff) * grid.size
+        if not math.isfinite(spectrum_bound):
+            raise ConfigError(
+                f"{where}: term {i} coefficient {coeff!r} overflows the spectrum: "
+                f"sum |coefficient| * N^n exceeds the float64 range at N^n = {grid.size}"
+            )
         terms.append(TrigTerm(coeff, wave, phase))
     poly = TrigPolynomial(tuple(terms))
     try:
@@ -369,17 +381,20 @@ def _job_scan(cfg: ExperimentConfig, report: Path, pairs: list[tuple[str, str]],
         except DegeneratePlane as exc:
             row.update(sectional=None, note=str(exc))
         rows.append(row)
+    return {"pairs": rows, "csv": str(csv_path)}, True
 
+
+def _write_scan_csv(results: dict):
+    """The scan's plot-ready CSV, one line per pair, at ``results["csv"]``."""
     lines = [["pair_id", "h_name", "k_name", "sectional", "margin"]]
-    for row in rows:
+    for row in results["pairs"]:
         value = "" if row["sectional"] is None else f"{row['sectional']:.17g}"
         lines.append([row["pair_id"], row["h_name"], row["k_name"], value, f"{row['margin']:.17g}"])
     try:
-        with open(csv_path, "w", newline="") as stream:
+        with open(results["csv"], "w", newline="") as stream:
             csv.writer(stream).writerows(lines)
     except OSError as exc:
-        raise ConfigError(f"cannot write {csv_path}: {exc}") from exc
-    return {"pairs": rows, "csv": str(csv_path)}, True
+        raise ConfigError(f"cannot write {results['csv']}: {exc}") from exc
 
 
 def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int, bool]:
@@ -510,13 +525,16 @@ class Job(NamedTuple):
     """A row of ``JOBS``.  ``read(cfg)`` returns the job's parameters as a
     tuple, ``plan(*params)`` its ``describe`` line and
     ``run(cfg, report_path, *params)`` its ``(results, ok)``.  ``keys``
-    are the ``params`` keys ``read`` accepts; any other exits 2."""
+    are the ``params`` keys ``read`` accepts; any other exits 2.
+    ``write(results)``, when given, writes the job's other output files
+    once its results have passed ``_require_finite``."""
 
     geometry: bool  # reads model, grid, potential and functions
     keys: tuple[str, ...]
     read: Callable[[ExperimentConfig], tuple]
     plan: Callable[..., str]
     run: Callable[..., tuple[dict, bool]]
+    write: Callable[[dict], None] | None = None
 
 
 JOBS = {
@@ -533,6 +551,7 @@ JOBS = {
     "scan": Job(
         True, ("pairs", "all_pairs", "csv"), _scan_params,
         lambda pairs, _: f"sectional scan over {len(pairs)} pair(s), CSV + JSON output", _job_scan,
+        _write_scan_csv,
     ),
     "geodesic": Job(
         True, ("h0", "time", "steps", "reverse"), _geodesic_params,
@@ -577,6 +596,26 @@ def report_bytes(report: dict, include_timing: bool = False) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
+def _require_finite(node, path: tuple = ()):
+    """Raise ``NonFiniteResult`` naming the first NaN or infinity among the
+    leaves of a job's results: JSON has no such number.  Only computing can
+    find one, when finite inputs overflow float64 arithmetic."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, float) and not math.isfinite(node):
+            key = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+            raise NonFiniteResult(
+                f"result {key} = {node!r} is not finite; the inputs are too large "
+                "for float64 arithmetic"
+            )
+        return
+    for key, value in items:
+        _require_finite(value, path + (key,))
+
+
 def write_report(report: dict, path: Path):
     try:
         path.write_bytes(report_bytes(report, include_timing=True))
@@ -590,12 +629,19 @@ def write_report(report: dict, path: Path):
 
 
 def _execute(cfg: ExperimentConfig, out_path: Path) -> tuple[dict, bool, float]:
-    """Check a ``-o`` path, run the job, write its report to ``out_path`` and
-    return the results, whether its checks passed and the elapsed seconds."""
+    """Check a ``-o`` path, run the job, check that its results are finite
+    (every job but ``validate``), write its files and its report to
+    ``out_path`` and return the results, whether its checks passed and the
+    elapsed seconds."""
     _path(str(out_path), "-o")
+    job = JOBS[cfg.job]
     started = time.perf_counter()
-    results, ok = JOBS[cfg.job].run(cfg, out_path, *cfg.inputs)
+    results, ok = job.run(cfg, out_path, *cfg.inputs)
     elapsed = time.perf_counter() - started
+    if cfg.job != "validate":
+        _require_finite(results)
+    if job.write is not None:
+        job.write(results)
     write_report(make_report(cfg.raw, cfg.job, results, elapsed), out_path)
     return results, ok, elapsed
 

@@ -113,3 +113,8 @@ class NotPositiveDefinite(PositivityError):
 
 class ConfigError(InputError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+class NonFiniteResult(InputError):
+    """A job's result is NaN or infinite: its finite inputs overflowed float64
+    arithmetic, which only computing can find."""

@@ -140,6 +140,15 @@ def herm_inner(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
     return float(_metric_raw(H.base.weights, H.inverses(), *_aligned(H, xi, eta)))
 
 
+def _curvature_raw(weights: np.ndarray, Hi: np.ndarray, a, b, c, d, literal=False) -> float:
+    """``herm_curvature_quad`` from the weights and the inverses H^{-1}."""
+    A, B, C, D = Hi @ a, Hi @ b, Hi @ c, Hi @ d
+    comm1 = A @ B - B @ A
+    comm2 = D @ C - C @ D
+    value = float(0.25 * _weighted_trace(weights, comm1 @ comm2))
+    return -value if literal else value
+
+
 def herm_curvature_quad(
     H: HermPoint,
     xi: HermTangent,
@@ -156,28 +165,27 @@ def herm_curvature_quad(
     flips the leading sign to the displayed transcription.
     """
     a, b, c, d = _aligned(H, xi, eta, zeta, lam)
-    Hi = H.inverses()
-    A, B, C, D = Hi @ a, Hi @ b, Hi @ c, Hi @ d
-    comm1 = A @ B - B @ A
-    comm2 = D @ C - C @ D
-    value = float(0.25 * _weighted_trace(H.base.weights, comm1 @ comm2))
-    return -value if literal else value
+    return _curvature_raw(H.base.weights, H.inverses(), a, b, c, d, literal)
 
 
 def herm_sectional(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
     """Sectional curvature K(xi, eta) = (R(xi,eta)eta, xi) / Gram, <= 0, by
-    ``curvature.sectional_quotient``.
+    ``curvature.sectional_quotient``, from one inversion of H: the same
+    operations as ``herm_curvature_quad`` and three ``herm_inner``, so the
+    same bits.
 
     Raises
     ------
     DegeneratePlane
         If the Gram determinant is below threshold relative to the norms.
     """
+    a, b = _aligned(H, xi, eta)
+    weights, Hi = H.base.weights, H.inverses()
     return sectional_quotient(
-        herm_curvature_quad(H, xi, eta, eta, xi),
-        herm_inner(H, xi, xi),
-        herm_inner(H, eta, eta),
-        herm_inner(H, xi, eta),
+        _curvature_raw(weights, Hi, a, b, b, a),
+        float(_metric_raw(weights, Hi, a, a)),
+        float(_metric_raw(weights, Hi, b, b)),
+        float(_metric_raw(weights, Hi, a, b)),
     )
 
 
@@ -230,7 +238,10 @@ def herm_fd_riemann(
     NotPositiveDefinite
         If a finite-difference shift leaves the positive-definite cone; the
         message names the first such shift (in stack order, P first) and its
-        minimum eigenvalue.
+        minimum eigenvalue.  Also if the metric's basis Gram matrix, which
+        is positive definite in exact arithmetic, is singular in floating
+        point (an ill-conditioned H, whose inverse's squared entries
+        underflow); the message names the Gram and the shift.
     """
     a, b, c, d = _aligned(H, xi, eta, zeta, lam)
     weights = H.base.weights
@@ -264,7 +275,13 @@ def herm_fd_riemann(
         traces = np.trace(Hi @ single[:, None] @ Hi @ single, axis1=-2, axis2=-1)
         gram = np.zeros((len(P), len(single)) * 2)
         gram[on_point, :, on_point] = np.real(weights[:, None, None] * traces)
-        coeff = np.linalg.solve(gram.reshape(rhs.size, rhs.size), rhs)
+        try:
+            coeff = np.linalg.solve(gram.reshape(rhs.size, rhs.size), rhs)
+        except np.linalg.LinAlgError as exc:  # H^{-1} squared underflows
+            raise NotPositiveDefinite(
+                f"basis Gram matrix at the shift of size {shift:.1e} is singular: "
+                "H is too ill-conditioned for the finite-difference oracle"
+            ) from exc
         return np.tensordot(coeff, basis, axes=(0, 0))
 
     def dgamma(direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

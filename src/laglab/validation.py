@@ -102,6 +102,10 @@ RANDOM_TERMS = 3
 RANDOM_AMPLITUDE = 0.2
 PAIRING_FLOOR = 1e-3
 
+# The largest sample count ``SuiteConfig`` accepts (``geodesic_steps`` has
+# ``MAX_STEPS``): the battery's time and memory grow with each count.
+MAX_COUNT = 10_000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -458,14 +462,13 @@ class SuiteConfig:
     tolerances: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("quadruples", "fd_triples", "sectional_samples", "mirror_samples",
-                     "rho_points", "geodesic_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.geodesic_steps > MAX_STEPS:
-            raise ValueError(
-                f"geodesic_steps must be at most {MAX_STEPS}, got {self.geodesic_steps}"
-            )
+        for name, most in (("quadruples", MAX_COUNT), ("fd_triples", MAX_COUNT),
+                           ("sectional_samples", MAX_COUNT), ("mirror_samples", MAX_COUNT),
+                           ("rho_points", MAX_COUNT), ("geodesic_steps", MAX_STEPS)):
+            if not 1 <= getattr(self, name) <= most:
+                raise ValueError(
+                    f"{name} must be between 1 and {most}, got {getattr(self, name)}"
+                )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.geodesic_time > 0:

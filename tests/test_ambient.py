@@ -26,6 +26,15 @@ def test_model_validation():
         AlmostCYModel(2, period=0.0)
 
 
+def test_the_torus_volume_must_be_a_float():
+    """The quadratures weigh by period^n: 1e200 is a valid period at n = 1
+    only, and 1e308 squared overflows."""
+    assert AlmostCYModel(1, period=1e200).period == 1e200
+    for n, period in ((2, 1e200), (2, 1e308), (3, 1e103), (1, np.inf), (1, np.nan)):
+        with pytest.raises(ValueError, match="period\\^n in the float64 range"):
+            AlmostCYModel(n, period=period)
+
+
 def test_omega_matrix_convention():
     model = AlmostCYModel(1)
     W = model.omega_matrix()

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import laglab.cli
@@ -558,6 +559,15 @@ READ_BEFORE_COMPUTE = [
     (dict(GEODESIC, params={"h0": "h"}, output="/no-such-laglab-dir/geo.json"), "output"),
     (dict(GEODESIC, job="scan", params={"all_pairs": True, "csv": "/no-such-laglab-dir/s.csv"}),
      "params.csv"),
+    # The quadratures weigh by period^n, which overflows here.
+    (dict(GEODESIC, params={"h0": "h"}, model=dict(MODEL_FLAT, period=1e308)),
+     "invalid model: period must be positive, with period^n in the float64 range"),
+    # A finite coefficient whose sum |c| N^n overflows would sample to inf.
+    (dict(GEODESIC, job="sectional", params={"h": "h", "k": "k"},
+          potential=[{"coefficient": 1e308, "wavevector": [1, 0]}]), "potential: term 0"),
+    (dict(GEODESIC, params={"h0": "h"}, functions=dict(FUNCTIONS, h=[
+        {"coefficient": 1.0, "wavevector": [1, 0]}, {"coefficient": -1e308, "wavevector": [0, 1]},
+    ])), "functions[h]: term 1"),
 ]
 
 
@@ -731,6 +741,7 @@ ERROR_EXITS = {
     "ConfigError": (2, "config error:"),
     "BandLimitExceeded": (2, "config error:"),
     "DegeneratePlane": (2, "config error:"),
+    "NonFiniteResult": (2, "config error:"),
     "GammaMismatch": (2, "config error:"),
     "ShapeMismatch": (2, "config error:"),
     "PositivityError": (3, "positivity error:"),
@@ -814,3 +825,66 @@ def test_a_16_point_validate_runs_and_reports_its_failing_rows(tmp_path, capsys)
     assert main(["validate", "--grid", "16", "-o", str(out)]) == 4
     assert load_report(out)["results"]["all_passed"] is False
     assert "FAIL" in capsys.readouterr().out
+
+
+# Each count's cap is read before the battery runs; at 1e30 the battery would
+# loop for ever, and 1e12 rho points would ask for terabytes.
+@pytest.mark.parametrize("field, value", [
+    ("quadruples", 1e30), ("fd_triples", 1e30), ("sectional_samples", 1e30),
+    ("mirror_samples", 1e30), ("rho_points", 1e12), ("rho_points", 10_001),
+])
+def test_battery_counts_are_capped_before_the_run(tmp_path, capsys, monkeypatch, field, value):
+    def must_not_run(*_):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setitem(laglab.cli.JOBS, "validate",
+                        laglab.cli.JOBS["validate"]._replace(run=must_not_run))
+    cfg = write_config(tmp_path, "v.json", {"job": "validate", "params": {field: value}})
+    out = tmp_path / "v_report.json"
+    for argv in (["describe", str(cfg)], ["run", str(cfg), "-o", str(out)]):
+        assert main(argv) == 2
+        assert f"config error: invalid validation config: {field} must be between 1 and 10000" \
+            in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Finite inputs whose products overflow float64 make NaN: only computing can
+# find that, so ``describe`` exits 0 and ``run`` exits 2, naming the result
+# key, and writes no report or CSV (JSON has no NaN).
+HUGE_PAIR = dict(FUNCTIONS, h=[{"coefficient": 1e200, "wavevector": [1, 0]}],
+                 k=[{"coefficient": 1e200, "wavevector": [0, 1]}])
+
+
+@pytest.mark.parametrize("config, key", [
+    (dict(TWISTED_16, job="sectional", functions=HUGE_PAIR, params={"h": "h", "k": "k"}),
+     "result sectional = nan"),
+    (dict(TWISTED_16, job="scan", functions=HUGE_PAIR, params={"pairs": [["h", "k"]]}),
+     "result pairs[0].sectional = nan"),
+    (dict(TWISTED_16, job="curvature", params={"h": "h", "k": "k", "l": "k", "m": "h"},
+          functions=dict(HUGE_PAIR, h=[{"coefficient": 1e160, "wavevector": [1, 0]}],
+                         k=[{"coefficient": 1e160, "wavevector": [0, 1]}])),
+     "result mean_zero_residual = nan"),
+], ids=["sectional", "scan", "curvature"])
+def test_a_non_finite_result_exits_2_naming_its_key(tmp_path, capsys, config, key):
+    cfg = write_config(tmp_path, "huge.json", config)
+    assert main(["describe", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "huge_report.json"
+    with np.errstate(all="ignore"):
+        assert main(["run", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} is not finite")
+    assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def test_an_ill_conditioned_mirror_H_is_a_positivity_error(tmp_path, capsys):
+    """H = diag(1e200, 1) is positive definite, but the squares of its
+    inverse's entries underflow, so the oracle's basis Gram is singular."""
+    cfg = write_config(tmp_path, "ill.json", {
+        "job": "mirror", "params": dict(MIRROR_PARAMS, H=[[[1e200, 0], [0, 1]]]),
+    })
+    assert main(["describe", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ill_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("positivity error: basis Gram matrix")
+    assert not out.exists()

@@ -334,3 +334,30 @@ def test_non_finite_inputs_are_rejected_by_name(single_base, bad):
             HermTangent(single_base, mats)
         with pytest.raises(ValueError, match="^point matrices must be finite$"):
             HermPoint(single_base, mats)
+
+
+def test_fd_oracle_on_an_ill_conditioned_point_names_the_gram(single_base):
+    """diag(1e200, 1) is positive definite, but the squares of its inverse's
+    entries underflow, so the basis Gram is singular in floating point."""
+    H = HermPoint(single_base, np.diag([1e200, 1.0]).astype(complex)[None])
+    sx = _tangent(single_base, SIGMA_X)
+    sy = _tangent(single_base, SIGMA_Y)
+    with pytest.raises(NotPositiveDefinite, match=r"^basis Gram matrix at the shift of size "):
+        herm_fd_riemann(H, sx, sy, sy, sx)
+
+
+@pytest.mark.parametrize("points, m", [(1, 2), (3, 3)])
+def test_sectional_inverts_the_point_once(monkeypatch, points, m):
+    """One inversion of H serves the quadruple form and the three Gram
+    entries, with the bits of ``herm_curvature_quad`` and ``herm_inner``."""
+    rng = np.random.default_rng([31, points])
+    base = HermBase(rng.uniform(0.5, 2.0, size=points))
+    H = random_point(rng, base, m)
+    xi, eta = random_tangent(rng, base, m), random_tangent(rng, base, m)
+    quad = herm_curvature_quad(H, xi, eta, eta, xi)
+    hh, kk, hk = herm_inner(H, xi, xi), herm_inner(H, eta, eta), herm_inner(H, xi, eta)
+    calls = []
+    original = HermPoint.inverses
+    monkeypatch.setattr(HermPoint, "inverses", lambda self: calls.append(1) or original(self))
+    assert herm_sectional(H, xi, eta) == quad / (hh * kk - hk * hk)
+    assert len(calls) == 1
