@@ -8,12 +8,15 @@ Subcommands
 
 Every job is one row of the ``JOBS`` table: whether it reads a model, grid
 and functions, the ``params`` keys it accepts, its parameter read, its
-``describe`` plan line and its computation.  ``ExperimentConfig`` rejects
+``describe`` plan line, its computation and any writer of its other
+output files (the scan's CSV).  ``ExperimentConfig`` rejects
 an unknown key at every level (top level, ``params``, ``model``, ``grid``
 and each trig term) and runs the job's read and the top-level ``output``
 read before any computation, so every subcommand sees the same reads and
 the same configuration errors; an output path must lie in a directory
-that exists.
+that exists.  Two configuration errors only computing finds: a degenerate
+sectional plane, and a NaN or infinity in a job's results (every job but
+``validate``), which ``_execute`` checks once before any file is written.
 
 Exit codes: 0 success, 2 configuration error, 3 positivity lost,
 4 check failure, 1 any other laglab error.  An error's base class in
