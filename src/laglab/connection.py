@@ -29,14 +29,27 @@ constants, which carry no geometry).  A graph build reads grad phi and
 Hess phi, and both are linear in phi, so RK4 runs on the state
 (phi, psi, grad phi, Hess phi) with rate (psi, -D_psi psi, grad psi,
 Hess psi): a stage shifts all four components alike, and the end of the
-step combines each component's four rates.  Each stage therefore
-differentiates only its velocity psi: one gradient, then the Hessian taken
-from that gradient (n + n(n+1)/2 single-field derivatives, 5 at n = 2), and
-every stage graph and end-of-step graph is built from the carried
-derivatives, without differentiating the potential.  The end-of-step graph
-normalises and pairs the velocity on its Re Omega~, so it forms no metric
-side.  The sums run in place, in the order of the written expressions, so
-they give the same bits.
+step combines the four rates.  Each stage therefore differentiates only
+its velocity psi: one gradient, then the Hessian taken from that gradient
+(n + n(n+1)/2 single-field derivatives, 5 at n = 2), and every stage graph
+and end-of-step graph is built from the carried derivatives, without
+differentiating the potential.  The end-of-step graph normalises and pairs
+the velocity on its Re Omega~, so it forms no metric side.
+
+The state is one C-contiguous block of 2 + n + n^2 component-major rows:
+phi, psi, the n rows of grad phi, then the n^2 rows of Hess phi, whose
+grid-last views are what ``build`` takes.  A shot allocates it once, with
+four blocks of its shape: an accumulator, a stage and two rate blocks.  A
+stage shift is state + c k over the whole block, into the stage block, and
+each stage writes grad psi and Hess psi straight into its rate block's
+rows (``out=`` of ``gradient_values`` and ``hessian_values``).  The rates
+k1 and k3 share one rate block, k2 and k4 the other: the accumulator takes
+2 k2 + k1 before k3 is written, and 2 k3 and k4 after k4 is written, so
+state + dt/6 (k1 + 2 k2 + 2 k3 + k4) is summed in place in the order of
+the written expression, with the same bits as per-component arrays.  The
+accumulator then becomes the state.  Stage and end-of-step graphs are
+transient views of the blocks and never leave the step; the returned path
+keeps copies of phi and psi.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ from .errors import (
 )
 from .lagrangian import GraphLagrangian, TangentFunction, build, require_same_gamma
 from .torus import (
+    PeriodicGrid,
     ScalarField,
     check_field_shapes,
     gradient_values,
@@ -256,25 +270,13 @@ class GeodesicPath:
         return float(np.abs(ret - start).max())
 
 
-def _axpy(d: np.ndarray, c: float, s: np.ndarray) -> np.ndarray:
-    """d + c s in one new array, bit-identical to the expression (IEEE
-    addition is commutative)."""
-    out = c * s
-    out += d
-    return out
-
-
-def _rk4_update(d, s1, s2, s3, s4, dt: float) -> np.ndarray:
-    """d + dt/6 (s1 + 2 s2 + 2 s3 + s4) in one accumulator, summed in the
-    expression's order, so bit-identical to it."""
-    acc = 2.0 * s2
-    acc += s1
-    term = 2.0 * s3
-    acc += term
-    acc += s4
-    acc *= dt / 6.0
-    acc += d
-    return acc
+def _block_rows(grid: PeriodicGrid, block: np.ndarray) -> tuple:
+    """The rows of an RK4 block as (phi, psi, grad phi, Hess phi), the
+    derivatives grid-last, as ``build`` takes them."""
+    n = grid.n
+    grad = block[2 : 2 + n].transpose(grid._axis_orders[1])
+    hess = block[2 + n :].reshape((n, n) + grid.shape).transpose(grid._axis_orders[2])
+    return block[0], block[1], grad, hess
 
 
 def geodesic_shoot(
@@ -285,6 +287,16 @@ def geodesic_shoot(
     step_energy_tol: float = 1e-6,
 ) -> GeodesicPath:
     """Integrate the geodesic equation phi_tt = -D_{phi_t} phi_t.
+
+    The RK4 state (phi, psi, grad phi, Hess phi) is one C-contiguous block of
+    2 + n + n^2 component-major rows, allocated once per shot with four more
+    blocks of its shape: the accumulator, the stage and two rate blocks.  The
+    rates k1 and k3 share one rate block and k2 and k4 the other; the
+    accumulator takes 2 k2 + k1 before k3 overwrites k1, so the combination
+    runs in the order of the written RK4 sum and keeps its bits.  A stage
+    writes its derivatives straight into its rate block's rows.  Stage and
+    end-of-step graphs view the blocks and never leave the step; the path
+    keeps copies of phi and psi, so no two of its fields share memory.
 
     Raises
     ------
@@ -302,49 +314,74 @@ def geodesic_shoot(
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
     model, grid = gamma0.model, gamma0.grid
+    n = grid.n
     dt = float(time) / steps
 
-    def gamma_at(phi_vals: np.ndarray, derivatives: tuple, t: float) -> GraphLagrangian:
+    def gamma_at(block: np.ndarray, t: float) -> GraphLagrangian:
+        phi_vals, _, grad_phi, hess_phi = rows[id(block)]
         try:
-            return build(model, ScalarField(grid, phi_vals), derivatives)
+            return build(model, ScalarField(grid, phi_vals), (grad_phi, hess_phi))
         except NotPositive as exc:
             raise PositivityLost(t, f"positivity lost at t = {t:.6g}: {exc}") from exc
 
-    def rate(state: tuple, t: float) -> tuple:
-        """d/dt (phi, psi, grad phi, Hess phi) = (psi, -D_psi psi, grad psi,
-        Hess psi), with D at the graph of phi."""
-        phi_vals, psi_vals, grad_phi, hess_phi = state
-        gamma = gamma_at(phi_vals, (grad_phi, hess_phi), t)
-        grad_psi = gradient_values(grid, psi_vals)
+    def rate(block: np.ndarray, k: np.ndarray, t: float) -> None:
+        """Write d/dt (phi, psi, grad phi, Hess phi) = (psi, -D_psi psi,
+        grad psi, Hess psi) at ``block`` into ``k``, with D at the graph of
+        phi."""
+        gamma = gamma_at(block, t)
+        psi_vals = block[1]
+        _, _, grad_out, hess_out = rows[id(k)]
+        grad_psi = gradient_values(grid, psi_vals, out=grad_out)
         accel = -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
-        return psi_vals, accel, grad_psi, hessian_values(grid, psi_vals, grad=grad_psi)
+        k[0] = psi_vals
+        k[1] = accel
+        hessian_values(grid, psi_vals, grad=grad_psi, out=hess_out)
 
-    def shifted(state: tuple, c: float, slope: tuple) -> tuple:
-        return tuple(_axpy(s, c, k) for s, k in zip(state, slope))
+    def shift(c: float, k: np.ndarray) -> np.ndarray:
+        """state + c k in the stage block, bit-identical to the expression
+        (IEEE addition is commutative)."""
+        np.multiply(k, c, out=stage)
+        return np.add(stage, state, out=stage)
 
-    phi = gamma0.phi.values - gamma0.phi.values.mean()
+    state, acc, stage, k_odd, k_even = np.empty((5, 2 + n + n * n) + grid.shape)
+    # The blocks live for the whole shot, so their ids key their row views.
+    rows = {id(block): _block_rows(grid, block) for block in (state, acc, stage, k_odd, k_even)}
+    phi0 = gamma0.phi.values
+    np.subtract(phi0, phi0.mean(), out=state[0])
     psi = gamma0.normalize_values(h0.values)
-    state = (phi, psi, gamma0.grad_phi, gamma0.hess_phi)
+    state[1] = psi
+    _, _, grad_phi, hess_phi = rows[id(state)]
+    grad_phi[...] = gamma0.grad_phi
+    hess_phi[...] = gamma0.hess_phi
 
     times = [0.0]
-    potentials = [ScalarField(grid, phi)]
+    potentials = [ScalarField(grid, state[0].copy())]
     velocities = [ScalarField(grid, psi)]
     energies = [gamma0.inner_values(psi, psi)]
 
     for step in range(steps):
         t = step * dt
-        k1 = rate(state, t)
-        k2 = rate(shifted(state, 0.5 * dt, k1), t + 0.5 * dt)
-        k3 = rate(shifted(state, 0.5 * dt, k2), t + 0.5 * dt)
-        k4 = rate(shifted(state, dt, k3), t + dt)
-        phi, psi, grad_phi, hess_phi = (
-            _rk4_update(*terms, dt) for terms in zip(state, k1, k2, k3, k4)
-        )
+        # state + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in the order
+        # 2 k2 + k1 + 2 k3 + k4: k3 overwrites k1 and k4 overwrites k2
+        # only after the accumulator has taken them.
+        rate(state, k_odd, t)
+        rate(shift(0.5 * dt, k_odd), k_even, t + 0.5 * dt)
+        np.multiply(k_even, 2.0, out=acc)
+        acc += k_odd
+        rate(shift(0.5 * dt, k_even), k_odd, t + 0.5 * dt)
+        rate(shift(dt, k_odd), k_even, t + dt)
+        k_odd *= 2.0
+        acc += k_odd
+        acc += k_even
+        acc *= dt / 6.0
+        acc += state
+        state, acc = acc, state
 
+        phi = state[0]
         phi -= phi.mean()
-        gamma = gamma_at(phi, (grad_phi, hess_phi), t + dt)
-        psi = gamma.normalize_values(psi)
-        state = (phi, psi, grad_phi, hess_phi)
+        gamma = gamma_at(state, t + dt)
+        psi = gamma.normalize_values(state[1])
+        state[1] = psi
         energy = gamma.inner_values(psi, psi)
 
         drift = abs(energy - energies[-1]) / max(abs(energies[0]), 1e-300)
@@ -352,7 +389,7 @@ def geodesic_shoot(
             raise StepRejected(t + dt, drift, step_energy_tol)
 
         times.append(t + dt)
-        potentials.append(ScalarField(grid, phi))
+        potentials.append(ScalarField(grid, phi.copy()))
         velocities.append(ScalarField(grid, psi))
         energies.append(energy)
 

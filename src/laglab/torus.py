@@ -27,6 +27,15 @@ planar grids: with one BLAS thread from 512^2 on (1.5x faster there), with
 two not up to 1024^2, and at n = 3 not up to 128^3 (timings in the README).
 No grid the library runs exceeds 64^2 or 32^3, so there is no size switch.
 
+``gradient_values`` and ``hessian_values`` take a keyword-only ``out``: a
+grid-last array of the result's shape, ``grid.shape + (n,)`` or
+``grid.shape + (n, n)``, whose index-first view (the index axes moved in
+front of the grid axes) is C-contiguous, as the arrays they return are.
+The derivatives are written into it with the same bits as the allocating
+call, and the result is a view of ``out``.  Any other shape or layout
+raises ``ValueError``, before anything is written.  ``out`` must not
+overlap the field or gradient it is computed from.
+
 Quadrature is the trapezoidal rule: ``integrate_values`` takes the mean of
 one field, and ``integrate_product`` integrates the product of two fields as
 one BLAS dot, with no product array; the metric pairing, the tangent-space
@@ -290,20 +299,28 @@ def _differentiate(grid: PeriodicGrid, values: np.ndarray, axis: int, out: np.nd
         np.matmul(grid._diff_matrix, shifted.reshape(flat), out=out.reshape(flat))
 
 
-def _gradient_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """d_a of one field or a stack of fields, the axis index a first."""
-    out = np.empty((grid.n,) + values.shape)
+def _gradient_stack(
+    grid: PeriodicGrid, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """d_a of one field or a stack of fields, the axis index a first, in
+    ``out`` when it is given."""
+    if out is None:
+        out = np.empty((grid.n,) + values.shape)
     for axis in range(grid.n):
         _differentiate(grid, values, axis, out[axis])
     return out
 
 
-def _hessian_stack(grid: PeriodicGrid, grad: np.ndarray) -> np.ndarray:
-    """d_a d_b of one field from its gradient stack, the matrix indices first:
-    the entries (b, a), a <= b, are d_b of the gradient rows a <= b, one
-    matmul per axis, and the entries above the diagonal copy them."""
+def _hessian_stack(
+    grid: PeriodicGrid, grad: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """d_a d_b of one field from its gradient stack, the matrix indices first,
+    in ``out`` when it is given: the entries (b, a), a <= b, are d_b of the
+    gradient rows a <= b, one matmul per axis, and the entries above the
+    diagonal copy them."""
     n = grid.n
-    out = np.empty((n, n) + grad.shape[1:])
+    if out is None:
+        out = np.empty((n, n) + grad.shape[1:])
     for b in range(n):
         _differentiate(grid, grad[: b + 1], b, out[b, : b + 1])
         for a in range(b):
@@ -320,15 +337,46 @@ def partial_values(grid: PeriodicGrid, values: np.ndarray, axis: int) -> np.ndar
     return out
 
 
-def gradient_values(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """All first derivatives, shape ``grid.shape + (n,)``."""
-    return _gradient_stack(grid, values).transpose(grid._axis_orders[1])
+def _out_stack(grid: PeriodicGrid, out: np.ndarray | None, indices: int) -> np.ndarray | None:
+    """The index-first view of a grid-last ``out`` with ``indices`` index
+    axes, which must be C-contiguous; None for None.
+
+    Raises
+    ------
+    ValueError
+        If ``out`` does not have the shape ``grid.shape + (n,) * indices``
+        or its index-first view is not C-contiguous."""
+    if out is None:
+        return None
+    n = grid.n
+    expected = grid.shape + (n,) * indices
+    if out.shape != expected:
+        raise ValueError(f"out shape {out.shape} != expected {expected}")
+    stack = out.transpose((*range(n, n + indices), *range(n)))
+    if not stack.flags.c_contiguous:
+        raise ValueError("out must be the grid-last view of a C-contiguous index-first stack")
+    return stack
+
+
+def gradient_values(
+    grid: PeriodicGrid, values: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """All first derivatives, shape ``grid.shape + (n,)``, written into
+    ``out`` when it is given (see the module docstring)."""
+    stack = _gradient_stack(grid, values, _out_stack(grid, out, 1))
+    return stack.transpose(grid._axis_orders[1])
 
 
 def hessian_values(
-    grid: PeriodicGrid, values: np.ndarray, *, grad: np.ndarray | None = None
+    grid: PeriodicGrid,
+    values: np.ndarray,
+    *,
+    grad: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All second derivatives, shape ``grid.shape + (n, n)``, exactly symmetric.
+    """All second derivatives, shape ``grid.shape + (n, n)``, exactly
+    symmetric, written into ``out`` when it is given (see the module
+    docstring).
 
     ``grad`` is ``gradient_values(grid, values)`` when the caller already has
     it; the Hessian is then taken from it without differentiating ``values``
@@ -339,7 +387,8 @@ def hessian_values(
         raise ValueError(f"gradient shape {grad.shape} != expected {grid.shape + (grid.n,)}")
     else:
         stack = grad.transpose(grid._axis_orders[0])
-    return _hessian_stack(grid, stack).transpose(grid._axis_orders[2])
+    hess = _hessian_stack(grid, stack, _out_stack(grid, out, 2))
+    return hess.transpose(grid._axis_orders[2])
 
 
 def grad_hess(grid: PeriodicGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

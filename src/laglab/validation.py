@@ -639,7 +639,9 @@ def _nonpositive(
     cfg: SuiteConfig, name: str, samples: int, draw: Callable[[int], float]
 ) -> CheckResult:
     """Largest of ``samples`` sectional curvatures ``draw(i)``, i = 0, 1, ...;
-    a degenerate plane is redrawn, within 10 * ``samples`` attempts."""
+    a degenerate plane is redrawn, within 10 * ``samples`` attempts.  The row
+    fails when fewer than ``samples`` were drawn, and reports a null
+    ``max_sectional`` when none was."""
     max_val = -np.inf
     drawn = 0
     attempts = 0
@@ -653,7 +655,8 @@ def _nonpositive(
     err = max(max_val, 0.0)
     return _result(
         name, err, err, cfg.tolerance(name), "abs",
-        {"samples": drawn, "max_sectional": max_val},
+        {"samples": drawn, "max_sectional": max_val if drawn else None},
+        drawn == samples,
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from laglab.torus import (
     field_from_function,
     grad_hess,
     gradient_values,
+    hessian_values,
     vector_dot,
 )
 
@@ -442,6 +445,95 @@ def test_geodesic_stage_differentiates_one_gradient(n, points, per_stage, monkey
     assert len(graphs) > steps
     metric_side = ("metric", "inverse_metric", "sqrt_det_metric", "rho", "theta")
     assert [name for g in graphs for name in metric_side if name in vars(g)] == []
+
+
+def _written_out_shot(gamma0, h0, time, steps):
+    """Potentials, velocities and energies of the RK4 step written per
+    component with fresh arrays: stages state + (c dt) k and the update
+    state + dt/6 (k1 + 2 k2 + 2 k3 + k4) as Python evaluates them."""
+    model, grid = gamma0.model, gamma0.grid
+    dt = time / steps
+
+    def rate(state):
+        phi, psi, grad_phi, hess_phi = state
+        gamma = build(model, ScalarField(grid, phi), (grad_phi, hess_phi))
+        grad = gradient_values(grid, psi)
+        accel = -cov_deriv_pair_values(gamma, psi, psi, grad_j=grad, grad_k=grad)
+        return psi, accel, grad, hessian_values(grid, psi, grad=grad)
+
+    phi = gamma0.phi.values - gamma0.phi.values.mean()
+    psi = gamma0.normalize_values(h0.values)
+    state = (phi, psi, gamma0.grad_phi, gamma0.hess_phi)
+    potentials, velocities, energies = [phi], [psi], [gamma0.inner_values(psi, psi)]
+    for _ in range(steps):
+        k1 = rate(state)
+        k2 = rate(tuple(s + 0.5 * dt * k for s, k in zip(state, k1)))
+        k3 = rate(tuple(s + 0.5 * dt * k for s, k in zip(state, k2)))
+        k4 = rate(tuple(s + dt * k for s, k in zip(state, k3)))
+        phi, psi, grad_phi, hess_phi = (
+            s + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+        phi = phi - phi.mean()
+        gamma = build(model, ScalarField(grid, phi), (grad_phi, hess_phi))
+        psi = gamma.normalize_values(psi)
+        state = (phi, psi, grad_phi, hess_phi)
+        potentials.append(phi)
+        velocities.append(psi)
+        energies.append(gamma.inner_values(psi, psi))
+    return potentials, velocities, energies
+
+
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("twist", [0.0, 0.1])
+def test_shot_is_the_written_out_rk4_step_bit_for_bit(n, points, twist):
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=twist, twist_mode=1)
+    gamma0 = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c.sum(axis=-1))))
+    h0 = gamma0.normalize(
+        field_from_function(grid, lambda c: 0.3 * np.cos(c[..., 0]) + 0.1 * np.sin(c[..., -1]))
+    )
+    path = geodesic_shoot(gamma0, h0, 0.2, 5)
+    potentials, velocities, energies = _written_out_shot(gamma0, h0, 0.2, 5)
+    assert all(np.array_equal(f.values, v) for f, v in zip(path.potentials, potentials))
+    assert all(np.array_equal(f.values, v) for f, v in zip(path.velocities, velocities))
+    assert np.array_equal(path.energies, energies)
+
+
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 32), (3, 16)])
+def test_shot_fields_share_no_memory(n, points):
+    """The shot reuses its RK4 blocks from step to step; every potential and
+    velocity it returns is a buffer of its own."""
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
+    gamma0 = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c.sum(axis=-1))))
+    h0 = gamma0.normalize(field_from_function(grid, lambda c: 0.3 * np.cos(c[..., 0])))
+    path = geodesic_shoot(gamma0, h0, 0.05, 4)
+    fields = [f.values for f in path.potentials + path.velocities]
+    assert len(fields) == 10
+    for i, a in enumerate(fields):
+        for b in fields[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    assert not any(np.shares_memory(a, gamma0.phi.values) for a in fields)
+
+
+def test_shot_peak_memory_beyond_its_path(twisted_generic, h_field, grid64):
+    """One 10-step shot at 64^2 holds at most 60 fields at its peak beyond
+    the 2 (S + 1) potentials and velocities it returns: five RK4 blocks of
+    8 rows (40 fields) and the transients of one stage (55.4 in all).
+    Allocating the state, the shifts and the stage derivatives afresh took
+    66.5."""
+    h0 = twisted_generic.normalize(h_field)
+    steps = 10
+    geodesic_shoot(twisted_generic, h0, 0.01, 1)  # fills the graph's cached fields
+    tracemalloc.start()
+    try:
+        geodesic_shoot(twisted_generic, h0, 0.1, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = grid64.size * 8
+    assert peak / field - 2 * (steps + 1) <= 60
 
 
 def _written_out_w_field(gamma, grad):

@@ -304,6 +304,38 @@ def test_hessian_from_a_given_gradient(n, points):
         hessian_values(grid, f, grad=grad[..., :1] if n > 1 else grad[..., 0])
 
 
+def _grid_last_out(grid, indices):
+    """A grid-last array whose index-first view is C-contiguous, as the
+    derivative routines return."""
+    n = grid.n
+    stack = np.full((n,) * indices + grid.shape, np.nan)
+    return stack.transpose((*range(indices, indices + n), *range(indices)))
+
+
+@pytest.mark.parametrize("n, points", [(1, 32), (2, 32), (3, 16)])
+def test_derivatives_written_into_out_match_the_allocating_calls(n, points):
+    """``out=`` gives the allocating call's bits and returns a view of
+    ``out``; an ``out`` of another shape or layout is rejected."""
+    grid = PeriodicGrid(n, points)
+    f = np.random.default_rng(40 + n).standard_normal(grid.shape)
+    grad_out, hess_out = _grid_last_out(grid, 1), _grid_last_out(grid, 2)
+    grad = gradient_values(grid, f, out=grad_out)
+    hess = hessian_values(grid, f, grad=grad, out=hess_out)
+    assert np.array_equal(grad, gradient_values(grid, f))
+    assert np.array_equal(hess, hessian_values(grid, f))
+    assert np.array_equal(hessian_values(grid, f, out=_grid_last_out(grid, 2)), hess)
+    assert np.shares_memory(grad, grad_out) and np.array_equal(grad, grad_out)
+    assert np.shares_memory(hess, hess_out) and np.array_equal(hess, hess_out)
+    with pytest.raises(ValueError, match="out shape"):
+        gradient_values(grid, f, out=np.empty(grid.shape + (n + 1,)))
+    with pytest.raises(ValueError, match="out shape"):
+        hessian_values(grid, f, grad=grad, out=np.empty(grid.shape + (n,)))
+    # The right shape, but every other sample of a longer last axis.
+    strided = np.empty(grid.shape[:-1] + (2 * points, n))[..., ::2, :]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gradient_values(grid, f, out=strided)
+
+
 @pytest.mark.parametrize("n, points, period", [(1, 16, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)])
 def test_constant_along_an_axis_differentiates_to_exactly_zero(n, points, period):
     """A field that does not vary along axis a has d_a and every d_a d_b

@@ -10,6 +10,7 @@ import laglab.curvature
 import laglab.torus
 import laglab.validation
 from laglab.connection import MAX_STEPS, HamiltonianFamily, cov_deriv_pair_values, w_field_values
+from laglab.errors import DegeneratePlane
 from laglab.lagrangian import build
 from laglab.torus import ScalarField, field_from_function, gradient_values, sample
 from laglab.validation import (
@@ -23,6 +24,7 @@ from laglab.validation import (
     _suite_model_consistency,
     _suite_pairing,
     _suite_sectional_nonpositive,
+    _nonpositive,
     _suite_tensor_structure,
     _worst,
     check_dijk_zero_section,
@@ -495,3 +497,23 @@ def test_pairing_rows_count_the_trials_under_the_error_floor(points, quadruples,
     counts = {row.name[len("r3_r4_pairing["):-1]: row.params["trials_under_floor"] for row in rows}
     assert {name: counts[name] for name in expected} == expected
     assert all(type(count) is int for count in counts.values())
+
+
+@pytest.mark.parametrize("succeeding, drawn, passed", [(0, 0, False), (1, 1, False), (3, 3, True)])
+def test_nonpositive_row_fails_when_it_draws_too_few(succeeding, drawn, passed):
+    """A row that drew fewer than its samples fails, and one that drew none
+    reports a null maximum, which JSON can carry (-inf it cannot)."""
+    sectionals = [-0.5, -0.25, -1.0][:succeeding]
+    values = iter(sectionals)
+
+    def draw(i):
+        value = next(values, None)
+        if value is None:
+            raise DegeneratePlane("degenerate plane")
+        return value
+
+    result = _nonpositive(SMALL, "sectional_nonpositive", 3, draw)
+    assert result.passed is passed
+    assert result.params["samples"] == drawn
+    assert result.params["max_sectional"] == (max(sectionals) if sectionals else None)
+    json.dumps(result.to_dict(), allow_nan=False)

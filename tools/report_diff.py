@@ -10,12 +10,16 @@ configs: the validation battery at seed/grid 3/32, 7/64 and 41/64, the
 ``curvature`` and reversed 20-step ``geodesic`` jobs at n = 1, n = 2 (flat
 and twisted) and n = 3, and two ``mirror`` jobs through ``run`` (the README's Pauli plane
 at the 2x2 identity, and a two-point 3x3 family with ``zeta`` and
-``lambda`` given): 21 reports, covering the flat and twisted branches of
-the graph build and the w-field at every dimension and the Hermitian
-finite-difference oracle.  Every report is
-serialised by the tree's own ``laglab.cli.report_bytes`` (which leaves out
-the timing) with the job's temporary directory replaced by ``<tmp>``; the
-``scan3d`` report carries the bytes of its CSV file after it.  For each
+``lambda`` given), and two ``geodesic`` jobs at 32^2 that fail on purpose:
+a stage that loses positivity (exit 3) and a rejected step (exit 4).  That
+makes 23 reports, covering the flat and twisted branches of the graph build
+and the w-field at every dimension, the Hermitian finite-difference oracle
+and the failure paths of geodesic shooting.  Every report starts with the
+job's exit line, which carries what the job wrote to standard error; the
+rest is serialised by the tree's own ``laglab.cli.report_bytes`` (which
+leaves out the timing) with the job's temporary directory replaced by
+``<tmp>``; the ``scan3d`` report carries the bytes of its CSV file after
+it.  For each
 report that differs the tool prints a diff and a summary: how many numeric
 leaves (CSV cells included) differ, the largest relative difference
 |a - b| / max(|a|, |b|) and the leaf it is at, and whether any non-numeric
@@ -41,7 +45,7 @@ FILE_MARK = "\n--- file "
 # Runs inside each tree: argv[1] is the tree root, argv[2] the file mark.
 # Prints {name: report}.
 CHILD = r'''
-import json, sys, tempfile
+import contextlib, io, json, sys, tempfile
 from pathlib import Path
 
 root = Path(sys.argv[1])
@@ -93,15 +97,30 @@ MIRRORS = {
     },
 }
 
+# Geodesic jobs that fail on purpose, at 32^2: (potential, h0, twist
+# amplitude, time, steps).  Near the edge of the positive locus a twisted
+# shot loses positivity at a mid-step stage after 7 steps (exit 3); a flat
+# shot with a large velocity has its 76th step rejected for its energy jump
+# (exit 4).
+FAILING = {
+    "positivity_lost": (terms((1, 0), (0, 1), coefficient=0.95),
+                        terms((1, 0), (0, 1), coefficient=0.2), 0.1, 0.5, 20),
+    "step_rejected": (terms((1, 1), coefficient=0.2),
+                      terms((1, 0), (0, 1), coefficient=2.0), 0.0, 1.0, 200),
+}
+
 reports = {}
 
 
 def run(name, workdir, argv, report_path, *files):
-    code = main(argv)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
     text = report_bytes(json.loads(report_path.read_text())).decode() if report_path.exists() else ""
     for path in files:
         text += f"{FILE_MARK}{path.name}\n" + (path.read_text() if path.exists() else "")
-    reports[name] = f"exit {code}\n" + text.replace(str(workdir), "<tmp>")
+    stderr = err.getvalue()
+    exit_line = f"exit {code}" + (f" stderr {json.dumps(stderr)}" if stderr else "")
+    reports[name] = f"{exit_line}\n" + text.replace(str(workdir), "<tmp>")
 
 
 for seed, points in ((3, 32), (7, 64), (41, 64)):
@@ -121,6 +140,16 @@ for job, params in JOBS.items():
             cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
             cfg.write_text(json.dumps(dict(geometry(n, eps), job=job, params=params)))
             run(f"{job}_{label}", tmp, ["run", str(cfg), "-o", str(out)], out)
+for label, (potential, h0, eps, total_time, steps) in FAILING.items():
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        model = {"n": 2, "period": workloads.TWO_PI, "twist_amplitude": eps, "twist_mode": 1}
+        cfg.write_text(json.dumps({
+            "model": model, "grid": {"points": 32}, "potential": potential,
+            "functions": {"h": h0}, "job": "geodesic",
+            "params": {"h0": "h", "time": total_time, "steps": steps},
+        }))
+        run(f"geodesic_{label}", tmp, ["run", str(cfg), "-o", str(out)], out)
 for label, params in MIRRORS.items():
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
@@ -167,7 +196,7 @@ def _cell(text: str):
 
 
 def summarize(old: str, new: str) -> str:
-    """One line quantifying how two reports ("exit N", the report JSON, then
+    """One line quantifying how two reports (the exit line, the report JSON, then
     each appended output file, a CSV table) differ."""
     def parse(text: str) -> dict:
         head, _, body = text.partition("\n")
