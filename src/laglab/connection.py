@@ -306,7 +306,7 @@ def geodesic_shoot(
         If any stage of any step leaves the positive locus.
     StepRejected
         If the relative energy jump across one step exceeds
-        ``step_energy_tol``.
+        ``step_energy_tol`` or is NaN.
     ValueError
         If ``steps`` is not between 1 and ``MAX_STEPS``.
     """
@@ -385,7 +385,7 @@ def geodesic_shoot(
         energy = gamma.inner_values(psi, psi)
 
         drift = abs(energy - energies[-1]) / max(abs(energies[0]), 1e-300)
-        if drift > step_energy_tol:
+        if not drift <= step_energy_tol:  # NaN fails the comparison too
             raise StepRejected(t + dt, drift, step_energy_tol)
 
         times.append(t + dt)

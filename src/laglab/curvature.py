@@ -19,13 +19,15 @@ curvature built from the quadruple form is non-positive by the pointwise
 Cauchy-Schwarz inequality of its integrand.  The field route raises each of
 h, k and l once and contracts d rho and d theta with the raised gradients.
 ``sectional_matrix`` is the quadruple form at (h_i, h_j, h_j, h_i) for every
-pair of F functions, from the same gradient and raised stacks (``_stacks``)
-and the same ``sec_integral``.  Its pair loop makes few passes over
-the fields and allocates nothing: the pointwise pairing of two functions is
-one einsum over their component-major stacks, the bracket is formed in
-place in reused scratch fields, and every quadrature against a weight is
-one dot (``torus.integrate_product``).  At 32^3, passes over the fields and
-fresh temporaries, not arithmetic, set the cost (README).
+pair of F functions, from the same component-major gradient and raised
+stacks (``_raised``) and the same ``sec_integral``.  It keeps its F gradient
+stacks and pointwise norms in one block, and its pair loop makes few passes
+over the fields and allocates none: the pointwise pairing of two functions
+is one einsum over their component-major stacks, the bracket and the Gram
+entry's product are formed in place in reused scratch fields, and every
+quadrature against a weight is one dot (``torus.integrate_product``).  At
+32^3, passes over the fields and fresh temporaries, not arithmetic, set the
+cost (README).
 
 Every entry point that takes raw sample arrays checks their shapes against
 the grid (``torus.check_field_shapes``) before any work.
@@ -229,12 +231,15 @@ def sectional_matrix(
     -integral sec(theta) (P_ii P_jj - P_ij^2) rho^{n/2} vol, which depends on
     the functions only through the pointwise Gram matrix P_ij = <dh_i, dh_j>_g
     (so ``numerator[i, i]`` is 0).  So F functions take F spectral gradients
-    and F index raises, one raised stack at a time (next to the F gradient
-    stacks and diagonals P_ii, F (n + 1) fields).  Per pair, P_ij is one
-    einsum over the component-major stacks and the bracket is formed in
-    place in two scratch fields reused by every pair; the numerator and the
-    Gram entry are each one dot against their weight.  Each entry is
-    reduced on its own, so its value does not depend on which other
+    and F index raises, one raised stack at a time.  The F gradient stacks
+    and diagonals P_ii share one ``(F, n + 1) + grid`` block: row f holds
+    the component-major gradient of h_f, then P_ff.  Per pair, P_ij is one
+    einsum over the component-major stacks, and the bracket and then the
+    Gram entry's product h_i h_j are formed in place in two scratch fields
+    reused by every pair, so the pair loop allocates no field.  The
+    numerator and the Gram entry are each one dot against their weight; the
+    Gram entry is ``inner_values``' product and dot, so its bits.  Each entry
+    is reduced on its own, so its value does not depend on which other
     functions are in the batch.
 
     Raises
@@ -246,24 +251,33 @@ def sectional_matrix(
     """
     check_field_shapes(gamma.grid, *values)
     _require_margin(gamma)
-    grads, _ = _stacks(gamma, values, ())
-    count = len(values)
+    grid, count = gamma.grid, len(values)
+    n = grid.n
+    block = np.empty((count, n + 1) + grid.shape)
+    for stack, v in zip(block, values):
+        stack[:n] = gradient_values(grid, v).transpose(grid._axis_orders[0])
     numerator = np.zeros((count, count))
     gram = np.zeros((count, count))
-    diag = [None] * count
-    cross, bracket = np.empty(gamma.grid.shape), np.empty(gamma.grid.shape)
+    cross, bracket = np.empty(grid.shape), np.empty(grid.shape)
+
+    def inner(i: int, j: int) -> float:
+        # ``inner_values``' product, formed in ``bracket``, and its dot.
+        product = np.multiply(values[i], values[j], out=bracket)
+        return integrate_product(grid, product, gamma.re_omega)
+
     # Descending i: P_jj is there for every j > i, and one raised stack lives.
     for i in reversed(range(count)):
-        up = _raised(gamma, grads[i])
-        diag[i] = np.einsum(_STACK_DOT, grads[i], up)
-        gram[i, i] = gamma.inner_values(values[i], values[i])
+        grad, diag = block[i, :n], block[i, n]
+        up = _raised(gamma, grad)
+        np.einsum(_STACK_DOT, grad, up, out=diag)
+        gram[i, i] = inner(i, i)
         for j in range(i + 1, count):
-            np.einsum(_STACK_DOT, grads[j], up, out=cross)
+            np.einsum(_STACK_DOT, block[j, :n], up, out=cross)
             cross *= cross
-            np.multiply(diag[i], diag[j], out=bracket)
+            np.multiply(diag, block[j, n], out=bracket)
             bracket -= cross
             numerator[i, j] = numerator[j, i] = -sec_integral(gamma, bracket)
-            gram[i, j] = gram[j, i] = gamma.inner_values(values[i], values[j])
+            gram[i, j] = gram[j, i] = inner(i, j)
         del up
     return SectionalMatrix(numerator, gram)
 

@@ -32,12 +32,16 @@ n = 1) and s3 = det H (n = 3 only):
 with adj3 H = adj H at n = 3 and 0 otherwise.  So with E = Re E + i Im E the
 build keeps only real arrays: Re Omega~ = Re E Re det B - Im E Im det B,
 which the positivity check and the w-field read, and the complex det B and
-Omega~ are assembled from the parts on first read.  By Cramer's rule,
-replacing column a of B by v gives the determinant (adj B v)_a, so the n
-determinants the w-field needs are one contraction with adj B; for a real
-v, ``cramer_numerator`` returns
+Omega~ are assembled from the parts on first read.  At n = 3 the build takes
+s2 from the three diagonal cofactors (``torus.cofactor3``, the entries
+``torus.adjugate`` places on the diagonal), not from adj H.  By Cramer's
+rule, replacing column a of B by v gives the determinant (adj B v)_a, so
+the n determinants the w-field needs are one contraction with adj B; for a
+real v, ``cramer_numerator`` returns
 
-    Im(E adj(B) v) = Re E (H v - s1 v) + Im E (v - adj3 H v).
+    Im(E adj(B) v) = Re E (H v - s1 v) + Im E (v - adj3 H v),
+
+and it is the one reader of adj3 H, which is formed on its first call.
 
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
@@ -73,6 +77,7 @@ from .torus import (
     ScalarField,
     adjugate,
     check_field_shapes,
+    cofactor3,
     det,
     divergence_values,
     grad_hess,
@@ -88,15 +93,16 @@ class GraphLagrangian:
     """The graph of d(phi): the pulled-back form built eagerly, the induced
     metric side on first read.
 
-    Eager: ``grad_phi``, ``hess_phi``, tr H and adj H (n = 3 only), Re E
+    Eager: ``grad_phi``, ``hess_phi``, tr H and tr adj H (n = 3 only), Re E
     and Im E of the twist density E = e^{g} as two contiguous real arrays
     (``AlmostCYModel.holomorphic_density_parts`` from x_1's N axis samples,
     which broadcast to the grid, and with e^{ib} in the half-angle form: one
     vectorised tan instead of numpy's scalar sin and cos), the real and imaginary parts of det B (B = I - i Hess phi),
     Re Omega~ = Re(E det B), which ``re_omega`` returns, and its minimum
-    ``re_omega_min``.  That is all a geodesic step reads.  Every other
-    field is computed on first read and then cached: the complex E, which
-    only ``rho`` reads, and ``pullback_density``; the phase side ``theta``,
+    ``re_omega_min``.  Every other field is computed on first read and then
+    cached: adj H (n = 3 only), which only ``cramer_numerator`` reads, so a
+    geodesic step reads it and a sectional scan does not; the complex E,
+    which only ``rho`` reads, and ``pullback_density``; the phase side ``theta``,
     ``cos_theta``, ``margin`` and ``sec_weight``, read off Omega~ alone; the
     metric side ``metric``, ``det_metric``, ``inverse_metric``,
     ``sqrt_det_metric`` and ``rho``; ``total_weight``, ``lagang_residual``
@@ -145,13 +151,14 @@ class GraphLagrangian:
         if n == 3:
             trace += H[..., 2, 2]
         self._trace_hess = trace
-        self._adj_hess = adj = adjugate(H) if n == 3 else None
         if n < 3:
             self._re_det_B = re_det_B = np.ones(grid.shape) if n == 1 else det(H)
             self._im_det_B = im_det_B = np.subtract(0.0, trace)
         else:
-            self._re_det_B = re_det_B = np.add(adj[..., 0, 0], adj[..., 1, 1])
-            re_det_B += adj[..., 2, 2]
+            # s2 = tr adj H from the three diagonal cofactors alone.
+            self._re_det_B = re_det_B = cofactor3(H, 0, 0)
+            re_det_B += cofactor3(H, 1, 1)
+            re_det_B += cofactor3(H, 2, 2)
             self._im_det_B = im_det_B = det(H)
             im_det_B -= trace
         if n > 1:
@@ -196,6 +203,11 @@ class GraphLagrangian:
         omega.real = self._re_pullback
         omega.imag = self._re_twist * self._im_det_B + self._im_twist * self._re_det_B
         return omega
+
+    @cached_property
+    def _adj_hess(self) -> np.ndarray | None:
+        """adj H at n = 3 (None below), which only ``cramer_numerator`` reads."""
+        return adjugate(self.hess_phi) if self.grid.n == 3 else None
 
     def cramer_numerator(self, vec: np.ndarray) -> np.ndarray:
         """Im(E * det(B with column a replaced by vec)) for every a, as

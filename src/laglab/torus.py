@@ -495,12 +495,18 @@ def adjugate(m: np.ndarray) -> np.ndarray:
         adj[..., 1, 1] = m[..., 0, 0]
         return adj
     for i in range(3):
-        i1, i2 = (i + 1) % 3, (i + 2) % 3
         for j in range(3):
-            j1, j2 = (j + 1) % 3, (j + 2) % 3
-            # Cyclic index order makes the cofactor sign implicit.
-            adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
+            adj[..., j, i] = cofactor3(m, i, j)
     return adj
+
+
+def cofactor3(m: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The signed (i, j) cofactor of every 3 x 3 matrix in a batch, which
+    ``adjugate`` places at (j, i)."""
+    i1, i2 = (i + 1) % 3, (i + 2) % 3
+    j1, j2 = (j + 1) % 3, (j + 2) % 3
+    # Cyclic index order makes the cofactor sign implicit.
+    return m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
 
 
 def vector_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

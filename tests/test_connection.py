@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import laglab.connection
+import laglab.lagrangian
 import laglab.torus
 from laglab.connection import (
     DENSITY_FLOOR,
@@ -23,11 +24,13 @@ from laglab.errors import (
     SingularDensity,
     StepRejected,
 )
-from laglab.lagrangian import build
+from laglab.lagrangian import GraphLagrangian, build
 from laglab.torus import (
     PeriodicGrid,
     ScalarField,
+    adjugate,
     constant_field,
+    det,
     field_from_function,
     grad_hess,
     gradient_values,
@@ -266,6 +269,26 @@ def test_geodesic_step_rejection(twisted_generic, h_field):
         geodesic_shoot(twisted_generic, h0, 0.2, 4, step_energy_tol=0.0)
     assert excinfo.value.time == pytest.approx(0.05)
     assert excinfo.value.drift > 1e-11
+
+
+def test_geodesic_rejects_a_nan_energy_at_the_first_step(twisted_generic, h_field, monkeypatch):
+    """A NaN energy fails every comparison, so the drift check is written to
+    reject it: the first step raises ``StepRejected``, with the NaN drift, and
+    the NaN never reaches the path."""
+    h0 = twisted_generic.normalize(h_field)
+    original = GraphLagrangian.inner_values
+    calls = []
+
+    def nan_after_the_start(self, a, b):
+        calls.append(1)
+        return original(self, a, b) if len(calls) == 1 else float("nan")
+
+    monkeypatch.setattr(GraphLagrangian, "inner_values", nan_after_the_start)
+    with pytest.raises(StepRejected) as excinfo:
+        geodesic_shoot(twisted_generic, h0, 0.2, 4)
+    assert len(calls) == 2
+    assert excinfo.value.time == pytest.approx(0.05)
+    assert np.isnan(excinfo.value.drift)
 
 
 @pytest.mark.parametrize("steps", [0, MAX_STEPS + 1])
@@ -572,6 +595,44 @@ def test_w_field_is_the_written_out_expression_bit_for_bit(n, points, twist):
     h = field_from_function(grid, lambda c: np.cos(c[..., 0]) + 0.3 * np.sin(2 * c[..., -1]))
     expected = _written_out_w_field(gamma, gradient_values(grid, h.values))
     assert np.array_equal(w_field_values(gamma, h.values), expected)
+
+
+@pytest.mark.parametrize("twist, points", [(0.1, 32), (0.0, 16)])
+def test_n3_graph_forms_adj_hess_once_for_the_w_field(twist, points, monkeypatch):
+    """At n = 3 the build takes tr adj H from the diagonal cofactors and forms
+    no adjugate; the first w-field forms adj H once, and later ones reuse it.
+    Re Omega~, its minimum and the w-field keep the bits of an eager build
+    that takes the trace of ``adjugate(H)``.  The twisted graph is the scan3d
+    workload's."""
+    formed = []
+
+    def counting(m):
+        formed.append(m)
+        return adjugate(m)
+
+    monkeypatch.setattr(laglab.lagrangian, "adjugate", counting)
+    grid = PeriodicGrid(3, points)
+    model = AlmostCYModel(3, twist_amplitude=twist, twist_mode=1)
+    phi = field_from_function(
+        grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1]) + 0.1 * np.cos(c[..., 1] + c[..., 2])
+    )
+    gamma = build(model, phi)
+    assert formed == []
+
+    H = gamma.hess_phi
+    s2 = np.trace(adjugate(H), axis1=-2, axis2=-1)
+    im_det_B = det(H) - np.trace(H, axis1=-2, axis2=-1)
+    twist_density = model.holomorphic_density(grid.coords, gamma.grad_phi)
+    re_omega = twist_density.real * (1.0 - s2) - twist_density.imag * im_det_B
+    assert np.array_equal(gamma.re_omega, re_omega)
+    assert gamma.re_omega_min == re_omega.min()
+
+    h = field_from_function(grid, lambda c: np.cos(c[..., 0]) + 0.3 * np.sin(2 * c[..., -1]))
+    w = w_field_values(gamma, h.values)
+    assert len(formed) == 1 and formed[0] is H
+    assert np.array_equal(w, _written_out_w_field(gamma, gradient_values(grid, h.values)))
+    assert np.array_equal(w_field_values(gamma, h.values), w)
+    assert len(formed) == 1
 
 
 def test_singular_density_reports_the_graphs_minimum():

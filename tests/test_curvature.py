@@ -363,6 +363,20 @@ def _generic_3d_functions(count, seed=5):
                    for _ in range(count)]
 
 
+@pytest.mark.parametrize("n, points", [(2, 64), (3, 32)])
+def test_sectional_matrix_gram_is_inner_values_bit_for_bit(n, points):
+    """The Gram entries are formed in a reused scratch field, with the
+    product and the dot of ``inner_values``, so with its bits."""
+    gamma = _twisted_generic(n, points)
+    rng = np.random.default_rng(53)
+    f = [gamma.normalize_values(sample(random_trig_polynomial(rng, n), gamma.grid).values)
+         for _ in range(5)]
+    gram = sectional_matrix(gamma, f).gram
+    for i in range(len(f)):
+        for j in range(len(f)):
+            assert gram[i, j] == gamma.inner_values(f[i], f[j]), (i, j)
+
+
 def test_sectional_matrix_3d_entries_do_not_depend_on_the_batch():
     gamma, f = _generic_3d_functions(5)
     whole = sectional_matrix(gamma, f)
