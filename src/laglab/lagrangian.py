@@ -205,16 +205,17 @@ class GraphLagrangian:
         return omega
 
     @cached_property
-    def _adj_hess(self) -> np.ndarray | None:
-        """adj H at n = 3 (None below), which only ``cramer_numerator`` reads."""
-        return adjugate(self.hess_phi) if self.grid.n == 3 else None
+    def _adj_hess(self) -> np.ndarray:
+        """adj H, which only ``cramer_numerator`` reads, and only at n = 3."""
+        return adjugate(self.hess_phi)
 
     def cramer_numerator(self, vec: np.ndarray) -> np.ndarray:
         """Im(E * det(B with column a replaced by vec)) for every a, as
         Im(E adj(B) vec) in real arithmetic (module docstring), for a real
         vector field ``vec``; component a is summed in place in the written
         order, in row a of a component-major buffer, returned as a view."""
-        H, adj3, grid = self.hess_phi, self._adj_hess, self.grid
+        H, grid = self.hess_phi, self.grid
+        adj3 = self._adj_hess if grid.n == 3 else None
         out = np.empty((grid.n,) + grid.shape)
         term, part = np.empty(grid.shape), np.empty(grid.shape)
 

@@ -28,27 +28,27 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import laglab.cli  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def run_job(workload) -> tuple[float, int, bool]:
+def run_job(cli, workload) -> tuple[float, int, bool]:
     """One job: its wall time, its minor faults, and whether it passed."""
     workload.clear_outputs()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         faults, started = minor_faults(), time.perf_counter()
-        code = laglab.cli.main(workload.argv())
+        code = cli.main(workload.argv())
         elapsed, faults = time.perf_counter() - started, minor_faults() - faults
     return elapsed, faults, code == 0 and all(check.passed for check in workload.check())
 
 
 def main(argv=None) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import laglab.cli
+    from workloads import WORKLOADS
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
@@ -60,8 +60,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         workload = WORKLOADS[args.workload](Path(workdir), args.seed, tiny=args.tiny)
         workload.prepare()
-        warmup = run_job(workload)
-        runs = [run_job(workload) for _ in range(args.jobs)]
+        warmup = run_job(laglab.cli, workload)
+        runs = [run_job(laglab.cli, workload) for _ in range(args.jobs)]
     times, faults, passed = zip(*runs)
     failed = (warmup[2], *passed).count(False)
     print(f"{args.workload} seed {args.seed}{' tiny' if args.tiny else ''}: {args.jobs} jobs, "
