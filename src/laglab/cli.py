@@ -437,18 +437,15 @@ _VALIDATE_KEYS = tuple(
 
 
 def _validate_params(cfg: ExperimentConfig) -> tuple[SuiteConfig]:
-    """The battery's ``SuiteConfig``: params override its seed, grid, counts
-    and tolerances."""
+    """The battery's ``SuiteConfig``: params override its seed, grid and
+    counts, all integers.  Its tolerances are constants that no config
+    sets."""
     params = cfg.params
-    kwargs = {}
-    for f, key in zip(dataclasses.fields(SuiteConfig), _VALIDATE_KEYS):
-        if f.name != "tolerances" and key in params:
-            conv = _integer if type(f.default) is int else _number
-            kwargs[f.name] = conv(params[key], f"params.{key}")
-    tolerances = params.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("params.tolerances must be an object")
-    kwargs["tolerances"] = {k: _number(v, f"params.tolerances.{k}") for k, v in tolerances.items()}
+    kwargs = {
+        f.name: _integer(params[key], f"params.{key}")
+        for f, key in zip(dataclasses.fields(SuiteConfig), _VALIDATE_KEYS)
+        if key in params
+    }
     try:
         return (SuiteConfig(**kwargs),)
     except (TypeError, ValueError) as exc:

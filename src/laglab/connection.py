@@ -82,6 +82,9 @@ from .torus import (
 # memory and time.
 MAX_STEPS = 10_000
 
+# The largest relative energy jump ``geodesic_shoot`` accepts across one step.
+STEP_ENERGY_TOL = 1e-6
+
 # Below this |Re Omega~| the w-field's Cramer quotient is considered singular.
 DENSITY_FLOOR = 1e-12
 
@@ -284,7 +287,6 @@ def geodesic_shoot(
     h0: TangentFunction,
     time: float,
     steps: int,
-    step_energy_tol: float = 1e-6,
 ) -> GeodesicPath:
     """Integrate the geodesic equation phi_tt = -D_{phi_t} phi_t.
 
@@ -305,8 +307,8 @@ def geodesic_shoot(
     PositivityLost
         If any stage of any step leaves the positive locus.
     StepRejected
-        If the relative energy jump across one step exceeds
-        ``step_energy_tol`` or is NaN.
+        If the relative energy jump across one step exceeds the module
+        constant ``STEP_ENERGY_TOL`` or is NaN.
     ValueError
         If ``steps`` is not between 1 and ``MAX_STEPS``.
     """
@@ -385,8 +387,8 @@ def geodesic_shoot(
         energy = gamma.inner_values(psi, psi)
 
         drift = abs(energy - energies[-1]) / max(abs(energies[0]), 1e-300)
-        if not drift <= step_energy_tol:  # NaN fails the comparison too
-            raise StepRejected(t + dt, drift, step_energy_tol)
+        if not drift <= STEP_ENERGY_TOL:  # NaN fails the comparison too
+            raise StepRejected(t + dt, drift, STEP_ENERGY_TOL)
 
         times.append(t + dt)
         potentials.append(ScalarField(grid, phi.copy()))

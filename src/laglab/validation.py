@@ -6,6 +6,11 @@ with it, and returns a CheckResult with the measured error.  The full
 battery (`run_suite`) is deterministic for a fixed seed and doubles as the
 acceptance engine for the command-line driver.
 
+A row's tolerance is its family's entry in ``DEFAULT_TOLERANCES``; the
+family is the row name up to any ``[``, so ``dtheta[flat_zero]`` is judged
+by ``dtheta``.  The tolerances, like the battery's geometry and steps, are
+module constants: no config can loosen the checks that judge it.
+
 A single convention set (symplectic sign, complex structure, Hamiltonian
 sign, orientation, nonnegative Laplacian) underlies all checks; they are
 mutually rigid, so a sign flip that fixes one check breaks others loudly.
@@ -13,7 +18,8 @@ mutually rigid, so a sign flip that fixes one check breaks others loudly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dataclass_field
+import operator
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,13 +94,16 @@ DEFAULT_TOLERANCES = {
 RICHARDSON_WINDOW = (3.5, 4.5)
 RICHARDSON_FLOOR = 1e-11
 
-# The battery's fixed geometry and finite-difference steps: the torus period
-# and twist mode of its models, the step of the connection and curvature
-# oracles, the step of the angle-derivative oracle, the highest mode, term
-# count and coefficient sum of its random inputs and the pairing's error
-# floor, as a fraction of the scale.
+# The battery's fixed geometry and finite-difference steps: the torus period,
+# twist amplitude and twist mode of its models, the time of its geodesic, the
+# step of the connection and curvature oracles, the step of the
+# angle-derivative oracle, the highest mode, term count and coefficient sum
+# of its random inputs and the pairing's error floor, as a fraction of the
+# scale.
 PERIOD = 2.0 * np.pi
+TWIST_AMPLITUDE = 0.1
 TWIST_MODE = 1
+GEODESIC_TIME = 0.1
 DELTA_FD = 1e-3
 DELTA_DTHETA = 1e-4
 MAX_MODE = 3
@@ -134,11 +143,12 @@ def _result(
     name: str,
     error_abs: float,
     error_rel: float,
-    tolerance: float,
     measure: str,
     params: dict,
     extra_ok: bool = True,
 ) -> CheckResult:
+    """A row judged by its family's tolerance (the name up to any ``[``)."""
+    tolerance = DEFAULT_TOLERANCES[name.split("[")[0]]
     governing = error_abs if measure == "abs" else error_rel
     return CheckResult(
         name=name,
@@ -154,9 +164,9 @@ def _result(
 def _worst(trials: Sequence[CheckResult], extra_ok: bool = True, **params) -> CheckResult:
     """The trial with the largest governing error, passing only if all trials did."""
     worst = max(trials, key=lambda r: r.error)
-    return _result(
-        worst.name, worst.error_abs, worst.error_rel, worst.tolerance, worst.measure,
-        {**worst.params, **params}, extra_ok and all(r.passed for r in trials),
+    return replace(
+        worst, params={**worst.params, **params},
+        passed=extra_ok and all(r.passed for r in trials),
     )
 
 
@@ -194,17 +204,12 @@ def _random_field(rng: np.random.Generator, grid: PeriodicGrid) -> ScalarField:
 # Standard base points
 # ---------------------------------------------------------------------------
 
-def standard_base_points(
-    grid_points: int = 64,
-    twist_amplitude: float = 0.1,
-    *,
-    n: int = 2,
-) -> list[tuple[str, GraphLagrangian]]:
+def standard_base_points(grid_points: int = 64, *, n: int = 2) -> list[tuple[str, GraphLagrangian]]:
     """Zero-section and generic graphs in the flat and twisted models on the
     n-torus; the generic potential is 0.2 cos(x_1 + ... + x_n)."""
     grid = PeriodicGrid(n, grid_points, PERIOD)
     flat = AlmostCYModel(n, PERIOD)
-    twisted = AlmostCYModel(n, PERIOD, twist_amplitude, TWIST_MODE)
+    twisted = AlmostCYModel(n, PERIOD, TWIST_AMPLITUDE, TWIST_MODE)
     zero = constant_field(grid)
     generic = sample(TrigPolynomial((TrigTerm(0.2, (1,) * n),)), grid)
     return [
@@ -248,7 +253,6 @@ def _richardson(
 def check_dtheta(
     gamma: GraphLagrangian,
     h: ScalarField,
-    tolerance: float = DEFAULT_TOLERANCES["dtheta"],
     label: str = "dtheta",
 ) -> CheckResult:
     """Angle derivative along the vertical flow vs its closed form.
@@ -277,14 +281,13 @@ def check_dtheta(
     }
     err, ratio_ok = _richardson(err_at, DELTA_DTHETA, params)
     theta_scale = max(np.abs(gamma.theta).max(), 1.0)
-    return _result(label, err, err / theta_scale, tolerance, "abs", params, ratio_ok)
+    return _result(label, err, err / theta_scale, "abs", params, ratio_ok)
 
 
 def check_metric_compat(
     family: HamiltonianFamily,
     h: ScalarField,
     k: ScalarField,
-    tolerance: float = DEFAULT_TOLERANCES["metric_compat"],
     label: str = "metric_compat",
 ) -> CheckResult:
     """d/dt (h,k) against the covariant product rule, by central differences
@@ -307,13 +310,12 @@ def check_metric_compat(
     params = {"delta": DELTA_FD, "model_eps": family.model.twist_amplitude}
     err, ratio_ok = _richardson(err_at, DELTA_FD, params)
     scale = max(abs(gamma0.inner_values(h.values, k.values)), 1.0)
-    return _result(label, err, err / scale, tolerance, "abs", params, ratio_ok)
+    return _result(label, err, err / scale, "abs", params, ratio_ok)
 
 
 def check_torsion_free(
     family: HamiltonianFamily,
     t: Sequence[float],
-    tolerance: float = DEFAULT_TOLERANCES["torsion_free"],
     label: str = "torsion_free",
 ) -> CheckResult:
     """Pointwise symmetry of the coordinate covariant derivative of the
@@ -325,7 +327,7 @@ def check_torsion_free(
     err = float(np.abs(jk - kj).max())
     scale = max(np.abs(jk).max(), 1.0)
     params = {"t": list(float(v) for v in t), "model_eps": family.model.twist_amplitude}
-    return _result(label, err, err / scale, tolerance, "abs", params)
+    return _result(label, err, err / scale, "abs", params)
 
 
 def _second_cov_deriv_fd(
@@ -360,7 +362,6 @@ def check_r3_vs_fd(
     h: ScalarField,
     k: ScalarField,
     l: ScalarField,
-    tolerance: float = DEFAULT_TOLERANCES["r3_vs_fd"],
     label: str = "r3_vs_fd",
 ) -> CheckResult:
     """Curvature field against nested finite differences of the connection.
@@ -381,7 +382,7 @@ def check_r3_vs_fd(
 
     params = {"delta": DELTA_FD, "model_eps": gamma.model.twist_amplitude, "scale": scale}
     err, ratio_ok = _richardson(err_at, DELTA_FD, params)
-    return _result(label, err, err, tolerance, "abs", params, ratio_ok)
+    return _result(label, err, err, "abs", params, ratio_ok)
 
 
 def check_dijk_zero_section(
@@ -389,7 +390,6 @@ def check_dijk_zero_section(
     hi: ScalarField,
     hj: ScalarField,
     hk: ScalarField,
-    tolerance: float = DEFAULT_TOLERANCES["dijk_zero_section"],
     label: str = "dijk_zero_section",
 ) -> CheckResult:
     """Non-antisymmetrized second covariant derivative at the flat zero
@@ -407,7 +407,7 @@ def check_dijk_zero_section(
     )
     err = float(np.abs(fd - closed).max())
     scale = max(np.abs(closed).max(), 1.0)
-    return _result(label, err, err / scale, tolerance, "abs", {"delta": DELTA_FD})
+    return _result(label, err, err / scale, "abs", {"delta": DELTA_FD})
 
 
 def check_r3_r4_pairing(
@@ -416,7 +416,6 @@ def check_r3_r4_pairing(
     k: np.ndarray,
     l: np.ndarray,
     m: np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCES["r3_r4_pairing"],
     label: str = "r3_r4_pairing",
 ) -> CheckResult:
     """Pointwise-curvature pairing against the integrated quadruple form.
@@ -437,7 +436,7 @@ def check_r3_r4_pairing(
         "integrand_scale": scale,
         "model_eps": gamma.model.twist_amplitude,
     }
-    return _result(label, err_abs, err_rel, tolerance, "rel", params)
+    return _result(label, err_abs, err_rel, "rel", params)
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +446,28 @@ def check_r3_r4_pairing(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Deterministic configuration of the validation battery."""
+    """Deterministic configuration of the validation battery: its grid, its
+    seed and its sample counts.  Every field is an integer (a Python or NumPy
+    one, not a bool)."""
 
     grid_points: int = 64
     seed: int = 7
-    twist_amplitude: float = 0.1
     quadruples: int = 20
     fd_triples: int = 10
     sectional_samples: int = 100
     mirror_samples: int = 100
     rho_points: int = 1000
-    geodesic_time: float = 0.1
     geodesic_steps: int = 100
-    tolerances: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, f.name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
         for name, most in (("quadruples", MAX_COUNT), ("fd_triples", MAX_COUNT),
                            ("sectional_samples", MAX_COUNT), ("mirror_samples", MAX_COUNT),
                            ("rho_points", MAX_COUNT), ("geodesic_steps", MAX_STEPS)):
@@ -471,28 +477,11 @@ class SuiteConfig:
                 )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.geodesic_time > 0:
-            raise ValueError(f"geodesic_time must be positive, got {self.geodesic_time}")
         try:
             grid = PeriodicGrid(2, self.grid_points, PERIOD)
             check_band_limit(TrigPolynomial((TrigTerm(1.0, (MAX_MODE, 0)),)), grid)
         except (ValueError, BandLimitExceeded) as exc:
             raise ValueError(f"grid_points: {exc}") from exc
-        AlmostCYModel(2, PERIOD, self.twist_amplitude, TWIST_MODE)
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ValueError(
-                f"unknown tolerance name {unknown[0]!r}; known names: "
-                + ", ".join(DEFAULT_TOLERANCES)
-            )
-        for name, value in self.tolerances.items():
-            if not value >= 0:
-                raise ValueError(f"tolerance {name!r} must be non-negative, got {value}")
-
-    def tolerance(self, name: str) -> float:
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        return DEFAULT_TOLERANCES[name]
 
 
 @dataclass(frozen=True)
@@ -524,8 +513,7 @@ def _suite_sectional_spot(cfg: SuiteConfig, bases: dict, rng: np.random.Generato
     err_abs = abs(value - expected)
     err_rel = err_abs / abs(expected)
     return [_result(
-        "sectional_spot", err_abs, err_rel, cfg.tolerance("sectional_spot"), "rel",
-        {"value": value, "expected": expected},
+        "sectional_spot", err_abs, err_rel, "rel", {"value": value, "expected": expected},
     )]
 
 
@@ -544,10 +532,7 @@ def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> l
                 gamma.normalize_values(_random_field(rng, gamma.grid).values)
                 for _ in range(4)
             ]
-            trials.append(check_r3_r4_pairing(
-                gamma, *fields, tolerance=cfg.tolerance("r3_r4_pairing"),
-                label=f"r3_r4_pairing[{name}]",
-            ))
+            trials.append(check_r3_r4_pairing(gamma, *fields, label=f"r3_r4_pairing[{name}]"))
         largest = max(trials, key=lambda r: r.params["integrand_scale"])
         shown = {key: largest.params[key] for key in ("lhs", "rhs", "integrand_scale")}
         under = sum(abs(r.params["rhs"]) < PAIRING_FLOOR * r.params["integrand_scale"] for r in trials)
@@ -564,11 +549,7 @@ def _suite_fd_curvature(cfg: SuiteConfig, bases: dict, rng: np.random.Generator)
             h = _random_field(rng, gamma.grid)
             k = _random_field(rng, gamma.grid)
             l = _random_field(rng, gamma.grid)
-            res = check_r3_vs_fd(
-                gamma, h, k, l,
-                tolerance=cfg.tolerance("r3_vs_fd"),
-                label=f"r3_vs_fd[{name}]",
-            )
+            res = check_r3_vs_fd(gamma, h, k, l, label=f"r3_vs_fd[{name}]")
             trials.append(res)
             if "richardson_ratio" in res.params:
                 ratios.append(res.params["richardson_ratio"])
@@ -584,10 +565,8 @@ def _suite_dtheta(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
     for name in ("flat_zero", "twisted_zero"):
         gamma = bases[name]
         results = [
-            check_dtheta(gamma, h_main, tolerance=cfg.tolerance("dtheta"),
-                         label=f"dtheta[{name}]"),
-            check_dtheta(gamma, _random_field(rng, grid), tolerance=cfg.tolerance("dtheta"),
-                         label=f"dtheta[{name}]"),
+            check_dtheta(gamma, h_main, label=f"dtheta[{name}]"),
+            check_dtheta(gamma, _random_field(rng, grid), label=f"dtheta[{name}]"),
         ]
         # The twist term must be genuinely exercised for the x1 mode.
         rho_term_sup = results[0].params["rho_term_sup"]
@@ -605,15 +584,14 @@ def _suite_levi_civita(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) 
     compat.append(
         check_metric_compat(
             HamiltonianFamily(flat_zero.model, flat_zero.phi, (_cos_mode(grid, (1, 0)),)),
-            cos2, cos2, tolerance=cfg.tolerance("metric_compat"), label="metric_compat[flat]",
+            cos2, cos2, label="metric_compat[flat]",
         )
     )
     gen_dir = _random_field(rng, grid)
     compat.append(
         check_metric_compat(
             HamiltonianFamily(twisted_generic.model, twisted_generic.phi, (gen_dir,)),
-            _random_field(rng, grid), _random_field(rng, grid),
-            tolerance=cfg.tolerance("metric_compat"), label="metric_compat[twisted]",
+            _random_field(rng, grid), _random_field(rng, grid), label="metric_compat[twisted]",
         )
     )
 
@@ -623,21 +601,15 @@ def _suite_levi_civita(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) 
             gamma.model, gamma.phi, (_random_field(rng, grid), _random_field(rng, grid))
         )
         torsion.append(
-            check_torsion_free(family, (0.0, 0.0),
-                               tolerance=cfg.tolerance("torsion_free"),
-                               label=f"torsion_free[{label}]")
+            check_torsion_free(family, (0.0, 0.0), label=f"torsion_free[{label}]")
         )
         torsion.append(
-            check_torsion_free(family, (0.05, -0.03),
-                               tolerance=cfg.tolerance("torsion_free"),
-                               label=f"torsion_free[{label},t!=0]")
+            check_torsion_free(family, (0.05, -0.03), label=f"torsion_free[{label},t!=0]")
         )
     return compat + torsion
 
 
-def _nonpositive(
-    cfg: SuiteConfig, name: str, samples: int, draw: Callable[[int], float]
-) -> CheckResult:
+def _nonpositive(name: str, samples: int, draw: Callable[[int], float]) -> CheckResult:
     """Largest of ``samples`` sectional curvatures ``draw(i)``, i = 0, 1, ...;
     a degenerate plane is redrawn, within 10 * ``samples`` attempts.  The row
     fails when fewer than ``samples`` were drawn, and reports a null
@@ -654,7 +626,7 @@ def _nonpositive(
         drawn += 1
     err = max(max_val, 0.0)
     return _result(
-        name, err, err, cfg.tolerance(name), "abs",
+        name, err, err, "abs",
         {"samples": drawn, "max_sectional": max_val if drawn else None},
         drawn == samples,
     )
@@ -663,9 +635,7 @@ def _nonpositive(
 def _suite_dijk(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma = bases["flat_zero"]
     cos1, cos2 = _cos_mode(gamma.grid, (1, 0)), _cos_mode(gamma.grid, (0, 1))
-    return [check_dijk_zero_section(
-        gamma, cos1, cos2, cos2, tolerance=cfg.tolerance("dijk_zero_section")
-    )]
+    return [check_dijk_zero_section(gamma, cos1, cos2, cos2)]
 
 
 def _suite_sectional_nonpositive(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
@@ -677,7 +647,7 @@ def _suite_sectional_nonpositive(cfg: SuiteConfig, bases: dict, rng: np.random.G
         k = gamma.normalize(_random_field(rng, gamma.grid))
         return sectional(gamma, h, k)
 
-    return [_nonpositive(cfg, "sectional_nonpositive", cfg.sectional_samples, draw)]
+    return [_nonpositive("sectional_nonpositive", cfg.sectional_samples, draw)]
 
 
 def _suite_flat_families(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
@@ -688,11 +658,10 @@ def _suite_flat_families(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
         poly = TrigPolynomial((TrigTerm(1.0, (1, 0)), TrigTerm(0.5, (0, 1))))
         l = gamma.normalize(sample(poly, gamma.grid))
         report = flat_family_check(gamma, l, reparams)
-        tol = cfg.tolerance("flat_family")
         out.append(
             _result(
                 f"flat_family[{name}]", report.max_abs_sectional,
-                report.max_abs_sectional, tol, "abs",
+                report.max_abs_sectional, "abs",
                 {"pairs": len(report.sectionals), "skipped": len(report.skipped)},
             )
         )
@@ -702,7 +671,7 @@ def _suite_flat_families(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
 def _suite_dimension_one(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     worst_field = 0.0
     worst_sec = 0.0
-    for _, gamma in standard_base_points(cfg.grid_points, cfg.twist_amplitude, n=1):
+    for _, gamma in standard_base_points(cfg.grid_points, n=1):
         for _ in range(3):
             h, k, l = (_random_field(rng, gamma.grid) for _ in range(3))
             r = riemann_field_values(gamma, h.values, k.values, l.values)
@@ -714,7 +683,7 @@ def _suite_dimension_one(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
             worst_sec = max(worst_sec, abs(val))
     err = max(worst_field, worst_sec)
     return [_result(
-        "dimension_one", err, err, cfg.tolerance("dimension_one"), "abs",
+        "dimension_one", err, err, "abs",
         {"sup_riemann": worst_field, "max_abs_sectional": worst_sec},
     )]
 
@@ -722,24 +691,22 @@ def _suite_dimension_one(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
 def _suite_geodesic(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma0 = bases["flat_zero"]
     h0 = gamma0.normalize(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), gamma0.grid))
-    forward = geodesic_shoot(gamma0, h0, cfg.geodesic_time, cfg.geodesic_steps)
+    forward = geodesic_shoot(gamma0, h0, GEODESIC_TIME, cfg.geodesic_steps)
     drift = forward.energy_drift()
-    reversal = forward.reversal_error(cfg.geodesic_time)
+    reversal = forward.reversal_error(GEODESIC_TIME)
 
     return [
-        _result("geodesic_energy", drift, drift,
-                cfg.tolerance("geodesic_energy"), "rel",
-                {"steps": cfg.geodesic_steps, "time": cfg.geodesic_time,
+        _result("geodesic_energy", drift, drift, "rel",
+                {"steps": cfg.geodesic_steps, "time": GEODESIC_TIME,
                  "initial_energy": float(forward.energies[0])}),
-        _result("geodesic_reversal", reversal, reversal,
-                cfg.tolerance("geodesic_reversal"), "abs",
-                {"steps": cfg.geodesic_steps, "time": cfg.geodesic_time}),
+        _result("geodesic_reversal", reversal, reversal, "abs",
+                {"steps": cfg.geodesic_steps, "time": GEODESIC_TIME}),
     ]
 
 
 def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     models = [AlmostCYModel(n, PERIOD, eps, TWIST_MODE)
-              for n in (1, 2, 3) for eps in (0.0, cfg.twist_amplitude)]
+              for n in (1, 2, 3) for eps in (0.0, TWIST_AMPLITUDE)]
     count = max(cfg.rho_points // len(models), 1)
     worst = 0.0
     for model in models:
@@ -748,10 +715,8 @@ def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Gener
         worst = max(worst, float(np.abs(model.rho(x, y) - model.rho_closed_form(x, y)).max()))
     lagang = max(gamma.lagang_residual for gamma in bases.values())
     return [
-        _result("rho_consistency", worst, worst, cfg.tolerance("rho_consistency"), "abs",
-                {"points": len(models) * count}),
-        _result("lagang_identity", lagang, lagang, cfg.tolerance("lagang_identity"), "abs",
-                {"base_points": list(bases.keys())}),
+        _result("rho_consistency", worst, worst, "abs", {"points": len(models) * count}),
+        _result("lagang_identity", lagang, lagang, "abs", {"base_points": list(bases.keys())}),
     ]
 
 
@@ -760,15 +725,13 @@ def _suite_tensor_structure(cfg: SuiteConfig, bases: dict, rng: np.random.Genera
     h, k, l, m = [gamma.normalize_values(_random_field(rng, gamma.grid).values) for _ in range(4)]
     residual, scale = mean_zero_residual(gamma, riemann_field_values(gamma, h, k, l))
     out = [
-        _result("mean_zero_residual", residual, residual / scale,
-                cfg.tolerance("mean_zero_residual"), "rel", {"scale": scale}),
+        _result("mean_zero_residual", residual, residual / scale, "rel", {"scale": scale}),
     ]
     cyclic = [riemann_quad_values(gamma, a, b, c, m) for a, b, c in ((h, k, l), (k, l, h), (l, h, k))]
     bianchi = abs(sum(cyclic))
     bscale = max(*(abs(q) for q in cyclic), 1e-300)
     out.append(
-        _result("bianchi", bianchi, bianchi / bscale,
-                cfg.tolerance("bianchi"), "rel", {"scale": bscale}),
+        _result("bianchi", bianchi, bianchi / bscale, "rel", {"scale": bscale}),
     )
     return out
 
@@ -794,8 +757,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
         except DegeneratePlane:
             continue
     out.append(
-        _result("mirror_commuting", worst_comm, worst_comm,
-                cfg.tolerance("mirror_commuting"), "abs", {"families": 10}),
+        _result("mirror_commuting", worst_comm, worst_comm, "abs", {"families": 10}),
     )
 
     # Non-positivity across random pairs.
@@ -808,7 +770,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
         eta = random_tangent(rng, base, dim)
         return herm_sectional(H, xi, eta)
 
-    out.append(_nonpositive(cfg, "mirror_nonpositive", cfg.mirror_samples, draw))
+    out.append(_nonpositive("mirror_nonpositive", cfg.mirror_samples, draw))
 
     # Pauli plane at the identity: closed form vs the FD oracle.
     base = HermBase(np.array([1.0]))
@@ -822,7 +784,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
     closed_sectional = herm_sectional(ident, sx, sy)
     err = abs(fd_sectional - closed_sectional)
     out.append(
-        _result("mirror_pauli_fd", err, err, cfg.tolerance("mirror_pauli_fd"), "abs",
+        _result("mirror_pauli_fd", err, err, "abs",
                 {"fd_sectional": fd_sectional,
                  "closed_sectional": closed_sectional,
                  "expected": -0.5}),
@@ -847,8 +809,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
     err = abs(corrected - fd_val) / max(abs(fd_val), 1.0)
     signs_ok = corrected * fd_val >= 0.0 and literal == -corrected
     out.append(
-        _result("mirror_sign_consistency", abs(corrected - fd_val), err,
-                cfg.tolerance("mirror_sign_consistency"), "rel",
+        _result("mirror_sign_consistency", abs(corrected - fd_val), err, "rel",
                 {"corrected": corrected, "literal": literal, "fd": fd_val},
                 signs_ok),
     )
@@ -879,7 +840,7 @@ SUITES = (
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the full validation battery; deterministic for a fixed seed."""
     cfg = cfg or SuiteConfig()
-    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
+    bases = dict(standard_base_points(cfg.grid_points))
     results: list[CheckResult] = []
     for key, suite in SUITES:
         results.extend(suite(cfg, bases, np.random.default_rng([cfg.seed, key])))

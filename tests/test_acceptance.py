@@ -95,7 +95,7 @@ def test_c02_pairing_identity(bases):
                 )
                 for _ in range(4)
             ]
-            res = check_r3_r4_pairing(gamma, *fields, tolerance=1e-6)
+            res = check_r3_r4_pairing(gamma, *fields)
             worst = max(worst, res.error_rel)
             assert res.passed, f"{name}: rel err {res.error_rel:.2e}"
     elapsed = time.perf_counter() - started
@@ -116,7 +116,7 @@ def test_c03_nested_fd_oracle(bases):
             h = sample(random_trig_polynomial(rng, 2), gamma.grid)
             k = sample(random_trig_polynomial(rng, 2), gamma.grid)
             l = sample(random_trig_polynomial(rng, 2), gamma.grid)
-            res = check_r3_vs_fd(gamma, h, k, l, tolerance=1e-4)
+            res = check_r3_vs_fd(gamma, h, k, l)
             worst = max(worst, res.error_abs)
             assert res.passed, f"{name}: {res.error_abs:.2e}"
             if "richardson_ratio" in res.params:
@@ -134,8 +134,8 @@ def test_c03_nested_fd_oracle(bases):
 def test_c04_angle_derivative(bases):
     grid = bases["flat_zero"].grid
     h = sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid)
-    res_flat = check_dtheta(bases["flat_zero"], h, tolerance=1e-6)
-    res_twist = check_dtheta(bases["twisted_zero"], h, tolerance=1e-6)
+    res_flat = check_dtheta(bases["flat_zero"], h)
+    res_twist = check_dtheta(bases["twisted_zero"], h)
     rho_term = res_twist.params["rho_term_sup"]
     ok = res_flat.passed and res_twist.passed and rho_term >= 1e-3
     report(
@@ -157,16 +157,13 @@ def test_c05_levi_civita_properties(bases):
     cos2 = sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid)
 
     compat_errs = []
-    res = check_metric_compat(
-        HamiltonianFamily(flat, zero, (cos1,)), cos2, cos2, tolerance=1e-5
-    )
+    res = check_metric_compat(HamiltonianFamily(flat, zero, (cos1,)), cos2, cos2)
     compat_errs.append(res.error_abs)
     assert res.passed
     res = check_metric_compat(
         HamiltonianFamily(twisted, generic, (sample(random_trig_polynomial(rng, 2), grid),)),
         sample(random_trig_polynomial(rng, 2), grid),
         sample(random_trig_polynomial(rng, 2), grid),
-        tolerance=1e-5,
     )
     compat_errs.append(res.error_abs)
     assert res.passed
@@ -178,7 +175,7 @@ def test_c05_levi_civita_properties(bases):
             (sample(random_trig_polynomial(rng, 2), grid),
              sample(random_trig_polynomial(rng, 2), grid)),
         )
-        res = check_torsion_free(family, (0.0, 0.0), tolerance=1e-9)
+        res = check_torsion_free(family, (0.0, 0.0))
         torsion_errs.append(res.error_abs)
         assert res.passed
     report(

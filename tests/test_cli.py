@@ -7,6 +7,7 @@ import laglab.cli
 import laglab.curvature
 import laglab.errors
 import laglab.lagrangian
+import laglab.validation
 from laglab.cli import load_config, main, report_bytes
 from laglab.curvature import sectional
 from laglab.errors import DegeneratePlane
@@ -377,7 +378,8 @@ def test_validate_job_and_determinism(tmp_path):
     assert r1["timing_seconds"] > 0.0
 
 
-def test_validate_zero_tolerance_exit_code(tmp_path, capsys):
+def test_validate_zero_tolerance_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(laglab.validation.DEFAULT_TOLERANCES, "dtheta", 0.0)
     cfg = write_config(
         tmp_path,
         "val0.json",
@@ -392,7 +394,6 @@ def test_validate_zero_tolerance_exit_code(tmp_path, capsys):
                 "mirror_samples": 3,
                 "rho_points": 30,
                 "geodesic_steps": 20,
-                "tolerances": {"dtheta": 0.0},
             },
         },
     )
@@ -416,13 +417,8 @@ def test_validate_subcommand(tmp_path, capsys):
         ({"fd_triples": 0}, "fd_triples"),
         ({"sectional_samples": 0}, "sectional_samples"),
         ({"geodesic_steps": 0}, "geodesic_steps"),
-        ({"geodesic_time": 0}, "geodesic_time"),
         ({"grid": 12}, "grid_points"),
         ({"seed": -1}, "seed"),
-        ({"twist_amplitude": 1.5}, "twist amplitude"),
-        ({"tolerances": {"bogus_check": 1.0}}, "bogus_check"),
-        ({"tolerances": {"dtheta": "tight"}}, "tight"),
-        ({"tolerances": {"dtheta": -1}}, "dtheta"),
         ({"geodesic_steps": 10_001}, "geodesic_steps"),
         ({"grid": 2048}, "grid_points"),
         ({"grid": 8}, "grid_points"),
@@ -438,13 +434,22 @@ def test_validate_bad_params_exit_2(tmp_path, capsys, command, params, named):
     assert not out.exists()
 
 
-def test_validate_unknown_tolerance_lists_known_names(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, "tol.json", {"job": "validate", "params": {"tolerances": {"bogus_check": 1.0}}}
-    )
-    assert main(["describe", str(cfg)]) == 2
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("tolerances", {"sectional_spot": 1e9}), ("twist_amplitude", 0.1), ("geodesic_time", 0.1)],
+)
+def test_validate_thresholds_are_not_params(tmp_path, capsys, command, key, value):
+    """The battery's tolerances, twist amplitude and geodesic time are
+    constants: a config that sets one exits 2, naming it, and writes no
+    report, so no config can loosen the checks that judge it."""
+    cfg = write_config(tmp_path, "val.json", {"job": "validate", "params": {"seed": 3, key: value}})
+    out = tmp_path / "val_report.json"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "run" else [])
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "r3_vs_fd" in err and "mirror_sign_consistency" in err
+    assert f"unknown key params.{key}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -613,7 +618,6 @@ UNKNOWN_PARAMS = [
         *READ_BEFORE_COMPUTE,
         (dict(GEODESIC, params={"h0": "h", "steps": 1e30}), "params.steps"),
         (dict(GEODESIC, params={"h0": "h", "steps": 10_001}), "params.steps"),
-        ({"job": "validate", "params": {"tolerances": {"dtheta": -1}}}, "dtheta"),
         ({"job": "validate", "params": {"geodesic_steps": 1e30}}, "geodesic_steps"),
         (dict(GEODESIC, grid=4096, params={"h0": "h"}), "grid.points"),
         (dict(GEODESIC, model=dict(MODEL_FLAT, n=3), grid={"points": 256}, params={"h0": "h"}),

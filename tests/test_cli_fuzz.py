@@ -55,7 +55,6 @@ CONFIGS = {
     "validate": {"job": "validate", "params": {
         "grid": 16, "quadruples": 1, "fd_triples": 1, "sectional_samples": 1,
         "mirror_samples": 1, "rho_points": 1, "geodesic_steps": 1,
-        "geodesic_time": 0.01, "tolerances": {"bianchi": 1e-8},
     }},
     "mirror": {"job": "mirror", "params": {
         "weights": [1.0], "H": [[[2, 0], [0, 1]]], "xi": [[[0, 1], [1, 0]]],
@@ -105,6 +104,10 @@ def _no_constant(name):
 @pytest.mark.parametrize("job", sorted(CONFIGS))
 def test_every_mutated_leaf_exits_cleanly(tmp_path, capsys, job):
     config_path, out = tmp_path / "config.json", tmp_path / "report.json"
+    # A base config that fails to load would stop every mutation at the same
+    # error, and the fuzz would pass while reading nothing.
+    config_path.write_text(json.dumps(CONFIGS[job]))
+    assert main(["describe", str(config_path)]) == 0, capsys.readouterr().err
     for path in _leaves(CONFIGS[job]):
         if path == ("job",):
             continue

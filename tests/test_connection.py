@@ -252,21 +252,23 @@ def test_geodesic_time_reversal(twisted_zero, grid64):
     assert np.abs(ret - start).max() < 1e-6
 
 
-def test_geodesic_positivity_lost(flat_zero, grid64):
+def test_geodesic_positivity_lost(flat_zero, grid64, monkeypatch):
+    monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", np.inf)
     h0 = flat_zero.normalize(
         field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1])))
     )
     with pytest.raises(PositivityLost) as excinfo:
-        geodesic_shoot(flat_zero, h0, 1.0, 50, step_energy_tol=np.inf)
+        geodesic_shoot(flat_zero, h0, 1.0, 50)
     assert 0.0 < excinfo.value.time <= 1.0
 
 
-def test_geodesic_step_rejection(twisted_generic, h_field):
+def test_geodesic_step_rejection(twisted_generic, h_field, monkeypatch):
     """A zero tolerance rejects the first step of a curved path, whose energy
     jump (4.0e-11 of the start, 4 steps to T = 0.2) is far above roundoff."""
+    monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", 0.0)
     h0 = twisted_generic.normalize(h_field)
     with pytest.raises(StepRejected) as excinfo:
-        geodesic_shoot(twisted_generic, h0, 0.2, 4, step_energy_tol=0.0)
+        geodesic_shoot(twisted_generic, h0, 0.2, 4)
     assert excinfo.value.time == pytest.approx(0.05)
     assert excinfo.value.drift > 1e-11
 
@@ -298,14 +300,15 @@ def test_geodesic_step_count_out_of_range(flat_zero, grid64, steps):
         geodesic_shoot(flat_zero, h0, 0.1, steps)
 
 
-def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64):
+def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64, monkeypatch):
+    monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", np.inf)
     h0 = flat_zero.normalize(
         field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1])))
     )
     time, steps = 1.0, 50
     dt = time / steps
     with pytest.raises(PositivityLost) as excinfo:
-        geodesic_shoot(flat_zero, h0, time, steps, step_energy_tol=np.inf)
+        geodesic_shoot(flat_zero, h0, time, steps)
     lost = excinfo.value.time
     # RK4 builds at t, t + dt/2 and t + dt, so the failure sits on that lattice.
     assert lost / (0.5 * dt) == pytest.approx(round(lost / (0.5 * dt)), abs=1e-9)
@@ -313,28 +316,31 @@ def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64):
     # Every step before the failing one completes on the same time grid.
     done = int(np.ceil(lost / dt - 1e-9)) - 1
     assert done >= 1
-    geodesic_shoot(flat_zero, h0, done * dt, done, step_energy_tol=np.inf)
+    geodesic_shoot(flat_zero, h0, done * dt, done)
 
 
-def test_geodesic_step_rejection_on_a_curved_path(twisted_generic, h_field):
+def test_geodesic_step_rejection_on_a_curved_path(twisted_generic, h_field, monkeypatch):
     """Two coarse steps on the twisted generic graph change the energy by
     2.7e-9 and 5.5e-9 of its start, far above roundoff: the rejection does not
     hinge on last-bit noise."""
     h0 = twisted_generic.normalize(h_field)
+    monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", 1e-9)
     with pytest.raises(StepRejected) as excinfo:
-        geodesic_shoot(twisted_generic, h0, 0.2, 2, step_energy_tol=1e-9)
+        geodesic_shoot(twisted_generic, h0, 0.2, 2)
     assert excinfo.value.time == pytest.approx(0.1)
     assert 1e-9 < excinfo.value.drift < 1e-8
-    path = geodesic_shoot(twisted_generic, h0, 0.2, 2, step_energy_tol=1e-8)
+    monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", 1e-8)
+    path = geodesic_shoot(twisted_generic, h0, 0.2, 2)
     assert 1e-9 < path.energy_drift() < 1e-8
 
 
-def test_shot_satisfies_its_geodesic_equation():
+def test_shot_satisfies_its_geodesic_equation(monkeypatch):
     """Along a shot on the twisted generic graph, D_t psi = d psi/dt + D_psi psi
     as ``cov_deriv_along_path`` reads it (central differences of the stored
     velocities) vanishes to the second order of that difference: 1.9e-6 at
     20 steps against |d psi/dt| of 0.044, and 4x less at 40.  With the
     acceleration negated the residual reads 0.084."""
+    monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", np.inf)
     grid = PeriodicGrid(2, 32)
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
     gamma = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1])))
@@ -343,7 +349,7 @@ def test_shot_satisfies_its_geodesic_equation():
     )
 
     def residual(steps):
-        shot = geodesic_shoot(gamma, h0, 0.5, steps, step_energy_tol=np.inf)
+        shot = geodesic_shoot(gamma, h0, 0.5, steps)
         path = SampledPath(model, shot.times, shot.potentials, shot.velocities)
         return max(
             np.abs(cov_deriv_along_path(path, shot.velocities, i).values).max()

@@ -15,6 +15,7 @@ from laglab.lagrangian import build
 from laglab.torus import ScalarField, field_from_function, gradient_values, sample
 from laglab.validation import (
     RICHARDSON_FLOOR,
+    CheckResult,
     SUITES,
     SuiteConfig,
     _random_field,
@@ -191,7 +192,7 @@ def test_suite_table_rows_are_independent(monkeypatch):
 
     def appended(cfg, bases, rng):
         value = float(rng.uniform())
-        return [_result("appended", value, value, 1.0, "abs", {})]
+        return [CheckResult("appended", value, value, 1.0, "abs", True, {})]
 
     def draws_first(cfg, bases, rng):
         grid = bases["flat_zero"].grid
@@ -229,7 +230,7 @@ def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
         return trials[-1]
 
     monkeypatch.setattr(laglab.validation, "check_r3_r4_pairing", recording)
-    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
+    bases = dict(standard_base_points(cfg.grid_points))
     results = _suite_pairing(cfg, bases, np.random.default_rng(cfg.seed))
     assert len(trials) == len(bases) * cfg.quadruples
     for i, result in enumerate(results):
@@ -241,12 +242,10 @@ def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
         assert result.passed == all(r.passed for r in own)
 
 
-def test_zero_tolerance_fails_fd_checks():
-    cfg = dataclasses.replace(
-        SMALL,
-        tolerances={name: 0.0 for name in ("dtheta", "r3_vs_fd", "metric_compat")},
-    )
-    report = run_suite(cfg)
+def test_zero_tolerance_fails_fd_checks(monkeypatch):
+    for name in ("dtheta", "r3_vs_fd", "metric_compat"):
+        monkeypatch.setitem(laglab.validation.DEFAULT_TOLERANCES, name, 0.0)
+    report = run_suite(SMALL)
     assert not report.all_passed
     failed = {r.name.split("[")[0] for r in report.results if not r.passed}
     assert {"dtheta", "r3_vs_fd"} <= failed
@@ -295,6 +294,9 @@ def test_battery_shape():
     report = run_suite(SMALL)
     assert len(BATTERY) == 36
     assert [r.name for r in report.results] == BATTERY
+    # Each row is judged by its family's tolerance: the name up to any "[".
+    for r in report.results:
+        assert r.tolerance == laglab.validation.DEFAULT_TOLERANCES[r.name.split("[")[0]], r.name
     params = {r.name: r.params for r in report.results}
     for base in BASES:
         assert params[f"r3_r4_pairing[{base}]"]["quadruples"] == SMALL.quadruples
@@ -306,7 +308,7 @@ def test_battery_shape():
     assert "rho_term_sup" in params["dtheta[flat_zero]"]
     # rho_consistency reports the points it compared: rho_points // 6 per model.
     assert params["rho_consistency"]["points"] == SMALL.rho_points == 60
-    bases = dict(standard_base_points(SMALL.grid_points, SMALL.twist_amplitude))
+    bases = dict(standard_base_points(SMALL.grid_points))
     rho = _suite_model_consistency(
         dataclasses.replace(SMALL, rho_points=1000), bases, np.random.default_rng(0)
     )[0]
@@ -341,11 +343,13 @@ def test_richardson_below_floor_is_not_judged():
 
 
 def test_worst_fails_when_a_milder_trial_failed():
-    largest = _result("check", 1e-3, 1e-3, 1e-2, "abs", {"trial": 0})
-    failed = _result("check", 1e-4, 1e-4, 1e-2, "abs", {"trial": 1}, extra_ok=False)
+    # The family r3_vs_fd has the tolerance 1e-4.
+    largest = _result("r3_vs_fd[flat_zero]", 1e-5, 1e-5, "abs", {"trial": 0})
+    failed = _result("r3_vs_fd[flat_zero]", 1e-6, 1e-6, "abs", {"trial": 1}, extra_ok=False)
     assert largest.passed and not failed.passed
+    assert largest.tolerance == 1e-4
     agg = _worst([largest, failed], count=2)
-    assert agg.error_abs == 1e-3
+    assert agg.error_abs == 1e-5
     assert agg.params == {"trial": 0, "count": 2}
     assert not agg.passed
     assert _worst([largest, largest]).passed
@@ -363,15 +367,31 @@ def test_worst_fails_when_a_milder_trial_failed():
         ({"geodesic_steps": 0}, "geodesic_steps"),
         ({"grid_points": 12}, "grid_points"),
         ({"seed": -1}, "seed"),
-        ({"geodesic_time": 0.0}, "geodesic_time"),
-        ({"tolerances": {"bogus_check": 1.0}}, "bogus_check"),
-        ({"tolerances": {"dtheta": -1.0}}, "dtheta"),
         ({"geodesic_steps": MAX_STEPS + 1}, "geodesic_steps"),
+        # Every field is an integer: a float or a bool is rejected, naming it.
+        ({"quadruples": 2.5}, "quadruples"),
+        ({"grid_points": 32.0}, "grid_points"),
+        ({"seed": 1.5}, "seed"),
+        ({"quadruples": True}, "quadruples"),
+        ({"seed": np.float64(3.0)}, "seed"),
+        ({"fd_triples": np.True_}, "fd_triples"),
     ],
 )
 def test_suite_config_rejects(change, named):
     with pytest.raises(ValueError, match=named):
         dataclasses.replace(SMALL, **change)
+
+
+@pytest.mark.parametrize("name", ["tolerances", "twist_amplitude", "geodesic_time"])
+def test_suite_config_sets_no_threshold(name):
+    with pytest.raises(TypeError, match=name):
+        SuiteConfig(**{name: 0.1})
+
+
+def test_suite_config_takes_numpy_integers_as_python_ints():
+    cfg = SuiteConfig(grid_points=np.int64(32), seed=np.uint8(3), quadruples=np.int32(2))
+    assert (cfg.grid_points, cfg.seed, cfg.quadruples) == (32, 3, 2)
+    assert all(type(getattr(cfg, f.name)) is int for f in dataclasses.fields(cfg))
 
 
 def test_pairing_check_transform_count(warm_twisted_generic, transform_calls):
@@ -451,7 +471,7 @@ def test_the_battery_guards_the_one_quadruple_form(tmp_path, monkeypatch):
         return -value, scale
 
     cfg = dataclasses.replace(SMALL, seed=3, quadruples=1)
-    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
+    bases = dict(standard_base_points(cfg.grid_points))
     config = {
         "job": "curvature",
         "model": {"n": 2, "twist_amplitude": 0.1},
@@ -491,7 +511,7 @@ def test_pairing_rows_count_the_trials_under_the_error_floor(points, quadruples,
     pairing row says how many of its trials that is (seed 7; at 32^2 with
     one quadruple, the flat_zero form vanishes by mode orthogonality)."""
     cfg = SuiteConfig(grid_points=points, seed=7, quadruples=quadruples)
-    bases = dict(standard_base_points(cfg.grid_points, cfg.twist_amplitude))
+    bases = dict(standard_base_points(cfg.grid_points))
     key = next(key for key, suite in SUITES if suite is _suite_pairing)
     rows = _suite_pairing(cfg, bases, np.random.default_rng([cfg.seed, key]))
     counts = {row.name[len("r3_r4_pairing["):-1]: row.params["trials_under_floor"] for row in rows}
@@ -512,7 +532,7 @@ def test_nonpositive_row_fails_when_it_draws_too_few(succeeding, drawn, passed):
             raise DegeneratePlane("degenerate plane")
         return value
 
-    result = _nonpositive(SMALL, "sectional_nonpositive", 3, draw)
+    result = _nonpositive("sectional_nonpositive", 3, draw)
     assert result.passed is passed
     assert result.params["samples"] == drawn
     assert result.params["max_sectional"] == (max(sectionals) if sectionals else None)
