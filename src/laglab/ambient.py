@@ -42,15 +42,13 @@ independent routes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonPositiveDensity
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+from .torus import check_torus
 
 # Convention record embedded in every report; the whole set stands or falls
 # together (a single global sign cannot be patched in isolation).
@@ -140,7 +138,7 @@ class AlmostCYModel:
     n : int
         Dimension of the base torus, 1 to 3.
     period : float
-        Period P of the base (default 2*pi).
+        Period P of the base (default 2*pi), by ``torus.check_torus``.
     twist_amplitude : float
         eps >= 0; eps = 0 is the flat Calabi-Yau model.  eps < 1 keeps a
         positivity margin for moderate potentials.
@@ -154,11 +152,7 @@ class AlmostCYModel:
     twist_mode: int = 1
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        # The quadratures weigh by the torus volume period^n, a float.
-        if not (self.period > 0 and self.n * math.log(self.period) < _LOG_FLOAT_MAX):
-            raise ValueError("period must be positive, with period^n in the float64 range")
+        check_torus(self.n, self.period)
         if not (0.0 <= self.twist_amplitude < 1.0):
             raise ValueError("twist amplitude must satisfy 0 <= eps < 1")
         if self.twist_mode < 1:

@@ -425,7 +425,7 @@ def _job_geodesic(cfg: ExperimentConfig, _report: Path, h0_name: str, total_time
         "final_potential_sup": float(np.abs(path.potentials[-1].values).max()),
     }
     if reverse:
-        out["reversal_error_sup"] = path.reversal_error(total_time)
+        out["reversal_error_sup"] = path.reversal_error()
     return out, True
 
 
@@ -501,13 +501,12 @@ def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam, de
                 tolerance: float):
     H = HermPoint(H.base, H.matrices)
     corrected = herm_curvature_quad(H, xi, eta, zeta, lam)
-    literal = herm_curvature_quad(H, xi, eta, zeta, lam, literal=True)
     fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta)
     agreement = abs(corrected - fd)
     out = {
         "inner_xi_eta": herm_inner(H, xi, eta),
         "quad_corrected": corrected,
-        "quad_literal": literal,
+        "quad_literal": -corrected,
         "quad_fd_oracle": fd,
         "fd_agreement": agreement,
         "tolerance": tolerance,

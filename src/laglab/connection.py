@@ -250,24 +250,25 @@ def cov_deriv_along_path(
 @dataclass(frozen=True)
 class GeodesicPath:
     """Output of geodesic shooting: potentials, tangent-space velocities and
-    kinetic energies on a uniform time grid."""
+    kinetic energies on a uniform time grid, and the ``time`` shot for."""
 
     model: AlmostCYModel
     times: np.ndarray
     potentials: tuple[ScalarField, ...]
     velocities: tuple[ScalarField, ...]
     energies: np.ndarray
+    time: float
 
     def energy_drift(self) -> float:
         e0 = self.energies[0]
         return float(np.abs(self.energies - e0).max() / abs(e0)) if e0 != 0 else 0.0
 
-    def reversal_error(self, time: float) -> float:
+    def reversal_error(self) -> float:
         """Sup distance from the start to where shooting back from the end with
         the negated velocity lands after the forward ``time`` and step count."""
         gamma_T = build(self.model, self.potentials[-1])
         h_back = gamma_T.normalize(ScalarField(gamma_T.grid, -self.velocities[-1].values))
-        back = geodesic_shoot(gamma_T, h_back, time, len(self.times) - 1)
+        back = geodesic_shoot(gamma_T, h_back, self.time, len(self.times) - 1)
         ret = back.potentials[-1].values - back.potentials[-1].values.mean()
         start = self.potentials[0].values - self.potentials[0].values.mean()
         return float(np.abs(ret - start).max())
@@ -401,4 +402,5 @@ def geodesic_shoot(
         tuple(potentials),
         tuple(velocities),
         np.asarray(energies),
+        time,
     )

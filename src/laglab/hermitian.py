@@ -11,9 +11,9 @@ overall sign here is pinned by ``herm_fd_riemann``, a finite-difference
 Levi-Civita computation on the affine chart that serves as ground truth.
 Taken with the standard sectional pairing the literal transcription of the
 displayed formula comes out with K >= 0 on anticommuting Pauli directions,
-contradicting the non-positivity it is meant to exhibit, so the corrected
-sign (the one matching the oracle) is the default and the literal value
-stays available for comparison.  ``herm_sectional`` divides the quadruple
+contradicting the non-positivity it is meant to exhibit.  So
+``herm_curvature_quad`` has the sign that matches the oracle, and the
+literal value is its negation.  ``herm_sectional`` divides the quadruple
 form by the Gram determinant in ``curvature.sectional_quotient``, the same
 quotient, degeneracy threshold and message as the Lagrangian side.
 
@@ -140,13 +140,12 @@ def herm_inner(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:
     return float(_metric_raw(H.base.weights, H.inverses(), *_aligned(H, xi, eta)))
 
 
-def _curvature_raw(weights: np.ndarray, Hi: np.ndarray, a, b, c, d, literal=False) -> float:
+def _curvature_raw(weights: np.ndarray, Hi: np.ndarray, a, b, c, d) -> float:
     """``herm_curvature_quad`` from the weights and the inverses H^{-1}."""
     A, B, C, D = Hi @ a, Hi @ b, Hi @ c, Hi @ d
     comm1 = A @ B - B @ A
     comm2 = D @ C - C @ D
-    value = float(0.25 * _weighted_trace(weights, comm1 @ comm2))
-    return -value if literal else value
+    return float(0.25 * _weighted_trace(weights, comm1 @ comm2))
 
 
 def herm_curvature_quad(
@@ -155,17 +154,14 @@ def herm_curvature_quad(
     eta: HermTangent,
     zeta: HermTangent,
     lam: HermTangent,
-    literal: bool = False,
 ) -> float:
-    """Quadruple curvature pairing (R(xi,eta)zeta, lambda).
-
-    With ``literal=False`` (default) the sign is the one fixed by the
-    finite-difference Levi-Civita oracle, (+1/4) sum_p w_p
-    tr([H^{-1}xi, H^{-1}eta][H^{-1}lambda, H^{-1}zeta]); ``literal=True``
-    flips the leading sign to the displayed transcription.
+    """Quadruple curvature pairing (R(xi,eta)zeta, lambda), with the sign
+    fixed by the finite-difference Levi-Civita oracle: (+1/4) sum_p w_p
+    tr([H^{-1}xi, H^{-1}eta][H^{-1}lambda, H^{-1}zeta]).  The displayed
+    transcription is its negation.
     """
     a, b, c, d = _aligned(H, xi, eta, zeta, lam)
-    return _curvature_raw(H.base.weights, H.inverses(), a, b, c, d, literal)
+    return _curvature_raw(H.base.weights, H.inverses(), a, b, c, d)
 
 
 def herm_sectional(H: HermPoint, xi: HermTangent, eta: HermTangent) -> float:

@@ -30,14 +30,14 @@ n = 1) and s3 = det H (n = 3 only):
     det B = (1 - s2) - i (s1 - s3),      adj B = (I - adj3 H) - i (s1 I - H),
 
 with adj3 H = adj H at n = 3 and 0 otherwise.  So with E = Re E + i Im E the
-build keeps only real arrays: Re Omega~ = Re E Re det B - Im E Im det B,
-which the positivity check and the w-field read, and the complex det B and
-Omega~ are assembled from the parts on first read.  At n = 3 the build takes
-s2 from the three diagonal cofactors (``torus.cofactor3``, the entries
-``torus.adjugate`` places on the diagonal), not from adj H.  By Cramer's
-rule, replacing column a of B by v gives the determinant (adj B v)_a, so
-the n determinants the w-field needs are one contraction with adj B; for a
-real v, ``cramer_numerator`` returns
+build keeps only real arrays: ``re_omega`` = Re Omega~ = Re E Re det B -
+Im E Im det B, which the positivity check and the w-field read, and the
+complex det B and Omega~ are assembled from the parts on first read.  At
+n = 3 the build takes s2 from the three diagonal cofactors
+(``torus.cofactor3``, the entries ``torus.adjugate`` places on the
+diagonal), not from adj H.  By Cramer's rule, replacing column a of B by v
+gives the determinant (adj B v)_a, so the n determinants the w-field needs
+are one contraction with adj B; for a real v, ``cramer_numerator`` returns
 
     Im(E adj(B) v) = Re E (H v - s1 v) + Im E (v - adj3 H v),
 
@@ -80,8 +80,8 @@ from .torus import (
     cofactor3,
     det,
     divergence_values,
-    grad_hess,
     gradient_values,
+    hessian_values,
     integrate_product,
     integrate_values,
     symmetric_gradient_values,
@@ -97,16 +97,17 @@ class GraphLagrangian:
     and Im E of the twist density E = e^{g} as two contiguous real arrays
     (``AlmostCYModel.holomorphic_density_parts`` from x_1's N axis samples,
     which broadcast to the grid, and with e^{ib} in the half-angle form: one
-    vectorised tan instead of numpy's scalar sin and cos), the real and imaginary parts of det B (B = I - i Hess phi),
-    Re Omega~ = Re(E det B), which ``re_omega`` returns, and its minimum
-    ``re_omega_min``.  Every other field is computed on first read and then
-    cached: adj H (n = 3 only), which only ``cramer_numerator`` reads, so a
-    geodesic step reads it and a sectional scan does not; the complex E,
-    which only ``rho`` reads, and ``pullback_density``; the phase side ``theta``,
-    ``cos_theta``, ``margin`` and ``sec_weight``, read off Omega~ alone; the
-    metric side ``metric``, ``det_metric``, ``inverse_metric``,
-    ``sqrt_det_metric`` and ``rho``; ``total_weight``, ``lagang_residual``
-    and the derivative fields below.
+    vectorised tan instead of numpy's scalar sin and cos), the real and
+    imaginary parts of det B (B = I - i Hess phi), ``re_omega`` = Re Omega~
+    = Re(E det B), the density of Re(Omega) pulled back in the dx volume,
+    and its minimum ``re_omega_min``.  Every other field is computed on
+    first read and then cached: adj H (n = 3 only), which only
+    ``cramer_numerator`` reads, so a geodesic step reads it and a sectional
+    scan does not; the complex E, which only ``rho`` reads, and
+    ``pullback_density``; the phase side ``theta``, ``cos_theta``, ``margin``
+    and ``sec_weight``, read off Omega~ alone; the metric side ``metric``,
+    ``det_metric``, ``inverse_metric``, ``sqrt_det_metric`` and ``rho``;
+    ``total_weight``, ``lagang_residual`` and the derivative fields below.
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
@@ -137,7 +138,8 @@ class GraphLagrangian:
         self.phi = phi
 
         if derivatives is None:
-            derivatives = grad_hess(grid, phi.values)
+            grad = gradient_values(grid, phi.values)
+            derivatives = grad, hessian_values(grid, phi.values, grad=grad)
         self.grad_phi, self.hess_phi = derivatives
         n = grid.n
         if self.grad_phi.shape != grid.shape + (n,) or self.hess_phi.shape != grid.shape + (n, n):
@@ -171,14 +173,14 @@ class GraphLagrangian:
                 grid.axis.reshape((-1,) + (1,) * n), self.grad_phi
             )
             # Not in place: that raised the validate job's peak RSS by 1 MiB.
-            self._re_pullback = re_pullback = self._re_twist * re_det_B - self._im_twist * im_det_B
+            self.re_omega = re_omega = self._re_twist * re_det_B - self._im_twist * im_det_B
 
             # Positivity is 0 < Re Omega~ < inf at every point; NaN fails
             # both comparisons.  Where Re Omega~ is not finite, cos(theta) has
             # no value, so the first such point is reported with a NaN margin.
-            self.re_omega_min = re_pullback.min()
-            if not (self.re_omega_min > 0.0 and re_pullback.max() < np.inf):
-                not_finite = ~np.isfinite(re_pullback)
+            self.re_omega_min = re_omega.min()
+            if not (self.re_omega_min > 0.0 and re_omega.max() < np.inf):
+                not_finite = ~np.isfinite(re_omega)
                 if not_finite.any():
                     margin, worst = np.nan, np.argmax(not_finite)
                 else:
@@ -200,7 +202,7 @@ class GraphLagrangian:
     def pullback_density(self) -> np.ndarray:
         """Omega~ = E det(I - i Hess phi), the pulled-back form in the dx volume."""
         omega = np.empty(self.grid.shape, dtype=complex)
-        omega.real = self._re_pullback
+        omega.real = self.re_omega
         omega.imag = self._re_twist * self._im_det_B + self._im_twist * self._re_det_B
         return omega
 
@@ -283,14 +285,6 @@ class GraphLagrangian:
     def margin(self) -> float:
         return float(self.cos_theta.min())
 
-    @property
-    def re_omega(self) -> np.ndarray:
-        """Density of Re(Omega) pulled back, in the dx volume: Re Omega~, built
-        with the graph.  It equals cos(theta) rho^{n/2} sqrt(det g) up to
-        roundoff (the phase/volume decomposition), with no angle, rho or
-        metric to evaluate."""
-        return self._re_pullback
-
     @cached_property
     def sec_weight(self) -> np.ndarray:
         """sec(theta) rho^{n/2} sqrt(det g) = |Omega~|^2 / Re Omega~, the
@@ -345,8 +339,9 @@ class GraphLagrangian:
         return integrate_product(self.grid, a * b, self.re_omega)
 
     def grad_inner_values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pointwise <da, db> with respect to the induced metric."""
-        return self.metric_pair(gradient_values(self.grid, a), gradient_values(self.grid, b))
+        """Pointwise <da, db> with respect to the induced metric: da . g^{-1} db."""
+        grid = self.grid
+        return vector_dot(gradient_values(grid, a), self.raise_index(gradient_values(grid, b)))
 
     def raise_index(self, grad: np.ndarray) -> np.ndarray:
         """g^{-1} grad: the vector field metrically dual to a gradient field.
@@ -364,10 +359,6 @@ class GraphLagrangian:
                 np.multiply(ginv[..., a, b], grad[..., b], out=term)
                 row += term
         return up.transpose(self.grid._axis_orders[1])
-
-    def metric_pair(self, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
-        """Pointwise <ga, gb> of two gradient fields in the induced metric."""
-        return vector_dot(ga, self.raise_index(gb))
 
     def normalize_values(self, values: np.ndarray) -> np.ndarray:
         """``values`` minus the constant that makes its Re(Omega~)-weighted
@@ -393,13 +384,14 @@ class GraphLagrangian:
     def derivatives(
         self, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(grad h, g^{-1} grad h, Hess h, Lap h) from one ``grad_hess`` of h: the
-        covariant Hessian d_a d_b h - Gamma^c_{ab} d_c h and the nonnegative
-        Laplacian -(det g)^{-1/2} d_a( sqrt(det g) g^{ab} d_b h ), whose flux
-        is the raised gradient.  The divergence form integrates by parts
-        exactly, which the r3/r4 pairing relies on."""
+        """(grad h, g^{-1} grad h, Hess h, Lap h) from one gradient of h, the
+        Hessian taken from it: the covariant Hessian d_a d_b h - Gamma^c_{ab}
+        d_c h and the nonnegative Laplacian -(det g)^{-1/2} d_a( sqrt(det g)
+        g^{ab} d_b h ), whose flux is the raised gradient.  The divergence
+        form integrates by parts exactly, which the r3/r4 pairing relies on."""
         grid = self.grid
-        grad, hess = grad_hess(grid, values)
+        grad = gradient_values(grid, values)
+        hess = hessian_values(grid, values, grad=grad)
         hess = hess - np.einsum("...abc,...c->...ab", self.christoffels, grad)
         up = self.raise_index(grad)
         div = divergence_values(grid, self.sqrt_det_metric[..., None] * up)

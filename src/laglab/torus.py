@@ -49,6 +49,8 @@ closed-form determinant and adjugate below instead of batched LAPACK calls.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Literal
@@ -64,6 +66,24 @@ Phase = Literal["cos", "sin"]
 # the matrix takes more than 16 MiB.
 MAX_GRID_SIZE = 2**21
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def check_torus(n: int, period: float) -> None:
+    """The one rule for a torus (R/PZ)^n, of grids and models alike.
+
+    Raises
+    ------
+    ValueError
+        If n is not 1, 2 or 3, or the period is not positive with period^n
+        in the float64 range: the quadratures weigh by the torus volume
+        period^n, a float.
+    """
+    if n not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
+    if not (period > 0 and n * math.log(period) < _LOG_FLOAT_MAX):
+        raise ValueError("period must be positive, with period^n in the float64 range")
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -77,7 +97,7 @@ class PeriodicGrid:
         Samples per axis; a power of two, at least 8, with
         ``points**max(n, 2)`` at most ``MAX_GRID_SIZE``.
     period : float
-        Period P of every axis (default 2*pi).
+        Period P of every axis (default 2*pi), by ``check_torus``.
     """
 
     n: int
@@ -85,8 +105,7 @@ class PeriodicGrid:
     period: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
+        check_torus(self.n, self.period)
         if self.points < 8 or (self.points & (self.points - 1)) != 0:
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
         power = max(self.n, 2)
@@ -95,8 +114,6 @@ class PeriodicGrid:
                 f"points**max(n, 2) = {self.points}**{power} = {self.points**power} "
                 f"exceeds MAX_GRID_SIZE = 2**21"
             )
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -202,11 +219,6 @@ class TrigPolynomial:
     def __post_init__(self):
         if len({len(t.wavevector) for t in self.terms}) > 1:
             raise ValueError("all wavevectors must share a dimension")
-
-    def max_mode(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(abs(k) for k in t.wavevector) for t in self.terms)
 
     def evaluate(self, points: np.ndarray, period: float = 2.0 * np.pi) -> np.ndarray:
         """Evaluate at arbitrary points of shape ``(..., n)``."""
@@ -389,12 +401,6 @@ def hessian_values(
         stack = grad.transpose(grid._axis_orders[0])
     hess = _hessian_stack(grid, stack, _out_stack(grid, out, 2))
     return hess.transpose(grid._axis_orders[2])
-
-
-def grad_hess(grid: PeriodicGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of one field, each in a stack of its own."""
-    grad, orders = _gradient_stack(grid, values), grid._axis_orders
-    return grad.transpose(orders[1]), _hessian_stack(grid, grad).transpose(orders[2])
 
 
 def symmetric_gradient_values(grid: PeriodicGrid, matrix: np.ndarray) -> np.ndarray:

@@ -59,17 +59,20 @@ def warm_twisted_generic(twisted_generic):
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """Names of the ``torus.gradient_values``, ``torus.hessian_values`` and
-    ``torus.grad_hess`` calls made while the test runs, one per
-    differentiated function.  Every loaded ``laglab`` module
-    that imported one of them by name is patched, so no caller escapes the
-    count."""
+    """Names of the ``torus.gradient_values`` and ``torus.hessian_values``
+    calls made while the test runs, one per call.  A Hessian taken from a
+    given gradient (``grad=``) is recorded as ``hessian_values`` and a
+    Hessian that differentiates its field again as ``hessian_values!``, so
+    a count shows whether each function is differentiated once.  Every
+    loaded ``laglab`` module that imported one of them by name is patched,
+    so no caller escapes the count."""
     calls = []
-    for name in ("gradient_values", "hessian_values", "grad_hess"):
+    for name in ("gradient_values", "hessian_values"):
         original = getattr(laglab.torus, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
+            again = _name == "hessian_values" and kwargs.get("grad") is None
+            calls.append(_name + "!" if again else _name)
             return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):

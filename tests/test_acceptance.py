@@ -308,7 +308,7 @@ def test_c10_mirror_model():
     pauli_err = abs(closed - fd_sectional)
 
     corrected = herm_curvature_quad(ident, sx, sy, sy, sx)
-    literal = herm_curvature_quad(ident, sx, sy, sy, sx, literal=True)
+    literal = -herm_curvature_quad(ident, sx, sy, sy, sx)
     signs_ok = corrected * fd < 0 < literal * fd or (corrected * fd > 0 > literal * fd)
 
     ok = (

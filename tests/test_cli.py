@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 import laglab.cli
-import laglab.curvature
 import laglab.errors
-import laglab.lagrangian
 import laglab.validation
 from laglab.cli import load_config, main, report_bytes
 from laglab.curvature import sectional
@@ -275,18 +273,10 @@ def test_describe_and_run_agree_on_scan_pairs(tmp_path, capsys, params):
         assert described_text.err == ran_text.err
 
 
-def test_scan_takes_one_gradient_per_function(tmp_path, monkeypatch):
-    """A scan over F functions takes F spectral gradients, not 8 per pair."""
-    calls = []
-
-    def counting(original):
-        def gradient_values(grid, values):
-            calls.append(1)
-            return original(grid, values)
-        return gradient_values
-
-    for module in (laglab.curvature, laglab.lagrangian):
-        monkeypatch.setattr(module, "gradient_values", counting(module.gradient_values))
+def test_scan_takes_one_gradient_per_function(tmp_path, transform_calls):
+    """A scan over F functions takes F spectral gradients, not 8 per pair,
+    besides the build's gradient of the potential and the Hessian taken
+    from it."""
     functions = dict(FUNCTIONS, s=[{"coefficient": 0.3, "wavevector": [1, 1], "phase": "sin"}])
     cfg = write_config(
         tmp_path,
@@ -303,7 +293,7 @@ def test_scan_takes_one_gradient_per_function(tmp_path, monkeypatch):
     out = tmp_path / "scan_count_report.json"
     assert main(["run", str(cfg), "-o", str(out)]) == 0
     assert len(load_report(out)["results"]["pairs"]) == 6
-    assert len(calls) == len(functions)
+    assert sorted(transform_calls) == ["gradient_values"] * (len(functions) + 1) + ["hessian_values"]
 
 
 def test_geodesic_job(tmp_path):
@@ -493,6 +483,7 @@ def test_mirror_job(tmp_path):
     assert results["sectional"] == pytest.approx(-0.5, abs=1e-12)
     assert results["quad_corrected"] == pytest.approx(-2.0, abs=1e-12)
     assert results["quad_literal"] == pytest.approx(2.0, abs=1e-12)
+    assert results["quad_literal"] == -results["quad_corrected"]  # bit for bit
     assert results["quad_fd_oracle"] == pytest.approx(-2.0, abs=1e-4)
 
 

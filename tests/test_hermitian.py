@@ -68,7 +68,7 @@ def test_quad_pauli_value(single_base, identity_point):
     sx = _tangent(single_base, SIGMA_X)
     sy = _tangent(single_base, SIGMA_Y)
     corrected = herm_curvature_quad(identity_point, sx, sy, sy, sx)
-    literal = herm_curvature_quad(identity_point, sx, sy, sy, sx, literal=True)
+    literal = -herm_curvature_quad(identity_point, sx, sy, sy, sx)
     assert corrected == pytest.approx(PAULI_QUAD)
     assert literal == pytest.approx(-PAULI_QUAD)
 
@@ -152,7 +152,7 @@ def test_fd_oracle_pauli(single_base, identity_point):
     assert fd == pytest.approx(PAULI_QUAD, abs=1e-4)
     # Corrected closed form agrees with the oracle; the literal sign cannot.
     corrected = herm_curvature_quad(identity_point, sx, sy, sy, sx)
-    literal = herm_curvature_quad(identity_point, sx, sy, sy, sx, literal=True)
+    literal = -herm_curvature_quad(identity_point, sx, sy, sy, sx)
     assert abs(corrected - fd) < 1e-4
     assert abs(literal - fd) > 1.0
 

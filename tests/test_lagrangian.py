@@ -13,8 +13,8 @@ from laglab.torus import (
     constant_field,
     det,
     field_from_function,
-    grad_hess,
     gradient_values,
+    hessian_values,
     integrate_values,
     symmetric_gradient_values,
     vector_dot,
@@ -311,18 +311,19 @@ def test_overflowing_twist_is_not_positive(amplitude):
 
 
 def test_build_from_given_derivatives(twisted_model, generic_potential, grid64, transform_calls):
-    derivatives = grad_hess(grid64, generic_potential.values)
+    grad = gradient_values(grid64, generic_potential.values)
+    derivatives = grad, hessian_values(grid64, generic_potential.values, grad=grad)
     del transform_calls[:]
     given = build(twisted_model, generic_potential, derivatives)
     assert transform_calls == []
     assert given.grad_phi is derivatives[0] and given.hess_phi is derivatives[1]
-    assert np.array_equal(given._re_pullback, build(twisted_model, generic_potential)._re_pullback)
+    assert np.array_equal(given.re_omega, build(twisted_model, generic_potential).re_omega)
     with pytest.raises(ValueError, match="derivatives do not match"):
         build(twisted_model, generic_potential, (derivatives[0], derivatives[0]))
 
 
 METRIC_SIDE = (
-    "metric", "inverse_metric", "sqrt_det_metric", "rho", "theta", "re_omega", "lagang_residual",
+    "metric", "inverse_metric", "sqrt_det_metric", "rho", "theta", "lagang_residual",
 )
 
 
@@ -338,7 +339,7 @@ def eager_fields(model, phi):
     pullback from the invariants s1 = tr H, s2 = tr adj H, s3 = det H of
     H = Hess phi: det(I - iH) = (1 - s2) - i (s1 - s3)."""
     grid, n = phi.grid, phi.grid.n
-    grad_phi, hess_phi = grad_hess(grid, phi.values)
+    grad_phi, hess_phi = gradient_values(grid, phi.values), hessian_values(grid, phi.values)
     trace = np.trace(hess_phi, axis1=-2, axis2=-1)
     s2 = {1: 0.0, 2: det(hess_phi), 3: np.trace(adjugate(hess_phi), axis1=-2, axis2=-1)}[n]
     s3 = det(hess_phi) if n == 3 else 0.0
@@ -365,7 +366,7 @@ def eager_fields(model, phi):
         "_re_det_B": np.broadcast_to(re_det_B, grid.shape),
         "_im_det_B": im_det_B,
         "pullback_density": pullback_density,
-        "_re_pullback": np.real(pullback_density),
+        "re_omega": np.real(pullback_density),
         "metric": metric,
         "det_metric": det_metric,
         "inverse_metric": adjugate(metric) / det_metric[..., None, None],
@@ -436,7 +437,7 @@ def test_real_invariant_forms_match_complex_linear_algebra(n, points):
     E = np.exp(model.twist(grid.coords, gamma.grad_phi))
     assert relative_error(gamma._re_det_B + 1j * gamma._im_det_B, det_B) <= 1e-14
     assert relative_error(gamma.pullback_density, E * det_B) <= 1e-14
-    assert relative_error(gamma._re_pullback, np.real(E * det_B)) <= 1e-14
+    assert relative_error(gamma.re_omega, np.real(E * det_B)) <= 1e-14
 
     x = grid.coords
     vec = gradient_values(grid, np.cos(x[..., 0]) + 0.5 * np.sin(x.sum(axis=-1)))
@@ -447,7 +448,7 @@ def test_real_invariant_forms_match_complex_linear_algebra(n, points):
     assert relative_error(gamma.metric, metric) <= 1e-14
     other = gradient_values(grid, np.sin(x[..., -1]))
     pair = np.einsum("...ab,...a,...b->...", np.linalg.inv(metric), vec, other)
-    assert relative_error(gamma.metric_pair(vec, other), pair) <= 1e-14
+    assert relative_error(vector_dot(vec, gamma.raise_index(other)), pair) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -491,7 +492,7 @@ def test_overflowing_twist_names_its_first_non_finite_point():
         build(model, phi)
     assert np.isnan(excinfo.value.margin)
 
-    grad_phi, hess_phi = grad_hess(grid, phi.values)
+    grad_phi, hess_phi = gradient_values(grid, phi.values), hessian_values(grid, phi.values)
     det_B = np.linalg.det(np.eye(2) - 1j * hess_phi)
     with np.errstate(over="ignore", invalid="ignore"):
         re_pullback = np.real(np.exp(model.twist(grid.coords, grad_phi)) * det_B)
@@ -516,11 +517,12 @@ def _twisted_generic(n, points, period=2.0 * np.pi):
 def test_raise_index_solves_the_metric(n, points):
     gamma = _twisted_generic(n, points)
     x = gamma.grid.coords
-    grad = gradient_values(gamma.grid, np.cos(x[..., 0]) + 0.5 * np.sin(x.sum(axis=-1)))
+    f, g = np.cos(x[..., 0]) + 0.5 * np.sin(x.sum(axis=-1)), np.sin(x[..., -1])
+    grad = gradient_values(gamma.grid, f)
     up = gamma.raise_index(grad)
     assert relative_error(up, np.linalg.solve(gamma.metric, grad[..., None])[..., 0]) <= 1e-14
-    other = gradient_values(gamma.grid, np.sin(x[..., -1]))
-    assert np.array_equal(gamma.metric_pair(other, grad), vector_dot(other, up))
+    other = gradient_values(gamma.grid, g)
+    assert np.array_equal(gamma.grad_inner_values(g, f), vector_dot(other, up))
 
 
 @pytest.mark.parametrize(

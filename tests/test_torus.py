@@ -16,7 +16,6 @@ from laglab.torus import (
     det,
     divergence_values,
     field_from_function,
-    grad_hess,
     gradient_values,
     hessian_values,
     integrate_product,
@@ -37,6 +36,11 @@ def test_grid_validation():
         PeriodicGrid(2, 4)  # too small
     with pytest.raises(ValueError):
         PeriodicGrid(2, 64, -1.0)
+    # The model's rule: period^n must be a float, so 1e200 is a period at n = 1 only.
+    assert PeriodicGrid(1, 16, 1e200).period == 1e200
+    for n, period in ((2, 1e200), (2, 1e308), (3, 1e103), (1, np.inf), (1, np.nan), (2, np.inf)):
+        with pytest.raises(ValueError, match="period\\^n in the float64 range"):
+            PeriodicGrid(n, 16, period)
     for n, points in ((1, 2048), (2, 2048), (3, 256)):
         with pytest.raises(ValueError, match="MAX_GRID_SIZE"):
             PeriodicGrid(n, points)
@@ -223,7 +227,6 @@ def test_scalar_field_shape_checks(grid64):
 
 def test_trig_polynomial_helpers():
     poly = TrigPolynomial((TrigTerm(2.0, (3, -1)), TrigTerm(1.0, (0, 2), "sin")))
-    assert poly.max_mode() == 3
     pts = np.zeros((1, 2))
     assert poly.evaluate(pts)[0] == pytest.approx(2.0)
 
@@ -255,8 +258,6 @@ def test_spectral_derivatives_exact(n, points, period, seed):
     assert np.abs(grad - grad_exact).max() <= 1e-12 * max(np.abs(grad_exact).max(), 1.0)
     assert np.abs(hess - hess_exact).max() <= 1e-12 * max(np.abs(hess_exact).max(), 1.0)
     assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
-    both = grad_hess(grid, f)
-    assert np.array_equal(both[0], grad) and np.array_equal(both[1], hess)
     for a in range(n):
         assert np.array_equal(partial_values(grid, f, a), grad[..., a])
 
@@ -276,13 +277,11 @@ def test_batched_derivatives_match_per_component_transforms(n, points, period):
     for a in range(n):
         for b in range(a, n):
             hess[..., a, b] = hess[..., b, a] = per_component_derivative(grid, f, (a, b))
-    assert np.abs(gradient_values(grid, f) - grad).max() <= 1e-14 * np.abs(grad).max()
+    batched = gradient_values(grid, f)
+    assert np.abs(batched - grad).max() <= 1e-14 * np.abs(grad).max()
     assert np.abs(hessian_values(grid, f) - hess).max() <= 1e-14 * np.abs(hess).max()
-    both = grad_hess(grid, f)
-    assert np.array_equal(both[0], gradient_values(grid, f))
-    assert np.array_equal(both[1], hessian_values(grid, f))
     for a in range(n):
-        assert np.array_equal(partial_values(grid, f, a), both[0][..., a])
+        assert np.array_equal(partial_values(grid, f, a), batched[..., a])
 
     vector = rng.standard_normal(grid.shape + (n,))
     div = np.zeros(grid.shape)
@@ -346,7 +345,7 @@ def test_constant_along_an_axis_differentiates_to_exactly_zero(n, points, period
         shape = list(grid.shape)
         shape[axis] = 1
         f = np.broadcast_to(rng.standard_normal(shape), grid.shape).copy()
-        grad, hess = grad_hess(grid, f)
+        grad, hess = gradient_values(grid, f), hessian_values(grid, f)
         assert not grad[..., axis].any()
         assert not hess[..., axis, :].any() and not hess[..., :, axis].any()
         assert not partial_values(grid, f, axis).any()

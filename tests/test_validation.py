@@ -57,7 +57,7 @@ def test_random_trig_polynomial_band_and_amplitude():
     rng = np.random.default_rng(0)
     for _ in range(20):
         poly = random_trig_polynomial(rng, 2)
-        assert poly.max_mode() <= 3
+        assert max(abs(k) for t in poly.terms for k in t.wavevector) <= 3
         assert sum(abs(t.coefficient) for t in poly.terms) == pytest.approx(0.2)
     # determinism
     a = random_trig_polynomial(np.random.default_rng(5), 2)
@@ -305,6 +305,8 @@ def test_battery_shape():
         low, high = fd["richardson_ratio_range"]
         assert low <= fd["richardson_ratio"] <= high
     assert params["dtheta[twisted_zero]"]["rho_term_sup"] >= 1e-3
+    sign = params["mirror_sign_consistency"]
+    assert sign["literal"] == -sign["corrected"]  # bit for bit
     assert "rho_term_sup" in params["dtheta[flat_zero]"]
     # rho_consistency reports the points it compared: rho_points // 6 per model.
     assert params["rho_consistency"]["points"] == SMALL.rho_points == 60
@@ -395,23 +397,25 @@ def test_suite_config_takes_numpy_integers_as_python_ints():
 
 
 def test_pairing_check_transform_count(warm_twisted_generic, transform_calls):
-    """Three for the curvature field and one gradient per function for the
-    quadruple form, shared by its value and its L1 scale."""
+    """For the curvature field three gradients and two Hessians taken from
+    them, and one gradient per function for the quadruple form, shared by
+    its value and its L1 scale."""
     x = warm_twisted_generic.grid.coords
     f = [np.cos(x[..., 0] + 2 * x[..., 1] * i) for i in range(4)]
     assert check_r3_r4_pairing(warm_twisted_generic, *f).passed
-    assert len(transform_calls) == 7
+    assert sorted(transform_calls) == ["gradient_values"] * 7 + ["hessian_values"] * 2
 
 
 def test_tensor_structure_transform_count(warm_twisted_generic, transform_calls):
-    """Three for the mean-zero field and four for each of the three cyclic
-    quadruple forms of the Bianchi check, each evaluated once."""
+    """Three gradients and two Hessians taken from them for the mean-zero
+    field, and four gradients for each of the three cyclic quadruple forms
+    of the Bianchi check, each evaluated once."""
     results = _suite_tensor_structure(
         SuiteConfig(), {"twisted_generic": warm_twisted_generic}, np.random.default_rng(5)
     )
     assert [r.name for r in results] == ["mean_zero_residual", "bianchi"]
     assert all(r.passed for r in results)
-    assert len(transform_calls) == 3 + 12
+    assert sorted(transform_calls) == ["gradient_values"] * (3 + 12) + ["hessian_values"] * 2
 
 
 def second_cov_deriv_per_delta(gamma, hi, hj, hk, delta):

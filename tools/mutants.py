@@ -36,7 +36,9 @@ MUTANTS = (
     ("sectional: numerator sign", "curvature.py",
      "numerator[j, i] = -sec_integral", "numerator[j, i] = sec_integral"),
     ("mirror quadruple form: 1/4 -> 1/2", "hermitian.py",
-     "value = float(0.25 * _weighted_trace", "value = float(0.5 * _weighted_trace"),
+     "return float(0.25 * _weighted_trace", "return float(0.5 * _weighted_trace"),
+    ("mirror quadruple form: sign", "hermitian.py",
+     "return float(0.25 * _weighted_trace", "return float(-0.25 * _weighted_trace"),
     ("FD oracle: Koszul 1/2 dropped", "hermitian.py", "rhs = 0.5 * (central(", "rhs = (central("),
     ("FD oracle: sign of de flipped", "hermitian.py",
      "- central(slice(2, None), u, v)", "+ central(slice(2, None), u, v)"),
