@@ -17,10 +17,18 @@ adj B; the ``lagrangian`` docstring derives it) and the denominator is the
 graph's Re Omega~.
 
 The connection is D_h k = w(h) . grad k, and ``cov_deriv_pair_values`` is
-its one implementation: the derivative along a sampled path, the geodesic
-equation and the validation oracles all call it.  It reduces to
--tan(theta) <grad h, grad k> wherever the fibers meet the Lagrangian
-perpendicularly (any zero section).
+its one implementation: the derivative along a sampled path and the
+validation oracles call it.  It reduces to -tan(theta) <grad h, grad k>
+wherever the fibers meet the Lagrangian perpendicularly (any zero section).
+The geodesic equation needs only D_psi psi, the Cramer numerator dotted with
+v = grad psi over Re Omega~, and that is one quadratic form in v:
+
+    -D_psi psi = [Re E (v^T H v - s1 |v|^2) + Im E (|v|^2 - v^T adj3 H v)] / Re Omega~
+
+(``geodesic_acceleration``, through
+``GraphLagrangian.cramer_quadratic_form``), one field with no w-field
+formed.  ``cov_deriv_pair_values`` is its oracle (the battery's
+``geodesic_acceleration`` rows).
 
 Geodesics solve phi_tt = -D_{phi_t} phi_t with a classical fourth-order
 one-step method; velocities are renormalized into the tangent space after
@@ -41,19 +49,20 @@ phi, psi, the n rows of grad phi, then the n^2 rows of Hess phi, whose
 grid-last views are what ``build`` takes.  A shot allocates it once, with
 four blocks of its shape: an accumulator, a stage and two rate blocks.  A
 stage shift is state + c k over the whole block, into the stage block, and
-each stage writes grad psi and Hess psi straight into its rate block's
-rows (``out=`` of ``gradient_values`` and ``hessian_values``).  The rates
-k1 and k3 share one rate block, k2 and k4 the other: the accumulator takes
-2 k2 + k1 before k3 is written, and 2 k3 and k4 after k4 is written, so
-state + dt/6 (k1 + 2 k2 + 2 k3 + k4) is summed in place in the order of
-the written expression, with the same bits as per-component arrays.  The
-accumulator then becomes the state.  Stage and end-of-step graphs are
+each stage writes grad psi, -D_psi psi and Hess psi straight into its rate
+block's rows (``out=`` of ``gradient_values``, ``geodesic_acceleration``
+and ``hessian_values``).  The rates k1 and k3 share one rate block, k2 and
+k4 the other: the accumulator takes 2 k2 + k1 before k3 is written, and
+2 k3 and k4 after k4 is written, so state + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+is summed in place in the order of the written expression, with the same
+bits as per-component arrays.  The accumulator then becomes the state.  Stage and end-of-step graphs are
 transient views of the blocks and never leave the step; the returned path
 keeps copies of phi and psi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +73,7 @@ from .errors import (
     InsufficientSamples,
     NotPositive,
     PositivityLost,
+    ShapeMismatch,
     SingularDensity,
     StepRejected,
 )
@@ -147,6 +157,16 @@ class SampledPath:
         object.__setattr__(self, "times", times)
 
 
+def _check_density(gamma: GraphLagrangian) -> None:
+    """Raise ``SingularDensity`` if |Re Omega~| drops below ``DENSITY_FLOOR``."""
+    worst = gamma.re_omega_min  # min |Re Omega~|: the build checked Re Omega~ > 0
+    if not worst >= DENSITY_FLOOR:  # NaN fails the comparison too
+        raise SingularDensity(
+            f"|Re Omega~| = {worst:.3e} below tolerance {DENSITY_FLOOR:.1e}; "
+            "positivity nearly violated"
+        )
+
+
 def w_field_values(
     gamma: GraphLagrangian,
     h_values: np.ndarray,
@@ -166,12 +186,7 @@ def w_field_values(
         If |Re Omega~| drops below ``DENSITY_FLOOR`` (1e-12) anywhere.
     """
     check_field_shapes(gamma.grid, h_values)
-    worst = gamma.re_omega_min  # min |Re Omega~|: the build checked Re Omega~ > 0
-    if not worst >= DENSITY_FLOOR:  # NaN fails the comparison too
-        raise SingularDensity(
-            f"|Re Omega~| = {worst:.3e} below tolerance {DENSITY_FLOOR:.1e}; "
-            "positivity nearly violated"
-        )
+    _check_density(gamma)
     if grad_h is None:
         grad_h = gradient_values(gamma.grid, h_values)
     w = gamma.cramer_numerator(grad_h)
@@ -201,6 +216,41 @@ def cov_deriv_pair_values(
     if grad_k is None:
         grad_k = gradient_values(gamma.grid, hk_values)
     return vector_dot(w, grad_k)
+
+
+def geodesic_acceleration(
+    gamma: GraphLagrangian,
+    psi_values: np.ndarray,
+    *,
+    grad_psi: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """-D_psi psi = -w(psi) . grad psi at one graph, the acceleration of the
+    geodesic equation, as the one field
+    ``GraphLagrangian.cramer_quadratic_form(grad psi)``: no w-field is formed.
+
+    ``grad_psi`` is the gradient of ``psi_values`` when the caller already
+    has it; the result is written into ``out`` when it is given.
+
+    Raises
+    ------
+    ShapeMismatch
+        If ``psi_values`` does not have the grid's shape, or ``grad_psi``
+        not the shape of its gradients.
+    SingularDensity
+        If |Re Omega~| drops below ``DENSITY_FLOOR`` (1e-12) anywhere.
+    """
+    grid = gamma.grid
+    check_field_shapes(grid, psi_values)
+    _check_density(gamma)
+    if grad_psi is None:
+        grad_psi = gradient_values(grid, psi_values)
+    elif np.shape(grad_psi) != grid.shape + (grid.n,):
+        raise ShapeMismatch(
+            f"gradient has shape {np.shape(grad_psi)}, "
+            f"the grid's gradients have {grid.shape + (grid.n,)}"
+        )
+    return gamma.cramer_quadratic_form(grad_psi, out=out)
 
 
 def cov_deriv_along_path(
@@ -297,9 +347,10 @@ def geodesic_shoot(
     rates k1 and k3 share one rate block and k2 and k4 the other; the
     accumulator takes 2 k2 + k1 before k3 overwrites k1, so the combination
     runs in the order of the written RK4 sum and keeps its bits.  A stage
-    writes its derivatives straight into its rate block's rows.  Stage and
-    end-of-step graphs view the blocks and never leave the step; the path
-    keeps copies of phi and psi, so no two of its fields share memory.
+    writes its derivatives and its acceleration straight into its rate
+    block's rows.  Stage and end-of-step graphs view the blocks and never
+    leave the step; the path keeps copies of phi and psi, so no two of its
+    fields share memory.
 
     Raises
     ------
@@ -311,11 +362,14 @@ def geodesic_shoot(
         If the relative energy jump across one step exceeds the module
         constant ``STEP_ENERGY_TOL`` or is NaN.
     ValueError
-        If ``steps`` is not between 1 and ``MAX_STEPS``.
+        If ``steps`` is not between 1 and ``MAX_STEPS``, or ``time`` is not
+        finite.
     """
     require_same_gamma(h0, gamma=gamma0)
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
     model, grid = gamma0.model, gamma0.grid
     n = grid.n
     dt = float(time) / steps
@@ -335,9 +389,8 @@ def geodesic_shoot(
         psi_vals = block[1]
         _, _, grad_out, hess_out = rows[id(k)]
         grad_psi = gradient_values(grid, psi_vals, out=grad_out)
-        accel = -cov_deriv_pair_values(gamma, psi_vals, psi_vals, grad_j=grad_psi, grad_k=grad_psi)
         k[0] = psi_vals
-        k[1] = accel
+        geodesic_acceleration(gamma, psi_vals, grad_psi=grad_psi, out=k[1])
         hessian_values(grid, psi_vals, grad=grad_psi, out=hess_out)
 
     def shift(c: float, k: np.ndarray) -> np.ndarray:

@@ -31,17 +31,25 @@ n = 1) and s3 = det H (n = 3 only):
 
 with adj3 H = adj H at n = 3 and 0 otherwise.  So with E = Re E + i Im E the
 build keeps only real arrays: ``re_omega`` = Re Omega~ = Re E Re det B -
-Im E Im det B, which the positivity check and the w-field read, and the
-complex det B and Omega~ are assembled from the parts on first read.  At
-n = 3 the build takes s2 from the three diagonal cofactors
-(``torus.cofactor3``, the entries ``torus.adjugate`` places on the
-diagonal), not from adj H.  By Cramer's rule, replacing column a of B by v
+Im E Im det B, which the positivity check, the w-field and the geodesic
+acceleration read, and the complex det B and Omega~ are assembled from the
+parts on first read.  At n = 3 the build takes s2 from the three diagonal
+cofactors (``torus.cofactor3``, the entries ``torus.adjugate`` places on
+the diagonal), not from adj H.  By Cramer's rule, replacing column a of B by v
 gives the determinant (adj B v)_a, so the n determinants the w-field needs
 are one contraction with adj B; for a real v, ``cramer_numerator`` returns
 
-    Im(E adj(B) v) = Re E (H v - s1 v) + Im E (v - adj3 H v),
+    Im(E adj(B) v) = Re E (H v - s1 v) + Im E (v - adj3 H v).
 
-and it is the one reader of adj3 H, which is formed on its first call.
+Dotted with v and divided by Re Omega~, it is the one field
+``cramer_quadratic_form`` returns, -D_h h for v = grad h (the geodesic
+step's acceleration):
+
+    [Re E (v^T H v - s1 |v|^2) + Im E (|v|^2 - v^T adj3 H v)] / Re Omega~,
+
+where v^T H v - s1 |v|^2 = -v^T adj(H) v at n = 2 and 0 at n = 1.  These
+two are the readers of adj3 H, which is formed on the first call of either
+on a graph at n = 3.
 
 Tangent vectors to the isotopy class are functions h on the base normalized
 against the real part of the pulled-back volume form; the Riemannian metric
@@ -102,12 +110,13 @@ class GraphLagrangian:
     = Re(E det B), the density of Re(Omega) pulled back in the dx volume,
     and its minimum ``re_omega_min``.  Every other field is computed on
     first read and then cached: adj H (n = 3 only), which only
-    ``cramer_numerator`` reads, so a geodesic step reads it and a sectional
-    scan does not; the complex E, which only ``rho`` reads, and
-    ``pullback_density``; the phase side ``theta``, ``cos_theta``, ``margin``
-    and ``sec_weight``, read off Omega~ alone; the metric side ``metric``,
-    ``det_metric``, ``inverse_metric``, ``sqrt_det_metric`` and ``rho``;
-    ``total_weight``, ``lagang_residual`` and the derivative fields below.
+    ``cramer_numerator`` and ``cramer_quadratic_form`` read, so a geodesic
+    step reads it and a sectional scan does not; the complex E, which only
+    ``rho`` reads, and ``pullback_density``; the phase side ``theta``,
+    ``cos_theta``, ``margin`` and ``sec_weight``, read off Omega~ alone;
+    the metric side ``metric``, ``det_metric``, ``inverse_metric``,
+    ``sqrt_det_metric`` and ``rho``; ``total_weight``, ``lagang_residual``
+    and the derivative fields below.
 
     ``derivatives`` is (grad phi, Hess phi) when the caller already has them
     (a geodesic stage carries them through its linear combinations); the
@@ -208,7 +217,8 @@ class GraphLagrangian:
 
     @cached_property
     def _adj_hess(self) -> np.ndarray:
-        """adj H, which only ``cramer_numerator`` reads, and only at n = 3."""
+        """adj H, which only ``cramer_numerator`` and ``cramer_quadratic_form``
+        read, and only at n = 3."""
         return adjugate(self.hess_phi)
 
     def cramer_numerator(self, vec: np.ndarray) -> np.ndarray:
@@ -236,6 +246,55 @@ class GraphLagrangian:
                 imag = np.subtract(imag, row_dot(adj3, a, part), out=part)
             row += np.multiply(self._im_twist, imag, out=part)
         return out.transpose(grid._axis_orders[1])
+
+    def cramer_quadratic_form(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Im(E adj(B) vec) . vec / Re Omega~ for a real vector field ``vec``:
+        the Cramer numerator dotted with ``vec``, as one quadratic form
+        (module docstring)
+
+            [Re E (v^T H v - s1 |v|^2) + Im E (|v|^2 - v^T adj3 H v)] / Re Omega~,
+
+        in which v^T H v - s1 |v|^2 is 0 at n = 1 and -v^T adj(H) v at
+        n = 2.  For vec = grad h it is -D_h h (``connection``).  H and adj H
+        are symmetric, so each product v_a v_b with a <= b is formed once,
+        and doubled once when a < b.  Written into ``out`` when given; at
+        n = 2 it uses two scratch fields, at n = 3 four."""
+        H, n = self.hess_phi, self.grid.n
+        v = [vec[..., a] for a in range(n)]
+        sq = np.multiply(v[0], v[0], out=out)  # |v|^2 once summed
+        if n == 1:
+            sq *= self._im_twist
+        else:
+            prod = np.empty_like(sq)
+            if n == 2:
+                # real = -v^T adj(H) v = 2 H_01 v_0 v_1 - H_11 v_0^2 - H_00 v_1^2.
+                np.multiply(v[0], v[1], out=prod)
+                prod += prod
+                real = np.multiply(H[..., 0, 1], prod)
+                real -= np.multiply(H[..., 1, 1], sq, out=prod)
+                sq += np.multiply(v[1], v[1], out=prod)
+                real -= np.multiply(H[..., 0, 0], prod, out=prod)
+                imag = sq
+            else:
+                # real = v^T H v - s1 |v|^2 and imag = |v|^2 - v^T adj(H) v.
+                adj, term = self._adj_hess, np.empty_like(sq)
+                real, imag = np.multiply(H[..., 0, 0], sq), np.multiply(adj[..., 0, 0], sq)
+                for a, b in ((1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+                    np.multiply(v[a], v[b], out=prod)
+                    if a == b:
+                        sq += prod
+                    else:
+                        prod += prod
+                    real += np.multiply(H[..., a, b], prod, out=term)
+                    imag += np.multiply(adj[..., a, b], prod, out=term)
+                real -= np.multiply(self._trace_hess, sq, out=term)
+                np.subtract(sq, imag, out=imag)
+            real *= self._re_twist
+            sq = np.multiply(self._im_twist, imag, out=sq)
+            sq += real
+        # -D_h h = -w(h) . grad h with w = -(Cramer numerator) / Re Omega~:
+        # the two minus signs cancel.
+        return np.divide(sq, self.re_omega, out=sq)
 
     # -- metric side, computed on first read -----------------------------------
 

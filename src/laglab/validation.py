@@ -29,6 +29,7 @@ from .connection import (
     MAX_STEPS,
     HamiltonianFamily,
     cov_deriv_pair_values,
+    geodesic_acceleration,
     geodesic_shoot,
 )
 from .curvature import (
@@ -79,6 +80,7 @@ DEFAULT_TOLERANCES = {
     "dimension_one": 1e-10,
     "geodesic_energy": 1e-6,
     "geodesic_reversal": 1e-6,
+    "geodesic_acceleration": 1e-10,
     "mirror_commuting": 1e-12,
     "mirror_nonpositive": 1e-12,
     "mirror_pauli_fd": 1e-4,
@@ -704,6 +706,22 @@ def _suite_geodesic(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> 
     ]
 
 
+def _suite_geodesic_acceleration(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
+    """The geodesic step's acceleration against its oracle -D_psi psi =
+    -w(psi) . grad psi, for a seeded, normalised psi, at every base point
+    but ``flat_zero``: there w = 0 and both routes give exactly 0."""
+    out = []
+    for name in ("twisted_zero", "flat_generic", "twisted_generic"):
+        gamma = bases[name]
+        psi = gamma.normalize_values(_random_field(rng, gamma.grid).values)
+        expected = -cov_deriv_pair_values(gamma, psi, psi)
+        err = float(np.abs(geodesic_acceleration(gamma, psi) - expected).max())
+        sup = float(np.abs(expected).max())
+        out.append(_result(f"geodesic_acceleration[{name}]", err, err / max(sup, 1.0), "rel",
+                           {"sup_acceleration": sup}))
+    return out
+
+
 def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     models = [AlmostCYModel(n, PERIOD, eps, TWIST_MODE)
               for n in (1, 2, 3) for eps in (0.0, TWIST_AMPLITUDE)]
@@ -830,6 +848,7 @@ SUITES = (
     (8, _suite_flat_families),
     (9, _suite_dimension_one),
     (10, _suite_geodesic),
+    (14, _suite_geodesic_acceleration),
     (11, _suite_model_consistency),
     (12, _suite_tensor_structure),
     (13, _suite_mirror),

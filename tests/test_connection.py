@@ -13,6 +13,7 @@ from laglab.connection import (
     SampledPath,
     cov_deriv_along_path,
     cov_deriv_pair_values,
+    geodesic_acceleration,
     geodesic_shoot,
     w_field_values,
 )
@@ -21,6 +22,7 @@ from laglab.errors import (
     InsufficientSamples,
     NotPositive,
     PositivityLost,
+    ShapeMismatch,
     SingularDensity,
     StepRejected,
 )
@@ -299,6 +301,15 @@ def test_geodesic_step_count_out_of_range(flat_zero, grid64, steps):
         geodesic_shoot(flat_zero, h0, 0.1, steps)
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_geodesic_rejects_a_time_that_is_not_finite(flat_zero, grid64, time):
+    """A non-finite time is refused at entry, naming ``time``, before any
+    stage runs."""
+    h0 = flat_zero.normalize(field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])))
+    with pytest.raises(ValueError, match=f"time must be finite, got {time}"):
+        geodesic_shoot(flat_zero, h0, time, 3)
+
+
 def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64, monkeypatch):
     monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", np.inf)
     h0 = flat_zero.normalize(
@@ -487,7 +498,7 @@ def _written_out_shot(gamma0, h0, time, steps):
         phi, psi, grad_phi, hess_phi = state
         gamma = build(model, ScalarField(grid, phi), (grad_phi, hess_phi))
         grad = gradient_values(grid, psi)
-        accel = -cov_deriv_pair_values(gamma, psi, psi, grad_j=grad, grad_k=grad)
+        accel = geodesic_acceleration(gamma, psi, grad_psi=grad)
         return psi, accel, grad, hessian_values(grid, psi, grad=grad)
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
@@ -648,4 +659,65 @@ def test_singular_density_reports_the_graphs_minimum():
         w_field_values(gamma, np.cos(gamma.grid.coords[..., 0]))
     assert str(info.value) == (
         f"|Re Omega~| = {worst:.3e} below tolerance 1.0e-12; positivity nearly violated"
+    )
+
+
+def _generic_graph(n, points, twist):
+    grid = PeriodicGrid(n, points)
+    model = AlmostCYModel(n, twist_amplitude=twist, twist_mode=1)
+    return build(model, field_from_function(
+        grid, lambda c: 0.2 * np.cos(c.sum(axis=-1)) + 0.1 * np.sin(c[..., -1] - c[..., 0])
+    ))
+
+
+@pytest.mark.parametrize("twist", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 64), (3, 16)])
+def test_geodesic_acceleration_is_minus_the_covariant_derivative(n, points, twist):
+    """The quadratic form of grad psi is -w(psi) . grad psi, the step's
+    oracle, to roundoff on generic graphs, and exactly where w = 0; with or
+    without the gradient given and into ``out``, with the same bits."""
+    gamma = _generic_graph(n, points, twist)
+    grid = gamma.grid
+    psi = gamma.normalize_values(field_from_function(
+        grid, lambda c: np.cos(c[..., 0]) + 0.3 * np.sin(2 * c[..., -1])
+    ).values)
+    grad = gradient_values(grid, psi)
+    expected = -cov_deriv_pair_values(gamma, psi, psi)
+    accel = geodesic_acceleration(gamma, psi)
+    scale = np.abs(expected).max()
+    assert scale > 0.1 or (n, twist) == (1, 0.0)  # w = 0 in the flat model at n = 1
+    assert np.abs(accel - expected).max() <= 1e-14 * scale
+    out = np.empty(grid.shape)
+    assert geodesic_acceleration(gamma, psi, grad_psi=grad, out=out) is out
+    assert np.array_equal(out, accel)
+
+
+@pytest.mark.parametrize("n, points", [(1, 64), (2, 64), (3, 16)])
+def test_geodesic_acceleration_vanishes_on_the_flat_zero_section(n, points):
+    """w = 0 on the flat zero section, and both routes give exactly 0."""
+    grid = PeriodicGrid(n, points)
+    gamma = build(AlmostCYModel(n), constant_field(grid))
+    psi = np.cos(grid.coords[..., 0]) + 0.5 * np.sin(grid.coords[..., -1])
+    assert np.all(geodesic_acceleration(gamma, psi) == 0.0)
+    assert np.all(cov_deriv_pair_values(gamma, psi, psi) == 0.0)
+
+
+def test_geodesic_acceleration_raises_below_the_density_floor():
+    """The same ``SingularDensity``, with the same message, as the w-field."""
+    gamma = _nearly_singular_graph()
+    psi = np.cos(gamma.grid.coords[..., 0])
+    with pytest.raises(SingularDensity) as accel_info:
+        geodesic_acceleration(gamma, psi)
+    with pytest.raises(SingularDensity) as w_info:
+        w_field_values(gamma, psi)
+    assert str(accel_info.value) == str(w_info.value)
+
+
+@pytest.mark.parametrize("bad_shape", [(64, 64), (64, 64, 3), (32, 32, 2)])
+def test_geodesic_acceleration_rejects_a_wrong_shaped_gradient(twisted_generic, grid64, bad_shape):
+    psi = np.cos(grid64.coords[..., 0])
+    with pytest.raises(ShapeMismatch) as info:
+        geodesic_acceleration(twisted_generic, psi, grad_psi=np.ones(bad_shape))
+    assert str(info.value) == (
+        f"gradient has shape {bad_shape}, the grid's gradients have (64, 64, 2)"
     )

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from laglab.ambient import AlmostCYModel
-from laglab.connection import cov_deriv_pair_values, geodesic_shoot, w_field_values
+from laglab.connection import (
+    cov_deriv_pair_values,
+    geodesic_acceleration,
+    geodesic_shoot,
+    w_field_values,
+)
 from laglab.curvature import (
     DEFAULT_MARGIN_THRESHOLD,
     flat_family_check,
@@ -339,6 +344,7 @@ _SHAPE_ENTRY_POINTS = {
     "normalize_values": (0, lambda gamma, ok, bad: gamma.normalize_values(bad)),
     "w_field_values": (0, lambda gamma, ok, bad: w_field_values(gamma, bad)),
     "cov_deriv_pair_values": (1, lambda gamma, ok, bad: cov_deriv_pair_values(gamma, ok, bad)),
+    "geodesic_acceleration": (0, lambda gamma, ok, bad: geodesic_acceleration(gamma, bad)),
     "riemann_field_values": (2, lambda gamma, ok, bad: riemann_field_values(gamma, ok, ok, bad)),
     "riemann_quad_values": (1, lambda gamma, ok, bad: riemann_quad_values(gamma, ok, bad, ok, ok)),
     "sectional_matrix": (2, lambda gamma, ok, bad: sectional_matrix(gamma, [ok, ok, bad])),

@@ -278,6 +278,7 @@ BATTERY = [
     "dimension_one",
     "geodesic_energy",
     "geodesic_reversal",
+    *(f"geodesic_acceleration[{b}]" for b in BASES[1:]),
     "rho_consistency",
     "lagang_identity",
     "mean_zero_residual",
@@ -292,7 +293,7 @@ BATTERY = [
 def test_battery_shape():
     """The battery runs every check, in order, with its aggregate parameters."""
     report = run_suite(SMALL)
-    assert len(BATTERY) == 36
+    assert len(BATTERY) == 39
     assert [r.name for r in report.results] == BATTERY
     # Each row is judged by its family's tolerance: the name up to any "[".
     for r in report.results:
