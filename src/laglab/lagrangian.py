@@ -261,7 +261,7 @@ class GraphLagrangian:
         n = 2 it uses two scratch fields, at n = 3 four."""
         H, n = self.hess_phi, self.grid.n
         v = [vec[..., a] for a in range(n)]
-        sq = np.multiply(v[0], v[0], out=out)  # |v|^2 once summed
+        sq = np.multiply(v[0], v[0], out=out)  # v_0^2, summed into |v|^2 below
         if n == 1:
             sq *= self._im_twist
         else:
