@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -77,7 +76,7 @@ from .torus import (
     check_band_limit,
     sample,
 )
-from .validation import SuiteConfig, run_suite
+from .validation import DEFAULT_TOLERANCES, SuiteConfig, run_suite
 
 SCHEMA_TAG = "laglab/report-v1"
 
@@ -166,10 +165,10 @@ def parse_trig_terms(raw, where: str, grid: PeriodicGrid) -> TrigPolynomial:
                 f"sum |coefficient| * N^n exceeds the float64 range at N^n = {grid.size}"
             )
         terms.append(TrigTerm(coeff, wave, phase))
-    poly = TrigPolynomial(tuple(terms))
     try:
+        poly = TrigPolynomial(tuple(terms))
         check_band_limit(poly, grid)
-    except BandLimitExceeded as exc:
+    except (ValueError, BandLimitExceeded) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return poly
 
@@ -429,22 +428,14 @@ def _job_geodesic(cfg: ExperimentConfig, _report: Path, h0_name: str, total_time
     return out, True
 
 
-# The ``params`` keys of a validate job: the ``SuiteConfig`` fields, with
-# ``grid_points`` read as ``grid``.
-_VALIDATE_KEYS = tuple(
-    "grid" if f.name == "grid_points" else f.name for f in dataclasses.fields(SuiteConfig)
-)
-
-
 def _validate_params(cfg: ExperimentConfig) -> tuple[SuiteConfig]:
-    """The battery's ``SuiteConfig``: params override its seed, grid and
-    counts, all integers.  Its tolerances are constants that no config
-    sets."""
-    params = cfg.params
+    """The battery's ``SuiteConfig``: ``params.grid`` and ``params.seed``, both
+    integers, override its two fields.  Its counts and tolerances are
+    constants of ``validation``, so a config that names one exits 2."""
     kwargs = {
-        f.name: _integer(params[key], f"params.{key}")
-        for f, key in zip(dataclasses.fields(SuiteConfig), _VALIDATE_KEYS)
-        if key in params
+        field: _integer(cfg.params[key], f"params.{key}")
+        for field, key in (("grid_points", "grid"), ("seed", "seed"))
+        if key in cfg.params
     }
     try:
         return (SuiteConfig(**kwargs),)
@@ -458,10 +449,10 @@ def _job_validate(_cfg: ExperimentConfig, _report: Path, suite_cfg: SuiteConfig)
 
 
 def _mirror_params(cfg: ExperimentConfig) -> tuple:
-    """(H, xi, eta, zeta, lambda, delta, tolerance) of a mirror job; zeta
-    defaults to eta and lambda to xi.  H is read as a Hermitian family; the
-    run checks that it is positive definite, as it checks the positivity of a
-    potential, so ``describe`` of a non-positive H exits 0 and ``run`` 3."""
+    """(H, xi, eta, zeta, lambda) of a mirror job; zeta defaults to eta and
+    lambda to xi.  H is read as a Hermitian family; the run checks that it is
+    positive definite, as it checks the positivity of a potential, so
+    ``describe`` of a non-positive H exits 0 and ``run`` 3."""
     params = cfg.params
     weights = params.get("weights", [1.0])
     if not isinstance(weights, list) or not weights:
@@ -488,21 +479,17 @@ def _mirror_params(cfg: ExperimentConfig) -> tuple:
     xi, eta = family(HermTangent, "xi", H), family(HermTangent, "eta", H)
     zeta = family(HermTangent, "zeta", H) if "zeta" in params else eta
     lam = family(HermTangent, "lambda", H) if "lambda" in params else xi
-    delta = _number(params.get("delta", 1e-3), "params.delta")
-    if delta <= 0:
-        raise ConfigError(f"params.delta must be positive, got {delta}")
-    tolerance = _number(params.get("tolerance", 1e-4), "params.tolerance")
-    if tolerance < 0:
-        raise ConfigError(f"params.tolerance must be non-negative, got {tolerance}")
-    return H, xi, eta, zeta, lam, delta, tolerance
+    return H, xi, eta, zeta, lam
 
 
-def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam, delta: float,
-                tolerance: float):
+def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam):
+    """The quadruple form against the finite-difference oracle, judged by the
+    battery's ``mirror_sign_consistency`` rule and tolerance."""
     H = HermPoint(H.base, H.matrices)
     corrected = herm_curvature_quad(H, xi, eta, zeta, lam)
-    fd = herm_fd_riemann(H, xi, eta, zeta, lam, delta)
+    fd = herm_fd_riemann(H, xi, eta, zeta, lam)
     agreement = abs(corrected - fd)
+    tolerance = DEFAULT_TOLERANCES["mirror_sign_consistency"]
     out = {
         "inner_xi_eta": herm_inner(H, xi, eta),
         "quad_corrected": corrected,
@@ -558,12 +545,11 @@ JOBS = {
         _job_geodesic,
     ),
     "validate": Job(
-        False, _VALIDATE_KEYS, _validate_params,
+        False, ("grid", "seed"), _validate_params,
         lambda s: f"validation battery, seed={s.seed}, grid={s.grid_points}", _job_validate,
     ),
     "mirror": Job(
-        False, ("weights", "H", "xi", "eta", "zeta", "lambda", "delta", "tolerance"),
-        _mirror_params,
+        False, ("weights", "H", "xi", "eta", "zeta", "lambda"), _mirror_params,
         lambda *_: "matrix-model curvature with finite-difference oracle", _job_mirror,
     ),
 }

@@ -167,6 +167,19 @@ def _check_density(gamma: GraphLagrangian) -> None:
         )
 
 
+def _gradient(grid: PeriodicGrid, values: np.ndarray, grad: np.ndarray | None) -> np.ndarray:
+    """The gradient of ``values``, or the caller's ``grad`` once its shape is
+    checked: ``ShapeMismatch`` if it is not ``grid.shape + (n,)``."""
+    if grad is None:
+        return gradient_values(grid, values)
+    if np.shape(grad) != grid.shape + (grid.n,):
+        raise ShapeMismatch(
+            f"gradient has shape {np.shape(grad)}, "
+            f"the grid's gradients have {grid.shape + (grid.n,)}"
+        )
+    return grad
+
+
 def w_field_values(
     gamma: GraphLagrangian,
     h_values: np.ndarray,
@@ -181,15 +194,14 @@ def w_field_values(
     Raises
     ------
     ShapeMismatch
-        If ``h_values`` does not have the grid's shape.
+        If ``h_values`` does not have the grid's shape, or ``grad_h`` not the
+        shape of its gradients.
     SingularDensity
         If |Re Omega~| drops below ``DENSITY_FLOOR`` (1e-12) anywhere.
     """
     check_field_shapes(gamma.grid, h_values)
     _check_density(gamma)
-    if grad_h is None:
-        grad_h = gradient_values(gamma.grid, h_values)
-    w = gamma.cramer_numerator(grad_h)
+    w = gamma.cramer_numerator(_gradient(gamma.grid, h_values, grad_h))
     return np.divide(np.negative(w, out=w), gamma.re_omega[..., None], out=w)
 
 
@@ -209,13 +221,12 @@ def cov_deriv_pair_values(
     Raises
     ------
     ShapeMismatch
-        If either array does not have the grid's shape.
+        If either array does not have the grid's shape, or a given gradient
+        not the shape of its gradients.
     """
     check_field_shapes(gamma.grid, hj_values, hk_values)
     w = w_field_values(gamma, hj_values, grad_h=grad_j)
-    if grad_k is None:
-        grad_k = gradient_values(gamma.grid, hk_values)
-    return vector_dot(w, grad_k)
+    return vector_dot(w, _gradient(gamma.grid, hk_values, grad_k))
 
 
 def geodesic_acceleration(
@@ -240,17 +251,9 @@ def geodesic_acceleration(
     SingularDensity
         If |Re Omega~| drops below ``DENSITY_FLOOR`` (1e-12) anywhere.
     """
-    grid = gamma.grid
-    check_field_shapes(grid, psi_values)
+    check_field_shapes(gamma.grid, psi_values)
     _check_density(gamma)
-    if grad_psi is None:
-        grad_psi = gradient_values(grid, psi_values)
-    elif np.shape(grad_psi) != grid.shape + (grid.n,):
-        raise ShapeMismatch(
-            f"gradient has shape {np.shape(grad_psi)}, "
-            f"the grid's gradients have {grid.shape + (grid.n,)}"
-        )
-    return gamma.cramer_quadratic_form(grad_psi, out=out)
+    return gamma.cramer_quadratic_form(_gradient(gamma.grid, psi_values, grad_psi), out=out)
 
 
 def cov_deriv_along_path(

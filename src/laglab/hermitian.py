@@ -9,6 +9,7 @@ a non-positively curved analog of the Lagrangian-graph picture.  The
 quadruple curvature form carries a commutator-of-commutators integrand; its
 overall sign here is pinned by ``herm_fd_riemann``, a finite-difference
 Levi-Civita computation on the affine chart that serves as ground truth.
+Its step is the module constant ``FD_STEP``, which no caller sets.
 Taken with the standard sectional pairing the literal transcription of the
 displayed formula comes out with K >= 0 on anticommuting Pauli directions,
 contradicting the non-positivity it is meant to exhibit.  So
@@ -32,6 +33,9 @@ from .curvature import sectional_quotient
 from .errors import NotPositiveDefinite, ShapeMismatch
 
 HERM_TOL = 1e-12
+
+# The step of every central difference in ``herm_fd_riemann``.
+FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,6 @@ def herm_fd_riemann(
     eta: HermTangent,
     zeta: HermTangent,
     lam: HermTangent,
-    delta: float = 1e-3,
 ) -> float:
     """(R(xi,eta)zeta, lambda) by finite differences of the metric.
 
@@ -224,10 +227,11 @@ def herm_fd_riemann(
     constant coordinate fields xi, eta, zeta.  Ground truth for the sign of
     ``herm_curvature_quad``.
 
-    Each Christoffel step Gamma(u, v) at P stacks P, P +- delta u, P +- delta v
-    and P +- delta e for every basis family e, checks the stack with one
-    eigenvalue pass and inverts it once; the metric differences are array
-    algebra on those inverses, the basis Gram matrix one block per point.
+    Each Christoffel step Gamma(u, v) at P stacks P, P +- d u, P +- d v and
+    P +- d e for every basis family e, where d is the module constant
+    ``FD_STEP``; it checks the stack with one eigenvalue pass and inverts it
+    once.  The metric differences are array algebra on those inverses, the
+    basis Gram matrix one block per point.
 
     Raises
     ------
@@ -243,10 +247,10 @@ def herm_fd_riemann(
     weights = H.base.weights
     basis = _family_basis(H.base.size, H.matrix_dim)
     single, on_point = basis[: H.matrix_dim**2, 0], np.arange(H.base.size)  # one point's basis
-    steps = np.array([delta, -delta])
+    steps = np.array([FD_STEP, -FD_STEP])
 
     def christoffel(P: np.ndarray, shift: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # P lies ``shift`` off H; the stack interleaves +delta and -delta.
+        # P lies ``shift`` off H; the stack interleaves +FD_STEP and -FD_STEP.
         directions = np.concatenate([np.stack([u, v]), basis])
         shifted = P + steps[:, None, None, None] * directions[:, None]
         stack = np.concatenate([P[None], shifted.reshape((-1,) + P.shape)])
@@ -263,7 +267,7 @@ def herm_fd_riemann(
 
         def central(k, x, y):  # derivative of (x, y) along directions[k]
             diff = _metric_raw(weights, plus[k], x, y) - _metric_raw(weights, minus[k], x, y)
-            return diff / (2 * delta)
+            return diff / (2 * FD_STEP)
 
         rhs = 0.5 * (central(0, v, basis) + central(1, u, basis) - central(slice(2, None), u, v))
         # Families on different points are orthogonal: one m^2 x m^2 Gram block per point.
@@ -281,8 +285,8 @@ def herm_fd_riemann(
         return np.tensordot(coeff, basis, axes=(0, 0))
 
     def dgamma(direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        plus, minus = (christoffel(H.matrices + s * direction, s, u, v) for s in (delta, -delta))
-        return (plus - minus) / (2 * delta)
+        plus, minus = (christoffel(H.matrices + s * direction, s, u, v) for s in (FD_STEP, -FD_STEP))
+        return (plus - minus) / (2 * FD_STEP)
 
     gamma_bc = christoffel(H.matrices, 0.0, b, c)
     gamma_ac = christoffel(H.matrices, 0.0, a, c)

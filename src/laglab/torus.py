@@ -217,8 +217,11 @@ class TrigPolynomial:
     terms: tuple[TrigTerm, ...]
 
     def __post_init__(self):
-        if len({len(t.wavevector) for t in self.terms}) > 1:
-            raise ValueError("all wavevectors must share a dimension")
+        dims = [len(t.wavevector) for t in self.terms]
+        for i, t in enumerate(self.terms):
+            if dims[i] != dims[0]:
+                raise ValueError(f"term {i}: wavevector {t.wavevector} has dimension "
+                                 f"{dims[i]}, term 0 has dimension {dims[0]}")
 
     def evaluate(self, points: np.ndarray, period: float = 2.0 * np.pi) -> np.ndarray:
         """Evaluate at arbitrary points of shape ``(..., n)``."""

@@ -8,8 +8,10 @@ acceptance engine for the command-line driver.
 
 A row's tolerance is its family's entry in ``DEFAULT_TOLERANCES``; the
 family is the row name up to any ``[``, so ``dtheta[flat_zero]`` is judged
-by ``dtheta``.  The tolerances, like the battery's geometry and steps, are
-module constants: no config can loosen the checks that judge it.
+by ``dtheta``.  The tolerances, like the battery's geometry, steps and
+sample counts (``QUADRUPLES`` and the five after it), are module constants:
+no config can shrink or loosen the checks that judge it.  ``SuiteConfig``
+holds only the grid and the seed.
 
 A single convention set (symplectic sign, complex structure, Hamiltonian
 sign, orientation, nonnegative Laplacian) underlies all checks; they are
@@ -26,7 +28,6 @@ import numpy as np
 
 from .ambient import AlmostCYModel
 from .connection import (
-    MAX_STEPS,
     HamiltonianFamily,
     cov_deriv_pair_values,
     geodesic_acceleration,
@@ -113,9 +114,15 @@ RANDOM_TERMS = 3
 RANDOM_AMPLITUDE = 0.2
 PAIRING_FLOOR = 1e-3
 
-# The largest sample count ``SuiteConfig`` accepts (``geodesic_steps`` has
-# ``MAX_STEPS``): the battery's time and memory grow with each count.
-MAX_COUNT = 10_000
+# The battery's sample counts: quadruples and FD triples per base point,
+# sectional curvatures on each side of the mirror, rho points (split over six
+# models) and geodesic steps.  Suites read them when they run.
+QUADRUPLES = 20
+FD_TRIPLES = 10
+SECTIONAL_SAMPLES = 100
+MIRROR_SAMPLES = 100
+RHO_POINTS = 1000
+GEODESIC_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -448,18 +455,12 @@ def check_r3_r4_pairing(
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Deterministic configuration of the validation battery: its grid, its
-    seed and its sample counts.  Every field is an integer (a Python or NumPy
-    one, not a bool)."""
+    """Deterministic configuration of the validation battery: its grid and
+    its seed, each an integer (a Python or NumPy one, not a bool).  Its
+    sample counts, like its tolerances, are module constants."""
 
     grid_points: int = 64
     seed: int = 7
-    quadruples: int = 20
-    fd_triples: int = 10
-    sectional_samples: int = 100
-    mirror_samples: int = 100
-    rho_points: int = 1000
-    geodesic_steps: int = 100
 
     def __post_init__(self):
         for f in fields(self):
@@ -470,13 +471,6 @@ class SuiteConfig:
                 object.__setattr__(self, f.name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
-        for name, most in (("quadruples", MAX_COUNT), ("fd_triples", MAX_COUNT),
-                           ("sectional_samples", MAX_COUNT), ("mirror_samples", MAX_COUNT),
-                           ("rho_points", MAX_COUNT), ("geodesic_steps", MAX_STEPS)):
-            if not 1 <= getattr(self, name) <= most:
-                raise ValueError(
-                    f"{name} must be between 1 and {most}, got {getattr(self, name)}"
-                )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         try:
@@ -529,7 +523,7 @@ def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> l
     out = []
     for name, gamma in bases.items():
         trials = []
-        for trial in range(cfg.quadruples):
+        for trial in range(QUADRUPLES):
             fields = [
                 gamma.normalize_values(_random_field(rng, gamma.grid).values)
                 for _ in range(4)
@@ -538,7 +532,7 @@ def _suite_pairing(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> l
         largest = max(trials, key=lambda r: r.params["integrand_scale"])
         shown = {key: largest.params[key] for key in ("lhs", "rhs", "integrand_scale")}
         under = sum(abs(r.params["rhs"]) < PAIRING_FLOOR * r.params["integrand_scale"] for r in trials)
-        out.append(_worst(trials, quadruples=cfg.quadruples, trials_under_floor=under, **shown))
+        out.append(_worst(trials, quadruples=QUADRUPLES, trials_under_floor=under, **shown))
     return out
 
 
@@ -547,7 +541,7 @@ def _suite_fd_curvature(cfg: SuiteConfig, bases: dict, rng: np.random.Generator)
     for name, gamma in bases.items():
         trials = []
         ratios = []
-        for trial in range(cfg.fd_triples):
+        for trial in range(FD_TRIPLES):
             h = _random_field(rng, gamma.grid)
             k = _random_field(rng, gamma.grid)
             l = _random_field(rng, gamma.grid)
@@ -556,7 +550,7 @@ def _suite_fd_curvature(cfg: SuiteConfig, bases: dict, rng: np.random.Generator)
             if "richardson_ratio" in res.params:
                 ratios.append(res.params["richardson_ratio"])
         extra = {"richardson_ratio_range": [min(ratios), max(ratios)]} if ratios else {}
-        out.append(_worst(trials, triples=cfg.fd_triples, **extra))
+        out.append(_worst(trials, triples=FD_TRIPLES, **extra))
     return out
 
 
@@ -649,7 +643,7 @@ def _suite_sectional_nonpositive(cfg: SuiteConfig, bases: dict, rng: np.random.G
         k = gamma.normalize(_random_field(rng, gamma.grid))
         return sectional(gamma, h, k)
 
-    return [_nonpositive("sectional_nonpositive", cfg.sectional_samples, draw)]
+    return [_nonpositive("sectional_nonpositive", SECTIONAL_SAMPLES, draw)]
 
 
 def _suite_flat_families(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
@@ -693,16 +687,16 @@ def _suite_dimension_one(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
 def _suite_geodesic(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma0 = bases["flat_zero"]
     h0 = gamma0.normalize(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), gamma0.grid))
-    forward = geodesic_shoot(gamma0, h0, GEODESIC_TIME, cfg.geodesic_steps)
+    forward = geodesic_shoot(gamma0, h0, GEODESIC_TIME, GEODESIC_STEPS)
     drift = forward.energy_drift()
     reversal = forward.reversal_error()
 
     return [
         _result("geodesic_energy", drift, drift, "rel",
-                {"steps": cfg.geodesic_steps, "time": GEODESIC_TIME,
+                {"steps": GEODESIC_STEPS, "time": GEODESIC_TIME,
                  "initial_energy": float(forward.energies[0])}),
         _result("geodesic_reversal", reversal, reversal, "abs",
-                {"steps": cfg.geodesic_steps, "time": GEODESIC_TIME}),
+                {"steps": GEODESIC_STEPS, "time": GEODESIC_TIME}),
     ]
 
 
@@ -725,7 +719,7 @@ def _suite_geodesic_acceleration(cfg: SuiteConfig, bases: dict, rng: np.random.G
 def _suite_model_consistency(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     models = [AlmostCYModel(n, PERIOD, eps, TWIST_MODE)
               for n in (1, 2, 3) for eps in (0.0, TWIST_AMPLITUDE)]
-    count = max(cfg.rho_points // len(models), 1)
+    count = RHO_POINTS // len(models)
     worst = 0.0
     for model in models:
         x = rng.uniform(0.0, PERIOD, size=(count, model.n))
@@ -788,14 +782,14 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
         eta = random_tangent(rng, base, dim)
         return herm_sectional(H, xi, eta)
 
-    out.append(_nonpositive("mirror_nonpositive", cfg.mirror_samples, draw))
+    out.append(_nonpositive("mirror_nonpositive", MIRROR_SAMPLES, draw))
 
     # Pauli plane at the identity: closed form vs the FD oracle.
     base = HermBase(np.array([1.0]))
     sx = HermTangent(base, np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex))
     sy = HermTangent(base, np.array([[[0.0, -1.0j], [1.0j, 0.0]]]))
     ident = HermPoint(base, np.eye(2, dtype=complex)[None, :, :])
-    fd = herm_fd_riemann(ident, sx, sy, sy, sx, delta=1e-3)
+    fd = herm_fd_riemann(ident, sx, sy, sy, sx)
     fd_sectional = sectional_quotient(
         fd, herm_inner(ident, sx, sx), herm_inner(ident, sy, sy), herm_inner(ident, sx, sy)
     )
@@ -822,7 +816,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
     xi = unit_tangent()
     eta = unit_tangent()
     corrected = herm_curvature_quad(H, xi, eta, eta, xi)
-    fd_val = herm_fd_riemann(H, xi, eta, eta, xi, delta=1e-3)
+    fd_val = herm_fd_riemann(H, xi, eta, eta, xi)
     err = abs(corrected - fd_val) / max(abs(fd_val), 1.0)
     signs_ok = corrected * fd_val >= 0.0
     out.append(

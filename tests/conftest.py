@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import laglab.torus
+import laglab.validation
 from laglab.ambient import AlmostCYModel
 from laglab.lagrangian import build
 from laglab.torus import PeriodicGrid, constant_field, field_from_function
@@ -94,3 +95,14 @@ def per_component_derivative(grid, values, axes):
         shape[axis] = k.size
         mult = mult * (1j * (2.0 * np.pi / grid.period) * k).reshape(shape)
     return np.fft.irfftn(spec * mult, s=grid.shape, axes=tuple(range(grid.n)))
+
+
+@pytest.fixture
+def small_counts(monkeypatch):
+    """The battery's six sample counts, cut for a quick run that still draws
+    at every row.  No config sets them; the suites read the module constants
+    when they run, so a test may set one again on top of these."""
+    counts = {"QUADRUPLES": 2, "FD_TRIPLES": 1, "SECTIONAL_SAMPLES": 8,
+              "MIRROR_SAMPLES": 5, "RHO_POINTS": 60, "GEODESIC_STEPS": 25}
+    for name, value in counts.items():
+        monkeypatch.setattr(laglab.validation, name, value)

@@ -298,7 +298,7 @@ def test_c10_mirror_model():
     # Pauli plane: closed form against the finite-difference oracle
     sx = HermTangent(base2, np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex))
     sy = HermTangent(base2, np.array([[[0.0, -1.0j], [1.0j, 0.0]]]))
-    fd = herm_fd_riemann(ident, sx, sy, sy, sx, delta=1e-3)
+    fd = herm_fd_riemann(ident, sx, sy, sy, sx)
     gram = (
         herm_inner(ident, sx, sx) * herm_inner(ident, sy, sy)
         - herm_inner(ident, sx, sy) ** 2

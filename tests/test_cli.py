@@ -339,7 +339,7 @@ def test_geodesic_far_out(tmp_path, capsys, eps, code, message):
     assert message in captured.out + captured.err
 
 
-def test_validate_job_and_determinism(tmp_path):
+def test_validate_job_and_determinism(tmp_path, small_counts):
     cfg = write_config(
         tmp_path,
         "val.json",
@@ -348,12 +348,6 @@ def test_validate_job_and_determinism(tmp_path):
             "params": {
                 "seed": 3,
                 "grid": 32,
-                "quadruples": 1,
-                "fd_triples": 1,
-                "sectional_samples": 4,
-                "mirror_samples": 3,
-                "rho_points": 30,
-                "geodesic_steps": 20,
             },
         },
     )
@@ -368,7 +362,7 @@ def test_validate_job_and_determinism(tmp_path):
     assert r1["timing_seconds"] > 0.0
 
 
-def test_validate_zero_tolerance_exit_code(tmp_path, capsys, monkeypatch):
+def test_validate_zero_tolerance_exit_code(tmp_path, capsys, monkeypatch, small_counts):
     monkeypatch.setitem(laglab.validation.DEFAULT_TOLERANCES, "dtheta", 0.0)
     cfg = write_config(
         tmp_path,
@@ -378,12 +372,6 @@ def test_validate_zero_tolerance_exit_code(tmp_path, capsys, monkeypatch):
             "params": {
                 "seed": 3,
                 "grid": 32,
-                "quadruples": 1,
-                "fd_triples": 1,
-                "sectional_samples": 4,
-                "mirror_samples": 3,
-                "rho_points": 30,
-                "geodesic_steps": 20,
             },
         },
     )
@@ -403,13 +391,8 @@ def test_validate_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize(
     "params, named",
     [
-        ({"quadruples": 0}, "quadruples"),
-        ({"fd_triples": 0}, "fd_triples"),
-        ({"sectional_samples": 0}, "sectional_samples"),
-        ({"geodesic_steps": 0}, "geodesic_steps"),
         ({"grid": 12}, "grid_points"),
         ({"seed": -1}, "seed"),
-        ({"geodesic_steps": 10_001}, "geodesic_steps"),
         ({"grid": 2048}, "grid_points"),
         ({"grid": 8}, "grid_points"),
     ],
@@ -427,12 +410,15 @@ def test_validate_bad_params_exit_2(tmp_path, capsys, command, params, named):
 @pytest.mark.parametrize("command", ["run", "describe"])
 @pytest.mark.parametrize(
     "key, value",
-    [("tolerances", {"sectional_spot": 1e9}), ("twist_amplitude", 0.1), ("geodesic_time", 0.1)],
+    [("tolerances", {"sectional_spot": 1e9}), ("twist_amplitude", 0.1), ("geodesic_time", 0.1),
+     ("quadruples", 1), ("fd_triples", 1), ("sectional_samples", 1), ("mirror_samples", 1),
+     ("rho_points", 6), ("geodesic_steps", 1)],
 )
 def test_validate_thresholds_are_not_params(tmp_path, capsys, command, key, value):
-    """The battery's tolerances, twist amplitude and geodesic time are
-    constants: a config that sets one exits 2, naming it, and writes no
-    report, so no config can loosen the checks that judge it."""
+    """The battery's tolerances, twist amplitude, geodesic time and sample
+    counts are constants: a config that sets one exits 2, naming it, and
+    writes no report, so no config can shrink or loosen the checks that
+    judge it."""
     cfg = write_config(tmp_path, "val.json", {"job": "validate", "params": {"seed": 3, key: value}})
     out = tmp_path / "val_report.json"
     argv = [command, str(cfg)] + (["-o", str(out)] if command == "run" else [])
@@ -473,7 +459,6 @@ def test_mirror_job(tmp_path):
                 "H": [[[1, 0], [0, 1]]],
                 "xi": [sigma_x],
                 "eta": [sigma_y],
-                "delta": 1e-3,
             },
         },
     )
@@ -485,6 +470,23 @@ def test_mirror_job(tmp_path):
     assert results["quad_literal"] == pytest.approx(2.0, abs=1e-12)
     assert results["quad_literal"] == -results["quad_corrected"]  # bit for bit
     assert results["quad_fd_oracle"] == pytest.approx(-2.0, abs=1e-4)
+    assert results["tolerance"] == laglab.validation.DEFAULT_TOLERANCES["mirror_sign_consistency"]
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize("key, value", [("delta", 0.3), ("tolerance", 1e9)])
+def test_mirror_step_and_tolerance_are_not_params(tmp_path, capsys, command, key, value):
+    """The oracle's step (``hermitian.FD_STEP``) and the agreement's tolerance
+    (the battery's ``mirror_sign_consistency`` one) are constants: a config
+    that sets one exits 2, naming it, and writes no report."""
+    cfg = write_config(tmp_path, "mirror.json",
+                       {"job": "mirror", "params": dict(MIRROR_PARAMS, **{key: value})})
+    out = tmp_path / "mirror_report.json"
+    argv = [command, str(cfg)] + (["-o", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key params.{key}" in err
+    assert not out.exists()
 
 
 def test_mirror_bad_matrix_entry(tmp_path, capsys):
@@ -512,10 +514,10 @@ def test_mirror_non_positive_H_fails_the_run_not_the_read(tmp_path, capsys):
     assert "positivity error: minimum eigenvalue -1.000e+00 <= 0" in capsys.readouterr().err
     assert not out.exists()
     bad = write_config(
-        tmp_path, "negative_bad.json", {"job": "mirror", "params": dict(params, delta=0)}
+        tmp_path, "negative_bad.json", {"job": "mirror", "params": dict(params, weights=[-1.0])}
     )
     assert main(["run", str(bad), "-o", str(out)]) == 2
-    assert "params.delta" in capsys.readouterr().err
+    assert "params.weights" in capsys.readouterr().err
 
 
 GEODESIC = {"model": MODEL_FLAT, "grid": 32, "functions": FUNCTIONS, "job": "geodesic"}
@@ -599,20 +601,20 @@ UNKNOWN_PARAMS = [
         (dict(GEODESIC, params={"h0": ["h"]}), "params.h0"),
         (dict(GEODESIC, model=dict(MODEL_FLAT, n=2.5), params={"h0": "h"}), "model.n"),
         (dict(GEODESIC, grid={"points": 32.5}, params={"h0": "h"}), "grid.points"),
-        ({"job": "mirror", "params": dict(MIRROR_PARAMS, delta="x")}, "params.delta"),
-        ({"job": "mirror", "params": dict(MIRROR_PARAMS, delta=0)}, "params.delta"),
         ({"job": "mirror", "params": dict(MIRROR_PARAMS, weights=[-1.0])}, "params.weights"),
         ({"job": "mirror", "params": dict(MIRROR_PARAMS, weights=["a"])}, "params.weights"),
         ({"job": "mirror", "params": dict(MIRROR_PARAMS, xi=[[[0, 1], [0, 0]]])}, "params.xi"),
         ({"job": "validate", "params": {"seed": 7.9}}, "params.seed"),
-        ({"job": "validate", "params": {"quadruples": 2.5}}, "params.quadruples"),
         *READ_BEFORE_COMPUTE,
         (dict(GEODESIC, params={"h0": "h", "steps": 1e30}), "params.steps"),
         (dict(GEODESIC, params={"h0": "h", "steps": 10_001}), "params.steps"),
-        ({"job": "validate", "params": {"geodesic_steps": 1e30}}, "geodesic_steps"),
         (dict(GEODESIC, grid=4096, params={"h0": "h"}), "grid.points"),
         (dict(GEODESIC, model=dict(MODEL_FLAT, n=3), grid={"points": 256}, params={"h0": "h"}),
          "grid.points"),
+        # Terms of one function whose wavevectors differ in length.
+        (dict(GEODESIC, params={"h0": "h"}, functions=dict(FUNCTIONS, h=[
+            {"coefficient": 1.0, "wavevector": [1, 0]}, {"coefficient": 1.0, "wavevector": [1]},
+        ])), "functions[h]: term 1: wavevector (1,) has dimension 1, term 0 has dimension 2"),
         *UNKNOWN_PARAMS,
     ],
 )
@@ -820,27 +822,6 @@ def test_a_16_point_validate_runs_and_reports_its_failing_rows(tmp_path, capsys)
     assert main(["validate", "--grid", "16", "-o", str(out)]) == 4
     assert load_report(out)["results"]["all_passed"] is False
     assert "FAIL" in capsys.readouterr().out
-
-
-# Each count's cap is read before the battery runs; at 1e30 the battery would
-# loop for ever, and 1e12 rho points would ask for terabytes.
-@pytest.mark.parametrize("field, value", [
-    ("quadruples", 1e30), ("fd_triples", 1e30), ("sectional_samples", 1e30),
-    ("mirror_samples", 1e30), ("rho_points", 1e12), ("rho_points", 10_001),
-])
-def test_battery_counts_are_capped_before_the_run(tmp_path, capsys, monkeypatch, field, value):
-    def must_not_run(*_):
-        raise AssertionError("the battery ran")
-
-    monkeypatch.setitem(laglab.cli.JOBS, "validate",
-                        laglab.cli.JOBS["validate"]._replace(run=must_not_run))
-    cfg = write_config(tmp_path, "v.json", {"job": "validate", "params": {field: value}})
-    out = tmp_path / "v_report.json"
-    for argv in (["describe", str(cfg)], ["run", str(cfg), "-o", str(out)]):
-        assert main(argv) == 2
-        assert f"config error: invalid validation config: {field} must be between 1 and 10000" \
-            in capsys.readouterr().err
-    assert not out.exists()
 
 
 # Finite inputs whose products overflow float64 make NaN: only computing can

@@ -52,13 +52,10 @@ CONFIGS = {
     "geodesic": {"job": "geodesic", "model": {"n": 1, "twist_amplitude": 0.1}, "grid": 8,
                  "functions": {"h": _term(0.1, [1])},
                  "params": {"h0": "h", "time": 0.01, "steps": 2, "reverse": True}},
-    "validate": {"job": "validate", "params": {
-        "grid": 16, "quadruples": 1, "fd_triples": 1, "sectional_samples": 1,
-        "mirror_samples": 1, "rho_points": 1, "geodesic_steps": 1,
-    }},
+    "validate": {"job": "validate", "params": {"grid": 16, "seed": 0}},
     "mirror": {"job": "mirror", "params": {
         "weights": [1.0], "H": [[[2, 0], [0, 1]]], "xi": [[[0, 1], [1, 0]]],
-        "eta": [[[0, [0, -1]], [[0, 1], 0]]], "delta": 1e-3, "tolerance": 1e-4,
+        "eta": [[[0, [0, -1]], [[0, 1], 0]]],
     }},
 }
 
@@ -102,7 +99,7 @@ def _no_constant(name):
 
 
 @pytest.mark.parametrize("job", sorted(CONFIGS))
-def test_every_mutated_leaf_exits_cleanly(tmp_path, capsys, job):
+def test_every_mutated_leaf_exits_cleanly(tmp_path, capsys, small_counts, job):
     config_path, out = tmp_path / "config.json", tmp_path / "report.json"
     # A base config that fails to load would stop every mutation at the same
     # error, and the fuzz would pass while reading nothing.

@@ -362,6 +362,34 @@ def test_raw_array_entry_points_reject_a_wrong_shape(twisted_generic, grid64, en
         f"value array {position} has shape {bad_shape}, the grid's is {grid64.shape}"
     )
 
+
+# Each entry point that takes a gradient the caller already has, with a
+# wrong-shaped one at that keyword; ``test_connection.py`` checks
+# ``geodesic_acceleration``'s ``grad_psi`` against the same message.
+_GRADIENT_ENTRY_POINTS = {
+    "w_field_values(grad_h)": lambda gamma, ok, bad: w_field_values(gamma, ok, grad_h=bad),
+    "cov_deriv_pair_values(grad_j)":
+        lambda gamma, ok, bad: cov_deriv_pair_values(gamma, ok, ok, grad_j=bad),
+    "cov_deriv_pair_values(grad_k)":
+        lambda gamma, ok, bad: cov_deriv_pair_values(gamma, ok, ok, grad_k=bad),
+}
+
+
+@pytest.mark.parametrize("bad_shape", [(64, 64, 3), (64, 64, 1), (32, 32, 2), (64, 64)])
+@pytest.mark.parametrize("entry", sorted(_GRADIENT_ENTRY_POINTS))
+def test_given_gradients_must_have_the_grids_gradient_shape(twisted_generic, grid64, entry,
+                                                            bad_shape):
+    """One rule for every given gradient: a gradient of another shape than
+    the grid's gradients raises ``ShapeMismatch``, with one message."""
+    call = _GRADIENT_ENTRY_POINTS[entry]
+    with pytest.raises(ShapeMismatch) as info:
+        call(twisted_generic, np.cos(grid64.coords[..., 0]), np.ones(bad_shape))
+    assert isinstance(info.value, InputError)  # exit code 2
+    assert str(info.value) == (
+        f"gradient has shape {bad_shape}, the grid's gradients have (64, 64, 2)"
+    )
+
+
 def _generic_3d_functions(count, seed=5):
     gamma = _twisted_generic(3, 32)
     rng = np.random.default_rng(seed)

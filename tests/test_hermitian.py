@@ -5,6 +5,7 @@ import pytest
 
 from laglab.errors import DegeneratePlane, NotPositiveDefinite, ShapeMismatch
 from laglab.hermitian import (
+    FD_STEP,
     HermBase,
     HermPoint,
     HermTangent,
@@ -148,7 +149,7 @@ def test_scaling_invariance():
 def test_fd_oracle_pauli(single_base, identity_point):
     sx = _tangent(single_base, SIGMA_X)
     sy = _tangent(single_base, SIGMA_Y)
-    fd = herm_fd_riemann(identity_point, sx, sy, sy, sx, delta=1e-3)
+    fd = herm_fd_riemann(identity_point, sx, sy, sy, sx)
     assert fd == pytest.approx(PAULI_QUAD, abs=1e-4)
     # Corrected closed form agrees with the oracle; the literal sign cannot.
     corrected = herm_curvature_quad(identity_point, sx, sy, sy, sx)
@@ -160,7 +161,7 @@ def test_fd_oracle_pauli(single_base, identity_point):
 def test_fd_oracle_commuting(single_base, identity_point):
     a = _tangent(single_base, np.diag([1.0, 0.0]))
     b = _tangent(single_base, np.diag([0.0, 1.0]))
-    fd = herm_fd_riemann(identity_point, a, b, b, a, delta=1e-3)
+    fd = herm_fd_riemann(identity_point, a, b, b, a)
     assert abs(fd) < 1e-6
 
 
@@ -175,7 +176,7 @@ def test_fd_oracle_generic_base(weights, m, seed):
     H = random_point(rng, base, m)
     xi, eta, zeta, lam = (random_tangent(rng, base, m) for _ in range(4))
     for quadruple in ((xi, eta, zeta, lam), (xi, eta, eta, xi)):
-        fd = herm_fd_riemann(H, *quadruple, delta=1e-3)
+        fd = herm_fd_riemann(H, *quadruple)
         closed = herm_curvature_quad(H, *quadruple)
         assert fd == pytest.approx(closed, rel=1e-3, abs=1e-4)
 
@@ -246,8 +247,8 @@ def test_fd_oracle_stack_is_the_entry_by_entry_oracle_bit_for_bit(points, m):
     H = random_point(rng, base, m, margin=1.0)
     xi, eta, zeta, lam = (random_tangent(rng, base, m) for _ in range(4))
     reference = _fd_riemann_entry_by_entry(
-        H, xi.matrices, eta.matrices, zeta.matrices, lam.matrices, 1e-3)
-    assert herm_fd_riemann(H, xi, eta, zeta, lam, delta=1e-3) == reference
+        H, xi.matrices, eta.matrices, zeta.matrices, lam.matrices, FD_STEP)
+    assert herm_fd_riemann(H, xi, eta, zeta, lam) == reference
 
 
 def test_fd_oracle_memory_stays_linear_in_the_point_count():
@@ -295,7 +296,7 @@ def test_fd_shift_positivity_guard(single_base):
     sx = _tangent(single_base, SIGMA_X)
     sy = _tangent(single_base, SIGMA_Y)
     with pytest.raises(NotPositiveDefinite, match=r"shift of size 1\.0e-03 left the positive cone"):
-        herm_fd_riemann(H, sx, sy, sy, sx, delta=1e-3)
+        herm_fd_riemann(H, sx, sy, sy, sx)
 
 
 def test_validation_errors(single_base):

@@ -23,7 +23,7 @@ ROW = re.compile(
 )
 
 
-def test_seeds_tool_sweeps_two_seeds():
+def test_seeds_tool_sweeps_two_seeds(small_counts):
     done = subprocess.run(
         [sys.executable, str(TOOL), "32", "0", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=False,
@@ -40,10 +40,7 @@ def test_seeds_tool_sweeps_two_seeds():
 
 def run_names():
     """The battery's rows at a small config, for their names and order."""
-    cfg = laglab.validation.SuiteConfig(
-        grid_points=16, seed=0, quadruples=1, fd_triples=1, sectional_samples=1,
-        mirror_samples=1, rho_points=6, geodesic_steps=1,
-    )
+    cfg = laglab.validation.SuiteConfig(grid_points=16, seed=0)
     return laglab.validation.run_suite(cfg).results
 
 

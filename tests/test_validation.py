@@ -9,7 +9,7 @@ import laglab.cli
 import laglab.curvature
 import laglab.torus
 import laglab.validation
-from laglab.connection import MAX_STEPS, HamiltonianFamily, cov_deriv_pair_values, w_field_values
+from laglab.connection import HamiltonianFamily, cov_deriv_pair_values, w_field_values
 from laglab.errors import DegeneratePlane
 from laglab.lagrangian import build
 from laglab.torus import ScalarField, field_from_function, gradient_values, sample
@@ -39,18 +39,11 @@ from laglab.validation import (
     standard_base_points,
 )
 
-# Small but fully exercising configuration, to keep the test suite quick;
-# the acceptance module runs the full counts.
-SMALL = SuiteConfig(
-    grid_points=32,
-    seed=11,
-    quadruples=2,
-    fd_triples=1,
-    sectional_samples=8,
-    mirror_samples=5,
-    rho_points=60,
-    geodesic_steps=25,
-)
+# Small but fully exercising configuration, to keep the test suite quick:
+# every test here runs the battery at the ``small_counts`` fixture's sample
+# counts; the acceptance module runs the full counts.
+SMALL = SuiteConfig(grid_points=32, seed=11)
+pytestmark = pytest.mark.usefixtures("small_counts")
 
 
 def test_random_trig_polynomial_band_and_amplitude():
@@ -222,7 +215,7 @@ def test_suite_table_rows_are_independent(monkeypatch):
 def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
     """Error and pass flag come from the worst trial; lhs, rhs and
     integrand_scale from the trial with the largest integrand_scale."""
-    cfg = dataclasses.replace(SMALL, quadruples=5)
+    monkeypatch.setattr(laglab.validation, "QUADRUPLES", 5)
     trials = []
 
     def recording(*args, **kwargs):
@@ -230,11 +223,11 @@ def test_pairing_reports_the_values_of_its_largest_trial(monkeypatch):
         return trials[-1]
 
     monkeypatch.setattr(laglab.validation, "check_r3_r4_pairing", recording)
-    bases = dict(standard_base_points(cfg.grid_points))
-    results = _suite_pairing(cfg, bases, np.random.default_rng(cfg.seed))
-    assert len(trials) == len(bases) * cfg.quadruples
+    bases = dict(standard_base_points(SMALL.grid_points))
+    results = _suite_pairing(SMALL, bases, np.random.default_rng(SMALL.seed))
+    assert len(trials) == len(bases) * 5
     for i, result in enumerate(results):
-        own = trials[i * cfg.quadruples:(i + 1) * cfg.quadruples]
+        own = trials[i * 5:(i + 1) * 5]
         largest = max(own, key=lambda r: r.params["integrand_scale"])
         for key in ("lhs", "rhs", "integrand_scale"):
             assert result.params[key] == largest.params[key]
@@ -290,7 +283,7 @@ BATTERY = [
 ]
 
 
-def test_battery_shape():
+def test_battery_shape(monkeypatch):
     """The battery runs every check, in order, with its aggregate parameters."""
     report = run_suite(SMALL)
     assert len(BATTERY) == 39
@@ -300,21 +293,20 @@ def test_battery_shape():
         assert r.tolerance == laglab.validation.DEFAULT_TOLERANCES[r.name.split("[")[0]], r.name
     params = {r.name: r.params for r in report.results}
     for base in BASES:
-        assert params[f"r3_r4_pairing[{base}]"]["quadruples"] == SMALL.quadruples
+        assert params[f"r3_r4_pairing[{base}]"]["quadruples"] == laglab.validation.QUADRUPLES
         fd = params[f"r3_vs_fd[{base}]"]
-        assert fd["triples"] == SMALL.fd_triples
+        assert fd["triples"] == laglab.validation.FD_TRIPLES
         low, high = fd["richardson_ratio_range"]
         assert low <= fd["richardson_ratio"] <= high
     assert params["dtheta[twisted_zero]"]["rho_term_sup"] >= 1e-3
     sign = params["mirror_sign_consistency"]
     assert sign["literal"] == -sign["corrected"]  # bit for bit
     assert "rho_term_sup" in params["dtheta[flat_zero]"]
-    # rho_consistency reports the points it compared: rho_points // 6 per model.
-    assert params["rho_consistency"]["points"] == SMALL.rho_points == 60
+    # rho_consistency reports the points it compared: RHO_POINTS // 6 per model.
+    assert params["rho_consistency"]["points"] == laglab.validation.RHO_POINTS == 60
     bases = dict(standard_base_points(SMALL.grid_points))
-    rho = _suite_model_consistency(
-        dataclasses.replace(SMALL, rho_points=1000), bases, np.random.default_rng(0)
-    )[0]
+    monkeypatch.setattr(laglab.validation, "RHO_POINTS", 1000)
+    rho = _suite_model_consistency(SMALL, bases, np.random.default_rng(0))[0]
     assert rho.name == "rho_consistency" and rho.params["points"] == 996
 
 
@@ -362,22 +354,14 @@ def test_worst_fails_when_a_milder_trial_failed():
 @pytest.mark.parametrize(
     "change, named",
     [
-        ({"quadruples": 0}, "quadruples"),
-        ({"fd_triples": 0}, "fd_triples"),
-        ({"sectional_samples": 0}, "sectional_samples"),
-        ({"mirror_samples": 0}, "mirror_samples"),
-        ({"rho_points": 0}, "rho_points"),
-        ({"geodesic_steps": 0}, "geodesic_steps"),
         ({"grid_points": 12}, "grid_points"),
         ({"seed": -1}, "seed"),
-        ({"geodesic_steps": MAX_STEPS + 1}, "geodesic_steps"),
         # Every field is an integer: a float or a bool is rejected, naming it.
-        ({"quadruples": 2.5}, "quadruples"),
         ({"grid_points": 32.0}, "grid_points"),
         ({"seed": 1.5}, "seed"),
-        ({"quadruples": True}, "quadruples"),
+        ({"seed": True}, "seed"),
         ({"seed": np.float64(3.0)}, "seed"),
-        ({"fd_triples": np.True_}, "fd_triples"),
+        ({"grid_points": np.True_}, "grid_points"),
     ],
 )
 def test_suite_config_rejects(change, named):
@@ -385,15 +369,18 @@ def test_suite_config_rejects(change, named):
         dataclasses.replace(SMALL, **change)
 
 
-@pytest.mark.parametrize("name", ["tolerances", "twist_amplitude", "geodesic_time"])
+@pytest.mark.parametrize("name", [
+    "tolerances", "twist_amplitude", "geodesic_time", "quadruples", "fd_triples",
+    "sectional_samples", "mirror_samples", "rho_points", "geodesic_steps",
+])
 def test_suite_config_sets_no_threshold(name):
     with pytest.raises(TypeError, match=name):
         SuiteConfig(**{name: 0.1})
 
 
 def test_suite_config_takes_numpy_integers_as_python_ints():
-    cfg = SuiteConfig(grid_points=np.int64(32), seed=np.uint8(3), quadruples=np.int32(2))
-    assert (cfg.grid_points, cfg.seed, cfg.quadruples) == (32, 3, 2)
+    cfg = SuiteConfig(grid_points=np.int64(32), seed=np.uint8(3))
+    assert (cfg.grid_points, cfg.seed) == (32, 3)
     assert all(type(getattr(cfg, f.name)) is int for f in dataclasses.fields(cfg))
 
 
@@ -475,7 +462,8 @@ def test_the_battery_guards_the_one_quadruple_form(tmp_path, monkeypatch):
         value, scale = original(*args)
         return -value, scale
 
-    cfg = dataclasses.replace(SMALL, seed=3, quadruples=1)
+    monkeypatch.setattr(laglab.validation, "QUADRUPLES", 1)
+    cfg = dataclasses.replace(SMALL, seed=3)
     bases = dict(standard_base_points(cfg.grid_points))
     config = {
         "job": "curvature",
@@ -511,11 +499,13 @@ def test_the_battery_guards_the_one_quadruple_form(tmp_path, monkeypatch):
     (32, 1, {"flat_zero": 1}),
     (64, 20, {"flat_zero": 6, "twisted_zero": 3, "flat_generic": 4, "twisted_generic": 1}),
 ])
-def test_pairing_rows_count_the_trials_under_the_error_floor(points, quadruples, expected):
+def test_pairing_rows_count_the_trials_under_the_error_floor(monkeypatch, points, quadruples,
+                                                             expected):
     """A trial whose |rhs| is below the floor passes whatever its sign; each
     pairing row says how many of its trials that is (seed 7; at 32^2 with
     one quadruple, the flat_zero form vanishes by mode orthogonality)."""
-    cfg = SuiteConfig(grid_points=points, seed=7, quadruples=quadruples)
+    monkeypatch.setattr(laglab.validation, "QUADRUPLES", quadruples)
+    cfg = SuiteConfig(grid_points=points, seed=7)
     bases = dict(standard_base_points(cfg.grid_points))
     key = next(key for key, suite in SUITES if suite is _suite_pairing)
     rows = _suite_pairing(cfg, bases, np.random.default_rng([cfg.seed, key]))

@@ -2,12 +2,13 @@
 
     python tools/seeds.py GRID FIRST LAST
 
-Runs ``run_suite`` at its default counts on GRID^2 points for every seed
-from FIRST to LAST, both included, with the package imported from this
-checkout's ``src``.  It prints a header line, then one line per row of the
-battery in report order: the seeds at which the row failed, and its worst
-error/tolerance over the sweep with the seed it was read at (the governing
-error, ``CheckResult.error``; a NaN counts as the worst).  A row can fail
+Runs ``run_suite`` on GRID^2 points for every seed from FIRST to LAST,
+both included, with the package imported from this checkout's ``src``;
+its sample counts are constants of ``laglab.validation``.  It prints a
+header line, then one line per row of the battery in report order: the
+seeds at which the row failed, and its worst error/tolerance over the sweep
+with the seed it was read at (the governing error, ``CheckResult.error``; a
+NaN counts as the worst).  A row can fail
 with an error/tolerance below 1, on a side condition such as its
 Richardson ratio.  A seed at which the battery raises is printed after the
 rows.  The tool exits 1 if any row failed or the battery raised at any
