@@ -31,7 +31,7 @@ from .hermitian import (
     herm_inner,
     herm_sectional,
 )
-from .lagrangian import GraphLagrangian, TangentFunction, build, inner
+from .lagrangian import GraphLagrangian, build
 from .torus import (
     PeriodicGrid,
     ScalarField,
@@ -56,7 +56,6 @@ __all__ = [
     "ScalarField",
     "SuiteConfig",
     "SuiteReport",
-    "TangentFunction",
     "TrigPolynomial",
     "TrigTerm",
     "build",
@@ -67,7 +66,6 @@ __all__ = [
     "herm_fd_riemann",
     "herm_inner",
     "herm_sectional",
-    "inner",
     "run_suite",
     "sample",
     "sectional",

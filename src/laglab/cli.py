@@ -68,7 +68,7 @@ from .hermitian import (
     herm_inner,
     herm_sectional,
 )
-from .lagrangian import GraphLagrangian, TangentFunction, build
+from .lagrangian import GraphLagrangian, build
 from .torus import (
     PeriodicGrid,
     TrigPolynomial,
@@ -76,7 +76,7 @@ from .torus import (
     check_band_limit,
     sample,
 )
-from .validation import DEFAULT_TOLERANCES, SuiteConfig, run_suite
+from .validation import SuiteConfig, check_mirror_sign_consistency, run_suite
 
 SCHEMA_TAG = "laglab/report-v1"
 
@@ -254,8 +254,8 @@ class ExperimentConfig:
     def build_gamma(self) -> GraphLagrangian:
         return build(self.model, sample(self.potential, self.grid))
 
-    def tangent(self, gamma: GraphLagrangian, name: str) -> TangentFunction:
-        return gamma.normalize(sample(self.functions[name], self.grid))
+    def samples(self, name: str) -> np.ndarray:
+        return sample(self.functions[name], self.grid).values
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -304,8 +304,7 @@ def parse_matrix_family(raw, where: str) -> np.ndarray:
 
 def _job_sectional(cfg: ExperimentConfig, _report: Path, h_name: str, k_name: str):
     gamma = cfg.build_gamma()
-    tangents = [cfg.tangent(gamma, h_name).values, cfg.tangent(gamma, k_name).values]
-    matrices = sectional_matrix(gamma, tangents)
+    matrices = sectional_matrix(gamma, [cfg.samples(h_name), cfg.samples(k_name)])
     (hh, hk), (_, kk) = matrices.gram.tolist()
     return {
         "sectional": matrices.sectional(0, 1),
@@ -328,7 +327,7 @@ def _curvature_params(cfg: ExperimentConfig) -> tuple[list[str], str | None, boo
 def _job_curvature(cfg: ExperimentConfig, _report: Path, names: list[str],
                    m_name: str | None, include_field: bool):
     gamma = cfg.build_gamma()
-    h, k, l = (cfg.tangent(gamma, name).values for name in names)
+    h, k, l = (gamma.normalize_values(cfg.samples(name)) for name in names)
     r = riemann_field_values(gamma, h, k, l)
     residual, scale = mean_zero_residual(gamma, r)
     out = {
@@ -338,7 +337,7 @@ def _job_curvature(cfg: ExperimentConfig, _report: Path, names: list[str],
         "riemann_sup": float(np.abs(r).max()),
     }
     if m_name is not None:
-        m = cfg.tangent(gamma, m_name).values
+        m = gamma.normalize_values(cfg.samples(m_name))
         out["quad_r3"] = gamma.inner_values(r, m)
         out["quad_r4"] = riemann_quad_values(gamma, h, k, l, m)
     if include_field:
@@ -373,7 +372,7 @@ def _job_scan(cfg: ExperimentConfig, report: Path, pairs: list[tuple[str, str]],
     gamma = cfg.build_gamma()
     names = list(dict.fromkeys(name for pair in pairs for name in pair))
     index = {name: i for i, name in enumerate(names)}
-    matrices = sectional_matrix(gamma, [cfg.tangent(gamma, name).values for name in names])
+    matrices = sectional_matrix(gamma, [cfg.samples(name) for name in names])
 
     rows = []
     for pair_id, (h_name, k_name) in enumerate(pairs):
@@ -414,7 +413,7 @@ def _geodesic_params(cfg: ExperimentConfig) -> tuple[str, float, int, bool]:
 def _job_geodesic(cfg: ExperimentConfig, _report: Path, h0_name: str, total_time: float,
                   steps: int, reverse: bool):
     gamma = cfg.build_gamma()
-    path = geodesic_shoot(gamma, cfg.tangent(gamma, h0_name), total_time, steps)
+    path = geodesic_shoot(gamma, gamma.normalize_values(cfg.samples(h0_name)), total_time, steps)
     out = {
         "time": total_time,
         "steps": steps,
@@ -484,27 +483,26 @@ def _mirror_params(cfg: ExperimentConfig) -> tuple:
 
 def _job_mirror(_cfg: ExperimentConfig, _report: Path, H, xi, eta, zeta, lam):
     """The quadruple form against the finite-difference oracle, judged by the
-    battery's ``mirror_sign_consistency`` rule and tolerance."""
+    battery's ``check_mirror_sign_consistency``: agreement within the row's
+    tolerance, and one sign."""
     H = HermPoint(H.base, H.matrices)
     corrected = herm_curvature_quad(H, xi, eta, zeta, lam)
     fd = herm_fd_riemann(H, xi, eta, zeta, lam)
-    agreement = abs(corrected - fd)
-    tolerance = DEFAULT_TOLERANCES["mirror_sign_consistency"]
+    verdict = check_mirror_sign_consistency(corrected, fd)
     out = {
         "inner_xi_eta": herm_inner(H, xi, eta),
         "quad_corrected": corrected,
         "quad_literal": -corrected,
         "quad_fd_oracle": fd,
-        "fd_agreement": agreement,
-        "tolerance": tolerance,
+        "fd_agreement": verdict.error_abs,
+        "tolerance": verdict.tolerance,
     }
     try:
         out["sectional"] = herm_sectional(H, xi, eta)
     except DegeneratePlane as exc:
         out["sectional"] = None
         out["sectional_note"] = str(exc)
-    ok = agreement <= tolerance * max(1.0, abs(fd))
-    return out, ok
+    return out, verdict.passed
 
 
 class Job(NamedTuple):

@@ -77,11 +77,12 @@ from .errors import (
     SingularDensity,
     StepRejected,
 )
-from .lagrangian import GraphLagrangian, TangentFunction, build, require_same_gamma
+from .lagrangian import GraphLagrangian, build
 from .torus import (
     PeriodicGrid,
     ScalarField,
     check_field_shapes,
+    check_finite_values,
     gradient_values,
     hessian_values,
     vector_dot,
@@ -302,8 +303,10 @@ def cov_deriv_along_path(
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Output of geodesic shooting: potentials, tangent-space velocities and
-    kinetic energies on a uniform time grid, and the ``time`` shot for."""
+    """Output of geodesic shooting on a uniform time grid: mean-zero
+    potentials, velocities (each the representative of the path's velocity
+    at its own graph, as a ``ScalarField``), kinetic energies, and the
+    ``time`` shot for."""
 
     model: AlmostCYModel
     times: np.ndarray
@@ -318,9 +321,10 @@ class GeodesicPath:
 
     def reversal_error(self) -> float:
         """Sup distance from the start to where shooting back from the end with
-        the negated velocity lands after the forward ``time`` and step count."""
+        the negated velocity, normalised at the end graph, lands after the
+        forward ``time`` and step count."""
         gamma_T = build(self.model, self.potentials[-1])
-        h_back = gamma_T.normalize(ScalarField(gamma_T.grid, -self.velocities[-1].values))
+        h_back = gamma_T.normalize_values(-self.velocities[-1].values)
         back = geodesic_shoot(gamma_T, h_back, self.time, len(self.times) - 1)
         ret = back.potentials[-1].values - back.potentials[-1].values.mean()
         start = self.potentials[0].values - self.potentials[0].values.mean()
@@ -338,11 +342,13 @@ def _block_rows(grid: PeriodicGrid, block: np.ndarray) -> tuple:
 
 def geodesic_shoot(
     gamma0: GraphLagrangian,
-    h0: TangentFunction,
+    h0: np.ndarray,
     time: float,
     steps: int,
 ) -> GeodesicPath:
-    """Integrate the geodesic equation phi_tt = -D_{phi_t} phi_t.
+    """Integrate the geodesic equation phi_tt = -D_{phi_t} phi_t from the
+    graph ``gamma0`` with the initial velocity h0, a sample array taken
+    modulo constants: the shot starts from its representative at ``gamma0``.
 
     The RK4 state (phi, psi, grad phi, Hess phi) is one C-contiguous block of
     2 + n + n^2 component-major rows, allocated once per shot with four more
@@ -357,18 +363,19 @@ def geodesic_shoot(
 
     Raises
     ------
-    GammaMismatch
-        If ``h0`` is attached to a Lagrangian other than ``gamma0``.
+    ShapeMismatch
+        If ``h0`` does not have the grid's shape.
     PositivityLost
         If any stage of any step leaves the positive locus.
     StepRejected
         If the relative energy jump across one step exceeds the module
         constant ``STEP_ENERGY_TOL`` or is NaN.
     ValueError
-        If ``steps`` is not between 1 and ``MAX_STEPS``, or ``time`` is not
-        finite.
+        If ``steps`` is not between 1 and ``MAX_STEPS``, ``time`` is not
+        finite, or a sample of ``h0`` is not finite.
     """
-    require_same_gamma(h0, gamma=gamma0)
+    check_field_shapes(gamma0.grid, h0)
+    check_finite_values(h0)
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 1 and {MAX_STEPS}, got {steps}")
     if not math.isfinite(time):
@@ -407,7 +414,7 @@ def geodesic_shoot(
     rows = {id(block): _block_rows(grid, block) for block in (state, acc, stage, k_odd, k_even)}
     phi0 = gamma0.phi.values
     np.subtract(phi0, phi0.mean(), out=state[0])
-    psi = gamma0.normalize_values(h0.values)
+    psi = gamma0.normalize_values(h0)
     state[1] = psi
     _, _, grad_phi, hess_phi = rows[id(state)]
     grad_phi[...] = gamma0.grad_phi

@@ -12,6 +12,8 @@ Two independent routes to the same tensor:
   ``curvature`` job and the validation battery all read it.
 
 Both take the raw sample arrays of tangent functions at one graph.
+``sectional_matrix`` takes any arrays and pairs their representatives at
+the graph, so ``sectional`` and ``flat_family_check`` do too.
 
 Pairing the first against the metric must reproduce the second; the
 validation suite enforces this at every base point, and the sectional
@@ -41,14 +43,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegeneratePlane, MarginTooSmall
-from .lagrangian import (
-    GraphLagrangian,
-    TangentFunction,
-    require_same_gamma,
-)
+from .lagrangian import GraphLagrangian
 from .torus import (
-    ScalarField,
     check_field_shapes,
+    check_finite_values,
     gradient_values,
     integrate_product,
     vector_dot,
@@ -227,69 +225,75 @@ def sectional_matrix(
 ) -> SectionalMatrix:
     """Numerators (R(h_i,h_j)h_j, h_i) and Gram matrix (h_i, h_j) of F functions.
 
+    The functions are taken modulo constants: each array is checked to be
+    finite and replaced by its representative at ``gamma``
+    (``normalize_values``) before it is differentiated.  The numerators
+    depend only on gradients, so only the Gram entries read the constant.
+
     The numerator is the quadruple form at (h_i, h_j, h_j, h_i),
     -integral sec(theta) (P_ii P_jj - P_ij^2) rho^{n/2} vol, which depends on
     the functions only through the pointwise Gram matrix P_ij = <dh_i, dh_j>_g
     (so ``numerator[i, i]`` is 0).  So F functions take F spectral gradients
     and F index raises, one raised stack at a time.  The F gradient stacks
     and diagonals P_ii share one ``(F, n + 1) + grid`` block: row f holds
-    the component-major gradient of h_f, then P_ff.  Per pair, P_ij is one
-    einsum over the component-major stacks, and the bracket and then the
-    Gram entry's product h_i h_j are formed in place in two scratch fields
-    reused by every pair, so the pair loop allocates no field.  The
-    numerator and the Gram entry are each one dot against their weight; the
-    Gram entry is ``inner_values``' product and dot, so its bits.  Each entry
-    is reduced on its own, so its value does not depend on which other
-    functions are in the batch.
+    the component-major gradient of h_f, then the representative of h_f,
+    which P_ff overwrites once the Gram entries are formed, so the
+    representatives take no field beyond the block.  A Gram entry's product
+    h_i h_j is formed in place in a scratch field and reduced by one dot
+    against Re Omega~: ``inner_values``' product and dot, so its bits.  Per
+    pair, P_ij is one einsum over the component-major stacks, and the
+    bracket is formed in place in that scratch field and one more, so the
+    pair loop allocates no field.  Each entry is reduced on its own, so its
+    value does not depend on which other functions are in the batch.
 
     Raises
     ------
     ShapeMismatch
         If any of the arrays does not have the grid's shape.
+    ValueError
+        If a sample of any of the arrays is NaN or infinite.
     MarginTooSmall
         If min cos(theta) is at most ``DEFAULT_MARGIN_THRESHOLD`` (1e-2).
     """
     check_field_shapes(gamma.grid, *values)
+    check_finite_values(*values)
     _require_margin(gamma)
     grid, count = gamma.grid, len(values)
     n = grid.n
     block = np.empty((count, n + 1) + grid.shape)
-    for stack, v in zip(block, values):
-        stack[:n] = gradient_values(grid, v).transpose(grid._axis_orders[0])
     numerator = np.zeros((count, count))
     gram = np.zeros((count, count))
-    cross, bracket = np.empty(grid.shape), np.empty(grid.shape)
-
-    def inner(i: int, j: int) -> float:
-        # ``inner_values``' product, formed in ``bracket``, and its dot.
-        product = np.multiply(values[i], values[j], out=bracket)
-        return integrate_product(grid, product, gamma.re_omega)
+    bracket = np.empty(grid.shape)
+    for i, (stack, v) in enumerate(zip(block, values)):
+        stack[n] = gamma.normalize_values(v)
+        for j in range(i + 1):
+            # ``inner_values``' product, formed in ``bracket``, and its dot.
+            product = np.multiply(stack[n], block[j, n], out=bracket)
+            gram[i, j] = gram[j, i] = integrate_product(grid, product, gamma.re_omega)
+        stack[:n] = gradient_values(grid, stack[n]).transpose(grid._axis_orders[0])
+    cross = np.empty(grid.shape)
 
     # Descending i: P_jj is there for every j > i, and one raised stack lives.
     for i in reversed(range(count)):
         grad, diag = block[i, :n], block[i, n]
         up = _raised(gamma, grad)
         np.einsum(_STACK_DOT, grad, up, out=diag)
-        gram[i, i] = inner(i, i)
         for j in range(i + 1, count):
             np.einsum(_STACK_DOT, block[j, :n], up, out=cross)
             cross *= cross
             np.multiply(diag, block[j, n], out=bracket)
             bracket -= cross
             numerator[i, j] = numerator[j, i] = -sec_integral(gamma, bracket)
-            gram[i, j] = gram[j, i] = inner(i, j)
         del up
     return SectionalMatrix(numerator, gram)
 
 
-def sectional(
-    gamma: GraphLagrangian,
-    h: TangentFunction,
-    k: TangentFunction,
-) -> float:
-    """Sectional curvature K(h, k); non-positive up to quadrature error.
+def sectional(gamma: GraphLagrangian, h: np.ndarray, k: np.ndarray) -> float:
+    """Sectional curvature K(h, k) of the plane the sample arrays h and k
+    span modulo constants; non-positive up to quadrature error.
 
-    The 2x2 case of ``sectional_matrix``.
+    The 2x2 case of ``sectional_matrix``, which normalises h and k at
+    ``gamma`` and raises its errors.
 
     Raises
     ------
@@ -297,8 +301,7 @@ def sectional(
         If the Gram determinant falls below the degeneracy threshold times
         (h,h)(k,k).
     """
-    require_same_gamma(h, k, gamma=gamma)
-    return sectional_matrix(gamma, (h.values, k.values)).sectional(0, 1)
+    return sectional_matrix(gamma, (h, k)).sectional(0, 1)
 
 
 @dataclass(frozen=True)
@@ -312,26 +315,19 @@ class FlatFamilyReport:
 
 def flat_family_check(
     gamma: GraphLagrangian,
-    l: TangentFunction,
+    l: np.ndarray,
     reparams: Sequence[Callable[[np.ndarray], np.ndarray]],
 ) -> FlatFamilyReport:
-    """Sectional curvatures over the family {a_i(l) + const}.
+    """Sectional curvatures over the family {a_i(l) + const} of the sample
+    array l.
 
     Differentials of reparametrized copies of one function are pointwise
     collinear, so every plane they span is expected flat; degenerate pairs
-    are skipped with a note.
-
-    Raises
-    ------
-    GammaMismatch
-        If ``l`` is attached to a Lagrangian other than ``gamma``.
+    are skipped with a note.  The members a_i(l) go to ``sectional_matrix``
+    as they are, which normalises them at ``gamma`` and raises its errors.
     """
-    require_same_gamma(l, gamma=gamma)
-    members = [
-        gamma.normalize(ScalarField(gamma.grid, np.asarray(a(l.values), dtype=float)))
-        for a in reparams
-    ]
-    matrices = sectional_matrix(gamma, [m.values for m in members])
+    members = [np.asarray(a(l), dtype=float) for a in reparams]
+    matrices = sectional_matrix(gamma, members)
     sectionals: list[tuple[int, int, float]] = []
     skipped: list[tuple[int, int, str]] = []
     for i in range(len(members)):

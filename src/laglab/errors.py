@@ -54,10 +54,6 @@ class NotPositive(PositivityError):
         super().__init__(f"positivity violated: {reading} at x = {worst_point}")
 
 
-class GammaMismatch(InputError):
-    """Tangent functions attached to different base Lagrangians were combined."""
-
-
 class SingularDensity(PositivityError):
     """The pulled-back real volume density is below tolerance at some grid point."""
 

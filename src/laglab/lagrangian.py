@@ -51,13 +51,18 @@ where v^T H v - s1 |v|^2 = -v^T adj(H) v at n = 2 and 0 at n = 1.  These
 two are the readers of adj3 H, which is formed on the first call of either
 on a graph at n = 3.
 
-Tangent vectors to the isotopy class are functions h on the base normalized
-against the real part of the pulled-back volume form; the Riemannian metric
-is (h, k) = integral of h*k*Re(Omega~) dx, the real part of the pullback
-density that the build already holds for the positivity check.  The pairing
-and the normalisation each integrate against Re Omega~ as one dot
-(``torus.integrate_product``), and check the shape of the raw arrays they
-are given (``torus.check_field_shapes``).
+A tangent vector to the isotopy class is a function h on the base modulo
+constants, held as its raw sample array.  Its representative at a graph is
+the one whose integral against the real part of the pulled-back volume form
+is zero (``normalize_values``), and the Riemannian metric pairs the
+representatives: (h, k) = integral of h*k*Re(Omega~) dx, the real part of
+the pullback density that the build already holds for the positivity check.
+An array carries no graph: ``curvature.sectional_matrix`` and
+``connection.geodesic_shoot`` take the representative of whatever array
+they are given, so a function normalised at another graph, or shifted by a
+constant, is the same tangent vector.  The pairing and the normalisation each
+integrate against Re Omega~ as one dot (``torus.integrate_product``), and
+check the shape of the arrays they are given (``torus.check_field_shapes``).
 
 The graph lies in flat space, so by the Gauss formula its Christoffel
 symbols are Gamma^c_{ab} = (g^{-1} Hess phi)_ce d_e (Hess phi)_ab.
@@ -74,13 +79,12 @@ place, all with the bits of the allocating forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .ambient import AlmostCYModel
-from .errors import GammaMismatch, NotPositive
+from .errors import NotPositive
 from .torus import (
     ScalarField,
     adjugate,
@@ -434,12 +438,6 @@ class GraphLagrangian:
 
     # -- public operations -----------------------------------------------------
 
-    def normalize(self, f: ScalarField) -> "TangentFunction":
-        """Project a function into the tangent space by fixing its constant."""
-        if f.grid != self.grid:
-            raise ValueError("field lives on a different grid")
-        return TangentFunction(self, ScalarField(self.grid, self.normalize_values(f.values)))
-
     def derivatives(
         self, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -472,29 +470,6 @@ class GraphLagrangian:
         )
 
 
-@dataclass(frozen=True)
-class TangentFunction:
-    """A tangent vector to the isotopy class at a fixed graph Lagrangian.
-
-    Constructed through ``GraphLagrangian.normalize`` the function satisfies
-    the zero-mean normalization against Re(Omega).  The curvature field
-    R(h,k)l is returned as a raw array instead, so its normalization defect
-    can be reported (``curvature.mean_zero_residual``) rather than projected
-    away.
-    """
-
-    gamma: GraphLagrangian
-    h: ScalarField
-
-    def __post_init__(self):
-        if self.h.grid != self.gamma.grid:
-            raise ValueError("tangent function sampled on a different grid")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.h.values
-
-
 def build(
     model: AlmostCYModel,
     phi: ScalarField,
@@ -504,30 +479,3 @@ def build(
     fields are built at once and which on first read, and for
     ``derivatives``."""
     return GraphLagrangian(model, phi, derivatives)
-
-
-def require_same_gamma(
-    *tangents: TangentFunction, gamma: GraphLagrangian | None = None
-) -> GraphLagrangian:
-    """The one graph the tangents are attached to, which must be ``gamma``
-    when it is given.
-
-    Raises
-    ------
-    GammaMismatch
-        If the tangents are attached to different graphs, or to one other
-        than ``gamma``.
-    """
-    first = tangents[0].gamma
-    for t in tangents[1:]:
-        if t.gamma is not first:
-            raise GammaMismatch("tangent functions attached to different Lagrangians")
-    if gamma is not None and first is not gamma:
-        raise GammaMismatch("tangent functions attached to a Lagrangian other than gamma")
-    return first
-
-
-def inner(h: TangentFunction, k: TangentFunction) -> float:
-    """Riemannian metric (h, k) = integral of h*k*Re(Omega) over the graph."""
-    gamma = require_same_gamma(h, k)
-    return gamma.inner_values(h.values, k.values)

@@ -41,7 +41,8 @@ one field, and ``integrate_product`` integrates the product of two fields as
 one BLAS dot, with no product array; the metric pairing, the tangent-space
 normalisation and the curvature weight all integrate through it.
 ``check_field_shapes`` is the one shape check of raw sample arrays at the
-library's entry points.
+library's entry points, and ``check_finite_values`` the one finiteness
+check of field samples.
 
 The pointwise n x n algebra of the graph geometry (n <= 3) uses the
 closed-form determinant and adjugate below instead of batched LAPACK calls.
@@ -191,8 +192,7 @@ class ScalarField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite")
+        check_finite_values(vals)
         object.__setattr__(self, "values", vals)
 
 
@@ -439,6 +439,14 @@ def check_field_shapes(grid: PeriodicGrid, *values: np.ndarray) -> None:
                 f"value array {position} has shape {np.shape(array)}, "
                 f"the grid's is {grid.shape}"
             )
+
+
+def check_finite_values(*values: np.ndarray) -> None:
+    """Raise ``ValueError("field values must be finite")`` if a sample of
+    any of ``values`` is NaN or infinite: the check ``ScalarField`` makes."""
+    for array in values:
+        if not np.isfinite(array).all():
+            raise ValueError("field values must be finite")
 
 
 def integrate_values(grid: PeriodicGrid, values: np.ndarray) -> float:

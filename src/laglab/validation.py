@@ -9,7 +9,7 @@ acceptance engine for the command-line driver.
 A row's tolerance is its family's entry in ``DEFAULT_TOLERANCES``; the
 family is the row name up to any ``[``, so ``dtheta[flat_zero]`` is judged
 by ``dtheta``.  The tolerances, like the battery's geometry, steps and
-sample counts (``QUADRUPLES`` and the five after it), are module constants:
+sample counts (``QUADRUPLES`` and the seven after it), are module constants:
 no config can shrink or loosen the checks that judge it.  ``SuiteConfig``
 holds only the grid and the seed.
 
@@ -116,13 +116,16 @@ PAIRING_FLOOR = 1e-3
 
 # The battery's sample counts: quadruples and FD triples per base point,
 # sectional curvatures on each side of the mirror, rho points (split over six
-# models) and geodesic steps.  Suites read them when they run.
+# models), geodesic steps, commuting mirror families, and random triples per
+# base point at n = 1.  Suites read them when they run.
 QUADRUPLES = 20
 FD_TRIPLES = 10
 SECTIONAL_SAMPLES = 100
 MIRROR_SAMPLES = 100
 RHO_POINTS = 1000
 GEODESIC_STEPS = 100
+MIRROR_FAMILIES = 10
+DIMENSION_ONE_TRIPLES = 3
 
 
 @dataclass(frozen=True)
@@ -448,6 +451,19 @@ def check_r3_r4_pairing(
     return _result(label, err_abs, err_rel, "rel", params)
 
 
+def check_mirror_sign_consistency(corrected: float, fd: float) -> CheckResult:
+    """The mirror quadruple form against its finite-difference oracle: it
+    passes when |corrected - fd| / max(|fd|, 1) is within the row's
+    tolerance and the two have one sign (the literal transcription is the
+    negation).  The battery's row and the ``mirror`` job are judged by it."""
+    err_abs = abs(corrected - fd)
+    return _result(
+        "mirror_sign_consistency", err_abs, err_abs / max(abs(fd), 1.0), "rel",
+        {"corrected": corrected, "literal": -corrected, "fd": fd},
+        corrected * fd >= 0.0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Suite configuration and runner
 # ---------------------------------------------------------------------------
@@ -502,9 +518,7 @@ class SuiteReport:
 def _suite_sectional_spot(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma = bases["flat_zero"]
     grid = gamma.grid
-    h = gamma.normalize(_cos_mode(grid, (1, 0)))
-    k = gamma.normalize(_cos_mode(grid, (0, 1)))
-    value = sectional(gamma, h, k)
+    value = sectional(gamma, _cos_mode(grid, (1, 0)).values, _cos_mode(grid, (0, 1)).values)
     expected = -1.0 / (4.0 * np.pi**2)
     err_abs = abs(value - expected)
     err_rel = err_abs / abs(expected)
@@ -639,8 +653,8 @@ def _suite_sectional_nonpositive(cfg: SuiteConfig, bases: dict, rng: np.random.G
 
     def draw(i: int) -> float:
         gamma = gammas[i % len(gammas)]
-        h = gamma.normalize(_random_field(rng, gamma.grid))
-        k = gamma.normalize(_random_field(rng, gamma.grid))
+        h = _random_field(rng, gamma.grid).values
+        k = _random_field(rng, gamma.grid).values
         return sectional(gamma, h, k)
 
     return [_nonpositive("sectional_nonpositive", SECTIONAL_SAMPLES, draw)]
@@ -652,7 +666,7 @@ def _suite_flat_families(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
     for name in ("flat_zero", "twisted_zero"):
         gamma = bases[name]
         poly = TrigPolynomial((TrigTerm(1.0, (1, 0)), TrigTerm(0.5, (0, 1))))
-        l = gamma.normalize(sample(poly, gamma.grid))
+        l = gamma.normalize_values(sample(poly, gamma.grid).values)
         report = flat_family_check(gamma, l, reparams)
         out.append(
             _result(
@@ -668,12 +682,12 @@ def _suite_dimension_one(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
     worst_field = 0.0
     worst_sec = 0.0
     for _, gamma in standard_base_points(cfg.grid_points, n=1):
-        for _ in range(3):
-            h, k, l = (_random_field(rng, gamma.grid) for _ in range(3))
-            r = riemann_field_values(gamma, h.values, k.values, l.values)
+        for _ in range(DIMENSION_ONE_TRIPLES):
+            h, k, l = (_random_field(rng, gamma.grid).values for _ in range(3))
+            r = riemann_field_values(gamma, h, k, l)
             worst_field = max(worst_field, float(np.abs(r).max()))
             try:
-                val = sectional(gamma, gamma.normalize(h), gamma.normalize(k))
+                val = sectional(gamma, h, k)
             except DegeneratePlane:
                 continue
             worst_sec = max(worst_sec, abs(val))
@@ -686,8 +700,8 @@ def _suite_dimension_one(cfg: SuiteConfig, bases: dict, rng: np.random.Generator
 
 def _suite_geodesic(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> list[CheckResult]:
     gamma0 = bases["flat_zero"]
-    h0 = gamma0.normalize(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), gamma0.grid))
-    forward = geodesic_shoot(gamma0, h0, GEODESIC_TIME, GEODESIC_STEPS)
+    h0 = sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), gamma0.grid).values
+    forward = geodesic_shoot(gamma0, gamma0.normalize_values(h0), GEODESIC_TIME, GEODESIC_STEPS)
     drift = forward.energy_drift()
     reversal = forward.reversal_error()
 
@@ -753,7 +767,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
 
     # Commuting families stay flat: simultaneously diagonalizable directions.
     worst_comm = 0.0
-    for _ in range(10):
+    for _ in range(MIRROR_FAMILIES):
         dim = int(rng.integers(2, 4))
         npts = int(rng.integers(1, 5))
         base = HermBase(rng.uniform(0.5, 2.0, size=npts))
@@ -769,7 +783,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
         except DegeneratePlane:
             continue
     out.append(
-        _result("mirror_commuting", worst_comm, worst_comm, "abs", {"families": 10}),
+        _result("mirror_commuting", worst_comm, worst_comm, "abs", {"families": MIRROR_FAMILIES}),
     )
 
     # Non-positivity across random pairs.
@@ -816,14 +830,7 @@ def _suite_mirror(cfg: SuiteConfig, bases: dict, rng: np.random.Generator) -> li
     xi = unit_tangent()
     eta = unit_tangent()
     corrected = herm_curvature_quad(H, xi, eta, eta, xi)
-    fd_val = herm_fd_riemann(H, xi, eta, eta, xi)
-    err = abs(corrected - fd_val) / max(abs(fd_val), 1.0)
-    signs_ok = corrected * fd_val >= 0.0
-    out.append(
-        _result("mirror_sign_consistency", abs(corrected - fd_val), err, "rel",
-                {"corrected": corrected, "literal": -corrected, "fd": fd_val},
-                signs_ok),
-    )
+    out.append(check_mirror_sign_consistency(corrected, herm_fd_riemann(H, xi, eta, eta, xi)))
     return out
 
 

@@ -99,10 +99,11 @@ def per_component_derivative(grid, values, axes):
 
 @pytest.fixture
 def small_counts(monkeypatch):
-    """The battery's six sample counts, cut for a quick run that still draws
-    at every row.  No config sets them; the suites read the module constants
-    when they run, so a test may set one again on top of these."""
+    """The battery's eight sample counts, cut for a quick run that still
+    draws at every row.  No config sets them; the suites read the module
+    constants when they run, so a test may set one again on top of these."""
     counts = {"QUADRUPLES": 2, "FD_TRIPLES": 1, "SECTIONAL_SAMPLES": 8,
-              "MIRROR_SAMPLES": 5, "RHO_POINTS": 60, "GEODESIC_STEPS": 25}
+              "MIRROR_SAMPLES": 5, "RHO_POINTS": 60, "GEODESIC_STEPS": 25,
+              "MIRROR_FAMILIES": 3, "DIMENSION_ONE_TRIPLES": 1}
     for name, value in counts.items():
         monkeypatch.setattr(laglab.validation, name, value)

@@ -32,7 +32,6 @@ from laglab.hermitian import (
 from laglab.lagrangian import build
 from laglab.torus import (
     PeriodicGrid,
-    ScalarField,
     TrigPolynomial,
     TrigTerm,
     constant_field,
@@ -67,8 +66,8 @@ def test_c01_sectional_spot_value():
     started = time.perf_counter()
     grid = PeriodicGrid(2, 64)
     gamma = build(AlmostCYModel(2), constant_field(grid))
-    h = gamma.normalize(sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid))
-    k = gamma.normalize(sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid))
+    h = gamma.normalize_values(sample(TrigPolynomial((TrigTerm(1.0, (1, 0)),)), grid).values)
+    k = gamma.normalize_values(sample(TrigPolynomial((TrigTerm(1.0, (0, 1)),)), grid).values)
     value = sectional(gamma, h, k)
     elapsed = time.perf_counter() - started
     expected = -1.0 / (4.0 * np.pi**2)
@@ -192,8 +191,8 @@ def test_c06_nonpositive_sectional(bases):
     drawn = 0
     while drawn < 100:
         gamma = gammas[drawn % len(gammas)]
-        h = gamma.normalize(sample(random_trig_polynomial(rng, 2), gamma.grid))
-        k = gamma.normalize(sample(random_trig_polynomial(rng, 2), gamma.grid))
+        h = gamma.normalize_values(sample(random_trig_polynomial(rng, 2), gamma.grid).values)
+        k = gamma.normalize_values(sample(random_trig_polynomial(rng, 2), gamma.grid).values)
         try:
             max_val = max(max_val, sectional(gamma, h, k))
         except DegeneratePlane:
@@ -210,8 +209,8 @@ def test_c07_flat_families(bases):
     worst = 0.0
     for name in ("flat_zero", "twisted_zero"):
         gamma = bases[name]
-        l = gamma.normalize(
-            sample(TrigPolynomial((TrigTerm(1.0, (1, 0)), TrigTerm(0.5, (0, 1)))), gamma.grid)
+        l = gamma.normalize_values(
+            sample(TrigPolynomial((TrigTerm(1.0, (1, 0)), TrigTerm(0.5, (0, 1)))), gamma.grid).values
         )
         rep = flat_family_check(gamma, l, [lambda s: s, lambda s: s**2, lambda s: s**3 - s])
         worst = max(worst, rep.max_abs_sectional)
@@ -237,7 +236,8 @@ def test_c08_dimension_one_degeneracy():
                 r = riemann_field_values(gamma, f[0].values, f[1].values, f[2].values)
                 worst_field = max(worst_field, float(np.abs(r).max()))
                 try:
-                    val = sectional(gamma, gamma.normalize(f[0]), gamma.normalize(f[1]))
+                    h, k = (gamma.normalize_values(v.values) for v in f[:2])
+                    val = sectional(gamma, h, k)
                 except DegeneratePlane:
                     continue
                 worst_sec = max(worst_sec, abs(val))
@@ -252,12 +252,12 @@ def test_c09_geodesic_shooting():
     grid = PeriodicGrid(2, 64)
     model = AlmostCYModel(2)
     gamma0 = build(model, constant_field(grid))
-    h0 = gamma0.normalize(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), grid))
+    h0 = gamma0.normalize_values(sample(TrigPolynomial((TrigTerm(0.1, (1, 0)),)), grid).values)
     forward = geodesic_shoot(gamma0, h0, 0.1, 100)
     drift = forward.energy_drift()
 
     gamma_T = build(model, forward.potentials[-1])
-    h_back = gamma_T.normalize(ScalarField(grid, -forward.velocities[-1].values))
+    h_back = gamma_T.normalize_values(-forward.velocities[-1].values)
     backward = geodesic_shoot(gamma_T, h_back, 0.1, 100)
     ret = backward.potentials[-1].values - backward.potentials[-1].values.mean()
     start = forward.potentials[0].values - forward.potentials[0].values.mean()

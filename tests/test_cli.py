@@ -224,14 +224,14 @@ def test_scan_degenerate_pair_note(tmp_path):
 
     config = load_config(str(cfg))
     gamma = config.build_gamma()
-    h, h2 = config.tangent(gamma, "h"), config.tangent(gamma, "h2")
+    h, h2 = config.samples("h"), config.samples("h2")
     with pytest.raises(DegeneratePlane) as exc:
         sectional(gamma, h, h2)
     assert rows[1]["sectional"] is None
     assert rows[1]["note"] == str(exc.value)
     assert rows[1]["margin"] == gamma.margin
     assert rows[2]["sectional"] == pytest.approx(
-        sectional(gamma, config.tangent(gamma, "hk"), h), rel=1e-14)
+        sectional(gamma, config.samples("hk"), h), rel=1e-14)
     csv_lines = out.with_suffix(".csv").read_text().strip().splitlines()
     assert csv_lines[2].split(",")[3] == ""
 
@@ -489,6 +489,26 @@ def test_mirror_step_and_tolerance_are_not_params(tmp_path, capsys, command, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("corrected, fd, passed", [
+    (1e-6, -1e-6, False), (-2e-5, 3e-5, False), (1e-6, 2e-6, True), (0.0, -1e-6, True),
+])
+def test_mirror_verdict_is_the_batterys_row(tmp_path, capsys, monkeypatch, corrected, fd, passed):
+    """The job and the battery's ``mirror_sign_consistency`` row share one
+    verdict: the agreement within the tolerance and one sign.  Opposite
+    signs inside the tolerance fail both."""
+    verdict = laglab.validation.check_mirror_sign_consistency(corrected, fd)
+    assert verdict.error_rel <= verdict.tolerance
+    assert verdict.passed is passed
+    monkeypatch.setattr(laglab.cli, "herm_curvature_quad", lambda *_: corrected)
+    monkeypatch.setattr(laglab.cli, "herm_fd_riemann", lambda *_: fd)
+    cfg = write_config(tmp_path, "mirror.json", {"job": "mirror", "params": MIRROR_PARAMS})
+    out = tmp_path / "mirror_report.json"
+    assert main(["run", str(cfg), "-o", str(out)]) == (0 if passed else 4)
+    results = load_report(out)["results"]
+    assert results["fd_agreement"] == abs(corrected - fd)
+    assert results["tolerance"] == verdict.tolerance
+
+
 def test_mirror_bad_matrix_entry(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -739,7 +759,6 @@ ERROR_EXITS = {
     "BandLimitExceeded": (2, "config error:"),
     "DegeneratePlane": (2, "config error:"),
     "NonFiniteResult": (2, "config error:"),
-    "GammaMismatch": (2, "config error:"),
     "ShapeMismatch": (2, "config error:"),
     "PositivityError": (3, "positivity error:"),
     "NotPositive": (3, "positivity error:"),

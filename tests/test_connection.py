@@ -223,15 +223,15 @@ def test_path_rejects_tangent_samples_on_another_grid(flat_model, grid64, h_fiel
 
 
 def test_geodesic_zero_velocity(flat_zero, grid64):
-    h0 = flat_zero.normalize(constant_field(grid64))
+    h0 = flat_zero.normalize_values(constant_field(grid64).values)
     path = geodesic_shoot(flat_zero, h0, 0.1, 10)
     assert np.abs(path.potentials[-1].values - path.potentials[0].values).max() < 1e-15
     assert path.energies[-1] == pytest.approx(0.0, abs=1e-30)
 
 
 def test_geodesic_energy_conservation(flat_zero, grid64):
-    h0 = flat_zero.normalize(
-        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0]))
+    h0 = flat_zero.normalize_values(
+        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])).values
     )
     path = geodesic_shoot(flat_zero, h0, 0.1, 100)
     assert path.energy_drift() < 1e-6
@@ -241,12 +241,12 @@ def test_geodesic_energy_conservation(flat_zero, grid64):
 
 
 def test_geodesic_time_reversal(twisted_zero, grid64):
-    h0 = twisted_zero.normalize(
-        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0]))
+    h0 = twisted_zero.normalize_values(
+        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])).values
     )
     forward = geodesic_shoot(twisted_zero, h0, 0.1, 100)
     gamma_T = build(twisted_zero.model, forward.potentials[-1])
-    h_back = gamma_T.normalize(ScalarField(grid64, -forward.velocities[-1].values))
+    h_back = gamma_T.normalize_values(-forward.velocities[-1].values)
     backward = geodesic_shoot(gamma_T, h_back, 0.1, 100)
     ret = backward.potentials[-1].values - backward.potentials[-1].values.mean()
     start = forward.potentials[0].values - forward.potentials[0].values.mean()
@@ -255,8 +255,8 @@ def test_geodesic_time_reversal(twisted_zero, grid64):
 
 def test_geodesic_positivity_lost(flat_zero, grid64, monkeypatch):
     monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", np.inf)
-    h0 = flat_zero.normalize(
-        field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1])))
+    h0 = flat_zero.normalize_values(
+        field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1]))).values
     )
     with pytest.raises(PositivityLost) as excinfo:
         geodesic_shoot(flat_zero, h0, 1.0, 50)
@@ -267,7 +267,7 @@ def test_geodesic_step_rejection(twisted_generic, h_field, monkeypatch):
     """A zero tolerance rejects the first step of a curved path, whose energy
     jump (4.0e-11 of the start, 4 steps to T = 0.2) is far above roundoff."""
     monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", 0.0)
-    h0 = twisted_generic.normalize(h_field)
+    h0 = twisted_generic.normalize_values(h_field.values)
     with pytest.raises(StepRejected) as excinfo:
         geodesic_shoot(twisted_generic, h0, 0.2, 4)
     assert excinfo.value.time == pytest.approx(0.05)
@@ -278,7 +278,7 @@ def test_geodesic_rejects_a_nan_energy_at_the_first_step(twisted_generic, h_fiel
     """A NaN energy fails every comparison, so the drift check is written to
     reject it: the first step raises ``StepRejected``, with the NaN drift, and
     the NaN never reaches the path."""
-    h0 = twisted_generic.normalize(h_field)
+    h0 = twisted_generic.normalize_values(h_field.values)
     original = GraphLagrangian.inner_values
     calls = []
 
@@ -296,7 +296,7 @@ def test_geodesic_rejects_a_nan_energy_at_the_first_step(twisted_generic, h_fiel
 
 @pytest.mark.parametrize("steps", [0, MAX_STEPS + 1])
 def test_geodesic_step_count_out_of_range(flat_zero, grid64, steps):
-    h0 = flat_zero.normalize(field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])))
+    h0 = flat_zero.normalize_values(field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])).values)
     with pytest.raises(ValueError, match=f"got {steps}"):
         geodesic_shoot(flat_zero, h0, 0.1, steps)
 
@@ -305,15 +305,26 @@ def test_geodesic_step_count_out_of_range(flat_zero, grid64, steps):
 def test_geodesic_rejects_a_time_that_is_not_finite(flat_zero, grid64, time):
     """A non-finite time is refused at entry, naming ``time``, before any
     stage runs."""
-    h0 = flat_zero.normalize(field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])))
+    h0 = flat_zero.normalize_values(field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])).values)
     with pytest.raises(ValueError, match=f"time must be finite, got {time}"):
         geodesic_shoot(flat_zero, h0, time, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_geodesic_rejects_a_velocity_that_is_not_finite(flat_zero, grid64, bad, monkeypatch):
+    """h0 is a raw sample array, so the shot checks its samples before any
+    step: a non-finite one raises ``ValueError`` and no graph is built."""
+    monkeypatch.setattr(laglab.connection, "build", None)  # any step would call it
+    h0 = np.cos(grid64.coords[..., 0])
+    h0[7, 2] = bad
+    with pytest.raises(ValueError, match="^field values must be finite$"):
+        geodesic_shoot(flat_zero, h0, 0.1, 3)
+
+
 def test_geodesic_positivity_lost_at_the_first_failing_stage(flat_zero, grid64, monkeypatch):
     monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", np.inf)
-    h0 = flat_zero.normalize(
-        field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1])))
+    h0 = flat_zero.normalize_values(
+        field_from_function(grid64, lambda c: 2.0 * (np.cos(c[..., 0]) + np.cos(c[..., 1]))).values
     )
     time, steps = 1.0, 50
     dt = time / steps
@@ -333,7 +344,7 @@ def test_geodesic_step_rejection_on_a_curved_path(twisted_generic, h_field, monk
     """Two coarse steps on the twisted generic graph change the energy by
     2.7e-9 and 5.5e-9 of its start, far above roundoff: the rejection does not
     hinge on last-bit noise."""
-    h0 = twisted_generic.normalize(h_field)
+    h0 = twisted_generic.normalize_values(h_field.values)
     monkeypatch.setattr(laglab.connection, "STEP_ENERGY_TOL", 1e-9)
     with pytest.raises(StepRejected) as excinfo:
         geodesic_shoot(twisted_generic, h0, 0.2, 2)
@@ -354,8 +365,8 @@ def test_shot_satisfies_its_geodesic_equation(monkeypatch):
     grid = PeriodicGrid(2, 32)
     model = AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1)
     gamma = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1])))
-    h0 = gamma.normalize(
-        field_from_function(grid, lambda c: 0.3 * (np.cos(c[..., 0]) + 0.5 * np.sin(c[..., 1])))
+    h0 = gamma.normalize_values(
+        field_from_function(grid, lambda c: 0.3 * (np.cos(c[..., 0]) + 0.5 * np.sin(c[..., 1]))).values
     )
 
     def residual(steps):
@@ -372,8 +383,8 @@ def test_shot_satisfies_its_geodesic_equation(monkeypatch):
 
 
 def test_geodesic_velocity_stays_normalized(flat_zero, grid64):
-    h0 = flat_zero.normalize(
-        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0]))
+    h0 = flat_zero.normalize_values(
+        field_from_function(grid64, lambda c: 0.1 * np.cos(c[..., 0])).values
     )
     path = geodesic_shoot(flat_zero, h0, 0.1, 20)
     gamma_end = build(flat_zero.model, path.potentials[-1])
@@ -433,7 +444,7 @@ def test_geodesic_carries_the_potential_derivatives(twisted_generic, h_field, gr
         return last[0]
 
     monkeypatch.setattr(laglab.connection, "build", recording)
-    h0 = twisted_generic.normalize(h_field)
+    h0 = twisted_generic.normalize_values(h_field.values)
     geodesic_shoot(twisted_generic, h0, 0.5, 500)
     gamma = last[0]
     grad = gradient_values(grid64, gamma.phi.values)
@@ -445,7 +456,7 @@ def test_geodesic_carries_the_potential_derivatives(twisted_generic, h_field, gr
 def test_geodesic_step_differentiates_only_its_velocity(twisted_generic, h_field, transform_calls):
     """Each of the four RK4 stages takes one gradient and one Hessian of its
     velocity; no graph in the loop transforms its potential."""
-    h0 = twisted_generic.normalize(h_field)
+    h0 = twisted_generic.normalize_values(h_field.values)
     steps = 3
     geodesic_shoot(twisted_generic, h0, 0.03, steps)
     assert transform_calls == ["gradient_values", "hessian_values"] * 4 * steps
@@ -460,8 +471,8 @@ def test_geodesic_stage_differentiates_one_gradient(n, points, per_stage, monkey
     grid = PeriodicGrid(n, points)
     model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
     gamma0 = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c.sum(axis=-1))))
-    h0 = gamma0.normalize(
-        field_from_function(grid, lambda c: np.cos(c[..., 0]) + 0.5 * np.sin(c[..., -1]))
+    h0 = gamma0.normalize_values(
+        field_from_function(grid, lambda c: np.cos(c[..., 0]) + 0.5 * np.sin(c[..., -1])).values
     )
     graphs = [gamma0]
 
@@ -502,7 +513,7 @@ def _written_out_shot(gamma0, h0, time, steps):
         return psi, accel, grad, hessian_values(grid, psi, grad=grad)
 
     phi = gamma0.phi.values - gamma0.phi.values.mean()
-    psi = gamma0.normalize_values(h0.values)
+    psi = gamma0.normalize_values(h0)
     state = (phi, psi, gamma0.grad_phi, gamma0.hess_phi)
     potentials, velocities, energies = [phi], [psi], [gamma0.inner_values(psi, psi)]
     for _ in range(steps):
@@ -530,8 +541,8 @@ def test_shot_is_the_written_out_rk4_step_bit_for_bit(n, points, twist):
     grid = PeriodicGrid(n, points)
     model = AlmostCYModel(n, twist_amplitude=twist, twist_mode=1)
     gamma0 = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c.sum(axis=-1))))
-    h0 = gamma0.normalize(
-        field_from_function(grid, lambda c: 0.3 * np.cos(c[..., 0]) + 0.1 * np.sin(c[..., -1]))
+    h0 = gamma0.normalize_values(
+        field_from_function(grid, lambda c: 0.3 * np.cos(c[..., 0]) + 0.1 * np.sin(c[..., -1])).values
     )
     path = geodesic_shoot(gamma0, h0, 0.2, 5)
     potentials, velocities, energies = _written_out_shot(gamma0, h0, 0.2, 5)
@@ -547,7 +558,7 @@ def test_shot_fields_share_no_memory(n, points):
     grid = PeriodicGrid(n, points)
     model = AlmostCYModel(n, twist_amplitude=0.1, twist_mode=1)
     gamma0 = build(model, field_from_function(grid, lambda c: 0.2 * np.cos(c.sum(axis=-1))))
-    h0 = gamma0.normalize(field_from_function(grid, lambda c: 0.3 * np.cos(c[..., 0])))
+    h0 = gamma0.normalize_values(field_from_function(grid, lambda c: 0.3 * np.cos(c[..., 0])).values)
     path = geodesic_shoot(gamma0, h0, 0.05, 4)
     fields = [f.values for f in path.potentials + path.velocities]
     assert len(fields) == 10
@@ -563,7 +574,7 @@ def test_shot_peak_memory_beyond_its_path(twisted_generic, h_field, grid64):
     8 rows (40 fields) and the transients of one stage (55.4 in all).
     Allocating the state, the shifts and the stage derivatives afresh took
     66.5."""
-    h0 = twisted_generic.normalize(h_field)
+    h0 = twisted_generic.normalize_values(h_field.values)
     steps = 10
     geodesic_shoot(twisted_generic, h0, 0.01, 1)  # fills the graph's cached fields
     tracemalloc.start()

@@ -21,13 +21,12 @@ from laglab.curvature import (
 )
 from laglab.errors import (
     DegeneratePlane,
-    GammaMismatch,
     InputError,
     MarginTooSmall,
     ShapeMismatch,
 )
 from laglab.lagrangian import GraphLagrangian, build
-from laglab.torus import PeriodicGrid, constant_field, field_from_function, integrate_values
+from laglab.torus import PeriodicGrid, field_from_function, integrate_values
 from laglab.validation import random_trig_polynomial
 from laglab.torus import sample
 
@@ -36,13 +35,13 @@ QUAD_SPOT = -9.869604401089358  # -pi^2
 
 
 def _tangent(gamma, fn):
-    return gamma.normalize(field_from_function(gamma.grid, fn))
+    return gamma.normalize_values(field_from_function(gamma.grid, fn).values)
 
 
 def test_riemann_field_spot(flat_zero, grid64):
     h = _tangent(flat_zero, lambda c: np.cos(c[..., 0]))
     k = _tangent(flat_zero, lambda c: np.cos(c[..., 1]))
-    r = riemann_field_values(flat_zero, h.values, k.values, k.values)
+    r = riemann_field_values(flat_zero, h, k, k)
     x = grid64.coords
     expected = -np.cos(x[..., 0]) * np.sin(x[..., 1]) ** 2
     assert np.abs(r - expected).max() < 1e-11
@@ -51,7 +50,7 @@ def test_riemann_field_spot(flat_zero, grid64):
 def test_riemann_antisymmetry(twisted_generic, grid64):
     h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]) + np.sin(2 * c[..., 1]))
     l = _tangent(twisted_generic, lambda c: np.sin(c[..., 0] + c[..., 1]))
-    r = riemann_field_values(twisted_generic, h.values, h.values, l.values)
+    r = riemann_field_values(twisted_generic, h, h, l)
     assert np.abs(r).max() < 1e-14
 
 
@@ -82,7 +81,7 @@ def test_riemann_vanishes_in_dimension_one():
 def test_riemann_quad_spot(flat_zero, grid64):
     h = _tangent(flat_zero, lambda c: np.cos(c[..., 0]))
     k = _tangent(flat_zero, lambda c: np.cos(c[..., 1]))
-    value = riemann_quad_values(flat_zero, h.values, k.values, k.values, h.values)
+    value = riemann_quad_values(flat_zero, h, k, k, h)
     assert value == pytest.approx(QUAD_SPOT, rel=1e-12)
 
 
@@ -135,7 +134,7 @@ def test_first_bianchi(twisted_generic, grid64):
 def test_mean_zero_residual(twisted_generic, grid64):
     rng = np.random.default_rng(31)
     f = [
-        twisted_generic.normalize(sample(random_trig_polynomial(rng, 2), grid64)).values
+        twisted_generic.normalize_values(sample(random_trig_polynomial(rng, 2), grid64).values)
         for _ in range(3)
     ]
     r = riemann_field_values(twisted_generic, *f)
@@ -170,8 +169,8 @@ def test_sectional_nonpositive_random(flat_generic, twisted_generic, grid64):
     rng = np.random.default_rng(37)
     for gamma in (flat_generic, twisted_generic):
         for _ in range(10):
-            h = gamma.normalize(sample(random_trig_polynomial(rng, 2), grid64))
-            k = gamma.normalize(sample(random_trig_polynomial(rng, 2), grid64))
+            h = gamma.normalize_values(sample(random_trig_polynomial(rng, 2), grid64).values)
+            k = gamma.normalize_values(sample(random_trig_polynomial(rng, 2), grid64).values)
             try:
                 assert sectional(gamma, h, k) <= 1e-10
             except DegeneratePlane:
@@ -194,28 +193,41 @@ def test_margin_threshold():
     h = _tangent(gamma, lambda c: np.cos(c[..., 0]))
     k = _tangent(gamma, lambda c: np.cos(c[..., 1]))
     with pytest.raises(MarginTooSmall, match="<= threshold 1.0e-02"):
-        riemann_field_values(gamma, h.values, k.values, k.values)
+        riemann_field_values(gamma, h, k, k)
     with pytest.raises(MarginTooSmall):
-        riemann_quad_values(gamma, h.values, k.values, k.values, h.values)
+        riemann_quad_values(gamma, h, k, k, h)
 
 
-def test_tangents_on_another_graph_are_rejected():
-    """Tangents that share one graph, but not ``gamma``, are a mismatch too."""
-    grid = PeriodicGrid(2, 32)
-    flat_zero = build(AlmostCYModel(2), constant_field(grid))
-    twisted_generic = build(
-        AlmostCYModel(2, twist_amplitude=0.1, twist_mode=1),
-        field_from_function(grid, lambda c: 0.2 * np.cos(c[..., 0] + c[..., 1])),
-    )
-    h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
-    k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
-    assert sectional(twisted_generic, h, k) < 0.0
-    with pytest.raises(GammaMismatch, match="other than gamma"):
-        sectional(flat_zero, h, k)
-    with pytest.raises(GammaMismatch, match="other than gamma"):
-        flat_family_check(flat_zero, h, [lambda s: s])
-    with pytest.raises(GammaMismatch, match="other than gamma"):
-        geodesic_shoot(flat_zero, h, 0.1, 1)
+def test_sectional_takes_functions_modulo_constants(twisted_generic, flat_zero, grid64):
+    """A tangent vector is a function modulo constants: ``sectional`` and
+    ``flat_family_check`` give one value for h, for h + c and for h
+    normalised at another graph, since each takes its representative at
+    ``gamma``.  The family's second member ignores its argument, so its one
+    plane is the plane of h and k."""
+    h = field_from_function(grid64, lambda c: np.cos(c[..., 0]) + 0.3 * np.sin(c[..., 1])).values
+    k = field_from_function(grid64, lambda c: np.cos(c[..., 1]) + 0.2 * np.cos(c[..., 0])).values
+    base = sectional(twisted_generic, h, k)
+    assert base < 0.0
+    for l in (h, h + 2.5, flat_zero.normalize_values(h)):
+        assert sectional(twisted_generic, l, k) == pytest.approx(base, rel=1e-12, abs=0.0)
+        assert sectional(twisted_generic, k, l) == pytest.approx(base, rel=1e-12, abs=0.0)
+        report = flat_family_check(twisted_generic, l, [lambda s: s, lambda s: k])
+        assert report.sectionals[0][:2] == (0, 1)
+        assert report.sectionals[0][2] == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sectional_matrix_rejects_non_finite_samples(twisted_generic, grid64, bad,
+                                                     transform_calls):
+    h = np.cos(grid64.coords[..., 0])
+    k = np.cos(grid64.coords[..., 1])
+    k[3, 5] = bad
+    for call in (lambda: sectional_matrix(twisted_generic, [h, k]),
+                 lambda: sectional(twisted_generic, h, k),
+                 lambda: flat_family_check(twisted_generic, k, [lambda s: s])):
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            call()
+    assert transform_calls == []
 
 
 def test_flat_family(flat_zero, twisted_zero, grid64):
@@ -295,14 +307,14 @@ def test_sectional_matrix_margin_threshold(twisted_generic):
     h = _tangent(gamma, lambda c: np.cos(c[..., 0]))
     k = _tangent(gamma, lambda c: np.cos(c[..., 1]))
     with pytest.raises(MarginTooSmall):
-        sectional_matrix(gamma, [h.values, k.values])
+        sectional_matrix(gamma, [h, k])
     with pytest.raises(MarginTooSmall):
         sectional(gamma, h, k)
     with pytest.raises(MarginTooSmall):
         flat_family_check(gamma, h, [lambda s: s, lambda s: s**2])
     h = _tangent(twisted_generic, lambda c: np.cos(c[..., 0]))
     k = _tangent(twisted_generic, lambda c: np.cos(c[..., 1]))
-    numerator, gram = sectional_matrix(twisted_generic, [h.values, k.values])
+    numerator, gram = sectional_matrix(twisted_generic, [h, k])
     assert numerator.shape == (2, 2)
 
 
@@ -348,6 +360,9 @@ _SHAPE_ENTRY_POINTS = {
     "riemann_field_values": (2, lambda gamma, ok, bad: riemann_field_values(gamma, ok, ok, bad)),
     "riemann_quad_values": (1, lambda gamma, ok, bad: riemann_quad_values(gamma, ok, bad, ok, ok)),
     "sectional_matrix": (2, lambda gamma, ok, bad: sectional_matrix(gamma, [ok, ok, bad])),
+    "sectional": (1, lambda gamma, ok, bad: sectional(gamma, ok, bad)),
+    "flat_family_check": (0, lambda gamma, ok, bad: flat_family_check(gamma, bad, [np.cos])),
+    "geodesic_shoot": (0, lambda gamma, ok, bad: geodesic_shoot(gamma, bad, 0.1, 3)),
 }
 
 
@@ -399,16 +414,17 @@ def _generic_3d_functions(count, seed=5):
 
 @pytest.mark.parametrize("n, points", [(2, 64), (3, 32)])
 def test_sectional_matrix_gram_is_inner_values_bit_for_bit(n, points):
-    """The Gram entries are formed in a reused scratch field, with the
-    product and the dot of ``inner_values``, so with its bits."""
+    """The Gram entries pair the representatives ``normalize_values`` gives,
+    formed in a reused scratch field with the product and the dot of
+    ``inner_values``, so with its bits."""
     gamma = _twisted_generic(n, points)
     rng = np.random.default_rng(53)
-    f = [gamma.normalize_values(sample(random_trig_polynomial(rng, n), gamma.grid).values)
-         for _ in range(5)]
+    f = [sample(random_trig_polynomial(rng, n), gamma.grid).values for _ in range(5)]
     gram = sectional_matrix(gamma, f).gram
+    rep = [gamma.normalize_values(v) for v in f]
     for i in range(len(f)):
         for j in range(len(f)):
-            assert gram[i, j] == gamma.inner_values(f[i], f[j]), (i, j)
+            assert gram[i, j] == gamma.inner_values(rep[i], rep[j]), (i, j)
 
 
 def test_sectional_matrix_3d_entries_do_not_depend_on_the_batch():

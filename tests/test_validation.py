@@ -299,6 +299,7 @@ def test_battery_shape(monkeypatch):
         low, high = fd["richardson_ratio_range"]
         assert low <= fd["richardson_ratio"] <= high
     assert params["dtheta[twisted_zero]"]["rho_term_sup"] >= 1e-3
+    assert params["mirror_commuting"]["families"] == laglab.validation.MIRROR_FAMILIES == 3
     sign = params["mirror_sign_consistency"]
     assert sign["literal"] == -sign["corrected"]  # bit for bit
     assert "rho_term_sup" in params["dtheta[flat_zero]"]

@@ -24,11 +24,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# (name, file, old text, new text).  The last one survives the battery as it
-# stands: the Christoffel part of the covariant Hessian cancels at n = 2
-# (ROADMAP item 8).  The negated acceleration, which the straight-line
-# geodesic rows do not see (w = 0 on the flat zero section), is killed by
-# the ``geodesic_acceleration`` rows.
+# (name, file, old text, new text).  The last two survive the battery as it
+# stands.  The Christoffel part of the covariant Hessian cancels at n = 2
+# (ROADMAP item 8).  A Gram matrix of un-normalised functions moves the
+# sectional curvatures the battery samples, but none to a positive value,
+# and its spot row pairs cosines of mean zero on the flat zero section;
+# Tier-1 catches it (``test_sectional_takes_functions_modulo_constants``).
+# The negated acceleration, which the straight-line geodesic rows do not see
+# (w = 0 on the flat zero section), is killed by the
+# ``geodesic_acceleration`` rows.
 MUTANTS = (
     ("quadruple form: value sign", "curvature.py",
      "return -sec_integral(gamma, first - second)", "return sec_integral(gamma, first - second)"),
@@ -52,6 +56,8 @@ MUTANTS = (
      "return np.divide(np.negative(sq, out=sq), self.re_omega, out=sq)"),
     ("covariant Hessian: Christoffel sign", "lagrangian.py",
      'hess = hess - np.einsum("...abc,...c->...ab"', 'hess = hess + np.einsum("...abc,...c->...ab"'),
+    ("sectional_matrix: Gram on un-normalised functions", "curvature.py",
+     "stack[n] = gamma.normalize_values(v)", "stack[n] = v"),
 )
 
 # Prints one line per failing row, or why the battery raised.
